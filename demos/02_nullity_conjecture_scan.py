@@ -2,8 +2,8 @@
 
 The nullity exceeds 5 exactly when some interior lattice pair (m, n) makes
 the integer discriminant D vanish.  The scan classifies every pair below the
-certified bound m^2 + n^2 < 9 k^2 with exact signs (float64 prefilter, exact
-integer confirmation of anything within 10^18 of zero).  The closest call in
+certified bound m^2 + n^2 < 9 k^2 with exact integer signs, one run of
+negative pairs per m (torus.sign_runs).  The closest call in
 this range sits at k = 192 near (m, n) = (100, 185), where D is about 10^15
 times smaller than its neighbours -- but exactly nonzero.
 """
@@ -13,7 +13,7 @@ import time
 from bihindex.scan import conjecture_scan, flagged_rows
 from bihindex.torus import discriminant, min_abs_interior_discriminant
 
-K_MAX = 300  # push to 1500 for the full conjecture range (~30 s)
+K_MAX = 300  # push to 1500 for the full conjecture range (~30 s on one core)
 
 t0 = time.time()
 rows = conjecture_scan(K_MAX)

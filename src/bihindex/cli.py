@@ -41,6 +41,7 @@ from .noncompact import (
     COUNTEREXAMPLE_PHASE,
     COUNTEREXAMPLE_SECTION,
     CubicPhase,
+    NotProperError,
     counterexample_value,
     hessian_form,
     i2_pairing,
@@ -260,7 +261,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv", "md"), default="json")
     p.add_argument("--output", default=None, help="write the report to this file")
     p.add_argument("--cache-dir", default=None, help=f"scan cache dir (or ${CACHE_ENV})")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _parse_rational(text: str, name: str) -> Fraction:
@@ -275,7 +283,10 @@ def _parse_phase(text: str) -> CubicPhase:
     if len(parts) != 4:
         raise UsageError("--phase needs four comma-separated rationals a,b,c,d")
     a, b, c, d = (_parse_rational(t.strip(), "--phase entry") for t in parts)
-    return CubicPhase(a, b, c, d)
+    try:
+        return CubicPhase(a, b, c, d)
+    except NotProperError as exc:
+        raise UsageError(f"--phase {text}: {exc}")
 
 
 def build_parser() -> _Parser:
@@ -358,8 +369,8 @@ def _cmd_torus_index(args) -> tuple[dict, int]:
         "g": r.g,
         "index": r.index,
         "nullity": r.nullity,
-        "negative_pairs": [list(p) for p in r.negative_pairs],
-        "zero_pairs": [list(p) for p in r.zero_pairs],
+        "negative_pairs": r.negative_pairs,  # rendered as lists, like every tuple
+        "zero_pairs": r.zero_pairs,
         "csv_header": ["k", "f", "g", "index", "nullity"],
         "csv_rows": [[r.k, r.f, r.g, r.index, r.nullity]],
     }
@@ -370,6 +381,8 @@ def _cmd_torus_spectrum(args) -> tuple[dict, int]:
     if args.k < 1:
         raise UsageError("--k must be >= 1")
     lam_max = args.lambda_max if args.lambda_max is not None else 4 * args.k * args.k
+    if lam_max < 0:
+        raise UsageError("--lambda-max must be >= 0")
     merged = spectrum(args.k, lam_max)
     rows = [
         [str(e.eigenvalue), float(e.eigenvalue), e.multiplicity, ";".join(e.branches)]
@@ -411,7 +424,7 @@ def _cmd_torus_scan(args) -> tuple[dict, int]:
             cache.append(missing)
             rows.update({k: r for k, r in cache.load().items() if k <= args.k_max})
     else:
-        rows = {r.k: r for r in conjecture_scan(args.k_max, workers=max(1, args.workers))}
+        rows = {r.k: r for r in conjecture_scan(args.k_max, workers=args.workers)}
     ordered = [rows[k] for k in sorted(rows)]
     flagged = [r.k for r in ordered if r.flagged]
     results = {
@@ -422,9 +435,7 @@ def _cmd_torus_scan(args) -> tuple[dict, int]:
         "csv_rows": [[r.k, r.f, r.g, r.index, r.nullity] for r in ordered],
     }
     inputs = {"k_max": args.k_max, "workers": args.workers, "cache_dir": cache_dir}
-    code = EXIT_OK if (not flagged or args.k_max > 1500) else EXIT_VERIFICATION
-    if flagged:
-        code = EXIT_VERIFICATION
+    code = EXIT_VERIFICATION if flagged else EXIT_OK
     return make_report("torus scan", inputs, results, "torus-nullity-conjecture"), code
 
 

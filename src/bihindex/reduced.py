@@ -107,12 +107,7 @@ def reduced_spectrum(problem: ReducedProblem, m_max: int) -> list[ReducedSpectru
 def _integer_fourth_root_floor(x: Fraction) -> tuple[int, bool]:
     """(floor of x^(1/4), exactness flag) for a positive rational x."""
     p, q = x.numerator, x.denominator
-    # largest t with t^4 * q <= p
-    t = max(int(float(x) ** 0.25), 0)
-    while (t + 1) ** 4 * q <= p:
-        t += 1
-    while t > 0 and t**4 * q > p:
-        t -= 1
+    t = math.isqrt(math.isqrt(p // q))  # floor(sqrt(floor(y))) = floor(sqrt(y)), twice
     return t, t**4 * q == p
 
 
@@ -128,7 +123,7 @@ def reduced_index_nullity(problem: ReducedProblem) -> tuple[int, int]:
 def reduced_index_nullity_by_counting(problem: ReducedProblem) -> tuple[int, int]:
     """Same result by explicitly counting eigenvalue signs (cross-check path)."""
     c4 = problem.quartic_constant()
-    m_max = int(float(c4) ** 0.25) + 2
+    m_max = _integer_fourth_root_floor(c4)[0] + 2
     index = nullity = 0
     for e in reduced_spectrum(problem, m_max):
         if e.eigenvalue < 0:

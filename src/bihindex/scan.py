@@ -1,41 +1,21 @@
-"""Fast exact scan of the nullity conjecture over a range of windings k.
+"""Exact scan of the nullity conjecture over a range of windings k.
 
 For each k the interior lattice pairs (m, n) with m^2 + n^2 < 9k^2 are
-classified by the sign of the integer discriminant D.  The hot loop runs in
-float64 with a conservative ambiguity threshold, and every pair that lands
-inside the threshold is re-decided with exact Python integers, so all
-reported counts are exact.
-
-Error budget for the float64 prefilter (k <= 1500): every intermediate of
-the factored evaluation of D is bounded by 3e29, and the ~10 floating
-operations accumulate at most ~1e15 of absolute rounding error.  The
-ambiguity threshold 1e18 leaves a 1000x margin, so |D_float| >= 1e18
-certifies the sign and |D_float| < 1e18 routes the pair to exact integer
-arithmetic.  (A near-tie actually occurring in this family: D(192,100,185)
-= 193615494292225 ~ 2e14, safely inside the exact lane.)
+classified by the exact sign of the integer discriminant D, one row m at a
+time.  Certificate (proved in torus.sign_runs): D is a quartic in
+s = m^2 + n^2 with coefficient signs + + - e e, so by Descartes' rule of signs
+the pairs with D <= 0 form one run of n, and D vanishes only at its ends.  For
+2m^2 < k^2 the run starts at n = 1; for 2m^2 > k^2, D is concave and then
+convex, so its integer minimum is at n = 1, at the last concave n or at the
+bottom of the convex part.  Bisection finds each end: O(k log k) per k.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
-from .torus import discriminant, enumeration_bound, interior_sign_scan
-
-_FLOAT_SAFE_KMAX = 1500
-_AMBIGUITY = 1.0e18
-
-try:  # numba is optional; the numpy path returns identical results
-    if os.environ.get("BIHINDEX_NO_NUMBA"):
-        raise ImportError("numba disabled by BIHINDEX_NO_NUMBA")
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised when numba is absent
-    _HAVE_NUMBA = False
+from .torus import enumeration_bound, run_pairs, sign_runs
 
 
 @dataclass(frozen=True)
@@ -52,151 +32,21 @@ class ScanRow:
         return self.g != 0
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _prefilter_kernel(k, neg_m, neg_n, amb_m, amb_n):  # pragma: no cover - jitted
-        k2 = float(k) * k
-        k4 = k2 * k2
-        bound = 9.0 * k2
-        nneg = 0
-        namb = 0
-        m = 1
-        while m * m < bound:
-            m2 = float(m) * m
-            # D > 0 is proven for s^2 > k^4 + 8 k^2 m^2 (there A, B > 0 and
-            # A*B - C^2 >= s^2 (s^2 - k^4 - 8 k^2 m^2)); pad the float cutoff
-            # by 4 to stay conservative against sqrt rounding.
-            s_hi = np.sqrt(k4 + 8.0 * k2 * m2)
-            if s_hi <= m2:
-                m += 1
-                continue
-            n_hi = int(np.sqrt(s_hi - m2)) + 4
-            n = 1
-            while n <= n_hi and m2 + float(n) * n < bound:
-                s = m2 + float(n) * n
-                a = k2 * (2.0 * m2 + s) + s * s
-                b = s * s + 2.0 * m2 * k2 - k4
-                d = a * b - 8.0 * k2 * m2 * s * s
-                if d <= -_AMBIGUITY:
-                    neg_m[nneg] = m
-                    neg_n[nneg] = n
-                    nneg += 1
-                elif d < _AMBIGUITY:
-                    amb_m[namb] = m
-                    amb_n[namb] = n
-                    namb += 1
-                    if namb >= amb_m.shape[0]:
-                        return -1, namb
-                n += 1
-            m += 1
-        return nneg, namb
-
-
-def _prefilter_numpy(k: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    bound = 9.0 * k * k
-    k2 = float(k * k)
-    k4 = k2 * k2
-    certain_neg: list[tuple[int, int]] = []
-    ambiguous: list[tuple[int, int]] = []
-    m = 1
-    while m * m < bound:
-        m2 = float(m * m)
-        n_max = int(np.floor(np.sqrt(bound - m2)))
-        while n_max >= 1 and m2 + n_max * n_max >= bound:
-            n_max -= 1
-        # same proven per-m truncation as the jitted kernel (padded by 4)
-        s_hi = np.sqrt(k4 + 8.0 * k2 * m2)
-        if s_hi <= m2:
-            m += 1
-            continue
-        n_max = min(n_max, int(np.sqrt(s_hi - m2)) + 4)
-        if n_max < 1:
-            m += 1
-            continue
-        n = np.arange(1.0, n_max + 1.0)
-        s = m2 + n * n
-        a = k2 * (2.0 * m2 + s) + s * s
-        b = s * s + 2.0 * m2 * k2 - k4
-        d = a * b - 8.0 * k2 * m2 * s * s
-        for idx in np.nonzero(d <= -_AMBIGUITY)[0]:
-            certain_neg.append((m, int(idx) + 1))
-        for idx in np.nonzero(np.abs(d) < _AMBIGUITY)[0]:
-            ambiguous.append((m, int(idx) + 1))
-        m += 1
-    return certain_neg, ambiguous
-
-
-def _prefilter_arrays(k: int) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
-    """(certain-negative m array, n array, ambiguous pairs) from the jit lane."""
-    neg_cap = k * k + 64  # f(k) <= k^2
-    amb_cap = 65536
-    while True:
-        neg_m = np.empty(neg_cap, dtype=np.int32)
-        neg_n = np.empty(neg_cap, dtype=np.int32)
-        amb_m = np.empty(amb_cap, dtype=np.int32)
-        amb_n = np.empty(amb_cap, dtype=np.int32)
-        nneg, namb = _prefilter_kernel(k, neg_m, neg_n, amb_m, amb_n)
-        if nneg >= 0:
-            ambiguous = list(zip(amb_m[:namb].tolist(), amb_n[:namb].tolist()))
-            return neg_m[:nneg], neg_n[:nneg], ambiguous
-        amb_cap *= 4  # overflowed the candidate buffer; retry larger
-
-
-def _prefilter(k: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """(certainly negative pairs, sign-ambiguous pairs) from the float lane."""
-    if not _HAVE_NUMBA:
-        return _prefilter_numpy(k)
-    neg_m, neg_n, ambiguous = _prefilter_arrays(k)
-    return list(zip(neg_m.tolist(), neg_n.tolist())), ambiguous
-
-
-def _resolve_ambiguous(
-    k: int, ambiguous: list[tuple[int, int]]
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    neg: list[tuple[int, int]] = []
-    zero: list[tuple[int, int]] = []
-    for m, n in ambiguous:
-        d = discriminant(k, m, n)
-        if d < 0:
-            neg.append((m, n))
-        elif d == 0:
-            zero.append((m, n))
-    return neg, zero
+def _row(k: int, f: int, g: int) -> ScanRow:
+    return ScanRow(k=k, f=f, g=g, index=1 + 4 * (k - 1) + 4 * f, nullity=5 + 4 * g)
 
 
 def scan_row(k: int) -> ScanRow:
-    """Exact (f, g, index, nullity) for one k, fast path plus exact recheck."""
-    if k > _FLOAT_SAFE_KMAX:
-        f, g, _, _ = interior_sign_scan(k)
-    elif _HAVE_NUMBA:
-        # counts only: skip materializing millions of pair tuples
-        neg_m, _, ambiguous = _prefilter_arrays(k)
-        amb_neg, amb_zero = _resolve_ambiguous(k, ambiguous)
-        f = int(neg_m.shape[0]) + len(amb_neg)
-        g = len(amb_zero)
-    else:
-        certain, ambiguous = _prefilter_numpy(k)
-        amb_neg, amb_zero = _resolve_ambiguous(k, ambiguous)
-        f = len(certain) + len(amb_neg)
-        g = len(amb_zero)
-    return ScanRow(k=k, f=f, g=g, index=1 + 4 * (k - 1) + 4 * f, nullity=5 + 4 * g)
+    """Exact (f, g, index, nullity) for one k, counted from the sign runs."""
+    runs, zeros = sign_runs(k)
+    return _row(k, sum(n_hi - n_lo + 1 for _, n_lo, n_hi in runs), len(zeros))
 
 
 def scan_row_with_pairs(k: int) -> tuple[ScanRow, list[tuple[int, int]], list[tuple[int, int]]]:
     """ScanRow plus the sorted negative and zero pair lists."""
-    if k > _FLOAT_SAFE_KMAX:
-        f, g, neg, zero = interior_sign_scan(k)
-        neg, zero = sorted(neg), sorted(zero)
-    else:
-        neg, ambiguous = _prefilter(k)
-        amb_neg, zero = _resolve_ambiguous(k, ambiguous)
-        neg.extend(amb_neg)
-        neg.sort()
-        zero.sort()
-        f, g = len(neg), len(zero)
-    row = ScanRow(k=k, f=f, g=g, index=1 + 4 * (k - 1) + 4 * f, nullity=5 + 4 * g)
-    return row, neg, zero
+    runs, zeros = sign_runs(k)
+    neg = list(run_pairs(runs))
+    return _row(k, len(neg), len(zeros)), neg, zeros
 
 
 def conjecture_scan(k_max: int, workers: int = 1, k_min: int = 1) -> list[ScanRow]:

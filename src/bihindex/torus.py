@@ -39,6 +39,7 @@ lattice scan finite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 
 from .exact import QUAD_SQRT2, QuadExt, Surd, int_sign
 from .matrices import ExactMatrix
@@ -189,10 +190,139 @@ def enumeration_bound(k: int) -> int:
     return 9 * k * k
 
 
+def _first_true(pred, lo: int, hi: int, guess: int) -> int:
+    """Smallest n in [lo, hi] with pred(n), or hi + 1 if there is none.
+
+    pred must be monotone on [lo, hi] (False ... False, True ... True).  The
+    probes gallop from guess in doubling steps until they bracket the answer,
+    then bisect: O(log distance) calls, and the answer never depends on guess.
+    """
+    f, t = lo - 1, hi + 1  # pred(f) false, pred(t) true (sentinels outside [lo, hi])
+    x, step = min(max(guess, lo), hi), 1
+    while t - f > 1:
+        if pred(x):
+            t, x = x, x - step
+        else:
+            f, x = x, x + step
+        step *= 2
+        if not f < x < t:
+            x = (f + t) // 2
+    return t
+
+
+def _quartic_run(
+    c3: int, c2: int, c1: int, c0: int, m2: int, n_max: int, seeds: list[int]
+) -> tuple[int, int, list[int]] | None:
+    """Split the run {1 <= n <= n_max : D(m2 + n^2) <= 0} by sign, or None.
+
+    D(s) = s^4 + c3 s^3 + c2 s^2 + c1 s + c0 with c3 > 0 > c2 and c1, c0 of
+    one sign (see sign_runs).  Returns (n_lo, n_hi, zeros): D < 0 exactly on
+    n_lo..n_hi (empty if n_lo > n_hi) and D = 0 exactly at the ends in zeros.
+    seeds = [witness, n_lo, n_hi, n0, nv] are guesses from the previous row,
+    updated in place; they change the number of evaluations, not the answer.
+    """
+
+    def d(n: int) -> int:
+        s = m2 + n * n
+        return (((s + c3) * s + c2) * s + c1) * s + c0
+
+    def d2_half(n: int) -> int:  # D''(s) / 2
+        s = m2 + n * n
+        return (6 * s + 3 * c3) * s + c2
+
+    w_seed, lo_seed, hi_seed, n0_seed, nv_seed = seeds
+    if c0 < 0:  # one positive root and D(0) < 0: the run is 1..n_hi or empty
+        w = n_lo = 1
+    else:
+        s1 = m2 + 1
+        if (s1 + c3) * s1 + c2 >= 0:  # D(s) > s^2 (s^2 + c3 s + c2) >= 0 for s >= s1
+            return None
+        w = min(max(w_seed, 1), n_max)
+        if d(w) > 0:  # the guess missed: certify the integer minimum instead
+            n0 = _first_true(lambda n: d2_half(n) >= 0, 1, n_max, n0_seed)
+            candidates = [1, n0 - 1] if n0 > 1 else [1]
+            if n0 <= n_max:
+                nv = _first_true(lambda n: d(n + 1) >= d(n), n0, n_max - 1, nv_seed)
+                candidates.append(nv)
+                seeds[4] = nv
+            seeds[3] = n0
+            w = seeds[0] = min(candidates, key=d)
+            if d(w) > 0:
+                return None
+        n_lo = _first_true(lambda n: d(n) <= 0, 1, w, lo_seed)
+    n_hi = _first_true(lambda n: d(n) > 0, w, n_max, hi_seed + 1) - 1
+    if n_hi < n_lo:
+        return None
+    seeds[:3] = [(n_lo + n_hi) // 2, n_lo, n_hi]
+    zeros = [n for n in sorted({n_lo, n_hi}) if d(n) == 0]
+    if zeros and zeros[0] == n_lo:
+        n_lo += 1
+    if zeros and zeros[-1] == n_hi >= n_lo:
+        n_hi -= 1
+    return n_lo, n_hi, zeros
+
+
+def sign_runs(k: int) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]]:
+    """Exact signs of lambda^- over the interior pairs, as per-m runs.
+
+    Returns (runs, zeros): D(k, m, n) < 0 exactly for n_lo <= n <= n_hi for
+    each (m, n_lo, n_hi) in runs, D = 0 exactly at the pairs in zeros, both
+    in (m, n) order, and D > 0 at every other interior pair.  The cost is
+    O(log k) exact evaluations per m, so O(k log k) per k.
+
+    Proof.  Fix k and m and put s = m^2 + n^2.  Then
+
+        D = s^4 + k^2 s^3 - (k^4 + 4k^2 m^2) s^2 + k^4 (2m^2 - k^2) s
+            + 2 k^4 m^2 (2m^2 - k^2),
+
+    with coefficient signs + + - e e, e = sign(2m^2 - k^2) != 0 (sqrt 2 is
+    irrational).  By Descartes' rule of signs D has at most two positive
+    roots, so {n >= 1 : D <= 0} is one run n_lo..n_hi, with D < 0 inside it:
+    D can vanish only at a run end.  The run lies below the enumeration bound.
+
+    * 2m^2 < k^2: one positive root and D(0) < 0, so the run is 1..n_hi.
+    * 2m^2 > k^2: D(0) > 0.  If Q(s) = s^2 + k^2 s - (k^4 + 4k^2 m^2) >= 0
+      at s = m^2 + 1, then D > s^2 Q(s) >= 0 for every n: the row is empty.
+      Otherwise D'' = 12 s^2 + 6 k^2 s - 2 (k^4 + 4k^2 m^2) has one positive
+      root s*: D is concave on [0, s*] and convex beyond.  With n0 the first
+      n where s >= s*, the concave part 1..n0-1 has its integer minimum at
+      n = 1 or n0 - 1; on n0..n_max, D falls and then rises, so the sign of
+      D(n+1) - D(n) changes once and bisection on it finds the minimum nv.
+      The row is empty iff min(D(1), D(n0-1), D(nv)) > 0; otherwise the
+      argmin is a witness with D <= 0, and bisection finds n_lo and n_hi.
+
+    Every search starts from the previous row's integer answers and gallops
+    outwards; every sign is an exact integer comparison.
+    """
+    bound = enumeration_bound(k)
+    k2 = k * k
+    k4 = k2 * k2
+    runs: list[tuple[int, int, int]] = []
+    zeros: list[tuple[int, int]] = []
+    seeds = [1, 1, 1, 1, 1]
+    m = 1
+    while m * m + 1 < bound:
+        m2 = m * m
+        c1 = k4 * (2 * m2 - k2)
+        run = _quartic_run(k2, -(k4 + 4 * k2 * m2), c1, 2 * m2 * c1, m2, isqrt(bound - m2 - 1), seeds)
+        if run is not None:
+            n_lo, n_hi, zero_ns = run
+            zeros.extend((m, n) for n in zero_ns)
+            if n_lo <= n_hi:
+                runs.append((m, n_lo, n_hi))
+        m += 1
+    return runs, zeros
+
+
+def run_pairs(runs: list[tuple[int, int, int]]):
+    """The pairs (m, n) of sign_runs' runs, in (m, n) order."""
+    return ((m, n) for m, n_lo, n_hi in runs for n in range(n_lo, n_hi + 1))
+
+
 def interior_sign_scan(k: int) -> tuple[int, int, list[tuple[int, int]], list[tuple[int, int]]]:
     """Exact scan of all interior pairs below the enumeration bound.
 
-    Returns (f, g, negative_pairs, zero_pairs).
+    Returns (f, g, negative_pairs, zero_pairs).  The O(k^2) oracle for sign_runs.
     """
     bound = enumeration_bound(k)
     k2 = k * k
@@ -219,7 +349,9 @@ def interior_sign_scan(k: int) -> tuple[int, int, list[tuple[int, int]], list[tu
 
 def index_nullity(k: int) -> IndexReport:
     """Exact index and nullity of the degree-k map, with the lattice evidence."""
-    f, g, neg, zero = interior_sign_scan(k)
+    runs, zero = sign_runs(k)
+    neg = tuple(run_pairs(runs))
+    f, g = len(neg), len(zero)
 
     # axis families, counted by the same exact test rather than assumed
     neg_m_axis = sum(1 for m in range(1, 3 * k + 1) if sign_lambda_minus_axis(k, m) < 0)
@@ -235,7 +367,7 @@ def index_nullity(k: int) -> IndexReport:
         nullity=nullity,
         f=f,
         g=g,
-        negative_pairs=tuple(neg),
+        negative_pairs=neg,
         zero_pairs=tuple(zero),
     )
 

@@ -60,6 +60,41 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["torus", "spectrum", "--k", "2", "--lambda-max", "-5"],
+        ["noncompact", "stable", "--phase", "0,0,1,0"],
+        ["noncompact", "hessian", "--phase", "0,0,1,0"],
+        ["torus", "scan", "--k-max", "3", "--workers", "-4"],
+        ["torus", "index", "--k", "3", "--workers", "0"],
+    ],
+)
+def test_boundary_inputs_give_one_line_diagnostics(capsys, argv):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("bihindex: error: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduced", "sphere", "--n-dim", "5", "--radius", "1e-90"],
+        ["reduced", "ellipsoid", "--n-dim", "5", "--radius", "1e-90", "--b", "1"],
+    ],
+)
+def test_tiny_radius_reports(capsys, argv):
+    # the threshold c4 = 16 * 10^360 = (2 * 10^90)^4 overflows a float; its
+    # fourth root is taken in integers and the tie gives nullity 2
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    results = json.loads(out)["results"]
+    assert (results["index"], results["nullity"]) == (4 * 10**90 - 1, 2)
+
+
 def test_reports_are_deterministic(capsys):
     runs = [
         run_cli(capsys, "torus", "index", "--k", "5", "--format", "json")[1]

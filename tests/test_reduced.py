@@ -12,6 +12,7 @@ from bihindex.reduced import (
     BesselNullityReport,
     DegenerateThresholdError,
     ReducedProblem,
+    _integer_fourth_root_floor,
     bessel_nullity_check,
     conformal_hessian,
     j1,
@@ -68,6 +69,19 @@ def test_boundary_integrality_cases():
     # just off the boundary the nullity drops to zero and the floor steps
     assert reduced_index_nullity(ReducedProblem(2, Fraction(999, 1000))) == (3, 0)
     assert reduced_index_nullity(ReducedProblem(2, Fraction(1001, 1000))) == (1, 0)
+
+
+def test_integer_fourth_root_floor():
+    # t is the largest integer with t^4 <= x; exact iff t^4 == x, at any size
+    rng = random.Random(4)
+    for _ in range(300):
+        x = Fraction(rng.randrange(1, 10 ** rng.randrange(1, 400)), rng.randrange(1, 10**6))
+        t, exact = _integer_fourth_root_floor(x)
+        assert t**4 <= x < (t + 1) ** 4
+        assert exact == (t**4 == x)
+    assert _integer_fourth_root_floor(Fraction(3**400)) == (3**100, True)
+    assert _integer_fourth_root_floor(Fraction(3**400 - 1)) == (3**100 - 1, False)
+    assert _integer_fourth_root_floor(Fraction(1, 2)) == (0, False)
 
 
 def test_irrational_inputs_rejected():

@@ -1,19 +1,27 @@
-"""Fast-lane conjecture scan: exactness, determinism, the near-tie family."""
+"""Conjecture scan: the exact sign runs against the O(k^2) oracle, determinism,
+the near-tie family."""
 
 import os
+from math import isqrt
 
 import pytest
 
 from bihindex.scan import (
     ScanRow,
-    _AMBIGUITY,
-    _prefilter_numpy,
     conjecture_scan,
     flagged_rows,
     scan_row,
     scan_row_with_pairs,
 )
-from bihindex.torus import discriminant, interior_sign_scan, min_abs_interior_discriminant
+from bihindex.torus import (
+    _quartic_run,
+    discriminant,
+    enumeration_bound,
+    interior_sign_scan,
+    min_abs_interior_discriminant,
+    run_pairs,
+    sign_runs,
+)
 
 
 def test_fast_scan_matches_exact_scan():
@@ -27,30 +35,88 @@ def test_fast_scan_matches_exact_scan():
         assert zero2 == sorted(zero)
 
 
-def test_numpy_prefilter_path_matches_exact():
-    # the fallback lane, exercised directly regardless of numba availability
-    for k in (1, 2, 7, 19, 33, 50):
-        certain, ambiguous = _prefilter_numpy(k)
-        f = len(certain)
-        g = 0
-        for m, n in ambiguous:
-            d = discriminant(k, m, n)
-            if d < 0:
-                f += 1
-            elif d == 0:
-                g += 1
-        fe, ge, _, _ = interior_sign_scan(k)
-        assert (f, g) == (fe, ge), k
+def test_sign_runs_match_oracle():
+    # negative pairs and zero pairs, in (m, n) order, pair for pair
+    for k in [*range(1, 121), 155, 192, 300]:
+        runs, zeros = sign_runs(k)
+        _, _, neg, zero = interior_sign_scan(k)
+        assert list(run_pairs(runs)) == neg, k
+        assert zeros == zero, k
+        assert all(n_lo <= n_hi for _, n_lo, n_hi in runs), k
 
 
-def test_certain_pairs_are_certainly_signed():
-    # every pair the prefilter calls certain must be far beyond the threshold
-    for k in (120, 200):
-        certain, ambiguous = _prefilter_numpy(k)
-        for m, n in certain[::max(1, len(certain) // 50)]:
-            assert discriminant(k, m, n) < 0
-        for m, n in ambiguous:
-            assert abs(discriminant(k, m, n)) < 2 * _AMBIGUITY
+def test_sign_runs_past_the_old_float_range():
+    # at k = 10^4 the terms of D reach 10^35, far past float64's exact range;
+    # the run ends must still be exact sign changes
+    k = 10_000
+    runs, zeros = sign_runs(k)
+    assert zeros == []
+    by_m = {m: (n_lo, n_hi) for m, n_lo, n_hi in runs}
+    last = max(by_m)
+    assert sorted(by_m) == list(range(1, last + 1))
+    bound = enumeration_bound(k)
+    # 7071 / 7072 straddle 2m^2 = k^2, where the row's case changes
+    for m in (1, 2_500, 7_071, 7_072, 9_000, last, last + 1, 20_000):
+        n_max = isqrt(bound - m * m - 1)
+        brute = [n for n in range(1, n_max + 1) if discriminant(k, m, n) < 0]
+        if m > last:
+            assert brute == [], m
+            continue
+        n_lo, n_hi = by_m[m]
+        assert brute == list(range(n_lo, n_hi + 1)), m
+        assert n_lo == 1 or discriminant(k, m, n_lo - 1) > 0 >= discriminant(k, m, n_lo)
+        assert discriminant(k, m, n_hi) <= 0 < discriminant(k, m, n_hi + 1)
+
+
+def _expand(*factors):
+    """Integer coefficients (highest first) of a product of polynomials."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+@pytest.mark.parametrize(
+    "factors, m2, expected",
+    [
+        # two simple roots s = 13, 40 = 4 + 3^2, 4 + 6^2: zeros at both ends
+        (([1, -13], [1, -40], [1, 60, 100]), 4, (4, 5, [3, 6])),
+        # a double root s = 13 = 4 + 3^2: the run is the single zero
+        (([1, -13], [1, -13], [1, 30, 100]), 4, (4, 3, [3])),
+        # one positive root s = 29 = 4 + 5^2 and D(0) < 0: run 1..5
+        (([1, -29], [1, 1], [1, 30, 1]), 4, (1, 4, [5])),
+        # roots s = 4, 8 straddle the inflection: the only pair with D <= 0 is
+        # the zero n = 2, the last concave n, which neither n = 1 nor the
+        # convex minimum finds
+        (([1, -4], [1, -8], [1, 23, 1]), 0, (3, 2, [2])),
+        # no real root: the certificate must prove the row empty
+        (([1, -20, 200], [1, 60, 100]), 4, None),
+    ],
+)
+def test_quartic_run_zero_at_run_end(factors, m2, expected):
+    # no interior zero of D occurs in the torus family, so the zero branch is
+    # driven by synthetic quartics with the same sign pattern + + - e e
+    one, c3, c2, c1, c0 = _expand(*factors)
+    assert one == 1 and c3 > 0 > c2 and c1 * c0 > 0
+    n_max = 20
+
+    def d(n):
+        s = m2 + n * n
+        return (((s + c3) * s + c2) * s + c1) * s + c0
+
+    signs = {n: d(n) for n in range(1, n_max + 1)}
+    if expected is None:
+        assert min(signs.values()) > 0
+    else:
+        n_lo, n_hi, zeros = expected
+        assert [n for n, v in signs.items() if v < 0] == list(range(n_lo, n_hi + 1))
+        assert [n for n, v in signs.items() if v == 0] == zeros
+    for guess in (1, 4, 9, n_max):
+        assert _quartic_run(c3, c2, c1, c0, m2, n_max, [guess] * 5) == expected, guess
 
 
 def test_conjecture_scan_small_range():
@@ -70,7 +136,7 @@ def test_conjecture_scan_workers_deterministic():
 def test_near_tie_at_k192_is_exactly_nonzero():
     # the closest approach to a vanishing interior branch in this range:
     # |D| ~ 2e14 at (100, 185), about 1e15 times smaller than the term scale,
-    # well inside the exact lane (threshold 1e18) -- and provably nonzero
+    # and exactly nonzero
     d, arg = min_abs_interior_discriminant(192, m_range=(95, 105), n_range=(180, 190))
     assert (d, arg) == (193615494292225, (100, 185))
     assert scan_row(192).g == 0
@@ -99,7 +165,7 @@ def test_scan_row_rejects_bad_range():
 @pytest.mark.slow
 @pytest.mark.skipif(
     not os.environ.get("BIHINDEX_FULL_SCAN"),
-    reason="full k<=1500 scan: set BIHINDEX_FULL_SCAN=1 (a few minutes single worker)",
+    reason="full k<=1500 scan: set BIHINDEX_FULL_SCAN=1 (about 30 s on one worker)",
 )
 def test_full_conjecture_scan_to_1500():
     rows = conjecture_scan(1500)
