@@ -10,7 +10,7 @@ Submodules:
   legendre    -- the Legendre torus in S^5 (index 11, nullity 18)
   reduced     -- equivariant (reduced) index/nullity, conformal + Bessel checks
   noncompact  -- strict stability of the cubic-phase lines R -> S^2
-  cli         -- command-line reports (json / csv / md), scan cache
+  cli         -- command-line reports (json / csv / md)
 """
 
 from .exact import ExactInt, QuadExt, Surd, surd_sign

@@ -1,4 +1,4 @@
-"""Command-line reports: json / csv / md output, golden-table data, scan cache.
+"""Command-line reports: json / csv / md output, golden-table data.
 
 Grammar (one subcommand per verified statement):
 
@@ -17,14 +17,9 @@ scan rows ordered by k).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
-import math
-import os
-import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
@@ -56,12 +51,10 @@ from .reduced import (
     reduced_index_nullity,
     reduced_index_torus,
 )
-from .scan import ScanRow, conjecture_scan, scan_row_with_pairs
+from .scan import conjecture_scan
 from .torus import index_nullity, spectrum
 
 SCHEMA_VERSION = 1
-CACHE_FILE = "torus_scan.jsonl"
-CACHE_ENV = "BIHINDEX_CACHE_DIR"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -75,33 +68,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit 1 with one-line diagnostics
         raise UsageError(message)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully resolved invocation; equal configs yield byte-identical reports."""
-
-    command: str
-    parameters: tuple[tuple[str, object], ...]
-    format: str
-    output: str | None
-    cache_dir: str | None
-    workers: int
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        skip = {"group", "command", "format", "output", "cache_dir", "workers"}
-        params = tuple(
-            sorted((k, v) for k, v in vars(args).items() if k not in skip)
-        )
-        return cls(
-            command=f"{args.group} {args.command}",
-            parameters=params,
-            format=args.format,
-            output=args.output,
-            cache_dir=args.cache_dir,
-            workers=args.workers,
-        )
 
 
 # -- deterministic rendering -----------------------------------------------------
@@ -160,112 +126,19 @@ def make_report(command: str, inputs: dict, results: dict, anchor: str) -> dict:
     }
 
 
-# -- scan cache -------------------------------------------------------------------
-
-class CacheError(RuntimeError):
-    pass
-
-
-@dataclass
-class ScanCache:
-    """Append-only JSON-lines cache of conjecture-scan rows.
-
-    The first line is a header carrying the format version and scan bound;
-    each record stores (k, f, g, index, nullity), a digest of the sorted
-    negative-pair list, and three sampled (m, n, sign) probes.  Loading a
-    record recomputes one probe's discriminant sign as a spot revalidation.
-    """
-
-    path: str
-    rng: random.Random | None = None
-
-    HEADER = {"schema": SCHEMA_VERSION, "kind": "torus-scan", "bound": "m^2+n^2 < 9*k^2"}
-
-    def _rng(self) -> random.Random:
-        return self.rng if self.rng is not None else random.Random()
-
-    @staticmethod
-    def _digest(neg_pairs: list[tuple[int, int]]) -> str:
-        h = hashlib.sha256()
-        for m, n in neg_pairs:
-            h.update(f"{m},{n};".encode())
-        return h.hexdigest()
-
-    def _record_for(self, k: int) -> dict:
-        from .torus import discriminant, enumeration_bound, int_sign
-
-        row, neg, zero = scan_row_with_pairs(k)
-        rng = self._rng()
-        bound = enumeration_bound(k)
-        probes = []
-        for _ in range(3):
-            while True:
-                m = rng.randint(1, int(math.isqrt(bound - 1)))
-                n_cap = math.isqrt(bound - m * m - 1) if bound - m * m - 1 >= 1 else 0
-                if n_cap >= 1:
-                    n = rng.randint(1, n_cap)
-                    break
-            probes.append([m, n, int_sign(discriminant(k, m, n))])
-        return {
-            "k": row.k,
-            "f": row.f,
-            "g": row.g,
-            "index": row.index,
-            "nullity": row.nullity,
-            "neg_digest": self._digest(neg),
-            "zero_pairs": [list(p) for p in zero],
-            "probes": probes,
-        }
-
-    def load(self) -> dict[int, ScanRow]:
-        from .torus import discriminant, int_sign
-
-        if not os.path.exists(self.path):
-            return {}
-        rows: dict[int, ScanRow] = {}
-        rng = self._rng()
-        with open(self.path, encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
-            if header.get("schema") != SCHEMA_VERSION or header.get("kind") != "torus-scan":
-                raise CacheError(f"unrecognized cache header in {self.path}")
-            for line in fh:
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                m, n, sign = rec["probes"][rng.randrange(len(rec["probes"]))]
-                if int_sign(discriminant(rec["k"], m, n)) != sign:
-                    raise CacheError(
-                        f"cache revalidation failed at k={rec['k']}, probe ({m},{n})"
-                    )
-                rows[rec["k"]] = ScanRow(
-                    k=rec["k"], f=rec["f"], g=rec["g"], index=rec["index"], nullity=rec["nullity"]
-                )
-        return rows
-
-    def append(self, ks: list[int]) -> list[dict]:
-        new = not os.path.exists(self.path)
-        records = []
-        with open(self.path, "a", encoding="utf-8") as fh:
-            if new:
-                fh.write(json.dumps(self.HEADER, sort_keys=True) + "\n")
-            for k in ks:
-                rec = self._record_for(k)
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-                records.append(rec)
-        return records
-
-
 # -- argument plumbing -------------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv", "md"), default="json")
     p.add_argument("--output", default=None, help="write the report to this file")
-    p.add_argument("--cache-dir", default=None, help=f"scan cache dir (or ${CACHE_ENV})")
     p.add_argument("--workers", type=_positive_int, default=1)
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)  # argparse reports a ValueError as an invalid value
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -296,28 +169,28 @@ def build_parser() -> _Parser:
 
     torus = groups.add_parser("torus").add_subparsers(dest="command", required=True)
     t_index = torus.add_parser("index", help="exact index/nullity for one k")
-    t_index.add_argument("--k", type=int, required=True)
+    t_index.add_argument("--k", type=_positive_int, required=True)
     _add_common(t_index)
     t_spec = torus.add_parser("spectrum", help="merged spectrum up to a Laplace level")
-    t_spec.add_argument("--k", type=int, required=True)
+    t_spec.add_argument("--k", type=_positive_int, required=True)
     t_spec.add_argument("--lambda-max", type=int, default=None,
                         help="Laplace level cap (default 4*k^2, covering all nonpositive branches)")
     _add_common(t_spec)
     t_scan = torus.add_parser("scan", help="nullity-conjecture scan for k=1..k-max")
-    t_scan.add_argument("--k-max", type=int, required=True)
+    t_scan.add_argument("--k-max", type=_positive_int, required=True)
     _add_common(t_scan)
 
     circle = groups.add_parser("circle").add_subparsers(dest="command", required=True)
     c_index = circle.add_parser("index")
-    c_index.add_argument("--k", type=int, required=True)
+    c_index.add_argument("--k", type=_positive_int, required=True)
     c_index.add_argument("--check-matrices", action="store_true",
                          help="also recount via Sturm on the block charpolys")
     _add_common(c_index)
 
     leg = groups.add_parser("legendre").add_subparsers(dest="command", required=True)
     l_verify = leg.add_parser("verify", help="block symmetry + charpoly == quintic^4")
-    l_verify.add_argument("--m", type=int, required=True)
-    l_verify.add_argument("--n", type=int, required=True)
+    l_verify.add_argument("--m", type=_positive_int, required=True)
+    l_verify.add_argument("--n", type=_positive_int, required=True)
     _add_common(l_verify)
     l_index = leg.add_parser("index", help="index 11 / nullity 18 ledger")
     _add_common(l_index)
@@ -337,7 +210,7 @@ def build_parser() -> _Parser:
     r_ell.add_argument("--b", type=str, required=True)
     _add_common(r_ell)
     r_torus = red.add_parser("torus")
-    r_torus.add_argument("--k", type=int, required=True)
+    r_torus.add_argument("--k", type=_positive_int, required=True)
     _add_common(r_torus)
     r_bessel = red.add_parser("bessel")
     _add_common(r_bessel)
@@ -360,8 +233,6 @@ def build_parser() -> _Parser:
 # -- command implementations ---------------------------------------------------------
 
 def _cmd_torus_index(args) -> tuple[dict, int]:
-    if args.k < 1:
-        raise UsageError("--k must be >= 1")
     r = index_nullity(args.k)
     results = {
         "k": r.k,
@@ -378,8 +249,6 @@ def _cmd_torus_index(args) -> tuple[dict, int]:
 
 
 def _cmd_torus_spectrum(args) -> tuple[dict, int]:
-    if args.k < 1:
-        raise UsageError("--k must be >= 1")
     lam_max = args.lambda_max if args.lambda_max is not None else 4 * args.k * args.k
     if lam_max < 0:
         raise UsageError("--lambda-max must be >= 0")
@@ -406,26 +275,8 @@ def _cmd_torus_spectrum(args) -> tuple[dict, int]:
     return make_report("torus spectrum", inputs, results, "torus-eigenvalue-catalog"), EXIT_OK
 
 
-def _resolve_cache_dir(args) -> str | None:
-    return args.cache_dir or os.environ.get(CACHE_ENV)
-
-
 def _cmd_torus_scan(args) -> tuple[dict, int]:
-    if args.k_max < 1:
-        raise UsageError("--k-max must be >= 1")
-    cache_dir = _resolve_cache_dir(args)
-    rows: dict[int, ScanRow] = {}
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        cache = ScanCache(os.path.join(cache_dir, CACHE_FILE))
-        rows = {k: r for k, r in cache.load().items() if k <= args.k_max}
-        missing = [k for k in range(1, args.k_max + 1) if k not in rows]
-        if missing:
-            cache.append(missing)
-            rows.update({k: r for k, r in cache.load().items() if k <= args.k_max})
-    else:
-        rows = {r.k: r for r in conjecture_scan(args.k_max, workers=args.workers)}
-    ordered = [rows[k] for k in sorted(rows)]
+    ordered = conjecture_scan(args.k_max, workers=args.workers)
     flagged = [r.k for r in ordered if r.flagged]
     results = {
         "k_max": args.k_max,
@@ -434,14 +285,12 @@ def _cmd_torus_scan(args) -> tuple[dict, int]:
         "csv_header": ["k", "f", "g", "index", "nullity"],
         "csv_rows": [[r.k, r.f, r.g, r.index, r.nullity] for r in ordered],
     }
-    inputs = {"k_max": args.k_max, "workers": args.workers, "cache_dir": cache_dir}
+    inputs = {"k_max": args.k_max, "workers": args.workers}
     code = EXIT_VERIFICATION if flagged else EXIT_OK
     return make_report("torus scan", inputs, results, "torus-nullity-conjecture"), code
 
 
 def _cmd_circle_index(args) -> tuple[dict, int]:
-    if args.k < 1:
-        raise UsageError("--k must be >= 1")
     idx, nul = circle_index_nullity(args.k)
     results = {
         "k": args.k,
@@ -460,8 +309,6 @@ def _cmd_circle_index(args) -> tuple[dict, int]:
 
 
 def _cmd_legendre_verify(args) -> tuple[dict, int]:
-    if args.m < 1 or args.n < 1:
-        raise UsageError("--m and --n must be >= 1 (interior blocks)")
     try:
         rep = verify_p5_factorization(args.m, args.n)
     except CharpolyMismatchError as exc:
@@ -572,8 +419,6 @@ def _cmd_reduced_ellipsoid(args) -> tuple[dict, int]:
 
 
 def _cmd_reduced_torus(args) -> tuple[dict, int]:
-    if args.k < 1:
-        raise UsageError("--k must be >= 1")
     idx, nul = reduced_index_torus(args.k)
     results = {
         "index_reduced": idx,
@@ -708,19 +553,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = RunConfig.from_args(args)
         handler = _HANDLERS[(args.group, args.command)]
         report, code = handler(args)
-        text = RENDERERS[config.format](report)
+        text = RENDERERS[args.format](report)
     except UsageError as exc:
         print(f"bihindex: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CacheError as exc:
-        print(f"bihindex: cache error: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    if args.output:
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"bihindex: error: cannot write --output {args.output}: {exc.strerror}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return code

@@ -15,7 +15,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .torus import enumeration_bound, run_pairs, sign_runs
+from .torus import enumeration_bound, sign_runs
 
 
 @dataclass(frozen=True)
@@ -32,21 +32,12 @@ class ScanRow:
         return self.g != 0
 
 
-def _row(k: int, f: int, g: int) -> ScanRow:
-    return ScanRow(k=k, f=f, g=g, index=1 + 4 * (k - 1) + 4 * f, nullity=5 + 4 * g)
-
-
 def scan_row(k: int) -> ScanRow:
     """Exact (f, g, index, nullity) for one k, counted from the sign runs."""
     runs, zeros = sign_runs(k)
-    return _row(k, sum(n_hi - n_lo + 1 for _, n_lo, n_hi in runs), len(zeros))
-
-
-def scan_row_with_pairs(k: int) -> tuple[ScanRow, list[tuple[int, int]], list[tuple[int, int]]]:
-    """ScanRow plus the sorted negative and zero pair lists."""
-    runs, zeros = sign_runs(k)
-    neg = list(run_pairs(runs))
-    return _row(k, len(neg), len(zeros)), neg, zeros
+    f = sum(n_hi - n_lo + 1 for _, n_lo, n_hi in runs)
+    g = len(zeros)
+    return ScanRow(k=k, f=f, g=g, index=1 + 4 * (k - 1) + 4 * f, nullity=5 + 4 * g)
 
 
 def conjecture_scan(k_max: int, workers: int = 1, k_min: int = 1) -> list[ScanRow]:
@@ -69,7 +60,6 @@ def flagged_rows(rows: list[ScanRow]) -> list[ScanRow]:
 __all__ = [
     "ScanRow",
     "scan_row",
-    "scan_row_with_pairs",
     "conjecture_scan",
     "flagged_rows",
     "enumeration_bound",

@@ -1,22 +1,11 @@
-"""CLI: exit codes, report schema, format rendering, determinism, cache."""
+"""CLI: exit codes, report schema, format rendering, determinism."""
 
 import json
-import os
-import random
 from pathlib import Path
 
 import pytest
 
-from bihindex.cli import (
-    CACHE_FILE,
-    EXIT_OK,
-    EXIT_USAGE,
-    CacheError,
-    RunConfig,
-    ScanCache,
-    build_parser,
-    main,
-)
+from bihindex.cli import EXIT_OK, EXIT_USAGE, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -68,6 +57,14 @@ def test_usage_errors_exit_one(capsys):
         ["noncompact", "hessian", "--phase", "0,0,1,0"],
         ["torus", "scan", "--k-max", "3", "--workers", "-4"],
         ["torus", "index", "--k", "3", "--workers", "0"],
+        ["torus", "scan", "--k-max", "0"],
+        ["circle", "index", "--k", "0"],
+        ["reduced", "torus", "--k", "0"],
+        ["torus", "spectrum", "--k", "0"],
+        ["legendre", "verify", "--m", "0", "--n", "1"],
+        ["torus", "index", "--k", "x"],
+        # a removed flag is rejected, not silently accepted
+        ["torus", "scan", "--k-max", "3", "--cache-dir", "D"],
     ],
 )
 def test_boundary_inputs_give_one_line_diagnostics(capsys, argv):
@@ -116,6 +113,8 @@ def test_csv_and_md_formats(capsys):
     _, out = run_cli(capsys, "torus", "scan", "--k-max", "3", "--format", "md")
     assert "| k | f | g | index | nullity |" in out
     assert "| 3 | 5 | 0 | 29 | 5 |" in out
+    _, out = run_cli(capsys, "torus", "scan", "--k-max", "3", "--format", "json")
+    assert json.loads(out)["inputs"] == {"k_max": 3, "workers": 1}
 
 
 @pytest.mark.parametrize(
@@ -143,66 +142,17 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text())["results"]["index"] == 1
 
 
-def test_scan_cache_roundtrip(tmp_path):
-    cache = ScanCache(str(tmp_path / CACHE_FILE), rng=random.Random(0))
-    cache.append([1, 2, 3])
-    rows = cache.load()
-    assert sorted(rows) == [1, 2, 3]
-    assert rows[2].index == 13 and rows[2].f == 2
-    # append-only extension
-    cache.append([4])
-    rows2 = cache.load()
-    assert sorted(rows2) == [1, 2, 3, 4]
-    assert rows2[2] == rows[2]
-
-
-def test_scan_cache_revalidation_catches_corruption(tmp_path):
-    path = tmp_path / CACHE_FILE
-    cache = ScanCache(str(path), rng=random.Random(0))
-    cache.append([2])
-    lines = path.read_text().splitlines()
-    rec = json.loads(lines[1])
-    rec["probes"] = [[p[0], p[1], -p[2] if p[2] else 1] for p in rec["probes"]]
-    path.write_text(lines[0] + "\n" + json.dumps(rec) + "\n")
-    with pytest.raises(CacheError):
-        ScanCache(str(path), rng=random.Random(0)).load()
-
-
-def test_scan_cache_header_checked(tmp_path):
-    path = tmp_path / CACHE_FILE
-    path.write_text('{"schema": 99, "kind": "unknown"}\n')
-    with pytest.raises(CacheError):
-        ScanCache(str(path)).load()
-
-
-def test_cli_scan_uses_cache(tmp_path, capsys):
-    cache_dir = str(tmp_path)
-    code, out1 = run_cli(
-        capsys, "torus", "scan", "--k-max", "5", "--cache-dir", cache_dir,
-        "--format", "csv",
-    )
-    assert code == EXIT_OK
-    assert os.path.exists(os.path.join(cache_dir, CACHE_FILE))
-    # second run hits the cache and reproduces the report byte-exactly
-    code, out2 = run_cli(
-        capsys, "torus", "scan", "--k-max", "5", "--cache-dir", cache_dir,
-        "--format", "csv",
-    )
-    assert code == EXIT_OK
-    assert out1 == out2
-    # a subset rescan agrees with the cached rows
-    code, out3 = run_cli(
-        capsys, "torus", "scan", "--k-max", "3", "--cache-dir", cache_dir,
-        "--format", "csv",
-    )
-    assert out3 == "".join(out1.splitlines(keepends=True)[:4])
-
-
-def test_cache_env_variable(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("BIHINDEX_CACHE_DIR", str(tmp_path))
-    code, _ = run_cli(capsys, "torus", "scan", "--k-max", "2")
-    assert code == EXIT_OK
-    assert os.path.exists(os.path.join(str(tmp_path), CACHE_FILE))
+@pytest.mark.parametrize(
+    "target", ["missing/dir/r.json", "."], ids=["missing-parent", "a-directory"]
+)
+def test_unwritable_output_gives_one_line_diagnostic(tmp_path, capsys, target):
+    path = tmp_path / target
+    assert main(["torus", "index", "--k", "3", "--output", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"bihindex: error: cannot write --output {path}: ")
+    assert len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "missing").exists()
 
 
 def test_phase_flag_parsing(capsys):
@@ -225,13 +175,3 @@ def test_spectrum_report(capsys):
     rep = json.loads(out)
     zero = [e for e in rep["results"]["entries"] if e["value_float"] == 0.0]
     assert zero[0]["multiplicity"] == 5
-
-
-def test_run_config_equality():
-    parser = build_parser()
-    a = RunConfig.from_args(parser.parse_args(["torus", "index", "--k", "3"]))
-    b = RunConfig.from_args(parser.parse_args(["torus", "index", "--k", "3"]))
-    c = RunConfig.from_args(parser.parse_args(["torus", "index", "--k", "4"]))
-    assert a == b
-    assert a != c
-    assert a.command == "torus index"
