@@ -1,8 +1,8 @@
 """Index and nullity of the degree-k biharmonic circles in S^2.
 
 Two independent routes: the closed eigenvalue formulas with the exact axis
-trichotomy, and Sturm root counts on the characteristic polynomials of the
-4x4 blocks.  The blocks coincide entrywise with the (m, 0) blocks of the
+trichotomy, and exact eigenvalue sign counts of the 4x4 blocks (Descartes'
+rule of signs on their Berkowitz characteristic polynomials).  The blocks coincide entrywise with the (m, 0) blocks of the
 torus family, so the two problems share one sign analysis.
 """
 

@@ -3,7 +3,8 @@
 Submodules:
   exact       -- big integers, Z[sqrt(2)], quadratic surds with exact signs
   polynomials -- integer polynomials, Sturm-based exact root counting
-  matrices    -- symmetric Z[sqrt(2)] matrices, Bareiss charpoly
+  matrices    -- symmetric Z[sqrt(2)] matrices, Berkowitz charpoly, exact
+                 eigenvalue sign counts
   torus       -- the degree-k equivariant maps T^2 -> S^2
   scan        -- the fast exact nullity-conjecture scan over k
   circle      -- the degree-k biharmonic circles S^1 -> S^2
@@ -14,8 +15,8 @@ Submodules:
 """
 
 from .exact import ExactInt, QuadExt, Surd, surd_sign
-from .matrices import ExactMatrix, charpoly_exact
-from .polynomials import IntPolynomial, count_roots, count_roots_with_multiplicity
+from .matrices import ExactMatrix, charpoly_exact, eigenvalue_signs
+from .polynomials import IntPolynomial, count_roots
 from .torus import IndexReport, block_matrix, eigenvalue, index_nullity
 from .scan import ScanRow, conjecture_scan
 from .circle import circle_block, circle_index_nullity
@@ -52,9 +53,9 @@ __all__ = [
     "surd_sign",
     "ExactMatrix",
     "charpoly_exact",
+    "eigenvalue_signs",
     "IntPolynomial",
     "count_roots",
-    "count_roots_with_multiplicity",
     "IndexReport",
     "block_matrix",
     "eigenvalue",

@@ -12,6 +12,9 @@ n = 0, and the block equals the torus (m, 0) block entrywise, so the sign
 analysis is one code path: lambda^-_m < 0 iff m < k, = 0 iff m = k.  Hence
 
     index(k) = 1 + 2 (k - 1),    nullity(k) = 3.
+
+circle_index_nullity_by_matrices recounts both from the blocks themselves,
+with the exact eigenvalue sign counts of matrices.eigenvalue_signs.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import QUAD_SQRT2, QuadExt, Surd
-from .matrices import ExactMatrix, charpoly_exact
-from .polynomials import count_roots_with_multiplicity
+from .matrices import ExactMatrix, eigenvalue_signs
 from .torus import InvalidLabelError, eigenvalue as torus_eigenvalue, sign_lambda_minus_axis
 
 
@@ -78,11 +80,11 @@ def circle_index_nullity(k: int) -> tuple[int, int]:
 
 
 def circle_index_nullity_by_matrices(k: int) -> tuple[int, int]:
-    """Same counts, but from Sturm root counts of the block charpolys."""
+    """Same counts, but from exact eigenvalue sign counts of the blocks."""
     CircleLabel(k, 0)
     index = nullity = 0
     for m in range(0, 3 * k + 1):
-        p = charpoly_exact(circle_block(k, m))
-        index += count_roots_with_multiplicity(p, "negative")
-        nullity += count_roots_with_multiplicity(p, "zero")
+        neg, zero = eigenvalue_signs(circle_block(k, m))
+        index += neg
+        nullity += zero
     return index, nullity

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Any
@@ -59,6 +60,10 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
+
+# torus spectrum builds and sorts all of the about (pi/4) lambda_max labels
+# with m^2 + n^2 <= lambda_max; a larger level is refused, not run
+LAMBDA_MAX_LIMIT = 10**6
 
 
 class UsageError(Exception):
@@ -131,7 +136,8 @@ def make_report(command: str, inputs: dict, results: dict, anchor: str) -> dict:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv", "md"), default="json")
     p.add_argument("--output", default=None, help="write the report to this file")
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1,
+                   help="worker processes, at most the CPU count")
 
 
 def _positive_int(text: str) -> int:
@@ -141,6 +147,14 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _worker_count(text: str) -> int:
+    value = _positive_int(text)
+    cpus = os.cpu_count() or 1
+    if value > cpus:
+        raise argparse.ArgumentTypeError(f"must be <= {cpus} (the CPU count), got {value}")
     return value
 
 
@@ -174,7 +188,8 @@ def build_parser() -> _Parser:
     t_spec = torus.add_parser("spectrum", help="merged spectrum up to a Laplace level")
     t_spec.add_argument("--k", type=_positive_int, required=True)
     t_spec.add_argument("--lambda-max", type=int, default=None,
-                        help="Laplace level cap (default 4*k^2, covering all nonpositive branches)")
+                        help="Laplace level cap (default 4*k^2, covering all nonpositive "
+                             f"branches; at most {LAMBDA_MAX_LIMIT})")
     _add_common(t_spec)
     t_scan = torus.add_parser("scan", help="nullity-conjecture scan for k=1..k-max")
     t_scan.add_argument("--k-max", type=_positive_int, required=True)
@@ -184,7 +199,7 @@ def build_parser() -> _Parser:
     c_index = circle.add_parser("index")
     c_index.add_argument("--k", type=_positive_int, required=True)
     c_index.add_argument("--check-matrices", action="store_true",
-                         help="also recount via Sturm on the block charpolys")
+                         help="also recount from the blocks' exact eigenvalue signs")
     _add_common(c_index)
 
     leg = groups.add_parser("legendre").add_subparsers(dest="command", required=True)
@@ -252,6 +267,11 @@ def _cmd_torus_spectrum(args) -> tuple[dict, int]:
     lam_max = args.lambda_max if args.lambda_max is not None else 4 * args.k * args.k
     if lam_max < 0:
         raise UsageError("--lambda-max must be >= 0")
+    if lam_max > LAMBDA_MAX_LIMIT:
+        raise UsageError(
+            f"--lambda-max {lam_max} (default 4*k^2 when not given) exceeds the limit "
+            f"{LAMBDA_MAX_LIMIT}"
+        )
     merged = spectrum(args.k, lam_max)
     rows = [
         [str(e.eigenvalue), float(e.eigenvalue), e.multiplicity, ";".join(e.branches)]

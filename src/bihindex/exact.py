@@ -92,13 +92,6 @@ class QuadExt:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def conjugate(self) -> QuadExt:
-        return QuadExt(self.a, -self.b)
-
-    def norm(self) -> int:
-        """Field norm a^2 - 2 b^2."""
-        return self.a * self.a - 2 * self.b * self.b
-
     def __add__(self, other: int | QuadExt) -> QuadExt:
         o = self._coerce(other)
         if o is NotImplemented:
@@ -138,19 +131,6 @@ class QuadExt:
             base = base * base
             n >>= 1
         return out
-
-    def divexact(self, other: int | QuadExt) -> QuadExt:
-        """Exact division in Z[sqrt(2)]; raises if the quotient is not integral."""
-        o = self._coerce(other)
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero in Z[sqrt(2)]")
-        nrm = o.norm()
-        num = self * o.conjugate()
-        qa, ra = divmod(num.a, nrm)
-        qb, rb = divmod(num.b, nrm)
-        if ra or rb:
-            raise ValueError(f"{self} not divisible by {o} in Z[sqrt(2)]")
-        return QuadExt(qa, qb)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):

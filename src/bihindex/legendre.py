@@ -14,8 +14,8 @@ in Z[sqrt(2))).
 The characteristic polynomial of every interior block is the fourth power
 of a quintic P5 whose coefficients a5..a0 are explicit polynomials in
 (m, n); a Descartes sign argument shows P5 has no nonpositive root except
-at the two small labels (1,1) and (2,1).  Summing the exact root counts of
-all blocks yields index 11 and nullity 18.
+at the two small labels (1,1) and (2,1).  Summing the exact eigenvalue sign
+counts of all blocks yields index 11 and nullity 18.
 """
 
 from __future__ import annotations
@@ -24,10 +24,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .exact import QUAD_ZERO, QuadExt
-from .matrices import AsymmetricMatrixError, ExactMatrix, charpoly_exact
-from .polynomials import IntPolynomial, count_roots, count_roots_with_multiplicity
-
-AsymmetricBlockError = AsymmetricMatrixError
+from .matrices import ExactMatrix, charpoly_exact, eigenvalue_signs
+from .polynomials import IntPolynomial, count_roots
 
 FRAMES = ("U1", "U2", "phiU1", "phiU2", "xi")
 
@@ -162,8 +160,8 @@ def build_legendre_block(m: int, n: int) -> ExactMatrix:
 
     Columns follow the listing order: the four (or two, or one) Fourier
     functions under U1, then U2, phi(U1), phi(U2), xi.  Raises
-    AsymmetricBlockError if the assembled matrix is not symmetric, which
-    would signal a transcription error in the operator table.
+    matrices.AsymmetricMatrixError if the assembled matrix is not symmetric,
+    which would signal a transcription error in the operator table.
     """
     if m < 0 or n < 0:
         raise ValueError("Fourier indices must be nonnegative")
@@ -302,7 +300,7 @@ class DescartesReport:
     sturm_confirmed: bool
 
 
-def descartes_lemma_check(m_max: int, n_max: int, sturm_all: bool = True) -> DescartesReport:
+def descartes_lemma_check(m_max: int, n_max: int) -> DescartesReport:
     """Verify the six sign conditions for every hypothesis pair in the range,
     and independently confirm by Sturm counting that the quintic has no root
     <= 0 there."""
@@ -318,11 +316,10 @@ def descartes_lemma_check(m_max: int, n_max: int, sturm_all: bool = True) -> Des
             checked += 1
             if not all(descartes_conditions(m, n)):
                 violations.append((m, n))
-            if sturm_all:
-                p5 = p5_polynomial(m, n)
-                if count_roots(p5, "negative") != 0 or count_roots(p5, "zero") != 0:
-                    sturm_ok = False
-                    violations.append((m, n))
+            p5 = p5_polynomial(m, n)
+            if count_roots(p5, "negative") != 0 or count_roots(p5, "zero") != 0:
+                sturm_ok = False
+                violations.append((m, n))
     return DescartesReport(
         m_max=m_max,
         n_max=n_max,
@@ -350,16 +347,12 @@ class LegendreLedger:
 
 
 def _block_counts(m: int, n: int) -> tuple[int, int]:
-    p = charpoly_exact(build_legendre_block(m, n))
-    return (
-        count_roots_with_multiplicity(p, "negative"),
-        count_roots_with_multiplicity(p, "zero"),
-    )
+    return eigenvalue_signs(build_legendre_block(m, n))
 
 
 def _axis_scan(make_label) -> tuple[int, int, int]:
     """Accumulate (index, nullity) along an axis family until three
-    consecutive blocks are certified entirely positive by exact root counts."""
+    consecutive blocks are certified entirely positive by exact sign counts."""
     idx = nul = 0
     consecutive_positive = 0
     t = 0

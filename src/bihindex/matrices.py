@@ -1,21 +1,21 @@
-"""Symmetric matrices over Z[sqrt(2)] and fraction-free characteristic polynomials.
+"""Symmetric matrices over Z[sqrt(2)], their characteristic polynomials and
+exact eigenvalue sign counts.
 
-The characteristic polynomial det(xI - M) is computed by Bareiss elimination
-over Z[sqrt(2)][x].  Every Bareiss pivot is a leading principal minor of
-xI - M, hence a monic polynomial, so no pivoting is ever needed and the exact
-divisions are plain long divisions by monic divisors.  Every matrix built by
-this package has a rational characteristic polynomial; a surviving sqrt(2)
-part signals a wrongly assembled matrix and raises.
+The characteristic polynomial det(xI - M) is computed by Berkowitz's
+algorithm, which needs no division and so runs on Z[sqrt(2)] entries
+directly.  Every matrix built by this package has a rational characteristic
+polynomial; a surviving sqrt(2) part signals a wrongly assembled matrix and
+raises.  Because the matrices are symmetric their characteristic
+polynomials are real-rooted, and Descartes' rule of signs then counts the
+negative and zero eigenvalues exactly, with multiplicity.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .exact import QUAD_ONE, QUAD_ZERO, QuadExt
-from .polynomials import IntPolynomial
+from .exact import QUAD_ONE, QUAD_ZERO, QuadExt, int_sign
+from .polynomials import IntPolynomial, _variations, zero_root_multiplicity
 
 
 class AsymmetricMatrixError(ValueError):
@@ -76,100 +76,69 @@ class ExactMatrix:
             t = t + self.entries[i][i]
         return t
 
-    def to_numpy(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.entries], dtype=float)
-
     def __repr__(self) -> str:
         return f"ExactMatrix(order={self.order})"
 
 
-# -- polynomials over Z[sqrt(2)], lowest degree first -------------------------
-
-QPoly = list  # list[QuadExt]
-
-
-def _qp_trim(p: QPoly) -> QPoly:
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
-
-
-def _qp_mul(p: QPoly, q: QPoly) -> QPoly:
-    if not p or not q:
-        return []
-    out = [QUAD_ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return _qp_trim(out)
-
-
-def _qp_sub(p: QPoly, q: QPoly) -> QPoly:
-    out = list(p) + [QUAD_ZERO] * (len(q) - len(p))
-    for i, b in enumerate(q):
-        out[i] = out[i] - b
-    return _qp_trim(out)
-
-
-def _qp_divexact(p: QPoly, d: QPoly) -> QPoly:
-    """Exact division; Bareiss guarantees divisibility and monic divisors."""
-    if not d:
-        raise ZeroDivisionError("division by zero polynomial")
-    r = list(p)
-    dd = len(d) - 1
-    lead = d[-1]
-    quo = [QUAD_ZERO] * max(len(p) - dd, 0)
-    while r and len(r) - 1 >= dd:
-        c = r[-1].divexact(lead)
-        shift = len(r) - 1 - dd
-        quo[shift] = c
-        for i, b in enumerate(d):
-            r[shift + i] = r[shift + i] - c * b
-        r = _qp_trim(r)
-    if r:
-        raise ValueError("inexact polynomial division in Bareiss elimination")
-    return _qp_trim(quo)
+def _dot(u: Sequence[QuadExt], v: Sequence[QuadExt]) -> QuadExt:
+    return sum((x * y for x, y in zip(u, v)), QUAD_ZERO)
 
 
 def charpoly_exact(m: ExactMatrix) -> IntPolynomial:
     """Monic characteristic polynomial det(xI - M), coefficients in Z.
 
-    Raises IrrationalCoefficientError if any coefficient retains a nonzero
-    sqrt(2) part (all blocks assembled by this package must cancel it).
+    Berkowitz's algorithm: with A the leading k x k block of M, c the
+    entries M[k][:k] (row and column, by symmetry) and a = M[k][k], the
+    charpoly of the leading (k+1) x (k+1) block is the Toeplitz product
+    (1, -a, -c.c, -c.Ac, ..., -c.A^(k-1)c) * det(xI - A), truncated to
+    degree k+1.  Only ring operations occur, so the whole computation
+    stays in Z[sqrt(2)].  Raises IrrationalCoefficientError if any
+    coefficient retains a nonzero sqrt(2) part (all blocks assembled by this
+    package must cancel it).
     """
-    n = m.order
-    # working matrix of polynomials representing xI - M
-    a: list[list[QPoly]] = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = m.entries[i][j]
-            if i == j:
-                row.append(_qp_trim([-e, QUAD_ONE]))
-            else:
-                row.append(_qp_trim([-e]))
-        a.append(row)
-
-    prev: QPoly = [QUAD_ONE]
-    for k in range(n - 1):
-        pivot = a[k][k]  # monic of degree k+1, never zero
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = _qp_sub(_qp_mul(a[i][j], pivot), _qp_mul(a[i][k], a[k][j]))
-                a[i][j] = _qp_divexact(num, prev)
-        prev = pivot
-    det = a[n - 1][n - 1]
+    rows = m.entries
+    p = [QUAD_ONE]  # charpoly of the leading k x k block, highest degree first
+    for k in range(m.order):
+        a = [row[:k] for row in rows[:k]]
+        c = rows[k][:k]
+        t = [QUAD_ONE, -rows[k][k]]
+        v = c
+        for j in range(k):
+            if j:
+                v = [_dot(r, v) for r in a]
+            t.append(-_dot(c, v))
+        p = [
+            sum((t[i] * p[s - i] for i in range(max(0, s - k), s + 1)), QUAD_ZERO)
+            for s in range(k + 2)
+        ]
 
     coeffs = []
-    for c in det:
+    for c in reversed(p):
         if not c.is_rational():
             raise IrrationalCoefficientError(
                 f"characteristic polynomial coefficient {c} has a sqrt(2) part"
             )
         coeffs.append(c.a)
     return IntPolynomial(coeffs)
+
+
+def eigenvalue_signs(m: ExactMatrix) -> tuple[int, int]:
+    """(negative, zero): eigenvalues of M below and at 0, with multiplicity.
+
+    With p = det(xI - M), ``negative`` is the number V(p(-x)) of sign
+    variations in the coefficients of p(-x) and ``zero`` the number z of
+    trailing zero coefficients of p.  Both are exact.  ExactMatrix enforces
+    symmetry, so p is real-rooted: with pos and neg its positive and
+    negative roots counted with multiplicity, pos + neg = deg p - z.
+    Descartes' rule of signs gives pos <= V(p) and neg <= V(p(-x)).
+    Between two consecutive nonzero coefficients a gap of g degrees adds
+    at most g variations to V(p) + V(p(-x)) (one if g is odd, none or two
+    if g is even), so V(p) + V(p(-x)) <= deg p - z = pos + neg, and both
+    Descartes bounds are equalities.
+    """
+    p = charpoly_exact(m)
+    negative = _variations(int_sign(c) * (-1) ** i for i, c in enumerate(p.coeffs))
+    return negative, zero_root_multiplicity(p)
 
 
 def diagonal(values: Iterable[int | QuadExt]) -> ExactMatrix:

@@ -3,8 +3,9 @@
 Root counting is done with Sturm sequences over the rationals.  The count of
 distinct roots in (-inf, 0) / (0, +inf) comes from sign variations of the
 Sturm chain at -inf, 0, +inf; the multiplicity of the root 0 is read off the
-trailing-coefficient valuation; multiplicity-aware counts use Yun's
-square-free decomposition.
+trailing-coefficient valuation.  Counts with multiplicity are only needed
+for symmetric matrices, whose real-rooted characteristic polynomials
+``matrices.eigenvalue_signs`` counts by Descartes' rule of signs.
 """
 
 from __future__ import annotations
@@ -134,71 +135,22 @@ def _fderiv(p: list[Fraction]) -> list[Fraction]:
     return [i * c for i, c in enumerate(p)][1:]
 
 
-def _fsub(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    out = list(p) + [Fraction(0)] * (len(q) - len(p))
-    for i, c in enumerate(q):
-        out[i] -= c
-    return _ftrim(out)
-
-
-def _fdivmod(p: list[Fraction], q: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
+def _frem(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
+    """Remainder of p divided by the nonzero q."""
     r = list(p)
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
     dq = len(q) - 1
     lq = q[-1]
-    while len(r) - 1 >= dq and r:
+    while r and len(r) - 1 >= dq:
         shift = len(r) - 1 - dq
         factor = r[-1] / lq
-        quo[shift] = factor
         for i, c in enumerate(q):
             r[shift + i] -= factor * c
         r = _ftrim(r)
-    return _ftrim(quo), r
-
-
-def _fmonic(p: list[Fraction]) -> list[Fraction]:
-    if not p:
-        return p
-    lc = p[-1]
-    return [c / lc for c in p]
-
-
-def _fgcd(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    a, b = list(p), list(q)
-    while b:
-        _, r = _fdivmod(a, b)
-        a, b = b, r
-    return _fmonic(a)
+    return r
 
 
 def _to_fr(p: IntPolynomial) -> list[Fraction]:
     return [Fraction(c) for c in p.coeffs]
-
-
-def squarefree_decomposition(p: IntPolynomial) -> list[tuple[int, list[Fraction]]]:
-    """Yun's algorithm: p = prod q_i^i with q_i square-free; returns (i, q_i)."""
-    f = _to_fr(p)
-    if len(f) <= 1:
-        return []
-    g = _fgcd(f, _fderiv(f))
-    if len(g) == 1:
-        return [(1, _fmonic(f))]
-    w, _ = _fdivmod(f, g)
-    y, _ = _fdivmod(_fderiv(f), g)
-    z = _fsub(y, _fderiv(w))
-    out = []
-    i = 1
-    while len(w) > 1:
-        gi = _fgcd(w, z)
-        if len(gi) > 1:
-            out.append((i, gi))
-        w, _ = _fdivmod(w, gi)
-        y, _ = _fdivmod(z, gi)
-        z = _fsub(y, _fderiv(w))
-        i += 1
-    return out
 
 
 # -- Sturm machinery ---------------------------------------------------------
@@ -206,7 +158,7 @@ def squarefree_decomposition(p: IntPolynomial) -> list[tuple[int, list[Fraction]
 def _sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
     chain = [list(p), _fderiv(p)]
     while chain[-1]:
-        _, r = _fdivmod(chain[-2], chain[-1])
+        r = _frem(chain[-2], chain[-1])
         if not r:
             break
         chain.append([-c for c in r])
@@ -268,8 +220,7 @@ def count_roots(p: IntPolynomial, region: Region) -> int:
     """Exact real-root count of ``p`` in the given sign region.
 
     ``zero`` counts the root 0 with multiplicity; ``negative``/``positive``
-    count distinct roots (see count_roots_with_multiplicity for the
-    multiplicity-aware variant).
+    count distinct roots.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -278,33 +229,3 @@ def count_roots(p: IntPolynomial, region: Region) -> int:
     if region not in ("negative", "positive"):
         raise ValueError(f"unknown region {region!r}")
     return _count_distinct(p, region)
-
-
-def count_roots_with_multiplicity(p: IntPolynomial, region: Region) -> int:
-    """Exact real-root count in the region, each root counted with multiplicity."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    if region == "zero":
-        return zero_root_multiplicity(p)
-    total = 0
-    for mult, q in squarefree_decomposition(p):
-        qq = _fractions_to_int_polynomial(q)
-        total += mult * _count_distinct(qq, region)
-    return total
-
-
-def _fractions_to_int_polynomial(p: list[Fraction]) -> IntPolynomial:
-    from math import lcm
-
-    denom = 1
-    for c in p:
-        denom = lcm(denom, c.denominator)
-    return IntPolynomial([int(c * denom) for c in p])
-
-
-def count_distinct_real_roots(p: IntPolynomial) -> int:
-    """Total number of distinct real roots (any sign)."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    zero = 1 if zero_root_multiplicity(p) > 0 else 0
-    return count_roots(p, "negative") + zero + count_roots(p, "positive")

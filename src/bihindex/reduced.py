@@ -120,21 +120,6 @@ def reduced_index_nullity(problem: ReducedProblem) -> tuple[int, int]:
     return 1 + 2 * t, 0
 
 
-def reduced_index_nullity_by_counting(problem: ReducedProblem) -> tuple[int, int]:
-    """Same result by explicitly counting eigenvalue signs (cross-check path)."""
-    c4 = problem.quartic_constant()
-    m_max = _integer_fourth_root_floor(c4)[0] + 2
-    index = nullity = 0
-    for e in reduced_spectrum(problem, m_max):
-        if e.eigenvalue < 0:
-            index += e.multiplicity
-        elif e.eigenvalue == 0:
-            nullity += e.multiplicity
-    if Fraction((m_max) ** 4) <= c4:
-        raise AssertionError("counting window too small")
-    return index, nullity
-
-
 def reduced_index_torus(k: int) -> tuple[int, int]:
     """Reduced (index, nullity) of the degree-k torus map: (1 + 2(k-1), 2).
 

@@ -460,8 +460,8 @@ def spectrum_entries(k: int, lambda_max: int) -> list[SpectrumEntry]:
         SpectrumEntry(TorusLabel(k, 0, 0), "mu0", eigenvalue(k, 0, 0, "mu0"), 1),
         SpectrumEntry(TorusLabel(k, 0, 0), "mu1", eigenvalue(k, 0, 0, "mu1"), 1),
     ]
-    for m in range(0, int(lambda_max**0.5) + 2):
-        for n in range(0, int(lambda_max**0.5) + 2):
+    for m in range(0, isqrt(lambda_max) + 1):
+        for n in range(0, isqrt(lambda_max) + 1):
             if (m, n) == (0, 0) or m * m + n * n > lambda_max:
                 continue
             mult = branch_multiplicity(m, n)

@@ -1,11 +1,12 @@
 """CLI: exit codes, report schema, format rendering, determinism."""
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
-from bihindex.cli import EXIT_OK, EXIT_USAGE, main
+from bihindex.cli import EXIT_OK, EXIT_USAGE, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -65,6 +66,12 @@ def test_usage_errors_exit_one(capsys):
         ["torus", "index", "--k", "x"],
         # a removed flag is rejected, not silently accepted
         ["torus", "scan", "--k-max", "3", "--cache-dir", "D"],
+        # too large for a float square root, and far above the cap
+        ["torus", "spectrum", "--k", "2", "--lambda-max", str(10**400)],
+        # the default level 4*k^2 = 1004004 is above the cap too
+        ["torus", "spectrum", "--k", "501"],
+        # more workers than CPUs; rejected while parsing, so no process starts
+        ["torus", "scan", "--k-max", "3", "--workers", str((os.cpu_count() or 1) + 1)],
     ],
 )
 def test_boundary_inputs_give_one_line_diagnostics(capsys, argv):
@@ -165,6 +172,14 @@ def test_phase_flag_parsing(capsys):
     assert rep["results"]["phases"][0]["integrand_min"] == "-24"
     assert main(["noncompact", "stable", "--phase", "1,2"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_workers_bounds_checked_while_parsing():
+    parser = build_parser()
+    cpus = os.cpu_count() or 1
+    for argv in (["torus", "index", "--k", "3"], ["torus", "scan", "--k-max", "3"]):
+        assert parser.parse_args(argv + ["--workers", "1"]).workers == 1
+        assert parser.parse_args(argv + ["--workers", str(cpus)]).workers == cpus
 
 
 def test_spectrum_report(capsys):

@@ -1,4 +1,5 @@
-"""Bareiss characteristic polynomials over Z[sqrt(2)]."""
+"""Berkowitz characteristic polynomials over Z[sqrt(2)] and exact eigenvalue
+sign counts, against constructed spectra and numpy's eigensolvers."""
 
 import random
 
@@ -12,8 +13,11 @@ from bihindex.matrices import (
     IrrationalCoefficientError,
     charpoly_exact,
     diagonal,
+    eigenvalue_signs,
 )
 from bihindex.polynomials import IntPolynomial
+
+from oracles import to_numpy
 
 
 def test_symmetry_enforced():
@@ -66,7 +70,7 @@ def test_charpoly_matches_numpy_eigenvalues():
             p = charpoly_exact(m)
             assert p.degree == order
             assert p.leading() == 1
-            ev = np.linalg.eigvalsh(m.to_numpy())
+            ev = np.linalg.eigvalsh(to_numpy(m))
             # det(xI - M) vanishes at each numerical eigenvalue
             for lam in ev:
                 vals = [float(c) for c in p.coeffs]
@@ -83,7 +87,7 @@ def test_charpoly_trace_and_det_coefficients():
     p = charpoly_exact(m)
     trace = sum(m[i, i].a for i in range(5))
     assert p.coeffs[4] == -trace
-    det_float = float(np.linalg.det(m.to_numpy()))
+    det_float = float(np.linalg.det(to_numpy(m)))
     assert abs((-1) ** 5 * p.coeffs[0] - det_float) < 1e-6 * max(1.0, abs(det_float))
 
 
@@ -92,3 +96,75 @@ def test_charpoly_exact_root_evaluation():
     p = charpoly_exact(diagonal([7, -3, 0]))
     for lam in (7, -3, 0):
         assert p(lam) == 0
+
+
+R2 = QuadExt(0, 1)
+
+
+def test_eigenvalue_signs_with_multiplicity():
+    # charpoly (x - 1)^2 (x + 2)^3 x
+    assert eigenvalue_signs(diagonal([1, 1, -2, -2, -2, 0])) == (3, 1)
+    assert eigenvalue_signs(diagonal([0, 0, 0])) == (0, 3)
+    assert eigenvalue_signs(diagonal([5])) == (0, 0)
+    # the degree-zero circle block: one negative, one zero eigenvalue
+    assert eigenvalue_signs(diagonal([0, -16])) == (1, 1)
+    # big roots: (x - 10^30)^2 (x + 10^30)
+    big = 10**30
+    assert eigenvalue_signs(diagonal([big, big, -big])) == (1, 0)
+    assert eigenvalue_signs(diagonal([-big, -big, 0, big + 1])) == (2, 1)
+
+
+def test_eigenvalue_signs_sqrt2_entries():
+    # eigenvalues +-sqrt(2)
+    assert eigenvalue_signs(ExactMatrix([[0, R2], [R2, 0]])) == (1, 0)
+    # charpoly x^2 - 3x: eigenvalues 0 and 3
+    assert eigenvalue_signs(ExactMatrix([[1, R2], [R2, 2]])) == (0, 1)
+
+
+def test_eigenvalue_signs_against_constructed_roots():
+    rng = random.Random(2024)
+    for trial in range(200):
+        roots = []
+        for _ in range(rng.randint(1, 4)):
+            roots.extend([rng.randint(-6, 6)] * rng.randint(1, 3))
+        neg = sum(1 for r in roots if r < 0)
+        zero = sum(1 for r in roots if r == 0)
+        assert eigenvalue_signs(diagonal(roots)) == (neg, zero), (trial, roots)
+
+
+def _random_coupled(rng: random.Random, p: int, q: int) -> ExactMatrix:
+    """[[A, sqrt2 C], [sqrt2 C^T, B]] with integer A, B, C: conjugating sqrt2
+    is the similarity diag(I, -I), so the charpoly is rational, as for the
+    package's blocks.  Some rows repeat an earlier one, which makes zero an
+    eigenvalue, possibly a multiple one."""
+    n = p + q
+    rows = [[QuadExt(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            v = rng.randint(-5, 5)
+            e = QuadExt(0, v) if (i < p) != (j < p) else QuadExt(v)
+            rows[i][j] = rows[j][i] = e
+    for _ in range(rng.randint(0, 2) if p >= 2 else 0):
+        src, dst = rng.sample(range(p), 2)
+        rows[dst] = list(rows[src])
+        for i in range(n):
+            rows[i][dst] = rows[dst][i]
+        rows[dst][dst] = rows[src][src]
+    return ExactMatrix(rows)
+
+
+def test_eigenvalue_signs_match_numpy_on_random_symmetric_matrices():
+    rng = random.Random(11)
+    zeros_seen = 0
+    for _ in range(150):
+        p = rng.randint(1, 5)
+        m = _random_coupled(rng, p, rng.randint(0, 3))
+        ev = np.linalg.eigvalsh(to_numpy(m))
+        tol = 1e-9 * max(1.0, float(np.abs(ev).max()))
+        # every eigenvalue is clearly signed or clearly zero, so the float
+        # classification below is an honest oracle
+        assert all(abs(x) <= tol or abs(x) > 1e-6 for x in ev)
+        expected = (int((ev < -tol).sum()), int((abs(ev) <= tol).sum()))
+        assert eigenvalue_signs(m) == expected
+        zeros_seen += expected[1]
+    assert zeros_seen > 0

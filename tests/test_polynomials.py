@@ -1,18 +1,13 @@
-"""Root counting: Sturm counts against constructed-root and bisection oracles."""
+"""Root counting: distinct-root Sturm counts against constructed-root and
+bisection oracles.  Counts with multiplicity are eigenvalue sign counts of
+symmetric matrices; tests/test_matrices.py covers them."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from bihindex.polynomials import (
-    IntPolynomial,
-    count_distinct_real_roots,
-    count_roots,
-    count_roots_with_multiplicity,
-    squarefree_decomposition,
-    zero_root_multiplicity,
-)
+from bihindex.polynomials import IntPolynomial, count_roots
 
 
 def test_basic_algebra():
@@ -65,14 +60,9 @@ def test_counts_against_constructed_roots():
         neg_d = sum(1 for r in distinct if r < 0)
         pos_d = sum(1 for r in distinct if r > 0)
         zero_m = sum(1 for r in roots if r == 0)
-        neg_m = sum(1 for r in roots if r < 0)
-        pos_m = sum(1 for r in roots if r > 0)
         assert count_roots(p, "negative") == neg_d, (trial, roots)
         assert count_roots(p, "positive") == pos_d
         assert count_roots(p, "zero") == zero_m
-        assert count_roots_with_multiplicity(p, "negative") == neg_m
-        assert count_roots_with_multiplicity(p, "positive") == pos_m
-        assert count_distinct_real_roots(p) == len(distinct)
 
 
 def _bisection_root_count(p: IntPolynomial, lo: float, hi: float, depth: int = 60) -> int:
@@ -113,21 +103,6 @@ def test_sturm_against_bisection_oracle():
         assert count_roots(p, "positive") == pos
 
 
-def test_squarefree_decomposition_structure():
-    # (x-1)^2 (x+2)^3 x
-    p = (
-        IntPolynomial([-1, 1]) ** 2
-        * IntPolynomial([2, 1]) ** 3
-        * IntPolynomial([0, 1])
-    )
-    decomp = squarefree_decomposition(p)
-    mults = sorted(m for m, _ in decomp)
-    assert mults == [1, 2, 3]
-    assert zero_root_multiplicity(p) == 1
-    assert count_roots_with_multiplicity(p, "negative") == 3
-    assert count_roots_with_multiplicity(p, "positive") == 2
-
-
 def test_zero_polynomial_rejected():
     with pytest.raises(ValueError):
         count_roots(IntPolynomial([]), "negative")
@@ -137,7 +112,7 @@ def test_high_degree_big_coefficients():
     # (x - 10^9)^2 (x + 10^9) has exact big-int arithmetic throughout
     big = 10**9
     p = IntPolynomial([-big, 1]) ** 2 * IntPolynomial([big, 1])
-    assert count_roots_with_multiplicity(p, "positive") == 2
-    assert count_roots_with_multiplicity(p, "negative") == 1
+    assert count_roots(p, "positive") == 1
+    assert count_roots(p, "negative") == 1
     assert p(big) == 0 and p(-big) == 0
     assert p(big + 1) == (big + 1 + big)

@@ -31,6 +31,8 @@ from bihindex.torus import (
     spectrum_entries,
 )
 
+from oracles import to_numpy
+
 PUBLISHED_ROWS = {
     1: (1, 5), 2: (13, 5), 3: (29, 5), 4: (57, 5), 5: (89, 5), 6: (129, 5),
     7: (181, 5), 8: (233, 5), 9: (297, 5), 10: (365, 5), 17: (1065, 5),
@@ -160,14 +162,14 @@ def test_f_bound_and_formula_consistency():
 
 
 def test_block_matrix_shapes_and_values():
-    assert block_matrix(3, 0, 0).to_numpy().tolist() == [[0.0, 0.0], [0.0, -81.0]]
+    assert to_numpy(block_matrix(3, 0, 0)).tolist() == [[0.0, 0.0], [0.0, -81.0]]
     b = block_matrix(2, 1, 0)
     assert b.order == 4
     # off-diagonal +-2 sqrt(2) k m^3
     assert float(b[0, 3]) == pytest.approx(-2 * math.sqrt(2) * 2)
     assert float(b[1, 2]) == pytest.approx(2 * math.sqrt(2) * 2)
     diag = block_matrix(2, 0, 2)
-    arr = diag.to_numpy()
+    arr = to_numpy(diag)
     assert np.allclose(arr, np.diag([4 * 8, 4 * 8, 0, 0]))
     assert block_matrix(2, 1, 1).order == 8
 
@@ -189,7 +191,7 @@ def test_block_eigenvalues_match_closed_forms():
         for m in range(0, 6):
             for n in range(0, 6):
                 blk = block_matrix(k, m, n)
-                ev = np.sort(np.linalg.eigvalsh(blk.to_numpy()))
+                ev = np.sort(np.linalg.eigvalsh(to_numpy(blk)))
                 if (m, n) == (0, 0):
                     expected = np.sort([0.0, -float(k**4)])
                 else:
@@ -264,6 +266,16 @@ def test_spectrum_merges_coincidences():
     entries = spectrum_entries(2, 8)
     for e in entries:
         assert e.multiplicity == branch_multiplicity(e.label.m, e.label.n)
+
+
+def test_spectrum_entries_reach_the_level_exactly():
+    # labels (m, n) != (0, 0) with m^2 + n^2 <= lambda_max, each with two branches
+    for lam_max in (0, 1, 24, 25, 26, 48, 49):
+        labels = {(e.label.m, e.label.n) for e in spectrum_entries(3, lam_max)}
+        expected = {
+            (m, n) for m in range(8) for n in range(8) if m * m + n * n <= lam_max
+        }
+        assert labels == expected | {(0, 0)}
 
 
 def test_min_abs_discriminant_near_miss_window():
