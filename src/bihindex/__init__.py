@@ -5,7 +5,8 @@ Submodules:
   polynomials -- integer polynomials, Sturm-based exact root counting
   matrices    -- symmetric Z[sqrt(2)] matrices, Berkowitz charpoly, exact
                  eigenvalue sign counts
-  torus       -- the degree-k equivariant maps T^2 -> S^2
+  torus       -- the degree-k equivariant maps T^2 -> S^2, and the checker
+                 of their sign-run evidence
   scan        -- the fast exact nullity-conjecture scan over k
   circle      -- the degree-k biharmonic circles S^1 -> S^2
   legendre    -- the Legendre torus in S^5 (index 11, nullity 18)
@@ -17,7 +18,7 @@ Submodules:
 from .exact import ExactInt, QuadExt, Surd, surd_sign
 from .matrices import ExactMatrix, charpoly_exact, eigenvalue_signs
 from .polynomials import IntPolynomial, count_roots
-from .torus import IndexReport, block_matrix, eigenvalue, index_nullity
+from .torus import IndexReport, block_matrix, check_runs, eigenvalue, index_nullity
 from .scan import ScanRow, conjecture_scan
 from .circle import circle_block, circle_index_nullity
 from .legendre import (
@@ -58,6 +59,7 @@ __all__ = [
     "count_roots",
     "IndexReport",
     "block_matrix",
+    "check_runs",
     "eigenvalue",
     "index_nullity",
     "ScanRow",

@@ -2,7 +2,7 @@
 
 Grammar (one subcommand per verified statement):
 
-    bihindex torus {index|spectrum|scan}
+    bihindex torus {index|spectrum|scan|check}
     bihindex circle index
     bihindex legendre {verify|index|descartes}
     bihindex reduced {sphere|ellipsoid|torus|bessel|conformal}
@@ -53,9 +53,9 @@ from .reduced import (
     reduced_index_torus,
 )
 from .scan import conjecture_scan
-from .torus import index_nullity, spectrum
+from .torus import check_runs, index_nullity, spectrum
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -64,6 +64,12 @@ EXIT_VERIFICATION = 2
 # torus spectrum builds and sorts all of the about (pi/4) lambda_max labels
 # with m^2 + n^2 <= lambda_max; a larger level is refused, not run
 LAMBDA_MAX_LIMIT = 10**6
+
+# legendre descartes takes about 1 ms per (m, n) pair; larger ranges are refused
+DESCARTES_RANGE_LIMIT = 300
+
+# torus check reads at most this many bytes (a k = 10^4 report is about 0.9 MB)
+CHECK_FILE_LIMIT = 2**26
 
 
 class UsageError(Exception):
@@ -194,6 +200,9 @@ def build_parser() -> _Parser:
     t_scan = torus.add_parser("scan", help="nullity-conjecture scan for k=1..k-max")
     t_scan.add_argument("--k-max", type=_positive_int, required=True)
     _add_common(t_scan)
+    t_check = torus.add_parser("check", help="verify the evidence of a torus index JSON report")
+    t_check.add_argument("file", help="a report written by torus index --format json")
+    _add_common(t_check)
 
     circle = groups.add_parser("circle").add_subparsers(dest="command", required=True)
     c_index = circle.add_parser("index")
@@ -210,8 +219,10 @@ def build_parser() -> _Parser:
     l_index = leg.add_parser("index", help="index 11 / nullity 18 ledger")
     _add_common(l_index)
     l_desc = leg.add_parser("descartes", help="six-sign certificate over a range")
-    l_desc.add_argument("--m", type=int, default=50, help="range bound for m")
-    l_desc.add_argument("--n", type=int, default=50, help="range bound for n")
+    l_desc.add_argument("--m", type=int, default=50,
+                        help=f"range bound for m, 3..{DESCARTES_RANGE_LIMIT}")
+    l_desc.add_argument("--n", type=int, default=50,
+                        help=f"range bound for n, 3..{DESCARTES_RANGE_LIMIT}")
     _add_common(l_desc)
 
     red = groups.add_parser("reduced").add_subparsers(dest="command", required=True)
@@ -255,8 +266,9 @@ def _cmd_torus_index(args) -> tuple[dict, int]:
         "g": r.g,
         "index": r.index,
         "nullity": r.nullity,
-        "negative_pairs": r.negative_pairs,  # rendered as lists, like every tuple
+        "negative_runs": r.negative_runs,  # rendered as lists, like every tuple
         "zero_pairs": r.zero_pairs,
+        "empty_row_witnesses": r.empty_row_witnesses,
         "csv_header": ["k", "f", "g", "index", "nullity"],
         "csv_rows": [[r.k, r.f, r.g, r.index, r.nullity]],
     }
@@ -308,6 +320,65 @@ def _cmd_torus_scan(args) -> tuple[dict, int]:
     inputs = {"k_max": args.k_max, "workers": args.workers}
     code = EXIT_VERIFICATION if flagged else EXIT_OK
     return make_report("torus scan", inputs, results, "torus-nullity-conjecture"), code
+
+
+def _read_index_report(path: str) -> dict:
+    """The results of a schema-2 torus index report, with their types checked."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read(CHECK_FILE_LIMIT + 1)
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}")
+    if len(data) > CHECK_FILE_LIMIT:
+        raise UsageError(f"{path} is larger than {CHECK_FILE_LIMIT} bytes")
+    try:
+        report = json.loads(data)
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise UsageError(f"{path} is not JSON: {exc}")
+    if not isinstance(report, dict) or report.get("command") != "torus index":
+        raise UsageError(f"{path} is not a torus index report")
+    if report.get("schema") != SCHEMA_VERSION:
+        raise UsageError(f"{path} is not a schema {SCHEMA_VERSION} report; rerun torus index")
+    results = report.get("results")
+    if not isinstance(results, dict):
+        raise UsageError(f"{path}: results is not an object")
+    for name in ("k", "f", "g", "index", "nullity"):
+        if type(results.get(name)) is not int:  # bool is not an integer here
+            raise UsageError(f"{path}: results.{name} is not an integer")
+    if results["k"] < 1:
+        raise UsageError(f"{path}: results.k must be >= 1")
+    for name, width in (("negative_runs", 3), ("zero_pairs", 2), ("empty_row_witnesses", 2)):
+        rows = results.get(name)
+        if not isinstance(rows, list) or not all(
+            isinstance(r, list) and len(r) == width and all(type(x) is int for x in r)
+            for r in rows
+        ):
+            raise UsageError(f"{path}: results.{name} is not a list of {width}-integer lists")
+    return results
+
+
+def _cmd_torus_check(args) -> tuple[dict, int]:
+    res = _read_index_report(args.file)
+    k, runs, zeros = res["k"], res["negative_runs"], res["zero_pairs"]
+    f = sum(n_hi - n_lo + 1 for _, n_lo, n_hi in runs)
+    g = len(zeros)
+    failures = [
+        f"{name} = {res[name]}, but the runs and zero pairs give {want}"
+        for name, want in (("f", f), ("g", g), ("index", 1 + 4 * (k - 1) + 4 * f),
+                           ("nullity", 5 + 4 * g))
+        if res[name] != want
+    ]
+    failures += check_runs(k, runs, zeros, res["empty_row_witnesses"])
+    results = {
+        "k": k,
+        "verified": not failures,
+        "failures": failures,
+        "csv_header": ["k", "runs", "zero_pairs", "witnesses", "failures", "verified"],
+        "csv_rows": [[k, len(runs), g, len(res["empty_row_witnesses"]), len(failures),
+                      not failures]],
+    }
+    code = EXIT_VERIFICATION if failures else EXIT_OK
+    return make_report("torus check", {"file": args.file}, results, "torus-index-table"), code
 
 
 def _cmd_circle_index(args) -> tuple[dict, int]:
@@ -377,6 +448,8 @@ def _cmd_legendre_index(args) -> tuple[dict, int]:
 def _cmd_legendre_descartes(args) -> tuple[dict, int]:
     if args.m < 3 or args.n < 3:
         raise UsageError("range bounds must be >= 3")
+    if max(args.m, args.n) > DESCARTES_RANGE_LIMIT:
+        raise UsageError(f"range bounds must be <= {DESCARTES_RANGE_LIMIT}")
     rep = descartes_lemma_check(args.m, args.n)
     results = {
         "checked": rep.checked,
@@ -554,6 +627,7 @@ _HANDLERS = {
     ("torus", "index"): _cmd_torus_index,
     ("torus", "spectrum"): _cmd_torus_spectrum,
     ("torus", "scan"): _cmd_torus_scan,
+    ("torus", "check"): _cmd_torus_check,
     ("circle", "index"): _cmd_circle_index,
     ("legendre", "verify"): _cmd_legendre_verify,
     ("legendre", "index"): _cmd_legendre_index,

@@ -34,7 +34,7 @@ class ScanRow:
 
 def scan_row(k: int) -> ScanRow:
     """Exact (f, g, index, nullity) for one k, counted from the sign runs."""
-    runs, zeros = sign_runs(k)
+    runs, zeros, _ = sign_runs(k)
     f = sum(n_hi - n_lo + 1 for _, n_lo, n_hi in runs)
     g = len(zeros)
     return ScanRow(k=k, f=f, g=g, index=1 + 4 * (k - 1) + 4 * f, nullity=5 + 4 * g)

@@ -38,6 +38,7 @@ lattice scan finite.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import isqrt
 
@@ -91,13 +92,27 @@ class MergedEigenvalue:
 
 @dataclass(frozen=True)
 class IndexReport:
+    """Index and nullity of the degree-k map with its lattice evidence.
+
+    The evidence is sign_runs' output, O(k) entries: D < 0 exactly on the
+    pairs (m, n_lo..n_hi) of negative_runs and D = 0 exactly at zero_pairs;
+    empty_row_witnesses holds the (m, nv) of the rows proved empty by their
+    convex minimum nv.  check_runs verifies all three.
+    """
+
     k: int
     index: int
     nullity: int
     f: int
     g: int
-    negative_pairs: tuple[tuple[int, int], ...] = field(repr=False)
+    negative_runs: tuple[tuple[int, int, int], ...] = field(repr=False)
     zero_pairs: tuple[tuple[int, int], ...] = field(repr=False)
+    empty_row_witnesses: tuple[tuple[int, int], ...] = field(repr=False)
+
+    @property
+    def negative_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Every interior pair with lambda^- < 0, in (m, n) order (f of them)."""
+        return tuple(run_pairs(self.negative_runs))
 
 
 # -- closed forms -------------------------------------------------------------
@@ -212,14 +227,16 @@ def _first_true(pred, lo: int, hi: int, guess: int) -> int:
 
 def _quartic_run(
     c3: int, c2: int, c1: int, c0: int, m2: int, n_max: int, seeds: list[int]
-) -> tuple[int, int, list[int]] | None:
-    """Split the run {1 <= n <= n_max : D(m2 + n^2) <= 0} by sign, or None.
+) -> tuple[int, int, list[int], int | None]:
+    """Split the run {1 <= n <= n_max : D(m2 + n^2) <= 0} by sign.
 
     D(s) = s^4 + c3 s^3 + c2 s^2 + c1 s + c0 with c3 > 0 > c2 and c1, c0 of
-    one sign (see sign_runs).  Returns (n_lo, n_hi, zeros): D < 0 exactly on
-    n_lo..n_hi (empty if n_lo > n_hi) and D = 0 exactly at the ends in zeros.
-    seeds = [witness, n_lo, n_hi, n0, nv] are guesses from the previous row,
-    updated in place; they change the number of evaluations, not the answer.
+    one sign (see sign_runs).  Returns (n_lo, n_hi, zeros, nv): D < 0 exactly
+    on n_lo..n_hi (empty if n_lo > n_hi), D = 0 exactly at the ends in zeros,
+    and nv, the convex minimum, when the row was proved empty by the integer
+    minimum, else None.  seeds = [witness, n_lo, n_hi, n0, nv] are guesses
+    from the previous row, updated in place; they change the number of
+    evaluations, not the answer.
     """
 
     def d(n: int) -> int:
@@ -236,11 +253,12 @@ def _quartic_run(
     else:
         s1 = m2 + 1
         if (s1 + c3) * s1 + c2 >= 0:  # D(s) > s^2 (s^2 + c3 s + c2) >= 0 for s >= s1
-            return None
+            return 1, 0, [], None
         w = min(max(w_seed, 1), n_max)
         if d(w) > 0:  # the guess missed: certify the integer minimum instead
             n0 = _first_true(lambda n: d2_half(n) >= 0, 1, n_max, n0_seed)
             candidates = [1, n0 - 1] if n0 > 1 else [1]
+            nv = n0
             if n0 <= n_max:
                 nv = _first_true(lambda n: d(n + 1) >= d(n), n0, n_max - 1, nv_seed)
                 candidates.append(nv)
@@ -248,27 +266,32 @@ def _quartic_run(
             seeds[3] = n0
             w = seeds[0] = min(candidates, key=d)
             if d(w) > 0:
-                return None
+                return 1, 0, [], nv
         n_lo = _first_true(lambda n: d(n) <= 0, 1, w, lo_seed)
     n_hi = _first_true(lambda n: d(n) > 0, w, n_max, hi_seed + 1) - 1
     if n_hi < n_lo:
-        return None
+        return 1, 0, [], None
     seeds[:3] = [(n_lo + n_hi) // 2, n_lo, n_hi]
     zeros = [n for n in sorted({n_lo, n_hi}) if d(n) == 0]
     if zeros and zeros[0] == n_lo:
         n_lo += 1
     if zeros and zeros[-1] == n_hi >= n_lo:
         n_hi -= 1
-    return n_lo, n_hi, zeros
+    return n_lo, n_hi, zeros, None
 
 
-def sign_runs(k: int) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]]:
+def sign_runs(
+    k: int,
+) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]], list[tuple[int, int]]]:
     """Exact signs of lambda^- over the interior pairs, as per-m runs.
 
-    Returns (runs, zeros): D(k, m, n) < 0 exactly for n_lo <= n <= n_hi for
-    each (m, n_lo, n_hi) in runs, D = 0 exactly at the pairs in zeros, both
-    in (m, n) order, and D > 0 at every other interior pair.  The cost is
-    O(log k) exact evaluations per m, so O(k log k) per k.
+    Returns (runs, zeros, witnesses): D(k, m, n) < 0 exactly for
+    n_lo <= n <= n_hi for each (m, n_lo, n_hi) in runs, D = 0 exactly at the
+    pairs in zeros, and D > 0 at every other interior pair.  witnesses holds
+    (m, nv) for each row proved empty through its integer minimum (below), so
+    that check_runs can confirm the row without a search.  All three are in
+    (m, n) order.  The cost is O(log k) exact evaluations per m, so
+    O(k log k) per k.
 
     Proof.  Fix k and m and put s = m^2 + n^2.  Then
 
@@ -299,19 +322,23 @@ def sign_runs(k: int) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]
     k4 = k2 * k2
     runs: list[tuple[int, int, int]] = []
     zeros: list[tuple[int, int]] = []
+    witnesses: list[tuple[int, int]] = []
     seeds = [1, 1, 1, 1, 1]
     m = 1
     while m * m + 1 < bound:
         m2 = m * m
         c1 = k4 * (2 * m2 - k2)
-        run = _quartic_run(k2, -(k4 + 4 * k2 * m2), c1, 2 * m2 * c1, m2, isqrt(bound - m2 - 1), seeds)
-        if run is not None:
-            n_lo, n_hi, zero_ns = run
+        n_lo, n_hi, zero_ns, nv = _quartic_run(
+            k2, -(k4 + 4 * k2 * m2), c1, 2 * m2 * c1, m2, isqrt(bound - m2 - 1), seeds
+        )
+        if n_lo <= n_hi:
+            runs.append((m, n_lo, n_hi))
+        if zero_ns:
             zeros.extend((m, n) for n in zero_ns)
-            if n_lo <= n_hi:
-                runs.append((m, n_lo, n_hi))
+        if nv is not None:
+            witnesses.append((m, nv))
         m += 1
-    return runs, zeros
+    return runs, zeros, witnesses
 
 
 def run_pairs(runs: list[tuple[int, int, int]]):
@@ -349,13 +376,13 @@ def interior_sign_scan(k: int) -> tuple[int, int, list[tuple[int, int]], list[tu
 
 def index_nullity(k: int) -> IndexReport:
     """Exact index and nullity of the degree-k map, with the lattice evidence."""
-    runs, zero = sign_runs(k)
-    neg = tuple(run_pairs(runs))
-    f, g = len(neg), len(zero)
+    runs, zeros, witnesses = sign_runs(k)
+    f = sum(n_hi - n_lo + 1 for _, n_lo, n_hi in runs)
+    g = len(zeros)
 
     # axis families, counted by the same exact test rather than assumed
-    neg_m_axis = sum(1 for m in range(1, 3 * k + 1) if sign_lambda_minus_axis(k, m) < 0)
-    zero_m_axis = sum(1 for m in range(1, 3 * k + 1) if sign_lambda_minus_axis(k, m) == 0)
+    m_axis = [sign_lambda_minus_axis(k, m) for m in range(1, 3 * k + 1)]
+    neg_m_axis, zero_m_axis = m_axis.count(-1), m_axis.count(0)
     neg_n_axis = sum(1 for n in range(1, 3 * k + 1) if n**4 < k**4)
     zero_n_axis = sum(1 for n in range(1, 3 * k + 1) if n**4 == k**4)
 
@@ -367,9 +394,138 @@ def index_nullity(k: int) -> IndexReport:
         nullity=nullity,
         f=f,
         g=g,
-        negative_pairs=neg,
-        zero_pairs=tuple(zero),
+        negative_runs=tuple(runs),
+        zero_pairs=tuple(zeros),
+        empty_row_witnesses=tuple(witnesses),
     )
+
+
+# checks stop at the first row after this many failures, so that a report
+# for a huge k with no evidence fails fast instead of scanning all 3k rows
+CHECK_FAILURE_LIMIT = 20
+
+
+def check_runs(
+    k: int,
+    runs: Sequence[tuple[int, int, int]],
+    zeros: Sequence[tuple[int, int]],
+    witnesses: Sequence[tuple[int, int]],
+) -> list[str]:
+    """Verify sign_runs' evidence for k without searching; [] when it holds.
+
+    Checks that D(k, m, n) < 0 exactly on the runs (m, n_lo, n_hi), D = 0
+    exactly at the zero pairs and D > 0 at every other interior pair, with
+    O(1) exact evaluations of D per row m, so O(k) in all.  It calls no
+    search: sign_runs finds the ends by bisection, this function only tests
+    them, and it evaluates D as A*B - C^2 (discriminant), not through the
+    quartic in s.
+
+    Proof that the end tests suffice: by the one-run lemma in sign_runs
+    (Descartes on the coefficient signs + + - e e of D in s = m^2 + n^2),
+    {n >= 1 : D <= 0} is one run L..H, D < 0 inside it, and D can vanish
+    only at L or H.  So for a row with a run or zeros it is enough that
+
+    * D < 0 at n_lo and n_hi, and D = 0 at each zero pair;
+    * every zero sits at n_lo - 1 or n_hi + 1 (in a row with no run: the
+      zeros are consecutive), so the claimed entries fill L..H;
+    * D > 0 at L - 1 unless L = 1, and at H + 1 unless H + 1 reaches the
+      enumeration bound (where D > 0 is proved);
+    * H lies below the enumeration bound.
+
+    A row with no entries must be proved empty:
+
+    * 2m^2 < k^2: D has one positive root and D(0) < 0, so D(1) > 0 suffices;
+    * 2m^2 > k^2 and Q(m^2 + 1) >= 0: D > 0 on the whole row (the Q(s) cut);
+    * otherwise the row needs a witness (m, nv), and nothing else has one.
+      D''(s) / 2 = 6 s^2 + 3 k^2 s - (k^4 + 4 k^2 m^2) grows with s and is
+      6 (m^2 - k^2/2)(m^2 + k^2/3) > 0 at s = m^2, so D is convex on the
+      whole row (the concave part in sign_runs is empty, n0 = 1).  Then
+      D(nv - 1) >= D(nv) <= D(nv + 1), a side exempt at n = 1 or at the
+      enumeration bound, makes D(nv) the row's minimum, and D(nv) > 0
+      proves the row empty.
+
+    Runs, zeros and witnesses must be in (m, n) order, with one run and one
+    witness per row at most.
+    """
+    m_max = isqrt(enumeration_bound(k) - 2)  # the rows m with m^2 + 1 < 9 k^2
+    failures: list[str] = []
+    for name, keys in (
+        ("negative runs", [(m,) for m, _, _ in runs]),
+        ("zero pairs", [tuple(z) for z in zeros]),
+        ("witnesses", [(m,) for m, _ in witnesses]),
+    ):
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            failures.append(f"{name} are not in strictly increasing (m, n) order")
+        elif keys and not (1 <= keys[0][0] and keys[-1][0] <= m_max):
+            failures.append(f"{name} leave the rows 1 <= m <= {m_max}")
+    if failures:
+        return failures
+
+    run_at = {m: (n_lo, n_hi) for m, n_lo, n_hi in runs}
+    witness_at = dict(witnesses)
+    zeros_at: dict[int, list[int]] = {}
+    for m, n in zeros:
+        zeros_at.setdefault(m, []).append(n)
+    for m in range(1, m_max + 1):
+        if len(failures) == CHECK_FAILURE_LIMIT:
+            return failures + [f"stopped at row m = {m} after {CHECK_FAILURE_LIMIT} failures"]
+        why = _check_row(k, m, run_at.get(m), zeros_at.get(m, []), witness_at.get(m))
+        if why is not None:
+            failures.append(f"row m = {m}: {why}")
+    return failures
+
+
+def _check_row(
+    k: int, m: int, run: tuple[int, int] | None, zs: list[int], nv: int | None
+) -> str | None:
+    """The first failure of one row of check_runs' evidence, or None."""
+    k2, m2 = k * k, m * m
+    n_max = isqrt(enumeration_bound(k) - m2 - 1)
+
+    def d(n: int) -> int:
+        return discriminant(k, m, n)
+
+    if run is None and not zs:
+        if d(1) <= 0:
+            return "D(1) <= 0 but the row has no run"
+        s1 = m2 + 1
+        if 2 * m2 < k2 or s1 * s1 + k2 * s1 >= k2 * (k2 + 4 * m2):  # one root, or Q(s1) >= 0
+            return None if nv is None else "a witness for a row proved empty without one"
+        if nv is None:
+            return "no run, no zero pair and no witness"
+        if not 1 <= nv <= n_max:
+            return f"witness nv = {nv} not in 1 <= nv <= {n_max}"
+        dv = d(nv)
+        if (nv > 1 and d(nv - 1) < dv) or (nv < n_max and d(nv + 1) < dv):
+            return f"D has no local minimum at nv = {nv}"
+        return "the witness minimum is not positive" if dv <= 0 else None
+
+    if nv is not None:
+        return "a witness for a row with D <= 0 entries"
+    if not all(1 <= n <= n_max for n in (*(run or ()), *zs)):
+        return f"an entry lies outside 1 <= n <= {n_max} (the enumeration bound)"
+    if run is None:
+        lo, hi = zs[0], zs[0] - 1  # an empty run that the zeros extend
+    else:
+        lo, hi = run
+        if lo > hi:
+            return f"run {lo}..{hi} is empty"
+        if d(lo) >= 0 or d(hi) >= 0:
+            return f"D >= 0 at an end of the run {lo}..{hi}"
+    for z in zs:
+        if z == lo - 1:
+            lo = z
+        elif z == hi + 1:
+            hi = z
+        else:
+            return f"zero pair n = {z} is not next to the run"
+        if d(z) != 0:
+            return f"D != 0 at the zero pair n = {z}"
+    if lo > 1 and d(lo - 1) <= 0:
+        return f"D <= 0 at n = {lo - 1}, below the run"
+    if hi < n_max and d(hi + 1) <= 0:
+        return f"D <= 0 at n = {hi + 1}, above the run"
+    return None
 
 
 def min_abs_interior_discriminant(

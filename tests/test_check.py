@@ -1,0 +1,271 @@
+"""torus check: the independent O(k) verifier of torus index reports.
+
+Every report torus index writes must verify; every single mutation of the
+evidence (a run end moved, a run dropped or added, a zero pair dropped or
+injected, a witness corrupted) must fail it, even with f, g, index and
+nullity recomputed to match the mutated evidence; unreadable input ends in
+one exit-1 line.
+"""
+
+import copy
+import json
+
+import pytest
+
+import bihindex.torus as torus
+from bihindex.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
+from bihindex.torus import check_runs, index_nullity, sign_runs
+
+
+def index_report(capsys, k):
+    assert main(["torus", "index", "--k", str(k), "--format", "json"]) == EXIT_OK
+    return json.loads(capsys.readouterr().out)
+
+
+def check_file(capsys, tmp_path, content):
+    path = tmp_path / "report.json"
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    code = main(["torus", "check", str(path), "--format", "json"])
+    captured = capsys.readouterr()
+    return code, captured
+
+
+@pytest.fixture(scope="module")
+def report155():
+    r = index_nullity(155)
+    return {
+        "k": 155,
+        "runs": [list(run) for run in r.negative_runs],
+        "zeros": [list(z) for z in r.zero_pairs],
+        "witnesses": [list(w) for w in r.empty_row_witnesses],
+    }
+
+
+def as_cli_report(capsys, evidence):
+    """A torus index report carrying this evidence, with totals that match it."""
+    report = index_report(capsys, evidence["k"])
+    res = report["results"]
+    res["negative_runs"] = evidence["runs"]
+    res["zero_pairs"] = evidence["zeros"]
+    res["empty_row_witnesses"] = evidence["witnesses"]
+    res["f"] = sum(n_hi - n_lo + 1 for _, n_lo, n_hi in evidence["runs"])
+    res["g"] = len(evidence["zeros"])
+    res["index"] = 1 + 4 * (evidence["k"] - 1) + 4 * res["f"]
+    res["nullity"] = 5 + 4 * res["g"]
+    return report
+
+
+def failures_of(evidence):
+    return check_runs(evidence["k"], evidence["runs"], evidence["zeros"], evidence["witnesses"])
+
+
+@pytest.mark.parametrize("k", [1, 2, 17, 155])
+def test_torus_check_accepts_index_reports(capsys, tmp_path, k):
+    code, captured = check_file(capsys, tmp_path, index_report(capsys, k))
+    assert code == EXIT_OK, captured.out
+    results = json.loads(captured.out)["results"]
+    assert results["verified"] is True and results["failures"] == []
+
+
+def test_check_runs_accepts_every_small_k_and_580():
+    for k in [*range(1, 121), 155, 580]:
+        r = index_nullity(k)
+        assert check_runs(k, r.negative_runs, r.zero_pairs, r.empty_row_witnesses) == [], k
+
+
+def _run_row(evidence, pred):
+    return next(i for i, (_, n_lo, n_hi) in enumerate(evidence["runs"]) if pred(n_lo, n_hi))
+
+
+# index of the first witness at k = 155: row m = 161, nv = 59 well inside the
+# row, so moving nv either way breaks the local minimum
+W = 0
+
+
+def _shift(kind, delta):
+    def mutate(ev):
+        i = _run_row(ev, (lambda lo, hi: lo > 1) if kind == "lo" else (lambda lo, hi: hi > lo))
+        ev["runs"][i][1 if kind == "lo" else 2] += delta
+    return mutate
+
+
+def _drop_run(ev):
+    del ev["runs"][len(ev["runs"]) // 2]
+
+
+def _drop_run_past_the_diagonal(ev):
+    # a row with 2m^2 > k^2, where emptiness would need a witness
+    del ev["runs"][_run_row(ev, lambda lo, hi: lo > 1)]
+
+
+def _extra_run(ev):
+    # a run in a row proved empty by a witness, with the witness left in place
+    m = ev["witnesses"][W][0]
+    ev["runs"].append([m, 1, 1])
+    ev["runs"].sort()
+
+
+def _extra_run_for_a_witness(ev):
+    _extra_run(ev)
+    del ev["witnesses"][W]
+
+
+def _extra_run_past_the_cut(ev):
+    # a run in a row the Q(s) cut proves empty without a witness
+    ev["runs"].append([3 * ev["k"] - 1, 1, 1])
+
+
+def _inject_zero_next_to_a_run(ev):
+    m, _, n_hi = ev["runs"][10]
+    ev["zeros"] = sorted(ev["zeros"] + [[m, n_hi + 1]])
+
+
+def _inject_zero_inside_a_run(ev):
+    m, n_lo, _ = ev["runs"][10]
+    ev["zeros"] = sorted(ev["zeros"] + [[m, n_lo + 1]])
+
+
+def _corrupt_witness(position, delta):
+    def mutate(ev):
+        ev["witnesses"][W][position] += delta
+    return mutate
+
+
+def _drop_witness(ev):
+    del ev["witnesses"][W]
+
+
+MUTATIONS = {
+    "n_hi+1": _shift("hi", 1),
+    "n_hi-1": _shift("hi", -1),
+    "n_lo+1": _shift("lo", 1),
+    "n_lo-1": _shift("lo", -1),
+    "n_lo-1 at n=1": lambda ev: ev["runs"][0].__setitem__(1, 0),
+    "dropped run": _drop_run,
+    "dropped run with 2m^2 > k^2": _drop_run_past_the_diagonal,
+    "extra run in a witness row": _extra_run,
+    "extra run replacing a witness": _extra_run_for_a_witness,
+    "extra run past the Q cut": _extra_run_past_the_cut,
+    "injected zero next to a run": _inject_zero_next_to_a_run,
+    "injected zero inside a run": _inject_zero_inside_a_run,
+    "witness nv+1": _corrupt_witness(1, 1),
+    "witness nv-1": _corrupt_witness(1, -1),
+    "witness nv=0": _corrupt_witness(1, -59),
+    "dropped witness": _drop_witness,
+    "witness in a run row": lambda ev: ev["witnesses"].insert(0, [ev["runs"][-1][0], 1]),
+    "witness past the Q cut": lambda ev: ev["witnesses"].append([3 * ev["k"] - 1, 1]),
+    "runs out of order": lambda ev: ev["runs"].reverse(),
+}
+
+
+@pytest.mark.parametrize("name", list(MUTATIONS))
+def test_torus_check_rejects_mutated_report(capsys, tmp_path, report155, name):
+    evidence = copy.deepcopy(report155)
+    MUTATIONS[name](evidence)
+    assert evidence != report155
+    assert failures_of(evidence), name
+    code, captured = check_file(capsys, tmp_path, as_cli_report(capsys, evidence))
+    assert code == EXIT_VERIFICATION, name
+    assert json.loads(captured.out)["results"]["verified"] is False
+
+
+def test_dropped_zero_fails(monkeypatch, report155):
+    # no interior zero of D occurs for k <= 1500, so the zero branch is driven
+    # by a D that vanishes at one extra pair: just past the end of a run, and
+    # at the minimum of a witness row (a double root, the row's only entry)
+    run_m, _, n_hi = report155["runs"][10]
+    witness_m, nv = report155["witnesses"][W]
+    real = torus.discriminant
+    for zero, edit in (
+        ((run_m, n_hi + 1), lambda ev: None),
+        ((witness_m, nv), lambda ev: ev["witnesses"].pop(W)),
+    ):
+        monkeypatch.setattr(
+            torus, "discriminant", lambda k, m, n: 0 if (m, n) == zero else real(k, m, n)
+        )
+        listed = copy.deepcopy(report155)
+        edit(listed)
+        listed["zeros"] = [list(zero)]
+        assert failures_of(listed) == [], zero
+        assert failures_of(report155), f"the zero at {zero} was not listed"
+
+
+def test_report_totals_are_checked(capsys, tmp_path):
+    report = index_report(capsys, 17)
+    report["results"]["index"] += 4
+    code, captured = check_file(capsys, tmp_path, report)
+    assert code == EXIT_VERIFICATION
+    assert json.loads(captured.out)["results"]["failures"][0].startswith("index = ")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "truncated",
+        "missing",
+        "a directory",
+        "circle index",
+        "schema 1",
+        "runs as pairs",
+        "k as bool",
+        "not utf-8",
+        "a huge integer",
+    ],
+)
+def test_torus_check_malformed_input_gives_one_line(capsys, tmp_path, content):
+    path = tmp_path / "report.json"
+    good = json.dumps(index_report(capsys, 3))
+    if content == "truncated":
+        path.write_text(good[: len(good) // 2])
+    elif content == "a directory":
+        path = tmp_path
+    elif content == "circle index":
+        assert main(["circle", "index", "--k", "3", "--output", str(path)]) == EXIT_OK
+    elif content == "schema 1":
+        path.write_text(good.replace('"schema": 2', '"schema": 1'))
+    elif content == "runs as pairs":
+        report = json.loads(good)
+        report["results"]["negative_runs"] = [[1, 1], [2, 1]]
+        path.write_text(json.dumps(report))
+    elif content == "k as bool":
+        path.write_text(good.replace('"k": 3', '"k": true'))
+    elif content == "not utf-8":
+        path.write_bytes(b"\xff\xfe" + good.encode())
+    elif content == "a huge integer":
+        path.write_text(good.replace('"k": 3', '"k": 1' + "0" * 5000))
+    assert main(["torus", "check", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("bihindex: error: ")
+
+
+def test_check_cost_is_linear_in_k(monkeypatch):
+    # k = 10^4 has about 3k = 30000 rows; the check makes at most five exact
+    # evaluations of D per row and never searches
+    k = 10_000
+    runs, zeros, witnesses = sign_runs(k)
+    calls = 0
+    real = torus.discriminant
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("check_runs searched")
+
+    monkeypatch.setattr(torus, "discriminant", counting)
+    for name in ("sign_runs", "_quartic_run", "_first_true"):
+        monkeypatch.setattr(torus, name, forbidden)
+    assert check_runs(k, runs, zeros, witnesses) == []
+    rows = 3 * k
+    assert len(runs) + len(witnesses) > rows // 2
+    assert calls <= 5 * rows, calls
+
+
+def test_huge_k_without_evidence_fails_fast():
+    failures = check_runs(10**30, [], [], [])
+    assert len(failures) == torus.CHECK_FAILURE_LIMIT + 1
+    assert failures[-1].startswith("stopped at row m = 21")

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from bihindex.cli import EXIT_OK, EXIT_USAGE, build_parser, main
+from bihindex.cli import DESCARTES_RANGE_LIMIT, EXIT_OK, EXIT_USAGE, build_parser, main
+from bihindex.torus import interior_sign_scan
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -21,11 +22,24 @@ def test_torus_index_report(capsys):
     code, out = run_cli(capsys, "torus", "index", "--k", "2", "--format", "json")
     assert code == EXIT_OK
     report = json.loads(out)
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert set(report) >= {"schema", "command", "inputs", "results", "paper_anchor"}
     assert report["results"]["index"] == 13
     assert report["results"]["nullity"] == 5
-    assert report["results"]["negative_pairs"] == [[1, 1], [2, 1]]
+    assert report["results"]["negative_runs"] == [[1, 1, 1], [2, 1, 1]]
+    assert report["results"]["zero_pairs"] == []
+    assert "negative_pairs" not in report["results"]
+
+
+def test_torus_index_runs_expand_to_the_oracle_pairs(capsys):
+    code, out = run_cli(capsys, "torus", "index", "--k", "155", "--format", "json")
+    assert code == EXIT_OK
+    results = json.loads(out)["results"]
+    runs = results["negative_runs"]
+    f, _, neg, zero = interior_sign_scan(155)
+    assert [(m, n) for m, n_lo, n_hi in runs for n in range(n_lo, n_hi + 1)] == neg
+    assert sum(n_hi - n_lo + 1 for _, n_lo, n_hi in runs) == f == results["f"] == 22176
+    assert results["zero_pairs"] == zero == []
 
 
 def test_legendre_verify_exit_codes(capsys):
@@ -72,6 +86,9 @@ def test_usage_errors_exit_one(capsys):
         ["torus", "spectrum", "--k", "501"],
         # more workers than CPUs; rejected while parsing, so no process starts
         ["torus", "scan", "--k-max", "3", "--workers", str((os.cpu_count() or 1) + 1)],
+        # about 1 ms per pair: 10^8 x 50 would run for days
+        ["legendre", "descartes", "--m", str(10**8), "--n", "50"],
+        ["legendre", "descartes", "--m", "50", "--n", str(DESCARTES_RANGE_LIMIT + 1)],
     ],
 )
 def test_boundary_inputs_give_one_line_diagnostics(capsys, argv):

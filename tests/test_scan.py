@@ -33,7 +33,7 @@ def test_fast_scan_matches_exact_scan():
 def test_sign_runs_match_oracle():
     # negative pairs and zero pairs, in (m, n) order, pair for pair
     for k in [*range(1, 121), 155, 192, 300]:
-        runs, zeros = sign_runs(k)
+        runs, zeros, _ = sign_runs(k)
         _, _, neg, zero = interior_sign_scan(k)
         assert list(run_pairs(runs)) == neg, k
         assert zeros == zero, k
@@ -44,7 +44,7 @@ def test_sign_runs_past_the_old_float_range():
     # at k = 10^4 the terms of D reach 10^35, far past float64's exact range;
     # the run ends must still be exact sign changes
     k = 10_000
-    runs, zeros = sign_runs(k)
+    runs, zeros, _ = sign_runs(k)
     assert zeros == []
     by_m = {m: (n_lo, n_hi) for m, n_lo, n_hi in runs}
     last = max(by_m)
@@ -88,7 +88,7 @@ def _expand(*factors):
         # the zero n = 2, the last concave n, which neither n = 1 nor the
         # convex minimum finds
         (([1, -4], [1, -8], [1, 23, 1]), 0, (3, 2, [2])),
-        # no real root: the certificate must prove the row empty
+        # no real root: the certificate must prove the row empty, with a witness
         (([1, -20, 200], [1, 60, 100]), 4, None),
     ],
 )
@@ -111,7 +111,14 @@ def test_quartic_run_zero_at_run_end(factors, m2, expected):
         assert [n for n, v in signs.items() if v < 0] == list(range(n_lo, n_hi + 1))
         assert [n for n, v in signs.items() if v == 0] == zeros
     for guess in (1, 4, 9, n_max):
-        assert _quartic_run(c3, c2, c1, c0, m2, n_max, [guess] * 5) == expected, guess
+        n_lo, n_hi, zeros, nv = _quartic_run(c3, c2, c1, c0, m2, n_max, [guess] * 5)
+        if expected is not None:
+            assert (n_lo, n_hi, zeros, nv) == (*expected, None), guess
+            continue
+        # an empty row comes with nv, the minimum of the convex part n0..n_max
+        assert n_lo > n_hi and zeros == [], guess
+        n0 = min(n for n in signs if 6 * (m2 + n * n) ** 2 + 3 * c3 * (m2 + n * n) + c2 >= 0)
+        assert nv == min(range(n0, n_max + 1), key=d)
 
 
 def test_conjecture_scan_small_range():
