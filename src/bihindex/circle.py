@@ -73,8 +73,8 @@ def circle_block(k: int, m: int) -> ExactMatrix:
 def circle_index_nullity(k: int) -> tuple[int, int]:
     """(index, nullity), counted by the exact axis sign test."""
     CircleLabel(k, 0)
-    neg = sum(1 for m in range(1, 3 * k + 1) if sign_lambda_minus_axis(k, m) < 0)
-    zero = sum(1 for m in range(1, 3 * k + 1) if sign_lambda_minus_axis(k, m) == 0)
+    signs = [sign_lambda_minus_axis(k, m) for m in range(1, 3 * k + 1)]
+    neg, zero = signs.count(-1), signs.count(0)
     # m = 0 block contributes 1 negative (-k^4) and 1 zero eigenvalue
     return 1 + 2 * neg, 1 + 2 * zero
 

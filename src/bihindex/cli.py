@@ -53,7 +53,7 @@ from .reduced import (
     reduced_index_torus,
 )
 from .scan import conjecture_scan
-from .torus import check_runs, index_nullity, spectrum
+from .torus import check_runs, index_nullity, run_totals, spectrum
 
 SCHEMA_VERSION = 2
 
@@ -360,12 +360,10 @@ def _read_index_report(path: str) -> dict:
 def _cmd_torus_check(args) -> tuple[dict, int]:
     res = _read_index_report(args.file)
     k, runs, zeros = res["k"], res["negative_runs"], res["zero_pairs"]
-    f = sum(n_hi - n_lo + 1 for _, n_lo, n_hi in runs)
-    g = len(zeros)
+    totals = run_totals(k, runs, zeros)
     failures = [
         f"{name} = {res[name]}, but the runs and zero pairs give {want}"
-        for name, want in (("f", f), ("g", g), ("index", 1 + 4 * (k - 1) + 4 * f),
-                           ("nullity", 5 + 4 * g))
+        for name, want in zip(("f", "g", "index", "nullity"), totals)
         if res[name] != want
     ]
     failures += check_runs(k, runs, zeros, res["empty_row_witnesses"])
@@ -374,7 +372,7 @@ def _cmd_torus_check(args) -> tuple[dict, int]:
         "verified": not failures,
         "failures": failures,
         "csv_header": ["k", "runs", "zero_pairs", "witnesses", "failures", "verified"],
-        "csv_rows": [[k, len(runs), g, len(res["empty_row_witnesses"]), len(failures),
+        "csv_rows": [[k, len(runs), len(zeros), len(res["empty_row_witnesses"]), len(failures),
                       not failures]],
     }
     code = EXIT_VERIFICATION if failures else EXIT_OK

@@ -2,12 +2,9 @@
 
 For each k the interior lattice pairs (m, n) with m^2 + n^2 < 9k^2 are
 classified by the exact sign of the integer discriminant D, one row m at a
-time.  Certificate (proved in torus.sign_runs): D is a quartic in
-s = m^2 + n^2 with coefficient signs + + - e e, so by Descartes' rule of signs
-the pairs with D <= 0 form one run of n, and D vanishes only at its ends.  For
-2m^2 < k^2 the run starts at n = 1; for 2m^2 > k^2, D is concave and then
-convex, so its integer minimum is at n = 1, at the last concave n or at the
-bottom of the convex part.  Bisection finds each end: O(k log k) per k.
+time, by torus.sign_runs: the pairs with D <= 0 form one run of n per row,
+D vanishes only at its ends, and bisection finds each end, O(k log k) per k.
+The certificate is in the sign_runs docstring.
 """
 
 from __future__ import annotations
@@ -15,7 +12,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .torus import enumeration_bound, sign_runs
+from .torus import run_totals, sign_runs
 
 
 @dataclass(frozen=True)
@@ -35,9 +32,8 @@ class ScanRow:
 def scan_row(k: int) -> ScanRow:
     """Exact (f, g, index, nullity) for one k, counted from the sign runs."""
     runs, zeros, _ = sign_runs(k)
-    f = sum(n_hi - n_lo + 1 for _, n_lo, n_hi in runs)
-    g = len(zeros)
-    return ScanRow(k=k, f=f, g=g, index=1 + 4 * (k - 1) + 4 * f, nullity=5 + 4 * g)
+    f, g, index, nullity = run_totals(k, runs, zeros)
+    return ScanRow(k=k, f=f, g=g, index=index, nullity=nullity)
 
 
 def conjecture_scan(k_max: int, workers: int = 1, k_min: int = 1) -> list[ScanRow]:
@@ -62,5 +58,4 @@ __all__ = [
     "scan_row",
     "conjecture_scan",
     "flagged_rows",
-    "enumeration_bound",
 ]

@@ -135,7 +135,7 @@ def block_coefficients(k: int, m: int, n: int) -> tuple[int, int, int]:
 
 
 def discriminant(k: int, m: int, n: int) -> int:
-    """D = A*B - C^2 = 4 lambda^+ lambda^-; its sign is the sign of lambda^-."""
+    """D = A*B - C^2 = lambda^+ lambda^-; its sign is the sign of lambda^-."""
     a, b, c2 = block_coefficients(k, m, n)
     return a * b - c2
 
@@ -234,37 +234,30 @@ def _quartic_run(
     one sign (see sign_runs).  Returns (n_lo, n_hi, zeros, nv): D < 0 exactly
     on n_lo..n_hi (empty if n_lo > n_hi), D = 0 exactly at the ends in zeros,
     and nv, the convex minimum, when the row was proved empty by the integer
-    minimum, else None.  seeds = [witness, n_lo, n_hi, n0, nv] are guesses
-    from the previous row, updated in place; they change the number of
-    evaluations, not the answer.
+    minimum, else None.  For c0 >= 0 a row that passes the Q(s) cut must be
+    convex, D''(m2) > 0 (the convexity lemma in sign_runs); AssertionError
+    otherwise.  seeds = [witness, n_lo, n_hi, nv] are guesses from the
+    previous row, updated in place; they change the number of evaluations,
+    not the answer.
     """
 
     def d(n: int) -> int:
         s = m2 + n * n
         return (((s + c3) * s + c2) * s + c1) * s + c0
 
-    def d2_half(n: int) -> int:  # D''(s) / 2
-        s = m2 + n * n
-        return (6 * s + 3 * c3) * s + c2
-
-    w_seed, lo_seed, hi_seed, n0_seed, nv_seed = seeds
+    w_seed, lo_seed, hi_seed, nv_seed = seeds
     if c0 < 0:  # one positive root and D(0) < 0: the run is 1..n_hi or empty
         w = n_lo = 1
     else:
         s1 = m2 + 1
         if (s1 + c3) * s1 + c2 >= 0:  # D(s) > s^2 (s^2 + c3 s + c2) >= 0 for s >= s1
             return 1, 0, [], None
+        if (6 * m2 + 3 * c3) * m2 + c2 <= 0:  # D''(m2) / 2
+            raise AssertionError(f"D is not convex on the row s >= {m2}")
         w = min(max(w_seed, 1), n_max)
         if d(w) > 0:  # the guess missed: certify the integer minimum instead
-            n0 = _first_true(lambda n: d2_half(n) >= 0, 1, n_max, n0_seed)
-            candidates = [1, n0 - 1] if n0 > 1 else [1]
-            nv = n0
-            if n0 <= n_max:
-                nv = _first_true(lambda n: d(n + 1) >= d(n), n0, n_max - 1, nv_seed)
-                candidates.append(nv)
-                seeds[4] = nv
-            seeds[3] = n0
-            w = seeds[0] = min(candidates, key=d)
+            nv = seeds[3] = _first_true(lambda n: d(n + 1) >= d(n), 1, n_max - 1, nv_seed)
+            w = seeds[0] = nv
             if d(w) > 0:
                 return 1, 0, [], nv
         n_lo = _first_true(lambda n: d(n) <= 0, 1, w, lo_seed)
@@ -306,13 +299,12 @@ def sign_runs(
     * 2m^2 < k^2: one positive root and D(0) < 0, so the run is 1..n_hi.
     * 2m^2 > k^2: D(0) > 0.  If Q(s) = s^2 + k^2 s - (k^4 + 4k^2 m^2) >= 0
       at s = m^2 + 1, then D > s^2 Q(s) >= 0 for every n: the row is empty.
-      Otherwise D'' = 12 s^2 + 6 k^2 s - 2 (k^4 + 4k^2 m^2) has one positive
-      root s*: D is concave on [0, s*] and convex beyond.  With n0 the first
-      n where s >= s*, the concave part 1..n0-1 has its integer minimum at
-      n = 1 or n0 - 1; on n0..n_max, D falls and then rises, so the sign of
-      D(n+1) - D(n) changes once and bisection on it finds the minimum nv.
-      The row is empty iff min(D(1), D(n0-1), D(nv)) > 0; otherwise the
-      argmin is a witness with D <= 0, and bisection finds n_lo and n_hi.
+      Otherwise the convexity lemma applies: D''(s) / 2 = 6 s^2 + 3 k^2 s
+      - (k^4 + 4k^2 m^2) grows with s and is (2m^2 - k^2)(3m^2 + k^2) > 0
+      at s = m^2, so D is convex on the whole row.  D falls and then rises
+      along n, the sign of D(n+1) - D(n) changes once, and bisection on it
+      finds the minimum nv.  The row is empty iff D(nv) > 0; otherwise nv
+      is a witness with D <= 0, and bisection finds n_lo and n_hi.
 
     Every search starts from the previous row's integer answers and gallops
     outwards; every sign is an exact integer comparison.
@@ -323,7 +315,7 @@ def sign_runs(
     runs: list[tuple[int, int, int]] = []
     zeros: list[tuple[int, int]] = []
     witnesses: list[tuple[int, int]] = []
-    seeds = [1, 1, 1, 1, 1]
+    seeds = [1, 1, 1, 1]
     m = 1
     while m * m + 1 < bound:
         m2 = m * m
@@ -374,20 +366,26 @@ def interior_sign_scan(k: int) -> tuple[int, int, list[tuple[int, int]], list[tu
     return len(neg), len(zero), neg, zero
 
 
+def run_totals(
+    k: int, runs: Sequence[Sequence[int]], zeros: Sequence[Sequence[int]]
+) -> tuple[int, int, int, int]:
+    """(f, g, index, nullity) of the degree-k map from sign_runs' runs and zeros.
+
+    f sums the run lengths and g counts the zero pairs.  The axes and (0, 0)
+    give the rest: D(k, m, 0) = m^2 (m^2 - k^2)((m^2 - k^2)^2 + 2k^4) and
+    lambda^-(0, n) = n^4 - k^4, so on each axis lambda^- is negative at the
+    k - 1 labels below k and zero at k, each label with multiplicity 2, and
+    (0, 0) adds the eigenvalues -k^4 and 0.
+    """
+    f = sum(n_hi - n_lo + 1 for _, n_lo, n_hi in runs)
+    g = len(zeros)
+    return f, g, 1 + 4 * (k - 1) + 4 * f, 5 + 4 * g
+
+
 def index_nullity(k: int) -> IndexReport:
     """Exact index and nullity of the degree-k map, with the lattice evidence."""
     runs, zeros, witnesses = sign_runs(k)
-    f = sum(n_hi - n_lo + 1 for _, n_lo, n_hi in runs)
-    g = len(zeros)
-
-    # axis families, counted by the same exact test rather than assumed
-    m_axis = [sign_lambda_minus_axis(k, m) for m in range(1, 3 * k + 1)]
-    neg_m_axis, zero_m_axis = m_axis.count(-1), m_axis.count(0)
-    neg_n_axis = sum(1 for n in range(1, 3 * k + 1) if n**4 < k**4)
-    zero_n_axis = sum(1 for n in range(1, 3 * k + 1) if n**4 == k**4)
-
-    index = 1 + 2 * (neg_m_axis + neg_n_axis) + 4 * f
-    nullity = 1 + 2 * (zero_m_axis + zero_n_axis) + 4 * g
+    f, g, index, nullity = run_totals(k, runs, zeros)
     return IndexReport(
         k=k,
         index=index,
@@ -437,9 +435,7 @@ def check_runs(
     * 2m^2 < k^2: D has one positive root and D(0) < 0, so D(1) > 0 suffices;
     * 2m^2 > k^2 and Q(m^2 + 1) >= 0: D > 0 on the whole row (the Q(s) cut);
     * otherwise the row needs a witness (m, nv), and nothing else has one.
-      D''(s) / 2 = 6 s^2 + 3 k^2 s - (k^4 + 4 k^2 m^2) grows with s and is
-      6 (m^2 - k^2/2)(m^2 + k^2/3) > 0 at s = m^2, so D is convex on the
-      whole row (the concave part in sign_runs is empty, n0 = 1).  Then
+      By the convexity lemma in sign_runs, D is convex on the whole row.  Then
       D(nv - 1) >= D(nv) <= D(nv + 1), a side exempt at n = 1 or at the
       enumeration bound, makes D(nv) the row's minimum, and D(nv) > 0
       proves the row empty.

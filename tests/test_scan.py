@@ -75,34 +75,40 @@ def _expand(*factors):
     return out
 
 
-@pytest.mark.parametrize(
-    "factors, m2, expected",
-    [
-        # two simple roots s = 13, 40 = 4 + 3^2, 4 + 6^2: zeros at both ends
-        (([1, -13], [1, -40], [1, 60, 100]), 4, (4, 5, [3, 6])),
-        # a double root s = 13 = 4 + 3^2: the run is the single zero
-        (([1, -13], [1, -13], [1, 30, 100]), 4, (4, 3, [3])),
-        # one positive root s = 29 = 4 + 5^2 and D(0) < 0: run 1..5
-        (([1, -29], [1, 1], [1, 30, 1]), 4, (1, 4, [5])),
-        # roots s = 4, 8 straddle the inflection: the only pair with D <= 0 is
-        # the zero n = 2, the last concave n, which neither n = 1 nor the
-        # convex minimum finds
-        (([1, -4], [1, -8], [1, 23, 1]), 0, (3, 2, [2])),
-        # no real root: the certificate must prove the row empty, with a witness
-        (([1, -20, 200], [1, 60, 100]), 4, None),
-    ],
-)
-def test_quartic_run_zero_at_run_end(factors, m2, expected):
-    # no interior zero of D occurs in the torus family, so the zero branch is
-    # driven by synthetic quartics with the same sign pattern + + - e e
+def _quartic(factors, m2):
+    """(c3, c2, c1, c0, d) for D(s) = the product of factors, d(n) = D(m2 + n^2)."""
     one, c3, c2, c1, c0 = _expand(*factors)
-    assert one == 1 and c3 > 0 > c2 and c1 * c0 > 0
-    n_max = 20
+    assert one == 1 and c3 > 0 > c2 and c1 * c0 > 0  # the sign pattern + + - e e
 
     def d(n):
         s = m2 + n * n
         return (((s + c3) * s + c2) * s + c1) * s + c0
 
+    return c3, c2, c1, c0, d
+
+
+@pytest.mark.parametrize(
+    "factors, m2, expected",
+    [
+        # two simple roots s = 8, 16 = 7 + 1^2, 7 + 3^2: zeros at both ends
+        (([1, -8], [1, -16], [1, 36, 191]), 7, (2, 2, [1, 3])),
+        # a double root s = 3 = 2 + 1^2: the run is the single zero
+        (([1, -3], [1, -3], [1, 7, 4]), 2, (2, 1, [1])),
+        # one positive root s = 29 = 4 + 5^2 and D(0) < 0: run 1..5
+        (([1, -29], [1, 1], [1, 30, 1]), 4, (1, 4, [5])),
+        # the torus row k = 10, m = 11: no root, so the row must be proved
+        # empty, with the convex minimum nv = 3 as its witness
+        (([1, 100, -58400, 1420000, 343640000],), 121, None),
+    ],
+)
+def test_quartic_run_zero_at_run_end(factors, m2, expected):
+    # no interior zero of D occurs in the torus family, so the zero branch is
+    # driven by synthetic quartics with the same sign pattern + + - e e
+    c3, c2, c1, c0, d = _quartic(factors, m2)
+    if c0 > 0:  # the rows past the Q(s) cut that the convexity lemma covers
+        s1 = m2 + 1
+        assert (6 * m2 + 3 * c3) * m2 + c2 > 0 > (s1 + c3) * s1 + c2
+    n_max = 20
     signs = {n: d(n) for n in range(1, n_max + 1)}
     if expected is None:
         assert min(signs.values()) > 0
@@ -111,14 +117,24 @@ def test_quartic_run_zero_at_run_end(factors, m2, expected):
         assert [n for n, v in signs.items() if v < 0] == list(range(n_lo, n_hi + 1))
         assert [n for n, v in signs.items() if v == 0] == zeros
     for guess in (1, 4, 9, n_max):
-        n_lo, n_hi, zeros, nv = _quartic_run(c3, c2, c1, c0, m2, n_max, [guess] * 5)
+        n_lo, n_hi, zeros, nv = _quartic_run(c3, c2, c1, c0, m2, n_max, [guess] * 4)
         if expected is not None:
             assert (n_lo, n_hi, zeros, nv) == (*expected, None), guess
             continue
-        # an empty row comes with nv, the minimum of the convex part n0..n_max
+        # an empty row comes with nv, the minimum of the convex row, found by
+        # bisection away from n = 1
         assert n_lo > n_hi and zeros == [], guess
-        n0 = min(n for n in signs if 6 * (m2 + n * n) ** 2 + 3 * c3 * (m2 + n * n) + c2 >= 0)
-        assert nv == min(range(n0, n_max + 1), key=d)
+        assert nv == min(range(1, n_max + 1), key=d) == 3, guess
+
+
+def test_quartic_run_rejects_a_concave_row():
+    # roots s = 4, 8 with D''(0) < 0: the only pair with D <= 0 is the zero
+    # n = 2, which a search for the convex minimum would miss, so a row that
+    # is not convex must raise rather than answer
+    c3, c2, c1, c0, _ = _quartic(([1, -4], [1, -8], [1, 23, 1]), 0)
+    for guess in (1, 4, 9, 20):
+        with pytest.raises(AssertionError, match="not convex"):
+            _quartic_run(c3, c2, c1, c0, 0, 20, [guess] * 4)
 
 
 def test_conjecture_scan_small_range():

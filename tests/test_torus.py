@@ -90,6 +90,15 @@ def test_axis_trichotomy():
         for m in range(1, 3 * k):
             expected = -1 if m < k else (0 if m == k else 1)
             assert sign_lambda_minus_axis(k, m) == expected
+    # the axis factorisations behind run_totals, proved for all k, m, n: the
+    # difference P of the two sides has degree <= 6 in k and <= 8 in m (or
+    # n), and a polynomial of those degrees that vanishes on a 7 x 9 grid of
+    # distinct integers is zero
+    for k in range(-3, 4):
+        for t in range(-4, 5):
+            u = t * t - k * k
+            assert discriminant(k, t, 0) == t * t * u * (u * u + 2 * k**4), (k, t)
+            assert discriminant(k, 0, t) == t * t * (t * t + k * k) * (t**4 - k**4), (k, t)
 
 
 def test_sign_test_agrees_with_surd_sign():
