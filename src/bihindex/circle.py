@@ -8,11 +8,12 @@ eigenvalues are
     R_m = k^8 + 2 k^6 m^2 + k^4 m^4 + 32 k^2 m^6,
 
 each with multiplicity 2.  These coincide with the torus eigenvalues at
-n = 0, and the block equals the torus (m, 0) block entrywise, so the sign
-analysis is one code path: lambda^-_m < 0 iff m < k, = 0 iff m = k.  Hence
+n = 0, and the block equals the torus (m, 0) block entrywise.  The torus
+discriminant D(k, m, 0) gives lambda^-_m < 0 iff m < k, = 0 iff m = k.  Hence
 
-    index(k) = 1 + 2 (k - 1),    nullity(k) = 3.
+    index(k) = 1 + 2 (k - 1),    nullity(k) = 3,
 
+which circle_index_nullity returns in closed form.
 circle_index_nullity_by_matrices recounts both from the blocks themselves,
 with the exact eigenvalue sign counts of matrices.eigenvalue_signs.
 """
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 from .exact import QUAD_SQRT2, QuadExt, Surd
 from .matrices import ExactMatrix, eigenvalue_signs
-from .torus import InvalidLabelError, eigenvalue as torus_eigenvalue, sign_lambda_minus_axis
+from .torus import InvalidLabelError, eigenvalue as torus_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -71,12 +72,14 @@ def circle_block(k: int, m: int) -> ExactMatrix:
 
 
 def circle_index_nullity(k: int) -> tuple[int, int]:
-    """(index, nullity), counted by the exact axis sign test."""
+    """(index, nullity) in closed form.
+
+    D(k, m, 0) = m^2 (m^2 - k^2)((m^2 - k^2)^2 + 2k^4), so lambda^-_m is
+    negative at the k - 1 labels 1 <= m < k and zero at m = k, each with
+    multiplicity 2; the m = 0 block adds the eigenvalues -k^4 and 0.
+    """
     CircleLabel(k, 0)
-    signs = [sign_lambda_minus_axis(k, m) for m in range(1, 3 * k + 1)]
-    neg, zero = signs.count(-1), signs.count(0)
-    # m = 0 block contributes 1 negative (-k^4) and 1 zero eigenvalue
-    return 1 + 2 * neg, 1 + 2 * zero
+    return 1 + 2 * (k - 1), 3
 
 
 def circle_index_nullity_by_matrices(k: int) -> tuple[int, int]:

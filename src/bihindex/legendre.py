@@ -285,10 +285,14 @@ def satisfies_lemma_hypothesis(m: int, n: int) -> bool:
     return beyond_21 or beyond_12
 
 
+def _sign_conditions(coeffs) -> tuple[bool, bool, bool, bool, bool, bool]:
+    a0, a1, a2, a3, a4, a5 = coeffs
+    return (a5 < 0, a4 >= 0, a3 <= 0, a2 >= 0, a1 <= 0, a0 > 0)
+
+
 def descartes_conditions(m: int, n: int) -> tuple[bool, bool, bool, bool, bool, bool]:
     """The six coefficient sign conditions certifying no nonpositive root."""
-    a0, a1, a2, a3, a4, a5 = p5_coefficients(m, n)
-    return (a5 < 0, a4 >= 0, a3 <= 0, a2 >= 0, a1 <= 0, a0 > 0)
+    return _sign_conditions(p5_coefficients(m, n))
 
 
 @dataclass(frozen=True)
@@ -314,9 +318,9 @@ def descartes_lemma_check(m_max: int, n_max: int) -> DescartesReport:
             if not satisfies_lemma_hypothesis(m, n):
                 continue
             checked += 1
-            if not all(descartes_conditions(m, n)):
+            p5 = p5_polynomial(m, n)  # a5 = -1, so p5.coeffs keeps all six
+            if not all(_sign_conditions(p5.coeffs)):
                 violations.append((m, n))
-            p5 = p5_polynomial(m, n)
             if count_roots(p5, "negative") != 0 or count_roots(p5, "zero") != 0:
                 sturm_ok = False
                 violations.append((m, n))

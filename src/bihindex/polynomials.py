@@ -1,8 +1,11 @@
 """Integer polynomials with exact evaluation and exact real-root counting.
 
-Root counting is done with Sturm sequences over the rationals.  The count of
-distinct roots in (-inf, 0) / (0, +inf) comes from sign variations of the
-Sturm chain at -inf, 0, +inf; the multiplicity of the root 0 is read off the
+Root counting is done with Sturm sequences of primitive integer polynomials:
+each member is a positive multiple of the classical one, found by integer
+pseudo-division and content removal.  The count of distinct roots in
+(-inf, 0) / (0, +inf) comes from sign variations of the chain at -inf, 0,
++inf, which are read off each member's leading coefficient, degree and
+constant term; the multiplicity of the root 0 is read off the
 trailing-coefficient valuation.  Counts with multiplicity are only needed
 for symmetric matrices, whose real-rooted characteristic polynomials
 ``matrices.eigenvalue_signs`` counts by Descartes' rule of signs.
@@ -11,7 +14,11 @@ for symmetric matrices, whose real-rooted characteristic polynomials
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 from typing import Iterable, Literal
+
+from .exact import int_sign
 
 Region = Literal["negative", "zero", "positive"]
 
@@ -123,69 +130,36 @@ class IntPolynomial:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-# -- rational polynomial helpers (lists of Fraction, lowest degree first) ----
-
-def _ftrim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _fderiv(p: list[Fraction]) -> list[Fraction]:
-    return [i * c for i, c in enumerate(p)][1:]
-
-
-def _frem(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    """Remainder of p divided by the nonzero q."""
-    r = list(p)
-    dq = len(q) - 1
-    lq = q[-1]
-    while r and len(r) - 1 >= dq:
-        shift = len(r) - 1 - dq
-        factor = r[-1] / lq
-        for i, c in enumerate(q):
-            r[shift + i] -= factor * c
-        r = _ftrim(r)
-    return r
-
-
-def _to_fr(p: IntPolynomial) -> list[Fraction]:
-    return [Fraction(c) for c in p.coeffs]
-
-
 # -- Sturm machinery ---------------------------------------------------------
+# A root count reads only the signs of the chain members, so each member may
+# be any positive multiple of the classical one.  The chain is kept in
+# primitive integer coefficient lists, lowest degree first.
 
-def _sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
-    chain = [list(p), _fderiv(p)]
-    while chain[-1]:
-        r = _frem(chain[-2], chain[-1])
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    chain = [p, [i * c for i, c in enumerate(p)][1:]]
+    while len(chain[-1]) > 1:
+        b = chain[-1]
+        scale, lead = abs(b[-1]), int_sign(b[-1])
+        r = list(chain[-2])
+        for shift in range(len(r) - len(b), -1, -1):
+            # r <- |lc(b)| r - sign(lc(b)) top x^shift b cancels the top term
+            top = lead * r[shift + len(b) - 1]
+            r = [scale * c for c in r]
+            for i, c in enumerate(b):
+                r[shift + i] -= top * c
+        while r and r[-1] == 0:
+            r.pop()
         if not r:
             break
-        chain.append([-c for c in r])
-    return [c for c in chain if c]
+        # the 0 start makes the content positive, also for a one-term r
+        g = reduce(gcd, r, 0)
+        chain.append([-c // g for c in r])
+    return chain
 
 
 def _variations(signs: Iterable[int]) -> int:
     nz = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(nz, nz[1:]) if a != b)
-
-
-def _sign_at_minus_inf(p: list[Fraction]) -> int:
-    lc = p[-1]
-    deg = len(p) - 1
-    s = 1 if lc > 0 else -1
-    return s if deg % 2 == 0 else -s
-
-
-def _sign_at_plus_inf(p: list[Fraction]) -> int:
-    return 1 if p[-1] > 0 else -1
-
-
-def _sign_at(p: list[Fraction], x: Fraction) -> int:
-    v = Fraction(0)
-    for c in reversed(p):
-        v = v * x + c
-    return (v > 0) - (v < 0)
 
 
 def zero_root_multiplicity(p: IntPolynomial) -> int:
@@ -198,21 +172,16 @@ def zero_root_multiplicity(p: IntPolynomial) -> int:
     return v
 
 
-def _deflate_zero(p: IntPolynomial) -> IntPolynomial:
-    v = zero_root_multiplicity(p)
-    return IntPolynomial(p.coeffs[v:])
-
-
 def _count_distinct(p: IntPolynomial, region: Region) -> int:
-    q = _deflate_zero(p)
-    if q.degree <= 0:
+    q = list(p.coeffs[zero_root_multiplicity(p):])
+    if len(q) <= 1:
         return 0
-    chain = _sturm_chain(_to_fr(q))
-    v_at_zero = _variations(_sign_at(c, Fraction(0)) for c in chain)
+    chain = _sturm_chain(q)
+    v_at_zero = _variations(int_sign(c[0]) for c in chain)
     if region == "negative":
-        v_lo = _variations(_sign_at_minus_inf(c) for c in chain)
+        v_lo = _variations(int_sign(c[-1]) * (-1) ** (len(c) - 1) for c in chain)
         return v_lo - v_at_zero
-    v_hi = _variations(_sign_at_plus_inf(c) for c in chain)
+    v_hi = _variations(int_sign(c[-1]) for c in chain)
     return v_at_zero - v_hi
 
 

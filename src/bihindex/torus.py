@@ -170,27 +170,10 @@ def branch_multiplicity(m: int, n: int) -> int:
 # -- exact sign tests ----------------------------------------------------------
 
 def sign_lambda_minus(k: int, m: int, n: int) -> int:
-    """Sign of lambda^-_{m,n} for an interior pair, via the integer D-test."""
-    if m < 1 or n < 1:
-        raise InvalidLabelError("interior pairs need m, n >= 1")
+    """Sign of lambda^-_{m,n} for m >= 1, n >= 0, via the integer D-test."""
+    if m < 1 or n < 0:
+        raise InvalidLabelError("the D-test needs m >= 1 and n >= 0")
     return int_sign(discriminant(k, m, n))
-
-
-def sign_lambda_minus_axis(k: int, m: int) -> int:
-    """Sign of lambda^-_{m,0}: negative iff m < k, zero iff m = k.
-
-    Computed by the same exact D-test with n = 0 and cross-asserted against
-    the m-versus-k trichotomy.
-    """
-    if m < 1:
-        raise InvalidLabelError("axis test needs m >= 1")
-    sign_d = int_sign(discriminant(k, m, 0))
-    expected = -1 if m < k else (0 if m == k else 1)
-    if sign_d != expected:
-        raise AssertionError(
-            f"axis trichotomy violated at k={k}, m={m}: D-test {sign_d}, expected {expected}"
-        )
-    return sign_d
 
 
 def enumeration_bound(k: int) -> int:
@@ -631,12 +614,8 @@ def spectrum(k: int, lambda_max: int) -> list[MergedEigenvalue]:
     collide (for instance 0 = mu0 = lambda^-_{k,0} = lambda^-_{0,k} whenever
     lambda_max >= k^2).
     """
-    import functools
-
     entries = spectrum_entries(k, lambda_max)
-    entries.sort(
-        key=functools.cmp_to_key(lambda a, b: a.eigenvalue._cmp(b.eigenvalue))
-    )
+    entries.sort(key=lambda e: e.eigenvalue)
     merged: list[MergedEigenvalue] = []
     for e in entries:
         tag = f"{e.branch}[{e.label.m},{e.label.n}]"
@@ -661,7 +640,7 @@ def negative_eigenvector_coefficient(k: int, m: int, n: int) -> Surd:
     if m < 1:
         raise InvalidLabelError("the gradient coupling needs m >= 1")
     TorusLabel(k, m, n)
-    sgn = sign_lambda_minus(k, m, n) if n >= 1 else sign_lambda_minus_axis(k, m)
+    sgn = sign_lambda_minus(k, m, n)
     if sgn >= 0:
         raise NotNegativeError(f"lambda^-({m},{n}) is not negative at k={k}")
     s = m * m + n * n

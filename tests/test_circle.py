@@ -49,6 +49,8 @@ def test_index_nullity_formula():
     assert circle_index_nullity(1) == (1, 3)
     assert circle_index_nullity(3) == (5, 3)
     assert circle_index_nullity(50) == (99, 3)
+    # closed form: no per-m work, so a huge winding number answers at once
+    assert circle_index_nullity(10**9) == (2 * 10**9 - 1, 3)
     for k in range(1, 26):
         assert circle_index_nullity(k) == (1 + 2 * (k - 1), 3)
 

@@ -86,9 +86,13 @@ def test_usage_errors_exit_one(capsys):
         ["torus", "spectrum", "--k", "501"],
         # more workers than CPUs; rejected while parsing, so no process starts
         ["torus", "scan", "--k-max", "3", "--workers", str((os.cpu_count() or 1) + 1)],
-        # about 1 ms per pair: 10^8 x 50 would run for days
+        # about 0.13 ms per pair: 10^8 x 50 would run for a week
         ["legendre", "descartes", "--m", str(10**8), "--n", "50"],
         ["legendre", "descartes", "--m", "50", "--n", str(DESCARTES_RANGE_LIMIT + 1)],
+        # too large for a float, or for the quadrature to converge
+        ["noncompact", "hessian", "--phase", "1e400,0,1,0"],
+        ["noncompact", "hessian", "--phase", "1e200,0,1,0"],
+        ["noncompact", "hessian", "--phase", "0,1e200,0,0"],
     ],
 )
 def test_boundary_inputs_give_one_line_diagnostics(capsys, argv):

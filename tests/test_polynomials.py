@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from bihindex.polynomials import IntPolynomial, count_roots
+from bihindex.polynomials import IntPolynomial, _sturm_chain, count_roots
 
 
 def test_basic_algebra():
@@ -63,6 +63,50 @@ def test_counts_against_constructed_roots():
         assert count_roots(p, "negative") == neg_d, (trial, roots)
         assert count_roots(p, "positive") == pos_d
         assert count_roots(p, "zero") == zero_m
+        # a negative leading coefficient: -p has the same roots, and p(-x)
+        # has the roots of p mirrored
+        for region in ("negative", "zero", "positive"):
+            assert count_roots(-p, region) == count_roots(p, region)
+        mirrored = IntPolynomial([c * (-1) ** i for i, c in enumerate(p.coeffs)])
+        assert count_roots(mirrored, "negative") == pos_d
+        assert count_roots(mirrored, "positive") == neg_d
+
+
+def _classical_sturm_chain(coeffs):
+    """p, p' and the negated remainders, by long division over the rationals."""
+    chain = [[Fraction(c) for c in coeffs], [Fraction(i * c) for i, c in enumerate(coeffs)][1:]]
+    while len(chain[-1]) > 1:
+        r, b = list(chain[-2]), chain[-1]
+        while len(r) >= len(b):
+            factor, shift = r[-1] / b[-1], len(r) - len(b)
+            for i, c in enumerate(b):
+                r[shift + i] -= factor * c
+            while r and r[-1] == 0:
+                r.pop()
+        if not r:
+            break
+        chain.append([-c for c in r])
+    return chain
+
+
+def test_sturm_chain_is_a_positive_multiple_of_the_classical_chain():
+    # the integer chain may scale each member by a positive constant and by
+    # nothing else; a negative leading coefficient anywhere in the chain
+    # exercises the sign(lc) factor of the pseudo-division
+    rng = random.Random(31)
+    for trial in range(300):
+        if trial % 2:
+            roots = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(1, 5))]
+            p = _poly_from_linear_factors(roots)
+        else:
+            p = IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(1, 8))] + [1])
+        for q in (p, -p):
+            chain = _sturm_chain(list(q.coeffs))
+            classical = _classical_sturm_chain(q.coeffs)
+            assert len(chain) == len(classical), q
+            for member, ref in zip(chain, classical):
+                ratio = Fraction(member[-1]) / ref[-1]
+                assert ratio > 0 and member == [ratio * c for c in ref], q
 
 
 def _bisection_root_count(p: IntPolynomial, lo: float, hi: float, depth: int = 60) -> int:

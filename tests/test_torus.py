@@ -26,7 +26,6 @@ from bihindex.torus import (
     min_abs_interior_discriminant,
     negative_eigenvector_coefficient,
     sign_lambda_minus,
-    sign_lambda_minus_axis,
     spectrum,
     spectrum_entries,
 )
@@ -83,13 +82,13 @@ def test_sign_lambda_minus_examples():
 
 
 def test_axis_trichotomy():
-    assert sign_lambda_minus_axis(5, 3) == -1
-    assert sign_lambda_minus_axis(5, 5) == 0
-    assert sign_lambda_minus_axis(5, 6) == 1
+    assert sign_lambda_minus(5, 3, 0) == -1
+    assert sign_lambda_minus(5, 5, 0) == 0
+    assert sign_lambda_minus(5, 6, 0) == 1
     for k in range(1, 12):
         for m in range(1, 3 * k):
             expected = -1 if m < k else (0 if m == k else 1)
-            assert sign_lambda_minus_axis(k, m) == expected
+            assert sign_lambda_minus(k, m, 0) == expected
     # the axis factorisations behind run_totals, proved for all k, m, n: the
     # difference P of the two sides has degree <= 6 in k and <= 8 in m (or
     # n), and a polynomial of those degrees that vanishes on a 7 x 9 grid of
