@@ -72,6 +72,11 @@ LAMBDA_MAX_LIMIT = 10**6
 # on one core of an x86-64 Xeon, Python 3.11); larger ranges are refused
 DESCARTES_RANGE_LIMIT = 300
 
+# circle index --check-matrices counts 3k + 1 blocks, about 0.45 ms per unit
+# of k (4.5 s at k = 10^4 on one core of an x86-64 Xeon, Python 3.11); a
+# larger k is refused with the check, answered without it
+CHECK_MATRICES_K_LIMIT = 10**4
+
 # torus check reads at most this many bytes (a k = 10^4 report is about 0.9 MB)
 CHECK_FILE_LIMIT = 2**26
 
@@ -212,7 +217,8 @@ def build_parser() -> _Parser:
     c_index = circle.add_parser("index")
     c_index.add_argument("--k", type=_positive_int, required=True)
     c_index.add_argument("--check-matrices", action="store_true",
-                         help="also recount from the blocks' exact eigenvalue signs")
+                         help="also recount from the blocks' exact eigenvalue signs "
+                              f"(k <= {CHECK_MATRICES_K_LIMIT})")
     _add_common(c_index)
 
     leg = groups.add_parser("legendre").add_subparsers(dest="command", required=True)
@@ -384,6 +390,8 @@ def _cmd_torus_check(args) -> tuple[dict, int]:
 
 
 def _cmd_circle_index(args) -> tuple[dict, int]:
+    if args.check_matrices and args.k > CHECK_MATRICES_K_LIMIT:
+        raise UsageError(f"--check-matrices needs --k <= {CHECK_MATRICES_K_LIMIT}")
     idx, nul = circle_index_nullity(args.k)
     results = {
         "k": args.k,

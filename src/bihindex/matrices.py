@@ -1,10 +1,15 @@
 """Symmetric matrices over Z[sqrt(2)], their characteristic polynomials and
 exact eigenvalue sign counts.
 
-The characteristic polynomial det(xI - M) is computed by Berkowitz's
-algorithm, which needs no division and so runs on Z[sqrt(2)] entries
-directly.  Every matrix built by this package has a rational characteristic
-polynomial; a surviving sqrt(2) part signals a wrongly assembled matrix and
+The characteristic polynomial det(xI - M) is computed per connected
+component of the nonzero pattern of M.  Listing the basis component by
+component is a permutation similarity P^T M P: it keeps a symmetric matrix
+symmetric and keeps its characteristic polynomial, and the permuted matrix is
+block-diagonal, so det(xI - M) is the product of the components'
+characteristic polynomials.  Each factor comes from Berkowitz's algorithm,
+which needs no division and so runs on Z[sqrt(2)] entries directly.  Every
+matrix built by this package has a rational characteristic polynomial; a
+sqrt(2) part surviving in the product signals a wrongly assembled matrix and
 raises.  Because the matrices are symmetric their characteristic
 polynomials are real-rooted, and Descartes' rule of signs then counts the
 negative and zero eigenvalues exactly, with multiplicity.
@@ -12,7 +17,7 @@ negative and zero eigenvalues exactly, with multiplicity.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .exact import QUAD_ONE, QUAD_ZERO, QuadExt, int_sign
 from .polynomials import IntPolynomial, _variations, zero_root_multiplicity
@@ -84,21 +89,39 @@ def _dot(u: Sequence[QuadExt], v: Sequence[QuadExt]) -> QuadExt:
     return sum((x * y for x, y in zip(u, v)), QUAD_ZERO)
 
 
-def charpoly_exact(m: ExactMatrix) -> IntPolynomial:
-    """Monic characteristic polynomial det(xI - M), coefficients in Z.
-
-    Berkowitz's algorithm: with A the leading k x k block of M, c the
-    entries M[k][:k] (row and column, by symmetry) and a = M[k][k], the
-    charpoly of the leading (k+1) x (k+1) block is the Toeplitz product
-    (1, -a, -c.c, -c.Ac, ..., -c.A^(k-1)c) * det(xI - A), truncated to
-    degree k+1.  Only ring operations occur, so the whole computation
-    stays in Z[sqrt(2)].  Raises IrrationalCoefficientError if any
-    coefficient retains a nonzero sqrt(2) part (all blocks assembled by this
-    package must cancel it).
-    """
+def components(m: ExactMatrix) -> list[list[int]]:
+    """Connected components of the graph on 0..n-1 with an edge i -- j for
+    each nonzero entry M[i][j]: sorted index lists, ordered by least index."""
     rows = m.entries
-    p = [QUAD_ONE]  # charpoly of the leading k x k block, highest degree first
-    for k in range(m.order):
+    seen = [False] * m.order
+    comps = []
+    for start in range(m.order):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack, comp = [start], []
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            for j, x in enumerate(rows[i]):
+                if not seen[j] and not x.is_zero():
+                    seen[j] = True
+                    stack.append(j)
+        comps.append(sorted(comp))
+    return comps
+
+
+def _berkowitz(rows: Sequence[Sequence[QuadExt]]) -> list[QuadExt]:
+    """det(xI - A) over Z[sqrt(2)], highest degree first.
+
+    With A the leading k x k block, c the entries rows[k][:k] (row and
+    column, by symmetry) and a = rows[k][k], the charpoly of the leading
+    (k+1) x (k+1) block is the Toeplitz product (1, -a, -c.c, -c.Ac, ...,
+    -c.A^(k-1)c) * det(xI - A), truncated to degree k+1.  Only ring
+    operations occur, so everything stays in Z[sqrt(2)].
+    """
+    p = [QUAD_ONE]  # charpoly of the leading k x k block
+    for k in range(len(rows)):
         a = [row[:k] for row in rows[:k]]
         c = rows[k][:k]
         t = [QUAD_ONE, -rows[k][k]]
@@ -111,6 +134,32 @@ def charpoly_exact(m: ExactMatrix) -> IntPolynomial:
             sum((t[i] * p[s - i] for i in range(max(0, s - k), s + 1)), QUAD_ZERO)
             for s in range(k + 2)
         ]
+    return p
+
+
+def charpoly_exact(m: ExactMatrix) -> IntPolynomial:
+    """Monic characteristic polynomial det(xI - M), coefficients in Z.
+
+    Reordering the basis by components(M) is a permutation similarity, so
+    it keeps M symmetric and keeps det(xI - M); the reordered matrix is
+    block-diagonal, so det(xI - M) is the product over the components c of
+    the Berkowitz charpolys of the principal submatrices M[c][c].  Berkowitz
+    costs O(n^4) ring operations, so a 20 x 20 block made of four 5 x 5
+    components costs about 1/64 of the whole.  Raises
+    IrrationalCoefficientError if a coefficient of the product keeps a
+    nonzero sqrt(2) part (all blocks assembled by this package must cancel
+    it).  The check runs on the product only: conjugate components such as
+    diag(sqrt2, -sqrt2) have irrational factors but a rational product.
+    """
+    rows = m.entries
+    p = [QUAD_ONE]  # highest degree first
+    for comp in components(m):
+        q = _berkowitz([[rows[i][j] for j in comp] for i in comp])
+        prod = [QUAD_ZERO] * (len(p) + len(q) - 1)
+        for i, x in enumerate(p):
+            for j, y in enumerate(q):
+                prod[i + j] = prod[i + j] + x * y
+        p = prod
 
     coeffs = []
     for c in reversed(p):
@@ -139,11 +188,3 @@ def eigenvalue_signs(m: ExactMatrix) -> tuple[int, int]:
     p = charpoly_exact(m)
     negative = _variations(int_sign(c) * (-1) ** i for i, c in enumerate(p.coeffs))
     return negative, zero_root_multiplicity(p)
-
-
-def diagonal(values: Iterable[int | QuadExt]) -> ExactMatrix:
-    vals = [_coerce_entry(v) for v in values]
-    n = len(vals)
-    return ExactMatrix(
-        [[vals[i] if i == j else QUAD_ZERO for j in range(n)] for i in range(n)]
-    )

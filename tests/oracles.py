@@ -1,8 +1,9 @@
-"""Independent oracles that only the tests use.
+"""Independent oracles and helpers that only the tests use.
 
-Each reproduces a quantity the package certifies along a different route:
-floating-point matrices for numpy's eigensolvers, and an explicit sign count
-over the reduced spectrum.
+Each oracle reproduces a quantity the package certifies along a different
+route: floating-point matrices for numpy's eigensolvers, and an explicit sign
+count over the reduced spectrum.  ``diagonal`` builds test matrices with a
+known spectrum.
 """
 
 from fractions import Fraction
@@ -11,6 +12,14 @@ import numpy as np
 
 from bihindex.matrices import ExactMatrix
 from bihindex.reduced import ReducedProblem, _integer_fourth_root_floor, reduced_spectrum
+
+
+def diagonal(values) -> ExactMatrix:
+    """diag(values), for int or QuadExt values."""
+    vals = list(values)
+    return ExactMatrix(
+        [[v if i == j else 0 for j in range(len(vals))] for i, v in enumerate(vals)]
+    )
 
 
 def to_numpy(m: ExactMatrix) -> np.ndarray:

@@ -6,7 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from bihindex.cli import DESCARTES_RANGE_LIMIT, EXIT_OK, EXIT_USAGE, build_parser, main
+from bihindex.cli import (
+    CHECK_MATRICES_K_LIMIT,
+    DESCARTES_RANGE_LIMIT,
+    EXIT_OK,
+    EXIT_USAGE,
+    build_parser,
+    main,
+)
 from bihindex.torus import interior_sign_scan
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -93,6 +100,9 @@ def test_usage_errors_exit_one(capsys):
         ["noncompact", "hessian", "--phase", "1e400,0,1,0"],
         ["noncompact", "hessian", "--phase", "1e200,0,1,0"],
         ["noncompact", "hessian", "--phase", "0,1e200,0,0"],
+        # about 0.45 ms per unit of k: 10^9 would run for days
+        ["circle", "index", "--k", str(10**9), "--check-matrices"],
+        ["circle", "index", "--k", str(CHECK_MATRICES_K_LIMIT + 1), "--check-matrices"],
     ],
 )
 def test_boundary_inputs_give_one_line_diagnostics(capsys, argv):
@@ -154,12 +164,23 @@ def test_csv_and_md_formats(capsys):
         ("noncompact_stable.csv", ["noncompact", "stable", "--format", "csv"]),
         ("reduced_sphere_n5.json",
          ["reduced", "sphere", "--n-dim", "5", "--radius", "1", "--format", "json"]),
+        ("legendre_verify_m3_n2.json",
+         ["legendre", "verify", "--m", "3", "--n", "2", "--format", "json"]),
+        ("circle_index_k45_check.json",
+         ["circle", "index", "--k", "45", "--check-matrices", "--format", "json"]),
     ],
 )
 def test_golden_reports_byte_exact(capsys, name, argv):
     code, out = run_cli(capsys, *argv)
     assert code == EXIT_OK
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_circle_index_answers_any_k_without_the_matrix_check(capsys):
+    k = CHECK_MATRICES_K_LIMIT + 1
+    code, out = run_cli(capsys, "circle", "index", "--k", str(k))
+    assert code == EXIT_OK
+    assert json.loads(out)["results"]["index"] == 2 * k - 1
 
 
 def test_output_flag_writes_file(tmp_path, capsys):

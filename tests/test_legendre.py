@@ -21,7 +21,7 @@ from bihindex.legendre import (
     satisfies_lemma_hypothesis,
     verify_p5_factorization,
 )
-from bihindex.matrices import charpoly_exact
+from bihindex.matrices import ExactMatrix, charpoly_exact, components
 from bihindex.polynomials import count_roots
 
 from oracles import to_numpy
@@ -142,6 +142,19 @@ def test_p5_factorization_examples():
         rep = verify_p5_factorization(m, n)
         assert rep.block_order == 20
         assert rep.charpoly == p5_polynomial(m, n) ** 4
+
+
+def test_each_interior_component_has_charpoly_minus_p5():
+    # charpoly = P5^4 as one 5 x 5 check times four: each component of an
+    # interior block has charpoly det(xI - A) = -P5 (P5 leads with -x^5)
+    for m in range(1, 13):
+        for n in range(1, 13):
+            block = build_legendre_block(m, n)
+            comps = components(block)
+            assert [len(c) for c in comps] == [5, 5, 5, 5]
+            for c in comps:
+                part = ExactMatrix([[block[i, j] for j in c] for i in c])
+                assert charpoly_exact(part) == -p5_polynomial(m, n), (m, n, c)
 
 
 def test_p5_mismatch_reporting():

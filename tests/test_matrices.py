@@ -1,23 +1,27 @@
-"""Berkowitz characteristic polynomials over Z[sqrt(2)] and exact eigenvalue
-sign counts, against constructed spectra and numpy's eigensolvers."""
+"""Connected components, Berkowitz characteristic polynomials over Z[sqrt(2)]
+and exact eigenvalue sign counts, against constructed spectra and numpy's
+eigensolvers."""
 
 import random
 
 import numpy as np
 import pytest
 
+from bihindex.circle import circle_block
 from bihindex.exact import QuadExt
+from bihindex.legendre import build_legendre_block
 from bihindex.matrices import (
     AsymmetricMatrixError,
     ExactMatrix,
     IrrationalCoefficientError,
     charpoly_exact,
-    diagonal,
+    components,
     eigenvalue_signs,
 )
 from bihindex.polynomials import IntPolynomial
+from bihindex.torus import block_matrix
 
-from oracles import to_numpy
+from oracles import diagonal, to_numpy
 
 
 def test_symmetry_enforced():
@@ -168,3 +172,83 @@ def test_eigenvalue_signs_match_numpy_on_random_symmetric_matrices():
         assert eigenvalue_signs(m) == expected
         zeros_seen += expected[1]
     assert zeros_seen > 0
+
+
+def _sizes(m: ExactMatrix) -> list[int]:
+    return sorted((len(c) for c in components(m)), reverse=True)
+
+
+def test_components_of_the_package_blocks():
+    for m, n in ((1, 1), (3, 2), (30, 20)):
+        assert _sizes(build_legendre_block(m, n)) == [5, 5, 5, 5]
+    assert _sizes(build_legendre_block(4, 0)) == [3, 3, 2, 2]
+    assert _sizes(build_legendre_block(0, 5)) == [3, 3, 2, 2]
+    assert _sizes(build_legendre_block(0, 0)) == [1] * 5
+    for k in (1, 2, 5):
+        for m in range(1, 3 * k + 1):
+            assert _sizes(circle_block(k, m)) == [2, 2]
+        for m in range(1, 4):
+            for n in range(1, 4):
+                assert _sizes(block_matrix(k, m, n)) == [2, 2, 2, 2]
+
+
+def test_components_partition_the_index_set():
+    comps = components(build_legendre_block(3, 2))
+    assert all(c == sorted(c) for c in comps)
+    assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+    assert sorted(i for c in comps for i in c) == list(range(20))
+    # each index set is closed: no nonzero entry joins two components
+    m = build_legendre_block(3, 2)
+    for a in comps:
+        for b in comps:
+            if a is not b:
+                assert all(m[i, j].is_zero() for i in a for j in b)
+
+
+def test_rationality_is_checked_on_the_product():
+    # each 1 x 1 factor keeps a sqrt(2) part; their product x^2 - 2 does not
+    assert components(diagonal([R2, -R2])) == [[0], [1]]
+    assert charpoly_exact(diagonal([R2, -R2])) == IntPolynomial([-2, 0, 1])
+    with pytest.raises(IrrationalCoefficientError):
+        charpoly_exact(diagonal([R2, 1]))
+
+
+def _hidden_blocks(rng: random.Random) -> tuple[ExactMatrix, list[list[int]]]:
+    """A block-diagonal matrix of _random_coupled blocks with its basis
+    shuffled by a random permutation, and each block's shuffled indices."""
+    blocks = [
+        _random_coupled(rng, rng.randint(1, 4), rng.randint(0, 2))
+        for _ in range(rng.randint(1, 4))
+    ]
+    n = sum(b.order for b in blocks)
+    rows = [[QuadExt(0)] * n for _ in range(n)]
+    spans, start = [], 0
+    for b in blocks:
+        for i in range(b.order):
+            for j in range(b.order):
+                rows[start + i][start + j] = b[i, j]
+        spans.append(range(start, start + b.order))
+        start += b.order
+    perm = list(range(n))
+    rng.shuffle(perm)  # new index i holds old basis vector perm[i]
+    shuffled = [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    where = {old: new for new, old in enumerate(perm)}
+    return ExactMatrix(shuffled), [sorted(where[i] for i in s) for s in spans]
+
+
+def test_hidden_blocks_match_numpy():
+    rng = random.Random(17)
+    split = zeros_seen = 0
+    for _ in range(150):
+        m, hidden = _hidden_blocks(rng)
+        comps = components(m)
+        # every component lies inside one hidden block
+        assert all(any(set(c) <= set(h) for h in hidden) for c in comps)
+        split += len(comps) > 1
+        ev = np.linalg.eigvalsh(to_numpy(m))
+        tol = 1e-9 * max(1.0, float(np.abs(ev).max()))
+        assert all(abs(x) <= tol or abs(x) > 1e-6 for x in ev)
+        expected = (int((ev < -tol).sum()), int((abs(ev) <= tol).sum()))
+        assert eigenvalue_signs(m) == expected
+        zeros_seen += expected[1]
+    assert split > 100 and zeros_seen > 0
