@@ -1,7 +1,7 @@
 """Exact index/nullity computations for explicit biharmonic maps into spheres.
 
 Submodules:
-  exact       -- big integers, Z[sqrt(2)], quadratic surds with exact signs
+  exact       -- big integers, Z[sqrt(2)], quadratic surds, Q[pi]; exact signs
   polynomials -- integer polynomials, Sturm-based exact root counting
   matrices    -- symmetric Z[sqrt(2)] matrices, Berkowitz charpoly, exact
                  eigenvalue sign counts
@@ -10,6 +10,7 @@ Submodules:
   scan        -- the fast exact nullity-conjecture scan over k
   circle      -- the degree-k biharmonic circles S^1 -> S^2
   legendre    -- the Legendre torus in S^5 (index 11, nullity 18)
+  bumps       -- test sections and the exact x^k cos/sin(w x) algebra
   reduced     -- equivariant (reduced) index/nullity, conformal + Bessel checks
   noncompact  -- strict stability of the cubic-phase lines R -> S^2
   cli         -- command-line reports (json / csv / md)
@@ -31,7 +32,6 @@ from .reduced import (
     ReducedProblem,
     bessel_nullity_check,
     conformal_hessian,
-    j1,
     reduced_index_nullity,
     reduced_index_torus,
 )
@@ -73,7 +73,6 @@ __all__ = [
     "ReducedProblem",
     "bessel_nullity_check",
     "conformal_hessian",
-    "j1",
     "reduced_index_nullity",
     "reduced_index_torus",
     "CubicPhase",

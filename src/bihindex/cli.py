@@ -24,8 +24,6 @@ import sys
 from fractions import Fraction
 from typing import Any
 
-import numpy as np
-
 from . import __version__
 from .bumps import PolynomialBump
 from .circle import circle_index_nullity, circle_index_nullity_by_matrices
@@ -46,7 +44,6 @@ from .noncompact import (
     integrand_min,
     is_strictly_stable,
 )
-from .quadrature import QuadratureNotConvergedError
 from .reduced import (
     DegenerateThresholdError,
     ReducedProblem,
@@ -151,8 +148,6 @@ def make_report(command: str, inputs: dict, results: dict, anchor: str) -> dict:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv", "md"), default="json")
     p.add_argument("--output", default=None, help="write the report to this file")
-    p.add_argument("--workers", type=_worker_count, default=1,
-                   help="worker processes, at most the CPU count")
 
 
 def _positive_int(text: str) -> int:
@@ -199,6 +194,9 @@ def build_parser() -> _Parser:
     torus = groups.add_parser("torus").add_subparsers(dest="command", required=True)
     t_index = torus.add_parser("index", help="exact index/nullity for one k")
     t_index.add_argument("--k", type=_positive_int, required=True)
+    t_index.add_argument("--workers", type=_worker_count, default=1,
+                         help="accepted and unused (torus index runs in one process), so that "
+                              "callers such as perfbench's index workload may pass --workers 1")
     _add_common(t_index)
     t_spec = torus.add_parser("spectrum", help="merged spectrum up to a Laplace level")
     t_spec.add_argument("--k", type=_positive_int, required=True)
@@ -208,6 +206,8 @@ def build_parser() -> _Parser:
     _add_common(t_spec)
     t_scan = torus.add_parser("scan", help="nullity-conjecture scan for k=1..k-max")
     t_scan.add_argument("--k-max", type=_positive_int, required=True)
+    t_scan.add_argument("--workers", type=_worker_count, default=1,
+                        help="worker processes, at most the CPU count")
     _add_common(t_scan)
     t_check = torus.add_parser("check", help="verify the evidence of a torus index JSON report")
     t_check.add_argument("file", help="a report written by torus index --format json")
@@ -534,39 +534,36 @@ def _cmd_reduced_torus(args) -> tuple[dict, int]:
 
 def _cmd_reduced_bessel(args) -> tuple[dict, int]:
     rep = bessel_nullity_check()
+    names = ["d1_at_0", "d2_at_0", "d3_at_0", "ratio_mean", "ratio_spread", "d4_normalized",
+             "d4_target"]
+    values = [float(x) for x in (*rep.derivatives_at_zero, rep.ratio_mean, rep.ratio_spread,
+                                 rep.fourth_derivative_normalized, rep.fourth_derivative_target)]
     results = {
-        "derivatives_at_zero": list(rep.derivatives_at_zero),
-        "ratio_mean": rep.ratio_mean,
-        "ratio_spread": rep.ratio_spread,
-        "fourth_derivative_normalized": rep.fourth_derivative_normalized,
-        "fourth_derivative_target": rep.fourth_derivative_target,
+        "derivatives_at_zero": values[:3],
+        "ratio_mean": values[3],
+        "ratio_spread": values[4],
+        "fourth_derivative_normalized": values[5],
+        "fourth_derivative_target": values[6],
         "all_ok": rep.all_ok,
         "csv_header": ["quantity", "value"],
-        "csv_rows": [
-            ["d1_at_0", rep.derivatives_at_zero[0]],
-            ["d2_at_0", rep.derivatives_at_zero[1]],
-            ["d3_at_0", rep.derivatives_at_zero[2]],
-            ["ratio_mean", rep.ratio_mean],
-            ["ratio_spread", rep.ratio_spread],
-            ["d4_normalized", rep.fourth_derivative_normalized],
-            ["d4_target", rep.fourth_derivative_target],
-        ],
+        "csv_rows": [list(row) for row in zip(names, values)],
     }
     code = EXIT_OK if rep.all_ok else EXIT_VERIFICATION
     return make_report("reduced bessel", {}, results, "bessel-nullity-direction"), code
 
 
 def _cmd_reduced_conformal(args) -> tuple[dict, int]:
-    bump = PolynomialBump.make(center=0.0, halfwidth=1.0, power=6)
-    value = conformal_hessian(bump)
+    exact = conformal_hessian(PolynomialBump.make(center=0, halfwidth=1, power=6))
+    value, positive = float(exact), exact > 0
     results = {
         "test_function": "polynomial bump (1-u^2)^6 on [-1, 1]",
         "hessian": value,
-        "positive": value > 0,
+        "hessian_exact": str(exact),
+        "positive": positive,
         "csv_header": ["test_function", "hessian", "positive"],
-        "csv_rows": [["(1-u^2)^6", value, value > 0]],
+        "csv_rows": [["(1-u^2)^6", value, positive]],
     }
-    code = EXIT_OK if value > 0 else EXIT_VERIFICATION
+    code = EXIT_OK if positive else EXIT_VERIFICATION
     return make_report("reduced conformal", {}, results, "conformal-diffeo-stability"), code
 
 
@@ -602,21 +599,22 @@ def _cmd_noncompact_stable(args) -> tuple[dict, int]:
 
 def _cmd_noncompact_hessian(args) -> tuple[dict, int]:
     phase = _parse_phase(args.phase) if args.phase else COUNTEREXAMPLE_PHASE
+    exact = hessian_form(phase, COUNTEREXAMPLE_SECTION)
+    pairing = i2_pairing(phase, COUNTEREXAMPLE_SECTION)
+    agree = exact == pairing
     try:
-        # a huge phase overflows the float integrand; the error below says so
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = hessian_form(phase, COUNTEREXAMPLE_SECTION)
-            pairing = i2_pairing(phase, COUNTEREXAMPLE_SECTION)
-    except (OverflowError, QuadratureNotConvergedError) as exc:
+        value, pairing_value = float(exact), float(pairing)
+    except OverflowError as exc:  # a huge phase: the exact value is fine, its float is not
         raise UsageError(f"--phase {args.phase}: the hessian has no float value ({exc})")
-    agree = abs(value - pairing) <= 1e-6 * max(abs(value), 1.0)
     results = {
         "section": "normal cos^6 bump on a half-period",
         "hessian": value,
-        "operator_pairing": pairing,
+        "hessian_exact": str(exact),
+        "operator_pairing": pairing_value,
         "integration_by_parts_agrees": agree,
         "csv_header": ["a", "b", "c", "d", "hessian", "operator_pairing"],
-        "csv_rows": [[str(phase.a), str(phase.b), str(phase.c), str(phase.d), value, pairing]],
+        "csv_rows": [[str(phase.a), str(phase.b), str(phase.c), str(phase.d), value,
+                      pairing_value]],
     }
     code = EXIT_OK if agree else EXIT_VERIFICATION
     return make_report("noncompact hessian", {"phase": args.phase}, results,
@@ -624,14 +622,17 @@ def _cmd_noncompact_hessian(args) -> tuple[dict, int]:
 
 
 def _cmd_noncompact_counterexample(args) -> tuple[dict, int]:
-    value = counterexample_value()
-    ok = -3.547 <= value <= -3.527
+    exact = counterexample_value()
+    lo, hi = Fraction(-3547, 1000), Fraction(-3527, 1000)  # around the cited -3.537
+    ok = lo <= exact <= hi
+    value, window = float(exact), [float(lo), float(hi)]
     results = {
         "value": value,
-        "window": [-3.547, -3.527],
+        "value_exact": str(exact),
+        "window": window,
         "within_window": ok,
         "csv_header": ["value", "window_lo", "window_hi", "within_window"],
-        "csv_rows": [[value, -3.547, -3.527, ok]],
+        "csv_rows": [[value, *window, ok]],
     }
     code = EXIT_OK if ok else EXIT_VERIFICATION
     return make_report("noncompact counterexample", {}, results,

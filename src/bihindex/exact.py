@@ -1,20 +1,22 @@
-"""Exact scalar arithmetic: big integers, the ring Z[sqrt(2)], quadratic surds.
+"""Exact scalar arithmetic: big integers, Z[sqrt(2)], quadratic surds, Q[pi].
 
-Every number that appears in the spectral computations of this package lives in
-one of three exact domains:
+Every number that decides a result here lives in one of four exact domains:
 
   * plain Python ``int`` (arbitrary precision) -- lattice labels, discriminants;
   * ``QuadExt`` -- elements a + b*sqrt(2), the entries of the block matrices;
   * ``Surd`` -- reals of the shape (p + sign*sqrt(s)) / q, the closed-form
-    eigenvalues of the fourth-order second-variation operator.
+    eigenvalues of the fourth-order second-variation operator;
+  * ``QPi`` -- polynomials in pi over Q, the values of the quadratic forms.
 
 Sign and comparison decisions are made without floating point: a single
 radical is handled by case analysis on p and p^2 - s, a difference of two
-surds by repeated squaring with sign bookkeeping.
+surds by repeated squaring with sign bookkeeping, and an element of Q[pi] by
+a rational enclosure of pi, refined until it decides.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -267,3 +269,88 @@ class Surd:
 def surd_sign(v: Surd) -> int:
     """Exact sign in {-1, 0, +1} of the real represented by ``v``."""
     return v.sign()
+
+
+# -- the field Q[pi] ------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def pi_enclosure(n: int) -> tuple[Fraction, Fraction]:
+    """Rationals lo < pi < lo + 16^-n (n >= 1) from the first n terms of the series
+    pi = sum_k 16^-k (4/(8k+1) - 2/(8k+4) - 1/(8k+5) - 1/(8k+6)) of Bailey, Borwein
+    and Plouffe: every term is positive, and the tail is below 16^-n 4/(8n+1) 16/15."""
+    lo = sum((Fraction(4, 8 * k + 1) - Fraction(2, 8 * k + 4) - Fraction(1, 8 * k + 5)
+              - Fraction(1, 8 * k + 6)) / 16**k for k in range(n))
+    return lo, lo + Fraction(1, 16**n)
+
+
+def _qpi(x: QPi | int | Fraction) -> QPi:
+    return x if isinstance(x, QPi) else QPi((x,))
+
+
+@functools.total_ordering
+class QPi:
+    """Element c0 + c1 pi + ... + cn pi^n of Q[pi], coefficients lowest first.
+
+    pi is transcendental, so two elements are equal exactly when their
+    coefficients are, and a nonzero element has a sign that a fine enough
+    enclosure of pi decides.  float() gives the correctly rounded value.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()) -> None:
+        c = [Fraction(x) for x in coeffs]
+        while c and not c[-1]:
+            c.pop()
+        self.coeffs = tuple(c)
+
+    def __add__(self, other: QPi | int | Fraction) -> QPi:
+        a, b = self.coeffs, _qpi(other).coeffs
+        a, b = a + (0,) * (len(b) - len(a)), b + (0,) * (len(a) - len(b))
+        return QPi(x + y for x, y in zip(a, b))
+
+    __radd__ = __add__
+
+    def __sub__(self, other: QPi | int | Fraction) -> QPi:
+        return self + _qpi(other) * -1
+
+    def __mul__(self, scalar: int | Fraction) -> QPi:
+        return QPi(c * scalar for c in self.coeffs)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (QPi, int, Fraction)):
+            return NotImplemented
+        return self.coeffs == _qpi(other).coeffs
+
+    def __lt__(self, other: QPi | int | Fraction) -> bool:
+        return (self - other).sign() < 0
+
+    def _refine(self, decided) -> Fraction:
+        """lo of the first enclosure lo <= self <= hi (n = 16, 32, ... terms) that decides."""
+        n = 16
+        while True:
+            lo = hi = Fraction(0)
+            for k, c in enumerate(self.coeffs):
+                a, b = (c * p**k for p in pi_enclosure(n))
+                lo, hi = lo + min(a, b), hi + max(a, b)
+            if decided(lo, hi):
+                return lo
+            n *= 2
+
+    def sign(self) -> int:
+        return int_sign(self._refine(lambda lo, hi: int_sign(lo) == int_sign(hi)))
+
+    def __float__(self) -> float:
+        # an element of degree >= 1 is irrational, so never a tie between floats
+        return float(self._refine(lambda lo, hi: float(lo) == float(hi)))
+
+    def __repr__(self) -> str:
+        return f"QPi({self})"
+
+    def __str__(self) -> str:
+        """Highest power first, as in 2079/262144*pi^9 - 12587751/13107200*pi^7."""
+        names = ["", "*pi"] + [f"*pi^{k}" for k in range(2, len(self.coeffs))]
+        terms = [f"{c}{names[k]}" for k, c in reversed(list(enumerate(self.coeffs))) if c]
+        return " + ".join(terms).replace("+ -", "- ") or "0"

@@ -354,22 +354,25 @@ def _block_counts(m: int, n: int) -> tuple[int, int]:
     return eigenvalue_signs(build_legendre_block(m, n))
 
 
+AXIS_SCAN_LIMIT = 32  # both axes stop at t = 5; a scan still going here miscounts
+
+
+class AxisScanLimitError(RuntimeError):
+    """An axis scan passed AXIS_SCAN_LIMIT without three positive blocks in a row."""
+
+
 def _axis_scan(make_label) -> tuple[int, int, int]:
     """Accumulate (index, nullity) along an axis family until three
     consecutive blocks are certified entirely positive by exact sign counts."""
-    idx = nul = 0
-    consecutive_positive = 0
-    t = 0
-    while consecutive_positive < 3:
-        t += 1
+    idx = nul = consecutive_positive = 0
+    for t in range(1, AXIS_SCAN_LIMIT + 1):
         neg, zero = _block_counts(*make_label(t))
-        if neg == 0 and zero == 0:
-            consecutive_positive += 1
-        else:
-            consecutive_positive = 0
+        consecutive_positive = consecutive_positive + 1 if neg == 0 and zero == 0 else 0
         idx += neg
         nul += zero
-    return idx, nul, t
+        if consecutive_positive == 3:
+            return idx, nul, t
+    raise AxisScanLimitError(f"no stop by label {make_label(AXIS_SCAN_LIMIT)}")
 
 
 def legendre_index_nullity() -> LegendreLedger:

@@ -11,22 +11,24 @@ so positivity of  w(g) = (A'')^2 + 2 A''' A' = 72 a^2 g^2 + 48 a b g
 + 4 b^2 + 12 a c  is a sufficient condition for strict stability.  Its
 global minimum is -4 (b^2 - 3 a c) when a != 0 and the constant 4 b^2 when
 a = 0, hence the exact certificate: stable when a = 0 or b^2 - 3 a c <= 0.
-Outside the certificate the form can actually turn negative: with
-A = g^3 - 2 g and f2 = cos^6 on a half-period the integral is ~ -3.537.
+
+For a rational phase and bumps with rational data the form is an exact
+element of Q[pi]: A' is a polynomial in each bump's local variable
+x = g - center, and f1 and f2 never multiply each other, so each term is a
+TrigPoly integrated over its own support.  Outside the certificate the form
+can turn negative: with A = g^3 - 2 g and f2 = cos^6 on a half-period it is
+2079 pi^9/262144 - ... + 186219151800876019 pi/31457280000000 ~ -3.537.
 """
 
 from __future__ import annotations
 
 import enum
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
-from typing import Callable
 
-import numpy as np
-
-from .bumps import CosPowerBump, _SupportedFunction
-from .quadrature import adaptive_integrate
+from .bumps import Bump, CosPowerBump, TrigPoly, _rational
+from .exact import QPi
 
 
 class NotProperError(ValueError):
@@ -38,12 +40,6 @@ class Stability(enum.Enum):
     NOT_CERTIFIED = "not-certified"
 
 
-def _rat(x, name: str) -> Fraction:
-    if isinstance(x, bool) or not isinstance(x, (Rational, str)):
-        raise TypeError(f"{name} must be an exact rational, got {type(x).__name__}")
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class CubicPhase:
     a: Fraction
@@ -53,23 +49,15 @@ class CubicPhase:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, _rat(getattr(self, name), name))
+            object.__setattr__(self, name, _rational(getattr(self, name), name))
         if self.a == 0 and self.b == 0:
             raise NotProperError("a = b = 0 gives a harmonic (not proper) map")
 
-    def phase(self, g: np.ndarray) -> np.ndarray:
-        a, b, c, d = (float(x) for x in (self.a, self.b, self.c, self.d))
-        return ((a * g + b) * g + c) * g + d
-
-    def d1(self, g: np.ndarray) -> np.ndarray:
-        a, b, c = float(self.a), float(self.b), float(self.c)
-        return (3.0 * a * g + 2.0 * b) * g + c
-
-    def d2(self, g: np.ndarray) -> np.ndarray:
-        return 6.0 * float(self.a) * g + 2.0 * float(self.b)
-
-    def d3(self, g: np.ndarray) -> np.ndarray:
-        return 6.0 * float(self.a) * np.ones_like(np.asarray(g, dtype=float))
+    def derivatives(self, center: Fraction) -> tuple[TrigPoly, TrigPoly, TrigPoly]:
+        """A', A'', A''' as polynomials in x = g - center."""
+        a, b, c, g = self.a, self.b, self.c, center
+        d1 = TrigPoly.polynomial((3 * a * g * g + 2 * b * g + c, 6 * a * g + 2 * b, 3 * a))
+        return d1, d1.derivative(), d1.derivative(2)
 
 
 def curvature_integrand(phase: CubicPhase, g: Fraction) -> Fraction:
@@ -99,122 +87,85 @@ def is_strictly_stable(phase: CubicPhase) -> Stability:
 class SectionPair:
     """Compactly supported section f1 T + f2 N; None means the zero function."""
 
-    f1: _SupportedFunction | None = None
-    f2: _SupportedFunction | None = None
-
-    def support(self) -> tuple[float, float] | None:
-        los, his = [], []
-        for f in (self.f1, self.f2):
-            if f is not None:
-                lo, hi = f.support
-                los.append(lo)
-                his.append(hi)
-        if not los:
-            return None
-        return min(los), max(his)
+    f1: Bump | None = None
+    f2: Bump | None = None
 
 
-def hessian_form(phase: CubicPhase, section: SectionPair, rel_tol: float = 1e-11) -> float:
-    """The integrated-by-parts quadratic form of the section."""
-    sup = section.support()
-    if sup is None:
-        return 0.0
-    lo, hi = sup
-
-    def integrand(g: np.ndarray) -> np.ndarray:
-        total = np.zeros_like(g)
-        if section.f1 is not None:
-            total = total + section.f1(g, 2) ** 2
-        if section.f2 is not None:
-            f2 = section.f2(g, 0)
-            f2dd = section.f2(g, 2)
-            ap = phase.d1(g)
-            app = phase.d2(g)
-            appp = phase.d3(g)
-            total = total + (f2dd + ap * ap * f2) ** 2
-            total = total + (app * app + 2.0 * appp * ap) * f2 * f2
-        return total
-
-    return adaptive_integrate(integrand, lo, hi, rel_tol=rel_tol)
+def hessian_form(phase: CubicPhase, section: SectionPair) -> QPi:
+    """The integrated-by-parts quadratic form of the section, exactly."""
+    total = QPi()
+    if section.f1 is not None:
+        f1dd = section.f1.profile().derivative(2)
+        total += section.f1.integral(f1dd * f1dd)
+    if section.f2 is not None:
+        f = section.f2.profile()
+        ap, app, appp = phase.derivatives(section.f2.center)
+        inner = f.derivative(2) + ap * ap * f
+        total += section.f2.integral(inner * inner + (app * app + 2 * appp * ap) * f * f)
+    return total
 
 
-def i2_sections(
-    phase: CubicPhase, section: SectionPair
-) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-    """Image of the section under the fourth-order operator, componentwise.
+def i2_sections(phase: CubicPhase, section: SectionPair) -> tuple[TrigPoly, TrigPoly]:
+    """Image of the section under the fourth-order operator, componentwise,
+    each in its own bump's local variable (zero where the bump is None).
 
     Tangential: f1''''.  Normal: f2'''' + 2 (A')^2 f2'' + 4 A'' A' f2'
     + (4 A''' A' + 3 (A'')^2 + (A')^4) f2.
     """
-
-    def tangential(g: np.ndarray) -> np.ndarray:
-        if section.f1 is None:
-            return np.zeros_like(np.asarray(g, dtype=float))
-        return section.f1(g, 4)
-
-    def normal(g: np.ndarray) -> np.ndarray:
-        if section.f2 is None:
-            return np.zeros_like(np.asarray(g, dtype=float))
-        ap = phase.d1(g)
-        app = phase.d2(g)
-        appp = phase.d3(g)
-        f = section.f2
-        return (
-            f(g, 4)
-            + 2.0 * ap * ap * f(g, 2)
-            + 4.0 * app * ap * f(g, 1)
-            + (4.0 * appp * ap + 3.0 * app * app + ap**4) * f(g, 0)
+    tangential = normal = TrigPoly()
+    if section.f1 is not None:
+        tangential = section.f1.profile().derivative(4)
+    if section.f2 is not None:
+        f = section.f2.profile()
+        ap, app, appp = phase.derivatives(section.f2.center)
+        ap2 = ap * ap
+        normal = (
+            f.derivative(4)
+            + 2 * ap2 * f.derivative(2)
+            + 4 * app * ap * f.derivative()
+            + (4 * appp * ap + 3 * app * app + ap2 * ap2) * f
         )
-
     return tangential, normal
 
 
-def i2_pairing(phase: CubicPhase, section: SectionPair, rel_tol: float = 1e-11) -> float:
+def i2_pairing(phase: CubicPhase, section: SectionPair) -> QPi:
     """int < I2 V, V >, the pre-integration-by-parts form of the Hessian."""
-    sup = section.support()
-    if sup is None:
-        return 0.0
-    lo, hi = sup
     tangential, normal = i2_sections(phase, section)
-
-    def integrand(g: np.ndarray) -> np.ndarray:
-        total = np.zeros_like(g)
-        if section.f1 is not None:
-            total = total + tangential(g) * section.f1(g, 0)
-        if section.f2 is not None:
-            total = total + normal(g) * section.f2(g, 0)
-        return total
-
-    return adaptive_integrate(integrand, lo, hi, rel_tol=rel_tol)
+    total = QPi()
+    if section.f1 is not None:
+        total += section.f1.integral(tangential * section.f1.profile())
+    if section.f2 is not None:
+        total += section.f2.integral(normal * section.f2.profile())
+    return total
 
 
 COUNTEREXAMPLE_PHASE = CubicPhase(Fraction(1), Fraction(0), Fraction(-2), Fraction(0))
-COUNTEREXAMPLE_SECTION = SectionPair(f1=None, f2=CosPowerBump(center=0.0, power=6))
+COUNTEREXAMPLE_SECTION = SectionPair(f1=None, f2=CosPowerBump(center=Fraction(0), power=6))
 
 
-def counterexample_value() -> float:
+def counterexample_value() -> QPi:
     """Hessian of the cos^6 normal section under A = g^3 - 2g; ~ -3.537 < 0."""
     return hessian_form(COUNTEREXAMPLE_PHASE, COUNTEREXAMPLE_SECTION)
 
 
 def find_instability_witness(
     phase: CubicPhase, tries: int = 60, seed: int = 0
-) -> tuple[SectionPair, float] | None:
+) -> tuple[SectionPair, QPi] | None:
     """Best-effort search for a section with negative Hessian.
 
-    Scans cos-power bumps centred where w(g) is most negative, with a few
-    random widths/amplitudes; returns (section, value) if one goes negative.
-    Finding nothing proves nothing -- the certificate is one-sided.
+    Tries cos^6 normal bumps with random rational centres within 1 of the
+    vertex of w(g), where w is most negative, and returns (section, value)
+    for the first whose form is exactly negative.  Finding nothing proves
+    nothing -- the certificate is one-sided.
     """
     if is_strictly_stable(phase) is Stability.STABLE:
         return None
-    a, b = phase.a, phase.b
-    g_min = float(-b / (3 * a)) if a != 0 else 0.0
-    rng = np.random.default_rng(seed)
+    g_min = -phase.b / (3 * phase.a) if phase.a else Fraction(0)
+    rng = random.Random(seed)
     for _ in range(tries):
-        center = g_min + float(rng.uniform(-1.0, 1.0))
+        center = g_min + Fraction(rng.randint(-64, 64), 64)
         section = SectionPair(f2=CosPowerBump(center=center, power=6))
         val = hessian_form(phase, section)
-        if val < 0.0:
+        if val.sign() < 0:
             return section, val
     return None

@@ -16,15 +16,20 @@ so the reduced eigenvalues are m^4 - c4 with multiplicity 1 (m = 0) and 2
 The boundary decision is made in exact rational arithmetic, so R and b must
 be exact rationals; the ellipsoid at b = 1 reduces to the sphere constant.
 
-Two further stability checks live here: the quadratic form
+Two further stability checks live here, both exact: the quadratic form
 integral of (v'')^2 + 4 (v')^2 for the conformal log-radial diffeomorphism
 of the punctured 4-space (strictly positive on nonzero compactly supported
-v), and the quartic behaviour of the reduced bienergy along the nullity
-direction at n = 2, R = b = 1, where
+v, and rational on a polynomial bump with rational data), and the quartic
+behaviour of the reduced bienergy along the nullity direction at n = 2,
+R = b = 1, where
 
     E(t) = 1/2 * int_0^{2 pi} [ -t sin(theta) - cos(2 t sin(theta))/2 ]^2 d(theta)
+         = pi/4 + pi t^4/2 - 2 pi t^6/9 + pi t^8/18 - ...
 
-has E'(t) = pi t - pi J1(4t)/2 and fourth derivative 12 pi at t = 0.
+is a power series with coefficients in pi Q (Wallis integrals of powers of
+sin(theta)).  Its first three derivatives at 0 vanish, E'(t) equals
+pi t - pi J1(4t)/2 coefficient by coefficient, and its fourth derivative at
+0 is 12 pi.
 """
 
 from __future__ import annotations
@@ -34,10 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-import numpy as np
-
-from .bumps import _SupportedFunction
-from .quadrature import adaptive_integrate, derivative_at_zero
+from .bumps import Bump
+from .exact import QPi
 
 
 class DegenerateThresholdError(ValueError):
@@ -133,111 +136,89 @@ def reduced_index_torus(k: int) -> tuple[int, int]:
 
 # -- conformal diffeomorphism of the punctured R^4 ------------------------------
 
-def conformal_hessian(v: _SupportedFunction) -> float:
-    """Quadratic form integral of (v'')^2 + 4 (v')^2 over the support of v."""
-    lo, hi = v.support
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        return v(u, 2) ** 2 + 4.0 * v(u, 1) ** 2
-
-    return adaptive_integrate(integrand, lo, hi)
+def conformal_hessian(v: Bump) -> QPi:
+    """Quadratic form integral of (v'')^2 + 4 (v')^2 over the support of v, exactly."""
+    d1 = v.profile().derivative()
+    d2 = d1.derivative()
+    return v.integral(d2 * d2 + 4 * d1 * d1)
 
 
-# -- Bessel function and the nullity-direction energy ----------------------------
+# -- the nullity-direction energy as an exact series -----------------------------
 
-def j1(x: float) -> float:
-    """Bessel function of the first kind, order one, by its power series.
+BESSEL_ORDER = 24  # E(t) through t^24, so E'(t) is compared through t^23
 
-    Terms are added until they drop below 1e-15 in magnitude; the series is
-    alternating for the |x| <= 10 range used here, so the truncation error is
-    below the last term.
+
+def nullity_direction_energy_series(order: int = BESSEL_ORDER) -> tuple[Fraction, ...]:
+    """(e_0, ..., e_order) with E(t) = pi * sum_i e_i t^i + O(t^(order + 1)).
+
+    With s = sin(theta), u = -t s - cos(2 t s)/2 is a power series in t with
+    monomials in s as coefficients; E = 1/2 int u^2 sends each s^p to its
+    Wallis integral.
     """
-    if abs(x) > 10.0:
-        raise ValueError("series evaluation restricted to |x| <= 10")
-    half = x / 2.0
-    term = half  # j = 0 term: (x/2) / (0! 1!)
-    total = term
-    j = 0
-    while abs(term) > 1e-15:
-        j += 1
-        term *= -(half * half) / (j * (j + 1))
-        total += term
-    return total
+    u = {(1, 1): Fraction(-1)}  # (power of t, power of s) -> coefficient
+    for j in range(order // 2 + 1):  # -cos(2 t s)/2 = -1/2 sum_j (-4)^j (t s)^(2j) / (2j)!
+        u[(2 * j, 2 * j)] = Fraction(-((-4) ** j), 2 * math.factorial(2 * j))
+    coeffs = [Fraction(0)] * (order + 1)
+    for (i1, p1), c1 in u.items():
+        for (i2, p2), c2 in u.items():
+            p = p1 + p2  # int_0^{2 pi} sin^p / (2 pi) = C(p, p/2) / 2^p, and 0 for odd p
+            if i1 + i2 <= order and p % 2 == 0:
+                coeffs[i1 + i2] += c1 * c2 * Fraction(math.comb(p, p // 2), 2**p)
+    return tuple(coeffs)
 
 
-def nullity_direction_energy(t: float, rel_tol: float = 1e-12) -> float:
-    """E(t): the normalised reduced bienergy along the nullity direction."""
-
-    def integrand(theta: np.ndarray) -> np.ndarray:
-        u = -t * np.sin(theta) - 0.5 * np.cos(2.0 * t * np.sin(theta))
-        return u * u
-
-    return 0.5 * adaptive_integrate(integrand, 0.0, 2.0 * math.pi, rel_tol=rel_tol)
-
-
-def nullity_direction_energy_rate(t: float, rel_tol: float = 1e-12) -> float:
-    """E'(t), computed by differentiating under the integral sign."""
-
-    def integrand(theta: np.ndarray) -> np.ndarray:
-        st = np.sin(theta)
-        u = -t * st - 0.5 * np.cos(2.0 * t * st)
-        du = -st + st * np.sin(2.0 * t * st)
-        return u * du
-
-    return adaptive_integrate(integrand, 0.0, 2.0 * math.pi, rel_tol=rel_tol)
+def bessel_rate_series(order: int) -> tuple[Fraction, ...]:
+    """(r_0, ..., r_order) with pi t - pi J1(4t)/2 = pi * sum_i r_i t^i + O(t^(order + 1)),
+    from J1(x) = sum_j (-1)^j (x/2)^(2j+1) / (j! (j+1)!)."""
+    coeffs = [Fraction(0)] * (order + 1)
+    coeffs[1] = Fraction(1)
+    for j in range((order - 1) // 2 + 1):
+        coeffs[2 * j + 1] -= Fraction((-4) ** j, math.factorial(j) * math.factorial(j + 1))
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)
 class BesselNullityReport:
-    derivatives_at_zero: tuple[float, float, float]
-    ratio_values: tuple[float, ...]
-    ratio_mean: float
-    ratio_spread: float
-    fourth_derivative_normalized: float
-    fourth_derivative_target: float
+    derivatives_at_zero: tuple[QPi, QPi, QPi]
+    ratio_values: tuple[Fraction, ...]  # E' / (pi t - pi J1(4t)/2), where the latter's != 0
+    ratio_mean: Fraction
+    ratio_spread: Fraction
+    ratio_ok: bool  # E' = ratio_mean (pi t - pi J1(4t)/2), coefficient by coefficient
+    fourth_derivative_normalized: QPi
+    fourth_derivative_target: QPi
 
     @property
     def vanishing_ok(self) -> bool:
-        return all(abs(d) < 1e-5 for d in self.derivatives_at_zero)
-
-    @property
-    def ratio_ok(self) -> bool:
-        return self.ratio_spread < 1e-4
+        return all(d == 0 for d in self.derivatives_at_zero)
 
     @property
     def fourth_ok(self) -> bool:
-        target = self.fourth_derivative_target
-        return abs(self.fourth_derivative_normalized - target) <= 0.01 * target
+        return self.fourth_derivative_normalized == self.fourth_derivative_target
 
     @property
     def all_ok(self) -> bool:
         return self.vanishing_ok and self.ratio_ok and self.fourth_ok
 
 
-def bessel_nullity_check(
-    t_grid: tuple[float, ...] = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
-) -> BesselNullityReport:
+def bessel_nullity_check() -> BesselNullityReport:
     """Verify the quartic local-minimum behaviour along the nullity direction.
 
-    (i) the first three derivatives of E at 0 vanish; (ii) E'(t) is a
-    constant multiple of pi t - pi J1(4t)/2 on the grid; (iii) after dividing
-    out that constant, the fourth derivative of E at 0 equals 12 pi.
+    (i) the first three derivatives of E at 0 vanish; (ii) the series of
+    E'(t) is a constant multiple of that of pi t - pi J1(4t)/2 through
+    t^(BESSEL_ORDER - 1); (iii) after dividing out that constant, the fourth
+    derivative of E at 0 equals 12 pi.  All three are exact equalities.
     """
-    d1 = derivative_at_zero(nullity_direction_energy, 1, h0=0.05, levels=3)
-    d2 = derivative_at_zero(nullity_direction_energy, 2, h0=0.05, levels=3)
-    d3 = derivative_at_zero(nullity_direction_energy, 3, h0=0.05, levels=3)
-    ratios = tuple(
-        nullity_direction_energy_rate(t) / (math.pi * t - 0.5 * math.pi * j1(4.0 * t))
-        for t in t_grid
-    )
+    e = nullity_direction_energy_series(BESSEL_ORDER)
+    rate = tuple(i * c for i, c in enumerate(e) if i)
+    bessel = bessel_rate_series(BESSEL_ORDER - 1)
+    ratios = tuple(a / b for a, b in zip(rate, bessel) if b)
     mean = sum(ratios) / len(ratios)
-    spread = (max(ratios) - min(ratios)) / abs(mean)
-    d4 = derivative_at_zero(nullity_direction_energy, 4, h0=0.1, levels=3)
     return BesselNullityReport(
-        derivatives_at_zero=(d1, d2, d3),
+        derivatives_at_zero=tuple(QPi((0, math.factorial(r) * e[r])) for r in (1, 2, 3)),
         ratio_values=ratios,
         ratio_mean=mean,
-        ratio_spread=spread,
-        fourth_derivative_normalized=d4 / mean,
-        fourth_derivative_target=12.0 * math.pi,
+        ratio_spread=(max(ratios) - min(ratios)) / abs(mean),
+        ratio_ok=rate == tuple(mean * r for r in bessel),
+        fourth_derivative_normalized=QPi((0, 24 * e[4] / mean)),
+        fourth_derivative_target=QPi((0, 12)),
     )

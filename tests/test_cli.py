@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,6 +63,7 @@ def test_noncompact_counterexample_window(capsys):
     rep = json.loads(out)
     assert -3.547 <= rep["results"]["value"] <= -3.527
     assert rep["results"]["within_window"] is True
+    assert rep["results"]["value_exact"].startswith("2079/262144*pi^9 - ")
 
 
 def test_usage_errors_exit_one(capsys):
@@ -103,6 +106,8 @@ def test_usage_errors_exit_one(capsys):
         # about 0.45 ms per unit of k: 10^9 would run for days
         ["circle", "index", "--k", str(10**9), "--check-matrices"],
         ["circle", "index", "--k", str(CHECK_MATRICES_K_LIMIT + 1), "--check-matrices"],
+        # --workers belongs to torus scan and torus index only
+        ["legendre", "index", "--workers", "1"],
     ],
 )
 def test_boundary_inputs_give_one_line_diagnostics(capsys, argv):
@@ -168,6 +173,10 @@ def test_csv_and_md_formats(capsys):
          ["legendre", "verify", "--m", "3", "--n", "2", "--format", "json"]),
         ("circle_index_k45_check.json",
          ["circle", "index", "--k", "45", "--check-matrices", "--format", "json"]),
+        ("noncompact_hessian.json", ["noncompact", "hessian", "--format", "json"]),
+        ("noncompact_counterexample.json", ["noncompact", "counterexample", "--format", "json"]),
+        ("reduced_conformal.json", ["reduced", "conformal", "--format", "json"]),
+        ("reduced_bessel.json", ["reduced", "bessel", "--format", "json"]),
     ],
 )
 def test_golden_reports_byte_exact(capsys, name, argv):
@@ -214,6 +223,20 @@ def test_phase_flag_parsing(capsys):
     assert rep["results"]["phases"][0]["integrand_min"] == "-24"
     assert main(["noncompact", "stable", "--phase", "1,2"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_cli_import_loads_no_numpy():
+    code = (
+        "import sys, bihindex.cli; bihindex.cli.build_parser(); "
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.')))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_workers_bounds_checked_while_parsing():

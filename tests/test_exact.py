@@ -1,4 +1,4 @@
-"""Exact scalar layer: ring axioms, surd signs, exact comparisons."""
+"""Exact scalar layer: ring axioms, surd signs, exact comparisons, Q[pi]."""
 
 import math
 import random
@@ -6,7 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from bihindex.exact import QuadExt, Surd, sign_p_plus_q_sqrt, sign_two_radicals, surd_sign
+from bihindex.exact import (
+    QPi,
+    QuadExt,
+    Surd,
+    pi_enclosure,
+    sign_p_plus_q_sqrt,
+    sign_two_radicals,
+    surd_sign,
+)
 
 
 def test_quadext_products():
@@ -119,3 +127,66 @@ def test_surd_validation():
     # negative denominators are normalised away
     v = Surd(1, 2, -3, 1)
     assert v.q == 3 and v.p == -1 and v.branch == -1
+
+
+# pi to 100 decimals, written out independently of the package
+PI_100 = Fraction(
+    "3.1415926535897932384626433832795028841971693993751058209749445923078164062862"
+    "089986280348253421170679"
+)
+
+
+def test_pi_enclosure_contains_pi():
+    for n in (1, 2, 10, 16, 32, 64):
+        lo, hi = pi_enclosure(n)
+        assert hi - lo == Fraction(1, 16**n)
+        # PI_100 is within 10^-100 of pi, far inside the gaps at these precisions
+        assert lo < PI_100 < hi, n
+    lo, hi = pi_enclosure(300)
+    assert lo < hi < lo + Fraction(1, 10**360)
+
+
+def test_qpi_arithmetic_and_equality():
+    pi = QPi((0, 1))
+    assert QPi((1, 2, 0, 0)).coeffs == (1, 2)  # trailing zeros dropped
+    assert QPi((0, 0, 1)) - pi * 3 + 2 == QPi((2, -3, 1))
+    assert (pi + Fraction(1, 2)) * 4 == 4 * QPi((Fraction(1, 2), 1)) == QPi((2, 4))
+    assert 1 + pi * -1 == -1 * (pi - 1)
+    assert QPi() == 0 and QPi((5,)) == 5 and pi != 3 and pi != "pi"
+
+
+def test_qpi_signs_and_order():
+    pi = QPi((0, 1))
+    assert QPi().sign() == 0 and QPi((-2,)).sign() == -1
+    assert (pi - Fraction(355, 113)).sign() == -1  # 355/113 exceeds pi by 2.7e-7
+    assert (pi - Fraction(103993, 33102)).sign() == 1  # and 103993/33102 falls short by 5.8e-10
+    assert (QPi((0, 0, 1)) - Fraction(98696044010893586188, 10**19)).sign() == 1  # pi^2
+    assert Fraction(314, 100) < pi < Fraction(315, 100)
+    assert pi <= pi and pi >= pi
+    # within 10^-40 of zero, where the first enclosures straddle 0 and must be refined
+    near = Fraction(int(PI_100 * 10**40), 10**40)  # pi truncated to 40 decimals
+    assert (pi - near).sign() == 1 and (pi - near - Fraction(1, 10**40)).sign() == -1
+    assert float(pi - near) == float(PI_100 - near)
+
+
+def test_qpi_floats_are_correctly_rounded():
+    pi = QPi((0, 1))
+    assert float(pi) == math.pi
+    assert float(QPi()) == 0.0 and float(QPi((Fraction(1, 3),))) == 1 / 3
+    rng = random.Random(11)
+    for _ in range(100):
+        x = QPi(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3)) for _ in range(5))
+        value = sum(c * PI_100**k for k, c in enumerate(x.coeffs))
+        assert float(x) == float(value)
+    # cancellation: the float of each term, summed, is off; the enclosure is not
+    near = pi * 10**6 - Fraction(3141592653589793, 10**9)
+    assert float(near) == float(PI_100 * 10**6 - Fraction(3141592653589793, 10**9))
+    with pytest.raises(OverflowError):
+        float(pi * 10**400)
+
+
+def test_qpi_str():
+    assert str(QPi()) == "0"
+    assert str(QPi((Fraction(1, 3),))) == "1/3"
+    assert str(QPi((Fraction(1, 3), -1, 0, Fraction(-2, 7)))) == "-2/7*pi^3 - 1*pi + 1/3"
+    assert str(QPi((0, 12))) == "12*pi"

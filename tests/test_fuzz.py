@@ -74,7 +74,7 @@ def argvs(draw):
             argv += [flag] if value is None else [flag, value]
     if draw(st.booleans()):
         argv += ["--format", draw(st.sampled_from(["json", "csv", "md", "csv", "md", "xml"]))]
-    if draw(st.booleans()):
+    if group == "torus" and command in ("index", "scan") and draw(st.booleans()):
         argv += ["--workers", draw(st.sampled_from(["1", "1", "1", "0", "x", "99999"]))]
     if draw(st.integers(0, 3)) == 0:
         argv += draw(st.lists(st.sampled_from(VOCAB) | words, min_size=1, max_size=2))

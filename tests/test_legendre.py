@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bihindex import legendre
 from bihindex.exact import QuadExt
 from bihindex.legendre import (
     CITED_INDEX_SPLIT,
@@ -240,3 +241,19 @@ def test_frame_sections_ordering():
     assert [s.frame for s in sections[16:]] == ["xi"] * 4
     assert len(frame_sections(2, 0)) == 10
     assert len(frame_sections(0, 0)) == 5
+
+
+def test_axis_scan_is_bounded(monkeypatch):
+    ledger = legendre_index_nullity()
+    assert (ledger.axis_m_scanned_to, ledger.axis_n_scanned_to) == (5, 5)
+    # a sign count that never reports a positive block must stop at the cap
+    calls = []
+
+    def always_negative(m, n):
+        calls.append((m, n))
+        return 1, 0
+
+    monkeypatch.setattr(legendre, "_block_counts", always_negative)
+    with pytest.raises(legendre.AxisScanLimitError):
+        legendre.legendre_index_nullity()
+    assert len(calls) <= legendre.AXIS_SCAN_LIMIT + 1  # the (0, 0) block, then one axis

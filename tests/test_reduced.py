@@ -4,27 +4,29 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from bihindex.bumps import PolynomialBump, random_polynomial_bump
+from bihindex.bumps import SIN, CosPowerBump, PolynomialBump, TrigPoly
+from bihindex import reduced
+from bihindex.exact import QPi
 from bihindex.reduced import (
+    BESSEL_ORDER,
     BesselNullityReport,
     DegenerateThresholdError,
     ReducedProblem,
     _integer_fourth_root_floor,
     bessel_nullity_check,
+    bessel_rate_series,
     conformal_hessian,
-    j1,
-    nullity_direction_energy,
-    nullity_direction_energy_rate,
+    nullity_direction_energy_series,
     reduced_index_nullity,
     reduced_index_torus,
     reduced_spectrum,
 )
 from bihindex.torus import index_nullity
 
-from oracles import reduced_index_nullity_by_counting
+from oracles import bump_values, random_polynomial_bump, reduced_index_nullity_by_counting, scaled
 
 
 def test_sphere_examples():
@@ -141,72 +143,105 @@ def test_critical_latitude():
 
 
 def test_conformal_hessian_zero_and_bump():
-    bump = PolynomialBump.make(0.0, 1.0, power=6)
-    assert conformal_hessian(bump.scaled(0.0)) == 0.0
+    bump = PolynomialBump.make(0, 1, power=6)
+    assert conformal_hessian(scaled(bump, 0)) == 0
+    assert conformal_hessian(bump) == Fraction(583008256, 7436429)
     # the classical (1 - u^2)^4 profile, built directly
-    quartic = np.array([1.0])
-    for _ in range(4):
-        quartic = np.convolve(quartic, [1.0, 0.0, -1.0])
-    v = PolynomialBump(center=0.0, halfwidth=1.0, ycoeffs=tuple(quartic))
+    v = PolynomialBump(center=0, halfwidth=1, ycoeffs=(1, 0, -4, 0, 6, 0, -4, 0, 1))
     assert conformal_hessian(v) > 0
+    # on a cos-power bump the form lies in Q[pi]
+    assert conformal_hessian(CosPowerBump(Fraction(1, 3), 6)).coeffs[1:] != ()
 
 
 def test_conformal_hessian_positive_random():
-    rng = np.random.default_rng(31)
+    rng = random.Random(31)
     for _ in range(100):
         v = random_polynomial_bump(rng)
         assert conformal_hessian(v) > 0
 
 
 def test_conformal_hessian_quadratic_scaling():
-    rng = np.random.default_rng(8)
+    rng = random.Random(8)
     for _ in range(20):
         v = random_polynomial_bump(rng)
-        a = float(rng.uniform(0.2, 5.0))
-        h1 = conformal_hessian(v)
-        ha = conformal_hessian(v.scaled(a))
-        assert ha == pytest.approx(a * a * h1, rel=1e-8)
+        a = Fraction(rng.randint(2, 50), 10)
+        assert conformal_hessian(scaled(v, a)) == a * a * conformal_hessian(v)
+
+
+def test_conformal_hessian_matches_quadrature_oracle():
+    rng = random.Random(9)
+    for _ in range(10):
+        v = random_polynomial_bump(rng)
+        c, h = float(v.center), float(v.halfwidth)
+        def integrand(u):
+            return float(bump_values(v, u, 2) ** 2 + 4 * bump_values(v, u, 1) ** 2)
+
+        direct, _ = quad(integrand, c - h, c + h, epsabs=0, epsrel=1e-12)
+        assert float(conformal_hessian(v)) == pytest.approx(direct, rel=1e-9)
 
 
 def test_j1_series():
-    assert j1(0.0) == 0.0
-    for x in (1e-8, 1e-6, 1e-4):
-        assert j1(x) == pytest.approx(x / 2, rel=1e-6)
-    # against scipy's implementation across the working range
+    # pi t - pi J1(4t)/2 from the exact series, against scipy's J1
     from scipy.special import j1 as scipy_j1
 
-    for x in np.linspace(-10, 10, 81):
-        assert j1(float(x)) == pytest.approx(float(scipy_j1(x)), abs=1e-13)
-    with pytest.raises(ValueError):
-        j1(11.0)
+    r = bessel_rate_series(41)
+    assert r[:6] == (0, 0, 0, 2, 0, Fraction(-4, 3))
+    for t in (0.01, 0.1, 0.3, 0.5):
+        series = math.pi * sum(float(c) * t**i for i, c in enumerate(r))
+        bessel = math.pi * t - math.pi * scipy_j1(4 * t) / 2
+        assert series == pytest.approx(bessel, rel=1e-12, abs=1e-16)
+
+
+def test_wallis_integrals_match_the_trig_algebra():
+    # int_0^{2pi} sin^p = 2 int_{-pi/2}^{pi/2} sin^p, since sin^p has period pi up to sign
+    sine = TrigPoly({(0, 1, SIN): Fraction(1)})
+    power = TrigPoly.polynomial((1,))
+    for p in range(0, 13):
+        wallis = Fraction(math.comb(p, p // 2), 2**p) if p % 2 == 0 else 0  # times 2 pi
+        assert 2 * power.integrate_half_period() == QPi((0, 2 * wallis)), p
+        power = power * sine
 
 
 def test_energy_even_and_rate_odd():
-    for t in (0.07, 0.19):
-        assert nullity_direction_energy(t) == pytest.approx(
-            nullity_direction_energy(-t), rel=1e-12
-        )
-        assert nullity_direction_energy_rate(t) == pytest.approx(
-            -nullity_direction_energy_rate(-t), rel=1e-10
-        )
-    # E(0) = pi/4 exactly (the constant profile)
-    assert nullity_direction_energy(0.0) == pytest.approx(math.pi / 4, rel=1e-12)
+    e = nullity_direction_energy_series()
+    assert len(e) == BESSEL_ORDER + 1
+    assert all(c == 0 for c in e[1::2])  # E is even in t, so E' is odd
+    assert e[0] == Fraction(1, 4)  # E(0) = pi/4 (the constant profile)
+    F = Fraction
+    assert e[:9] == (F(1, 4), 0, 0, 0, F(1, 2), 0, F(-2, 9), 0, F(1, 18))
+    # against the defining integral, by scipy
+    for t in (0.1, 0.3, 0.6):
+        def integrand(theta):
+            u = -t * math.sin(theta) - 0.5 * math.cos(2 * t * math.sin(theta))
+            return 0.5 * u * u
+
+        direct, _ = quad(integrand, 0.0, 2 * math.pi, epsabs=0, epsrel=1e-13, limit=200)
+        series = math.pi * sum(float(c) * t**i for i, c in enumerate(e))
+        assert series == pytest.approx(direct, rel=1e-12)
 
 
 def test_small_t_series_of_rate():
     # E'(t) = 2 pi t^3 - (4 pi / 3) t^5 + O(t^7), from the alternating series
-    for t in (0.02, 0.04, 0.08):
-        series = 2 * math.pi * t**3 - (4 * math.pi / 3) * t**5
-        assert nullity_direction_energy_rate(t) == pytest.approx(
-            series, abs=40 * t**7
-        )
+    e = nullity_direction_energy_series()
+    assert tuple(i * c for i, c in enumerate(e) if i)[:6] == (0, 0, 0, 2, 0, Fraction(-4, 3))
 
 
-def test_bessel_nullity_report():
+def test_bessel_nullity_report(monkeypatch):
     rep = bessel_nullity_check()
     assert isinstance(rep, BesselNullityReport)
-    d1, d2, d3 = rep.derivatives_at_zero
-    assert abs(d1) < 1e-6 and abs(d2) < 1e-6 and abs(d3) < 1e-6
-    assert rep.ratio_spread < 1e-4
-    assert rep.fourth_derivative_normalized == pytest.approx(12 * math.pi, rel=0.01)
+    assert rep.derivatives_at_zero == (QPi(), QPi(), QPi())
+    assert rep.ratio_values == (1,) * 11  # t^3, t^5, ..., t^23
+    assert (rep.ratio_mean, rep.ratio_spread) == (1, 0)
+    assert rep.fourth_derivative_normalized == rep.fourth_derivative_target == QPi((0, 12))
     assert rep.all_ok
+    # a wrong Bessel coefficient anywhere in the compared range fails the ratio check,
+    # also where the right one is zero and so gives no ratio
+    right = reduced.bessel_rate_series
+    for i, wrong in ((19, Fraction(1, 10**9)), (0, Fraction(1))):
+        def perturbed(order, i=i, wrong=wrong):
+            r = right(order)
+            return r[:i] + (r[i] + wrong,) + r[i + 1:]
+
+        monkeypatch.setattr(reduced, "bessel_rate_series", perturbed)
+        assert not bessel_nullity_check().ratio_ok, i
+        assert not bessel_nullity_check().all_ok, i
