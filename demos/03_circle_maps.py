@@ -2,11 +2,14 @@
 
 Two independent routes: the closed eigenvalue formulas with the exact axis
 trichotomy, and exact eigenvalue sign counts of the 4x4 blocks (Descartes'
-rule of signs on their Berkowitz characteristic polynomials).  The blocks coincide entrywise with the (m, 0) blocks of the
-torus family, so the two problems share one sign analysis.
+rule of signs on their Berkowitz characteristic polynomials).  The blocks
+are the (m, 0) blocks of the torus family, torus.block_matrix(k, m, 0), so
+the two problems share one sign analysis.  The whole nullity 3 comes from
+the rotations of S^2: each gives an exact kernel vector.
 """
 
-from bihindex.circle import circle_block, circle_index_nullity, circle_index_nullity_by_matrices
+from bihindex.circle import circle_index_nullity, circle_index_nullity_by_matrices
+from bihindex.exact import QUAD_SQRT2, QUAD_ZERO, QuadExt
 from bihindex.matrices import charpoly_exact
 from bihindex.torus import block_matrix
 
@@ -17,9 +20,22 @@ for k in (1, 2, 3, 5, 10, 25, 50):
     tag = "ok" if formula == matrices else "MISMATCH"
     print(f"  k={k:<3d} formula={formula}  matrix-count={matrices}  [{tag}]")
 
-print("\n=== the blocks are the torus axis blocks, literally ===")
-same = all(circle_block(k, m) == block_matrix(k, m, 0) for k in range(1, 11) for m in range(1, 11))
-print(f"  entrywise equality for k, m <= 10: {same}")
+
+def annihilates(block, vector) -> bool:
+    return all(
+        sum((x * v for x, v in zip(row, vector)), QUAD_ZERO).is_zero() for row in block.entries
+    )
+
+
+print("\n=== the rotations of S^2 span the kernel (k = 3) ===")
+one, zero = QuadExt(1), QUAD_ZERO
+rotations = {
+    "about the pole, in the m = 0 block": (0, (one, zero)),
+    "about x, in the m = k block": (3, (-one, zero, zero, -QUAD_SQRT2)),
+    "about y, in the m = k block": (3, (zero, -one, QUAD_SQRT2, zero)),
+}
+for name, (m, vector) in rotations.items():
+    print(f"  {name}: block_matrix(3, {m}, 0) v = 0 is {annihilates(block_matrix(3, m, 0), vector)}")
 
 print("\n=== a sample characteristic polynomial (k = 2, m = 1) ===")
-print(f"  {charpoly_exact(circle_block(2, 1))}")
+print(f"  {charpoly_exact(block_matrix(2, 1, 0))}")

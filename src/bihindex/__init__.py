@@ -4,11 +4,13 @@ Submodules:
   exact       -- big integers, Z[sqrt(2)], quadratic surds, Q[pi]; exact signs
   polynomials -- integer polynomials, Sturm-based exact root counting
   matrices    -- symmetric Z[sqrt(2)] matrices, Berkowitz charpoly, exact
-                 eigenvalue sign counts
+                 eigenvalue sign counts, and operator_block, which builds
+                 every torus, circle and Legendre block from a rule table
   torus       -- the degree-k equivariant maps T^2 -> S^2, and the checker
                  of their sign-run evidence
   scan        -- the fast exact nullity-conjecture scan over k
-  circle      -- the degree-k biharmonic circles S^1 -> S^2
+  circle      -- the degree-k biharmonic circles S^1 -> S^2 (blocks are the
+                 torus (m, 0) blocks)
   legendre    -- the Legendre torus in S^5 (index 11, nullity 18)
   bumps       -- test sections and the exact x^k cos/sin(w x) algebra
   reduced     -- equivariant (reduced) index/nullity, conformal + Bessel checks
@@ -21,7 +23,7 @@ from .matrices import ExactMatrix, charpoly_exact, eigenvalue_signs
 from .polynomials import IntPolynomial, count_roots
 from .torus import IndexReport, block_matrix, check_runs, eigenvalue, index_nullity
 from .scan import ScanRow, conjecture_scan
-from .circle import circle_block, circle_index_nullity
+from .circle import circle_index_nullity
 from .legendre import (
     build_legendre_block,
     descartes_lemma_check,
@@ -64,7 +66,6 @@ __all__ = [
     "index_nullity",
     "ScanRow",
     "conjecture_scan",
-    "circle_block",
     "circle_index_nullity",
     "build_legendre_block",
     "descartes_lemma_check",

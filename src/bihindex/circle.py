@@ -1,15 +1,14 @@
 """Index and nullity for the biharmonic circles S^1 -> S^2 of winding k.
 
 On the subspace spanned by cos(m gamma), sin(m gamma) the second-variation
-operator acts by a symmetric 4x4 block (2x2 diag(0, -k^4) for m = 0) whose
-eigenvalues are
+operator acts by the torus block torus.block_matrix(k, m, 0): at n = 0 the
+torus rules are the circle's.  Its eigenvalues are
 
     lambda^{+-}_m = ( -k^4 + 2 m^4 + 5 k^2 m^2 +- sqrt(R_m) ) / 2,
     R_m = k^8 + 2 k^6 m^2 + k^4 m^4 + 32 k^2 m^6,
 
-each with multiplicity 2.  These coincide with the torus eigenvalues at
-n = 0, and the block equals the torus (m, 0) block entrywise.  The torus
-discriminant D(k, m, 0) gives lambda^-_m < 0 iff m < k, = 0 iff m = k.  Hence
+each with multiplicity 2 (diag(0, -k^4) for m = 0).  The torus discriminant
+D(k, m, 0) gives lambda^-_m < 0 iff m < k, = 0 iff m = k.  Hence
 
     index(k) = 1 + 2 (k - 1),    nullity(k) = 3,
 
@@ -20,23 +19,9 @@ with the exact eigenvalue sign counts of matrices.eigenvalue_signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .exact import QUAD_SQRT2, QuadExt, Surd
-from .matrices import ExactMatrix, eigenvalue_signs
-from .torus import InvalidLabelError, eigenvalue as torus_eigenvalue
-
-
-@dataclass(frozen=True)
-class CircleLabel:
-    k: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise InvalidLabelError("winding number k must be >= 1")
-        if self.m < 0:
-            raise InvalidLabelError("Fourier index must be nonnegative")
+from .exact import Surd
+from .matrices import eigenvalue_signs
+from .torus import TorusLabel, block_matrix, eigenvalue as torus_eigenvalue
 
 
 def circle_eigenvalue(k: int, m: int, branch: str) -> Surd:
@@ -46,31 +31,6 @@ def circle_eigenvalue(k: int, m: int, branch: str) -> Surd:
     return torus_eigenvalue(k, m, 0, branch)
 
 
-def circle_block(k: int, m: int) -> ExactMatrix:
-    """Block of the operator on the degree-m Fourier subspace.
-
-    Assembled from the circle operator rules: a tangential section f V gets
-    lam (lam + 3 k^2) f V + 2 sqrt(2) k lam f' N, a normal one f N gets
-    (lam^2 - k^4 + 2 k^2 lam) f N - 2 sqrt(2) k lam f' V, with lam = m^2.
-    """
-    CircleLabel(k, m)
-    if m == 0:
-        return ExactMatrix([[0, 0], [0, -(k**4)]])
-    lam = m * m
-    diag_t = lam * (lam + 3 * k * k)
-    diag_n = lam * lam - k**4 + 2 * k * k * lam
-    c = QUAD_SQRT2 * (2 * k * lam * m)  # from f' = -m sin / +m cos
-    z = QuadExt(0)
-    return ExactMatrix(
-        [
-            [QuadExt(diag_t), z, z, -c],
-            [z, QuadExt(diag_t), c, z],
-            [z, c, QuadExt(diag_n), z],
-            [-c, z, z, QuadExt(diag_n)],
-        ]
-    )
-
-
 def circle_index_nullity(k: int) -> tuple[int, int]:
     """(index, nullity) in closed form.
 
@@ -78,16 +38,16 @@ def circle_index_nullity(k: int) -> tuple[int, int]:
     negative at the k - 1 labels 1 <= m < k and zero at m = k, each with
     multiplicity 2; the m = 0 block adds the eigenvalues -k^4 and 0.
     """
-    CircleLabel(k, 0)
+    TorusLabel(k, 0, 0)  # checks k >= 1
     return 1 + 2 * (k - 1), 3
 
 
 def circle_index_nullity_by_matrices(k: int) -> tuple[int, int]:
     """Same counts, but from exact eigenvalue sign counts of the blocks."""
-    CircleLabel(k, 0)
+    TorusLabel(k, 0, 0)  # checks k >= 1
     index = nullity = 0
     for m in range(0, 3 * k + 1):
-        neg, zero = eigenvalue_signs(circle_block(k, m))
+        neg, zero = eigenvalue_signs(block_matrix(k, m, 0))
         index += neg
         nullity += zero
     return index, nullity

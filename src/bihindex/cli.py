@@ -61,9 +61,17 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 
-# torus spectrum builds and sorts all of the about (pi/4) lambda_max labels
-# with m^2 + n^2 <= lambda_max; a larger level is refused, not run
-LAMBDA_MAX_LIMIT = 10**6
+# torus index takes O(k log k) exact evaluations: 3.5 s, 9.3 MB of JSON and
+# 117 MB peak at k = 10^5 on one core of an x86-64 Xeon, Python 3.11
+INDEX_K_LIMIT = 10**5
+
+# torus scan costs about 1.6e-5 * k s per row k on the same core, so about
+# 13 min for all k <= 10^4 in one process
+SCAN_K_LIMIT = 10**4
+
+# torus spectrum builds and sorts the about (pi/4) lambda_max labels with
+# m^2 + n^2 <= lambda_max: 11 s and 210 MB at 10^5 on the same core
+LAMBDA_MAX_LIMIT = 10**5
 
 # legendre descartes takes about 0.13 ms per (m, n) pair (10-12 s at 300 x 300
 # on one core of an x86-64 Xeon, Python 3.11); larger ranges are refused
@@ -76,6 +84,11 @@ CHECK_MATRICES_K_LIMIT = 10**4
 
 # torus check reads at most this many bytes (a k = 10^4 report is about 0.9 MB)
 CHECK_FILE_LIMIT = 2**26
+
+# digits of --n-dim and of each exact rational's numerator and denominator.
+# The longest exact string a report then prints, a noncompact hessian
+# coefficient, has 3615 digits, under Python's 4300-digit int to str limit
+EXACT_INPUT_DIGITS = 150
 
 
 class UsageError(Exception):
@@ -169,10 +182,18 @@ def _worker_count(text: str) -> int:
 
 
 def _parse_rational(text: str, name: str) -> Fraction:
+    # Fraction("1e<N>") builds 10^N, so refuse a long exponent before parsing
+    _, e, exponent = text.lower().partition("e")
+    if e and len(exponent.strip().lstrip("+-").lstrip("0")) > 4:
+        raise UsageError(f"{name} {text}: the exponent is too large")
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"{name} must be an exact rational like 3, 1/2 or 0.25: {exc}")
+    if max(abs(value.numerator), value.denominator) >= 10**EXACT_INPUT_DIGITS:
+        raise UsageError(f"{name} needs a numerator and denominator of at most "
+                         f"{EXACT_INPUT_DIGITS} digits")
+    return value
 
 
 def _parse_phase(text: str) -> CubicPhase:
@@ -193,7 +214,8 @@ def build_parser() -> _Parser:
 
     torus = groups.add_parser("torus").add_subparsers(dest="command", required=True)
     t_index = torus.add_parser("index", help="exact index/nullity for one k")
-    t_index.add_argument("--k", type=_positive_int, required=True)
+    t_index.add_argument("--k", type=_positive_int, required=True,
+                         help=f"winding number, at most {INDEX_K_LIMIT}")
     t_index.add_argument("--workers", type=_worker_count, default=1,
                          help="accepted and unused (torus index runs in one process), so that "
                               "callers such as perfbench's index workload may pass --workers 1")
@@ -205,7 +227,8 @@ def build_parser() -> _Parser:
                              f"branches; at most {LAMBDA_MAX_LIMIT})")
     _add_common(t_spec)
     t_scan = torus.add_parser("scan", help="nullity-conjecture scan for k=1..k-max")
-    t_scan.add_argument("--k-max", type=_positive_int, required=True)
+    t_scan.add_argument("--k-max", type=_positive_int, required=True,
+                        help=f"last winding number, at most {SCAN_K_LIMIT}")
     t_scan.add_argument("--workers", type=_worker_count, default=1,
                         help="worker processes, at most the CPU count")
     _add_common(t_scan)
@@ -269,6 +292,8 @@ def build_parser() -> _Parser:
 # -- command implementations ---------------------------------------------------------
 
 def _cmd_torus_index(args) -> tuple[dict, int]:
+    if args.k > INDEX_K_LIMIT:
+        raise UsageError(f"--k must be <= {INDEX_K_LIMIT}")
     r = index_nullity(args.k)
     results = {
         "k": r.k,
@@ -318,6 +343,8 @@ def _cmd_torus_spectrum(args) -> tuple[dict, int]:
 
 
 def _cmd_torus_scan(args) -> tuple[dict, int]:
+    if args.k_max > SCAN_K_LIMIT:
+        raise UsageError(f"--k-max must be <= {SCAN_K_LIMIT}")
     ordered = conjecture_scan(args.k_max, workers=args.workers)
     flagged = [r.k for r in ordered if r.flagged]
     results = {
@@ -476,49 +503,27 @@ def _cmd_legendre_descartes(args) -> tuple[dict, int]:
     )
 
 
-def _cmd_reduced_sphere(args) -> tuple[dict, int]:
-    if args.n_dim < 2:
-        raise UsageError("--n-dim must be >= 2")
+def _cmd_reduced(args) -> tuple[dict, int]:
+    """reduced sphere, and reduced ellipsoid, which adds --b."""
+    if not 2 <= args.n_dim < 10**EXACT_INPUT_DIGITS:
+        raise UsageError(f"--n-dim must be >= 2, with at most {EXACT_INPUT_DIGITS} digits")
     radius = _parse_rational(args.radius, "--radius")
-    try:
-        problem = ReducedProblem(n=args.n_dim, radius=radius)
-        idx, nul = reduced_index_nullity(problem)
-    except (DegenerateThresholdError, ValueError) as exc:
-        raise UsageError(str(exc))
-    results = {
-        "index": idx,
-        "nullity": nul,
-        "threshold_fourth_power": str(problem.quartic_constant()),
-        "csv_header": ["n", "radius", "index", "nullity"],
-        "csv_rows": [[args.n_dim, str(radius), idx, nul]],
-    }
-    inputs = {"n_dim": args.n_dim, "radius": str(radius)}
-    return make_report("reduced sphere", inputs, results, "reduced-index-floor-formula"), EXIT_OK
-
-
-def _cmd_reduced_ellipsoid(args) -> tuple[dict, int]:
-    if args.n_dim < 2:
-        raise UsageError("--n-dim must be >= 2")
-    radius = _parse_rational(args.radius, "--radius")
-    b = _parse_rational(args.b, "--b")
+    b = _parse_rational(args.b, "--b") if args.command == "ellipsoid" else None
     try:
         problem = ReducedProblem(n=args.n_dim, radius=radius, b=b)
         idx, nul = reduced_index_nullity(problem)
     except (DegenerateThresholdError, ValueError) as exc:
         raise UsageError(str(exc))
-    results = {
-        "index": idx,
-        "nullity": nul,
-        "critical_latitude": problem.critical_latitude(),
-        "threshold_fourth_power": str(problem.quartic_constant()),
-        "csv_header": ["n", "radius", "b", "index", "nullity"],
-        "csv_rows": [[args.n_dim, str(radius), str(b), idx, nul]],
-    }
-    inputs = {"n_dim": args.n_dim, "radius": str(radius), "b": str(b)}
-    return (
-        make_report("reduced ellipsoid", inputs, results, "reduced-ellipsoid-floor-formula"),
-        EXIT_OK,
-    )
+    inputs = {"n_dim": args.n_dim, "radius": str(radius)}
+    results = {"index": idx, "nullity": nul, "threshold_fourth_power": str(problem.quartic_constant())}
+    anchor = "reduced-index-floor-formula"
+    if b is not None:
+        inputs["b"] = str(b)
+        results["critical_latitude"] = problem.critical_latitude()
+        anchor = "reduced-ellipsoid-floor-formula"
+    results["csv_header"] = ["n", *list(inputs)[1:], "index", "nullity"]
+    results["csv_rows"] = [[*inputs.values(), idx, nul]]
+    return make_report(f"reduced {args.command}", inputs, results, anchor), EXIT_OK
 
 
 def _cmd_reduced_torus(args) -> tuple[dict, int]:
@@ -648,8 +653,8 @@ _HANDLERS = {
     ("legendre", "verify"): _cmd_legendre_verify,
     ("legendre", "index"): _cmd_legendre_index,
     ("legendre", "descartes"): _cmd_legendre_descartes,
-    ("reduced", "sphere"): _cmd_reduced_sphere,
-    ("reduced", "ellipsoid"): _cmd_reduced_ellipsoid,
+    ("reduced", "sphere"): _cmd_reduced,
+    ("reduced", "ellipsoid"): _cmd_reduced,
     ("reduced", "torus"): _cmd_reduced_torus,
     ("reduced", "bessel"): _cmd_reduced_bessel,
     ("reduced", "conformal"): _cmd_reduced_conformal,

@@ -9,7 +9,8 @@ cos/sin(m gamma) with cos/sin(sqrt(2) n theta) tensored against the frame,
 the second-variation operator acts through five linear rules in
 f, X1 f, X2 f, X1 X2 f, X2 X2 f with lam-dependent integer coefficients
 (X1, X2 the coordinate fields; X2 produces sqrt(2) n factors, kept exactly
-in Z[sqrt(2))).
+in Z[sqrt(2))).  OPERATOR_TABLE holds the rules; matrices.operator_block,
+which also builds the torus and circle blocks, applies them.
 
 The characteristic polynomial of every interior block is the fourth power
 of a quintic P5 whose coefficients a5..a0 are explicit polynomials in
@@ -21,13 +22,10 @@ counts of all blocks yields index 11 and nullity 18.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from .exact import QUAD_ZERO, QuadExt
-from .matrices import ExactMatrix, charpoly_exact, eigenvalue_signs
+from .exact import QuadExt
+from .matrices import ExactMatrix, OperatorTable, charpoly_exact, eigenvalue_signs, operator_block
 from .polynomials import IntPolynomial, count_roots
-
-FRAMES = ("U1", "U2", "phiU1", "phiU2", "xi")
 
 
 class CharpolyMismatchError(ValueError):
@@ -42,32 +40,7 @@ class CharpolyMismatchError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class TrigBasisFunction:
-    """cos/sin(m gamma) * cos/sin(sqrt(2) n theta); parity 0 = cos, 1 = sin."""
-
-    m: int
-    n: int
-    parity_gamma: int
-    parity_theta: int
-
-    @property
-    def laplace_eigenvalue(self) -> int:
-        return self.m * self.m + 2 * self.n * self.n
-
-
-@dataclass(frozen=True)
-class FrameSection:
-    """A trigonometric basis function tensored with one frame element."""
-
-    function: TrigBasisFunction
-    frame: str
-
-
-# Operator table: frame -> list of (output frame, derivative kind, coefficient(lam)).
-# Derivative kinds: 'f' identity, 'x1', 'x2', 'x1x2', 'x2x2'.
-OperatorTable = dict[str, list[tuple[str, str, Callable[[int], int]]]]
-
+# the rules of the five frames, in listing order; coefficients are functions of lam
 OPERATOR_TABLE: OperatorTable = {
     "U1": [
         ("U1", "f", lambda l: l * l),
@@ -107,82 +80,22 @@ OPERATOR_TABLE: OperatorTable = {
         ("xi", "f", lambda l: l * l + 4 * l),
     ],
 }
-
-
-def basis_functions(m: int, n: int) -> list[TrigBasisFunction]:
-    """The Fourier functions of the (m, n) block, in the fixed listing order."""
-    if m >= 1 and n >= 1:
-        parities = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    elif m >= 1:
-        parities = [(0, 0), (1, 0)]
-    elif n >= 1:
-        parities = [(0, 0), (0, 1)]
-    else:
-        parities = [(0, 0)]
-    return [TrigBasisFunction(m, n, pg, pt) for pg, pt in parities]
-
-
-def frame_sections(m: int, n: int) -> list[FrameSection]:
-    """The orthonormal basis of the (m, n) block, frames outer, functions inner.
-
-    This is exactly the column/row ordering of build_legendre_block.
-    """
-    funcs = basis_functions(m, n)
-    return [FrameSection(function=f, frame=frame) for frame in FRAMES for f in funcs]
-
-
-def apply_derivative(kind: str, fn: TrigBasisFunction) -> tuple[QuadExt, TrigBasisFunction]:
-    """(coefficient, basis function) for the derivative of a basis function.
-
-    X1 = d/d(gamma) maps cos(m g) to -m sin(m g); X2 = d/d(theta) maps
-    cos(sqrt(2) n t) to -sqrt(2) n sin(sqrt(2) n t), the sqrt(2) staying in
-    the QuadExt coefficient.  A zero coefficient kills the term (m or n = 0).
-    """
-    if kind == "f":
-        return QuadExt(1), fn
-    if kind == "x2x2":
-        return QuadExt(-2 * fn.n * fn.n), fn
-    if kind == "x1":
-        coef = QuadExt(fn.m if fn.parity_gamma else -fn.m)
-        return coef, TrigBasisFunction(fn.m, fn.n, 1 - fn.parity_gamma, fn.parity_theta)
-    if kind == "x2":
-        coef = QuadExt(0, fn.n if fn.parity_theta else -fn.n)
-        return coef, TrigBasisFunction(fn.m, fn.n, fn.parity_gamma, 1 - fn.parity_theta)
-    if kind == "x1x2":
-        c1, f1 = apply_derivative("x2", fn)
-        c2, f2 = apply_derivative("x1", f1)
-        return c1 * c2, f2
-    raise ValueError(f"unknown derivative kind {kind!r}")
+FRAMES = tuple(OPERATOR_TABLE)
 
 
 def build_legendre_block(m: int, n: int) -> ExactMatrix:
     """Block of the operator on the (m, n) subspace: 5x5, 10x10 or 20x20.
 
-    Columns follow the listing order: the four (or two, or one) Fourier
-    functions under U1, then U2, phi(U1), phi(U2), xi.  Raises
-    matrices.AsymmetricMatrixError if the assembled matrix is not symmetric,
-    which would signal a transcription error in the operator table.
+    matrices.operator_block applies OPERATOR_TABLE with lam = m^2 + 2 n^2
+    and theta frequency sqrt(2) n.  Columns follow the listing order: the
+    four (or two, or one) functions of matrices.trig_basis(m, n) under U1,
+    then U2, phi(U1), phi(U2), xi.  Raises matrices.AsymmetricMatrixError
+    if the assembled matrix is not symmetric, which would signal a
+    transcription error in the operator table.
     """
     if m < 0 or n < 0:
         raise ValueError("Fourier indices must be nonnegative")
-    funcs = basis_functions(m, n)
-    dim = len(funcs)
-    index_of = {(f.parity_gamma, f.parity_theta): i for i, f in enumerate(funcs)}
-    lam = m * m + 2 * n * n
-    size = 5 * dim
-    rows = [[QUAD_ZERO] * size for _ in range(size)]
-    for fi, frame in enumerate(FRAMES):
-        for j, fn in enumerate(funcs):
-            col = fi * dim + j
-            for out_frame, kind, coeff in OPERATOR_TABLE[frame]:
-                c, out_fn = apply_derivative(kind, fn)
-                if c.is_zero():
-                    continue
-                row = FRAMES.index(out_frame) * dim + index_of[
-                    (out_fn.parity_gamma, out_fn.parity_theta)
-                ]
-                rows[row][col] = rows[row][col] + c * coeff(lam)
-    return ExactMatrix(rows)
+    return operator_block(OPERATOR_TABLE, m, n, QuadExt(0, n), m * m + 2 * n * n)
 
 
 # -- the quintic factor of the interior characteristic polynomials -------------

@@ -13,11 +13,15 @@ sqrt(2) part surviving in the product signals a wrongly assembled matrix and
 raises.  Because the matrices are symmetric their characteristic
 polynomials are real-rooted, and Descartes' rule of signs then counts the
 negative and zero eigenvalues exactly, with multiplicity.
+
+Every block comes from operator_block, which applies a table of operator
+rules to a frame of sections times the cos/sin Fourier basis of one (m, n)
+subspace; the torus, circle and Legendre blocks differ only in their tables.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .exact import QUAD_ONE, QUAD_ZERO, QuadExt, int_sign
 from .polynomials import IntPolynomial, _variations, zero_root_multiplicity
@@ -188,3 +192,76 @@ def eigenvalue_signs(m: ExactMatrix) -> tuple[int, int]:
     p = charpoly_exact(m)
     negative = _variations(int_sign(c) * (-1) ** i for i, c in enumerate(p.coeffs))
     return negative, zero_root_multiplicity(p)
+
+
+# -- operator blocks on Fourier subspaces ----------------------------------------
+
+# frame -> rules (output frame, derivative kind, coefficient(*params)); the
+# section f * frame goes to the sum of coefficient * (D f) * output frame
+OperatorTable = dict[str, list[tuple[str, str, Callable[..., int | QuadExt]]]]
+
+
+def trig_basis(m: int, n: int) -> list[tuple[int, int]]:
+    """(gamma parity, theta parity) of the Fourier functions of the (m, n)
+    subspace, 0 for cos and 1 for sin, in listing order: cos(m g) cos(w t),
+    cos sin, sin cos, sin sin; on an axis only the parities that move."""
+    return [(pg, pt) for pg in range(1 + (m >= 1)) for pt in range(1 + (n >= 1))]
+
+
+DERIVATIVES = ("f", "x1", "x2", "x1x2", "x1x1", "x2x2")
+
+
+def _derivative(kind: str, m: int, w: QuadExt, pg: int, pt: int) -> tuple[QuadExt, int, int]:
+    """(coefficient, gamma parity, theta parity) of the derivative ``kind`` of
+    cos/sin(m gamma) cos/sin(w theta).
+
+    'f' is the identity; each x1 in the kind applies X1 = d/d(gamma), which
+    maps cos(m g) to -m sin(m g) and sin(m g) to m cos(m g), and each x2
+    applies X2 = d/d(theta), the same with the frequency w.
+    """
+    if kind not in DERIVATIVES:
+        raise ValueError(f"unknown derivative kind {kind!r}")
+    c = QUAD_ONE
+    for axis in kind[1::2]:  # '1' or '2' per factor, none for 'f'
+        if axis == "1":
+            c, pg = c * (m if pg else -m), 1 - pg
+        else:
+            c, pt = c * (w if pt else -w), 1 - pt
+    return c, pg, pt
+
+
+def operator_block(table: OperatorTable, m: int, n: int, w: QuadExt, *params: int) -> ExactMatrix:
+    """Block of the operator with rule table ``table`` on the (m, n) subspace.
+
+    Rows and columns list the frames in table order, and inside each frame
+    the functions of trig_basis(m, n); w is the theta frequency, in
+    Z[sqrt(2)], and each rule's coefficient is evaluated once, at *params.
+    A term with a zero coefficient (X1 at m = 0, X2 at n = 0) is dropped.
+    Raises AsymmetricMatrixError, the sign of a mistranscribed table, if
+    the block is not symmetric.
+    """
+    basis = trig_basis(m, n)
+    dim = len(basis)
+    place = {p: i for i, p in enumerate(basis)}
+    offset = {frame: i * dim for i, frame in enumerate(table)}
+    images: dict[str, list[tuple[int, int, QuadExt]]] = {}  # kind -> (column, row, coefficient)
+    # each entry a + b sqrt(2) accumulates as the integers [a, b], so that a
+    # block costs one QuadExt per entry, not one per term
+    entries: dict[tuple[int, int], list[int]] = {}
+    for frame, rules in table.items():
+        for out_frame, kind, coefficient in rules:
+            if kind not in images:
+                terms = (_derivative(kind, m, w, pg, pt) for pg, pt in basis)
+                images[kind] = [
+                    (j, place[qg, qt], d) for j, (d, qg, qt) in enumerate(terms) if not d.is_zero()
+                ]
+            c = _coerce_entry(coefficient(*params))
+            for j, i, d in images[kind]:
+                e = entries.setdefault((offset[out_frame] + i, offset[frame] + j), [0, 0])
+                e[0] += d.a * c.a + 2 * d.b * c.b
+                e[1] += d.a * c.b + d.b * c.a
+    size = dim * len(table)
+    rows = [[QUAD_ZERO] * size for _ in range(size)]
+    for (i, j), (a, b) in entries.items():
+        rows[i][j] = QuadExt(a, b)
+    return ExactMatrix(rows)

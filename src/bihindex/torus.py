@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from math import isqrt
 
 from .exact import QUAD_SQRT2, QuadExt, Surd, int_sign
-from .matrices import ExactMatrix
+from .matrices import ExactMatrix, OperatorTable, operator_block
 
 BRANCHES = ("mu0", "mu1", "plus", "minus")
 
@@ -67,10 +67,6 @@ class TorusLabel:
             raise InvalidLabelError("winding number k must be >= 1")
         if self.m < 0 or self.n < 0:
             raise InvalidLabelError("Fourier indices must be nonnegative")
-
-    @property
-    def laplace_eigenvalue(self) -> int:
-        return self.m * self.m + self.n * self.n
 
 
 @dataclass(frozen=True)
@@ -540,53 +536,36 @@ def min_abs_interior_discriminant(
 
 # -- block matrices ------------------------------------------------------------
 
-def _gamma_derivative_matrix(m: int, n: int) -> tuple[int, list[list[int]]]:
-    """(dim, Dg) where Dg is the action of d/d(gamma) on the Fourier basis.
-
-    Basis order: interior (m, n >= 1): cc, cs, sc, ss; axis: cos, sin;
-    (0, 0): the constant.
-    """
-    if m >= 1 and n >= 1:
-        d = 4
-        dg = [[0] * 4 for _ in range(4)]
-        dg[2][0] = -m  # cc -> -m sc
-        dg[3][1] = -m  # cs -> -m ss
-        dg[0][2] = m   # sc ->  m cc
-        dg[1][3] = m   # ss ->  m cs
-        return d, dg
-    if m >= 1:
-        return 2, [[0, m], [-m, 0]]  # cos -> -m sin, sin -> m cos
-    if n >= 1:
-        return 2, [[0, 0], [0, 0]]
-    return 1, [[0]]
+# the two rules of block_matrix; coefficients are functions of (k, lam)
+OPERATOR_TABLE: OperatorTable = {
+    "y": [
+        ("y", "f", lambda k, lam: lam * (lam + k * k)),
+        ("y", "x1x1", lambda k, lam: -2 * k * k),
+        ("eta", "x1", lambda k, lam: QUAD_SQRT2 * (2 * k * lam)),
+    ],
+    "eta": [
+        ("eta", "f", lambda k, lam: lam * lam - k**4),
+        ("eta", "x1x1", lambda k, lam: -2 * k * k),
+        ("y", "x1", lambda k, lam: QUAD_SQRT2 * (-2 * k * lam)),
+    ],
+}
 
 
 def block_matrix(k: int, m: int, n: int) -> ExactMatrix:
     """Block of the second-variation operator on the (m, n) subspace.
 
-    Assembled by applying the two operator rules to the trigonometric basis
-    (tangential sections first, then normal ones); 2x2 at (0,0), 4x4 on the
-    axes, 8x8 in the interior.
+    With lam = m^2 + n^2, X1 = d/d(gamma), y the tangential section and eta
+    the normal one, the operator acts by the two rules of OPERATOR_TABLE:
+
+        f y   -> (lam (lam + k^2) f - 2 k^2 X1X1 f) y + 2 sqrt(2) k lam (X1 f) eta
+        f eta -> ((lam^2 - k^4) f - 2 k^2 X1X1 f) eta - 2 sqrt(2) k lam (X1 f) y
+
+    matrices.operator_block applies them, with theta frequency n: 2x2 at
+    (0,0), 4x4 on the axes, 8x8 in the interior.  The (m, 0) block is also
+    the degree-m block of the circle of winding k.
     """
     TorusLabel(k, m, n)
-    lam = m * m + n * n
-    k2 = k * k
-    dim, dg = _gamma_derivative_matrix(m, n)
-    diag_y = lam * (lam + k2) + 2 * k2 * m * m
-    diag_eta = lam * lam - k2 * k2 + 2 * k2 * m * m
-    coupling = 2 * k * lam  # times sqrt(2), sign from the derivative matrix
-
-    size = 2 * dim
-    rows = [[QuadExt(0)] * size for _ in range(size)]
-    for i in range(dim):
-        rows[i][i] = QuadExt(diag_y)
-        rows[dim + i][dim + i] = QuadExt(diag_eta)
-        for j in range(dim):
-            if dg[i][j]:
-                c = QUAD_SQRT2 * (coupling * dg[i][j])
-                rows[dim + i][j] = c       # eta component of image of y-section
-                rows[j][dim + i] = c       # symmetry
-    return ExactMatrix(rows)
+    return operator_block(OPERATOR_TABLE, m, n, QuadExt(n), k, m * m + n * n)
 
 
 def spectrum_entries(k: int, lambda_max: int) -> list[SpectrumEntry]:

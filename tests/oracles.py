@@ -1,9 +1,10 @@
 """Independent oracles and helpers that only the tests use.
 
 Each oracle reproduces a quantity the package certifies along a different
-route: floating-point matrices for numpy's eigensolvers, an explicit sign
-count over the reduced spectrum, and float values of bump sections for
-scipy's quadrature.  ``diagonal`` builds test matrices with a known
+route: floating-point matrices for numpy's eigensolvers, the circle blocks
+written out from the circle's own operator rules, an explicit sign count
+over the reduced spectrum, and float values of bump sections for scipy's
+quadrature.  ``diagonal`` builds test matrices with a known
 spectrum, and ``random_polynomial_bump`` draws sections with rational data.
 """
 
@@ -15,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from bihindex.bumps import CosPowerBump, PolynomialBump
+from bihindex.exact import QUAD_SQRT2, QuadExt
 from bihindex.matrices import ExactMatrix
 from bihindex.reduced import ReducedProblem, _integer_fourth_root_floor, reduced_spectrum
 
@@ -30,6 +32,31 @@ def diagonal(values) -> ExactMatrix:
 def to_numpy(m: ExactMatrix) -> np.ndarray:
     """The matrix as floats, for numpy's eigensolvers."""
     return np.array([[float(x) for x in row] for row in m.entries], dtype=float)
+
+
+def circle_block(k: int, m: int) -> ExactMatrix:
+    """Block of the circle operator on cos(m gamma), sin(m gamma), written out.
+
+    From the circle operator rules: a tangential section f V gets
+    lam (lam + 3 k^2) f V + 2 sqrt(2) k lam f' N, a normal one f N gets
+    (lam^2 - k^4 + 2 k^2 lam) f N - 2 sqrt(2) k lam f' V, with lam = m^2.
+    Basis V cos, V sin, N cos, N sin (V, N for m = 0).
+    """
+    if m == 0:
+        return ExactMatrix([[0, 0], [0, -(k**4)]])
+    lam = m * m
+    diag_t = lam * (lam + 3 * k * k)
+    diag_n = lam * lam - k**4 + 2 * k * k * lam
+    c = QUAD_SQRT2 * (2 * k * lam * m)  # from f' = -m sin / +m cos
+    z = QuadExt(0)
+    return ExactMatrix(
+        [
+            [QuadExt(diag_t), z, z, -c],
+            [z, QuadExt(diag_t), c, z],
+            [z, c, QuadExt(diag_n), z],
+            [-c, z, z, QuadExt(diag_n)],
+        ]
+    )
 
 
 def reduced_index_nullity_by_counting(problem: ReducedProblem) -> tuple[int, int]:

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from bihindex.circle import (
-    circle_block,
     circle_index_nullity,
     circle_index_nullity_by_matrices,
 )
@@ -55,7 +54,13 @@ from bihindex.torus import (
     lambda_parts,
 )
 
-from oracles import random_polynomial_bump, reduced_index_nullity_by_counting, scaled, to_numpy
+from oracles import (
+    circle_block,
+    random_polynomial_bump,
+    reduced_index_nullity_by_counting,
+    scaled,
+    to_numpy,
+)
 
 F = Fraction
 
@@ -207,9 +212,9 @@ def test_criterion_4_circle_both_paths_and_block_equality():
         assert circle_index_nullity(k) == expected, k
         assert circle_index_nullity_by_matrices(k) == expected, k
     for k in range(1, 51):
-        for m in range(1, 51):
+        for m in range(0, 51):
             assert circle_block(k, m) == block_matrix(k, m, 0), (k, m)
-    _report("4", "k<=50 by formula and matrix counting; blocks equal the m-axis blocks")
+    _report("4", "k<=50 by formula and matrix counting; the circle rules give the m-axis blocks")
 
 
 # -- criterion 5: Legendre torus ---------------------------------------------------------

@@ -6,25 +6,23 @@ import numpy as np
 import pytest
 
 from bihindex.circle import (
-    CircleLabel,
-    circle_block,
     circle_eigenvalue,
     circle_index_nullity,
     circle_index_nullity_by_matrices,
 )
 from bihindex.torus import InvalidLabelError, block_matrix, eigenvalue
 
-from oracles import to_numpy
+from oracles import circle_block, to_numpy
 
 
 def test_zero_mode_block():
     for k in (1, 2, 7):
-        arr = to_numpy(circle_block(k, 0))
+        arr = to_numpy(block_matrix(k, 0, 0))
         assert arr.tolist() == [[0.0, 0.0], [0.0, -float(k**4)]]
 
 
 def test_block_entries():
-    b = circle_block(3, 2)
+    b = block_matrix(3, 2, 0)
     # off-diagonal +-2 sqrt(2) k m^3 with k = 3, m = 2
     assert float(b[0, 3]) == pytest.approx(-2 * math.sqrt(2) * 3 * 8)
     assert float(b[2, 1]) == pytest.approx(2 * math.sqrt(2) * 3 * 8)
@@ -33,8 +31,9 @@ def test_block_entries():
 
 
 def test_block_equals_torus_axis_block():
+    # the circle's own rules, written out in the oracle, give the torus block
     for k in range(1, 21):
-        for m in range(1, 21):
+        for m in range(0, 21):
             assert circle_block(k, m) == block_matrix(k, m, 0), (k, m)
 
 
@@ -63,7 +62,7 @@ def test_matrix_counting_path_agrees():
 def test_block_eigenvalues_numeric():
     for k in (2, 5):
         for m in (1, 3, 8):
-            ev = np.sort(np.linalg.eigvalsh(to_numpy(circle_block(k, m))))
+            ev = np.sort(np.linalg.eigvalsh(to_numpy(block_matrix(k, m, 0))))
             lam = float(circle_eigenvalue(k, m, "minus"))
             lap = float(circle_eigenvalue(k, m, "plus"))
             expected = np.sort([lam, lam, lap, lap])
@@ -72,6 +71,8 @@ def test_block_eigenvalues_numeric():
 
 def test_label_validation():
     with pytest.raises(InvalidLabelError):
-        CircleLabel(0, 1)
+        circle_index_nullity(0)
     with pytest.raises(InvalidLabelError):
-        CircleLabel(1, -1)
+        circle_index_nullity_by_matrices(-1)
+    with pytest.raises(InvalidLabelError):
+        block_matrix(1, -1, 0)

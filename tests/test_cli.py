@@ -11,8 +11,12 @@ import pytest
 from bihindex.cli import (
     CHECK_MATRICES_K_LIMIT,
     DESCARTES_RANGE_LIMIT,
+    EXACT_INPUT_DIGITS,
     EXIT_OK,
     EXIT_USAGE,
+    INDEX_K_LIMIT,
+    LAMBDA_MAX_LIMIT,
+    SCAN_K_LIMIT,
     build_parser,
     main,
 )
@@ -108,6 +112,20 @@ def test_usage_errors_exit_one(capsys):
         ["circle", "index", "--k", str(CHECK_MATRICES_K_LIMIT + 1), "--check-matrices"],
         # --workers belongs to torus scan and torus index only
         ["legendre", "index", "--workers", "1"],
+        # exact strings of more than 4300 digits cannot be printed
+        ["reduced", "sphere", "--n-dim", "5", "--radius", "1e-2000"],
+        ["reduced", "ellipsoid", "--n-dim", "5", "--radius", "1", "--b", "1e-3000"],
+        ["noncompact", "stable", "--phase", "1e5000,0,1,0"],
+        ["noncompact", "stable", "--phase", "1e-5000,1,1,0"],
+        ["reduced", "sphere", "--n-dim", str(10**2500), "--radius", "1"],
+        ["reduced", "sphere", "--n-dim", str(10**EXACT_INPUT_DIGITS), "--radius", "1"],
+        ["noncompact", "hessian", "--phase", f"1/{10**EXACT_INPUT_DIGITS},1,1,0"],
+        # Fraction would build 10^(10^12) before any digit check
+        ["reduced", "sphere", "--n-dim", "5", "--radius", "1e-1000000000000"],
+        # one above each cap on the torus runs
+        ["torus", "index", "--k", str(INDEX_K_LIMIT + 1)],
+        ["torus", "scan", "--k-max", str(SCAN_K_LIMIT + 1)],
+        ["torus", "spectrum", "--k", "2", "--lambda-max", str(LAMBDA_MAX_LIMIT + 1)],
     ],
 )
 def test_boundary_inputs_give_one_line_diagnostics(capsys, argv):
@@ -133,6 +151,26 @@ def test_tiny_radius_reports(capsys, argv):
     assert code == EXIT_OK
     results = json.loads(out)["results"]
     assert (results["index"], results["nullity"]) == (4 * 10**90 - 1, 2)
+
+
+_BIG = [str(10**EXACT_INPUT_DIGITS - d) for d in (1, 3, 7, 9)]  # the largest allowed, coprime
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["noncompact", "hessian", "--phase", ",".join(f"1/{b}" for b in _BIG)],
+        ["noncompact", "stable", "--phase", ",".join(f"{a}/{b}" for a, b in zip(_BIG, _BIG[::-1]))],
+        ["reduced", "ellipsoid", "--n-dim", _BIG[0], "--radius", f"1/{_BIG[1]}",
+         "--b", f"1/{_BIG[2]}"],
+        ["reduced", "sphere", "--n-dim", _BIG[0], "--radius", f"1/{_BIG[1]}"],
+    ],
+)
+def test_largest_exact_inputs_report(capsys, argv):
+    # at EXACT_INPUT_DIGITS every exact string of the report can still be printed
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert json.loads(out)["command"] == " ".join(argv[:2])
 
 
 def test_reports_are_deterministic(capsys):

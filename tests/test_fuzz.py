@@ -36,7 +36,8 @@ small = st.integers(-3, 9).map(str)
 positive = st.integers(1, 9).map(str)
 number = st.one_of(positive, positive, small, st.sampled_from(["x", "", "1.5", "1e3", "0x10"]), words)
 rational = st.sampled_from(
-    ["1", "0", "-1", "1/2", "3/4", "0.25", "1e-3", "1e200", "1e400", "1/0", "x", "7/3"]
+    ["1", "0", "-1", "1/2", "3/4", "0.25", "1e-3", "1e200", "1e400", "1/0", "x", "7/3",
+     "1e-2000", "1e5000"]
 )
 phase = st.lists(rational, min_size=0, max_size=5).map(",".join)
 

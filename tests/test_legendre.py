@@ -12,7 +12,6 @@ from bihindex.legendre import (
     CITED_NULLITY_SPLIT,
     FRAMES,
     OPERATOR_TABLE,
-    basis_functions,
     build_legendre_block,
     descartes_conditions,
     descartes_lemma_check,
@@ -22,7 +21,7 @@ from bihindex.legendre import (
     satisfies_lemma_hypothesis,
     verify_p5_factorization,
 )
-from bihindex.matrices import ExactMatrix, charpoly_exact, components
+from bihindex.matrices import ExactMatrix, charpoly_exact, components, trig_basis
 from bihindex.polynomials import count_roots
 
 from oracles import to_numpy
@@ -123,9 +122,8 @@ def test_blocks_preserve_their_subspace():
     # the assembled column norms account for the whole image (Parseval on the
     # FFT oracle already shows it; here check the exact bookkeeping closes)
     for (m, n) in [(1, 1), (4, 3)]:
-        funcs = basis_functions(m, n)
-        labels = {(f.parity_gamma, f.parity_theta) for f in funcs}
-        assert len(labels) == len(funcs) == 4
+        basis = trig_basis(m, n)
+        assert len(set(basis)) == len(basis) == 4
         blk = build_legendre_block(m, n)
         assert blk.order == 20
 
@@ -231,16 +229,18 @@ def test_axis_blocks_have_rational_charpoly():
 
 
 def test_frame_sections_ordering():
-    from bihindex.legendre import frame_sections
-
-    sections = frame_sections(1, 1)
-    assert len(sections) == 20
-    assert [s.frame for s in sections[:4]] == ["U1"] * 4
-    assert sections[0].function.parity_gamma == 0
-    assert sections[0].function.laplace_eigenvalue == 3
-    assert [s.frame for s in sections[16:]] == ["xi"] * 4
-    assert len(frame_sections(2, 0)) == 10
-    assert len(frame_sections(0, 0)) == 5
+    # rows and columns: the frames in listing order, the Fourier functions inside
+    assert FRAMES == ("U1", "U2", "phiU1", "phiU2", "xi")
+    assert trig_basis(1, 1) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert trig_basis(2, 0) == [(0, 0), (1, 0)]
+    assert trig_basis(0, 3) == [(0, 0), (0, 1)]
+    assert trig_basis(0, 0) == [(0, 0)]
+    assert build_legendre_block(2, 0).order == 5 * len(trig_basis(2, 0)) == 10
+    assert build_legendre_block(0, 0).order == 5
+    # column 0 is U1 cos cos; its X2 rule, 4 (lam + 1) X2 f phiU2, lands in
+    # row 12 + 1 (phiU2 cos sin), and no U1 rule reaches U1 cos sin (row 1)
+    blk = build_legendre_block(1, 1)
+    assert blk[13, 0] == QuadExt(0, -16) and blk[1, 0] == 0
 
 
 def test_axis_scan_is_bounded(monkeypatch):

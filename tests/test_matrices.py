@@ -1,13 +1,12 @@
-"""Connected components, Berkowitz characteristic polynomials over Z[sqrt(2)]
-and exact eigenvalue sign counts, against constructed spectra and numpy's
-eigensolvers."""
+"""The operator-table assembler, connected components, Berkowitz
+characteristic polynomials over Z[sqrt(2)] and exact eigenvalue sign
+counts, against constructed spectra and numpy's eigensolvers."""
 
 import random
 
 import numpy as np
 import pytest
 
-from bihindex.circle import circle_block
 from bihindex.exact import QuadExt
 from bihindex.legendre import build_legendre_block
 from bihindex.matrices import (
@@ -17,11 +16,38 @@ from bihindex.matrices import (
     charpoly_exact,
     components,
     eigenvalue_signs,
+    operator_block,
 )
 from bihindex.polynomials import IntPolynomial
 from bihindex.torus import block_matrix
 
 from oracles import diagonal, to_numpy
+
+
+def test_operator_block_derivatives_and_rejections():
+    # one frame, theta frequency sqrt(2): each kind on cos(g) cos(sqrt2 t)
+    # (column 0) against its closed form in the basis cc, cs, sc, ss
+    w = QuadExt(0, 1)
+    expected = {
+        "f": {0: QuadExt(1)},
+        "x1": {2: QuadExt(-1)},
+        "x2": {1: -w},
+        "x1x2": {3: QuadExt(0, 1)},
+        "x1x1": {0: QuadExt(-1)},
+        "x2x2": {0: QuadExt(-2)},
+    }
+    for kind, column in expected.items():
+        if kind in ("x1", "x2"):  # antisymmetric: only a coupled pair of rules is symmetric
+            with pytest.raises(AsymmetricMatrixError):
+                operator_block({"a": [("a", kind, lambda: 1)]}, 1, 1, w)
+            table = {"a": [("b", kind, lambda: 1)], "b": [("a", kind, lambda: -1)]}
+            blk = operator_block(table, 1, 1, w)
+            assert [blk[4 + i, 0] for i in range(4)] == [column.get(i, 0) for i in range(4)]
+            continue
+        blk = operator_block({"a": [("a", kind, lambda: 1)]}, 1, 1, w)
+        assert [blk[i, 0] for i in range(4)] == [column.get(i, 0) for i in range(4)], kind
+    with pytest.raises(ValueError, match="unknown derivative kind"):
+        operator_block({"a": [("a", "x3", lambda: 1)]}, 1, 1, w)
 
 
 def test_symmetry_enforced():
@@ -186,7 +212,7 @@ def test_components_of_the_package_blocks():
     assert _sizes(build_legendre_block(0, 0)) == [1] * 5
     for k in (1, 2, 5):
         for m in range(1, 3 * k + 1):
-            assert _sizes(circle_block(k, m)) == [2, 2]
+            assert _sizes(block_matrix(k, m, 0)) == [2, 2]
         for m in range(1, 4):
             for n in range(1, 4):
                 assert _sizes(block_matrix(k, m, n)) == [2, 2, 2, 2]

@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bihindex.exact import Surd, surd_sign
+from bihindex import torus
+from bihindex.exact import QUAD_SQRT2, QUAD_ZERO, QuadExt, Surd, surd_sign
 from bihindex.matrices import charpoly_exact
 from bihindex.torus import (
     IndexReport,
@@ -210,6 +211,60 @@ def test_block_eigenvalues_match_closed_forms():
                     expected = np.sort([lm] * mult + [lp] * mult)
                 scale = np.maximum(np.abs(expected), 1.0)
                 assert np.all(np.abs(ev - expected) <= 1e-9 * scale), (k, m, n)
+
+
+ONE = QuadExt(1)
+# the rotations of S^2 about the x and y axes, in the (k, 0) basis y cos,
+# y sin, eta cos, eta sin, and the same vectors with the normal part negated
+ROTATIONS = ((-ONE, QUAD_ZERO, QUAD_ZERO, -QUAD_SQRT2), (QUAD_ZERO, -ONE, QUAD_SQRT2, QUAD_ZERO))
+WRONG_SIGN = tuple(v[:2] + tuple(-x for x in v[2:]) for v in ROTATIONS)
+
+
+def _annihilates(block, vector) -> bool:
+    return all(
+        sum((x * v for x, v in zip(row, vector)), QUAD_ZERO).is_zero() for row in block.entries
+    )
+
+
+def _rotation_kernel_failures(k_max: int) -> list[tuple[int, str]]:
+    """Where block_matrix fails the kernel that the rotations of S^2 force.
+
+    A Killing field of the target composed with the map is a Jacobi field of
+    the bienergy, so it lies in the kernel of its block: the rotation about
+    the pole is the (0, 0) tangential constant (1, 0), and the rotations
+    about the x and y axes are ROTATIONS in the (k, 0) block.  These 3 of the
+    torus nullity 5 are the whole circle nullity 3, since the (m, 0) blocks
+    are the circle's.
+    """
+    failures = []
+    for k in range(1, k_max + 1):
+        if not _annihilates(block_matrix(k, 0, 0), (ONE, QUAD_ZERO)):
+            failures.append((k, "pole"))
+        axis = block_matrix(k, k, 0)
+        failures += [(k, "x, y") for v in ROTATIONS if not _annihilates(axis, v)]
+        failures += [(k, "wrong sign") for v in WRONG_SIGN if _annihilates(axis, v)]
+    return failures
+
+
+def test_rotations_lie_in_the_kernel():
+    assert _rotation_kernel_failures(50) == []
+
+
+def test_flipped_coupling_fails_the_rotation_kernel(monkeypatch):
+    # negating both coupling rules conjugates each block by diag(1, 1, -1, -1):
+    # it stays symmetric with the same charpoly, which the closed-form
+    # eigenvalue tests cannot tell apart, and the kernel test must catch it
+    flipped = {
+        frame: [
+            (out, kind, (lambda k, lam, c=c: -c(k, lam)) if out != frame else c)
+            for out, kind, c in rules
+        ]
+        for frame, rules in torus.OPERATOR_TABLE.items()
+    }
+    charpolys = [charpoly_exact(block_matrix(k, k, 0)) for k in (1, 2, 7)]
+    monkeypatch.setattr(torus, "OPERATOR_TABLE", flipped)
+    assert [charpoly_exact(block_matrix(k, k, 0)) for k in (1, 2, 7)] == charpolys
+    assert len(_rotation_kernel_failures(50)) == 4 * 50
 
 
 def test_lambda_plus_positive_in_scan_region():
