@@ -3,7 +3,8 @@
 The nullity exceeds 5 exactly when some interior lattice pair (m, n) makes
 the integer discriminant D vanish.  The scan classifies every pair below the
 certified bound m^2 + n^2 < 9 k^2 with exact integer signs, one run of
-negative pairs per m (torus.sign_runs).  The closest call in
+negative pairs per m (torus.sign_runs); the rows with 5m^2 > 7k^2 are
+proved positive at once (torus.last_row).  The closest call in
 this range sits at k = 192 near (m, n) = (100, 185), where D is about 10^15
 times smaller than its neighbours -- but exactly nonzero.
 """

@@ -2,7 +2,8 @@
 
 On the subspace spanned by cos(m gamma), sin(m gamma) the second-variation
 operator acts by the torus block torus.block_matrix(k, m, 0): at n = 0 the
-torus rules are the circle's.  Its eigenvalues are
+torus rules are the circle's.  Its eigenvalues are the torus values
+torus.eigenvalue(k, m, 0, branch),
 
     lambda^{+-}_m = ( -k^4 + 2 m^4 + 5 k^2 m^2 +- sqrt(R_m) ) / 2,
     R_m = k^8 + 2 k^6 m^2 + k^4 m^4 + 32 k^2 m^6,
@@ -19,16 +20,8 @@ with the exact eigenvalue sign counts of matrices.eigenvalue_signs.
 
 from __future__ import annotations
 
-from .exact import Surd
 from .matrices import eigenvalue_signs
-from .torus import TorusLabel, block_matrix, eigenvalue as torus_eigenvalue
-
-
-def circle_eigenvalue(k: int, m: int, branch: str) -> Surd:
-    """lambda^{+-}_m; identical to the torus value at (m, 0)."""
-    if m == 0:
-        return torus_eigenvalue(k, 0, 0, "mu0" if branch == "plus" else "mu1")
-    return torus_eigenvalue(k, m, 0, branch)
+from .torus import TorusLabel, block_matrix
 
 
 def circle_index_nullity(k: int) -> tuple[int, int]:

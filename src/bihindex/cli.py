@@ -61,12 +61,13 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 
-# torus index takes O(k log k) exact evaluations: 3.5 s, 9.3 MB of JSON and
-# 117 MB peak at k = 10^5 on one core of an x86-64 Xeon, Python 3.11
+# torus index takes O(k log k) exact evaluations over the rows 5m^2 < 7k^2:
+# 2.1 s, 6.6 MB of JSON and 87 MB peak at k = 10^5 on one core of an x86-64
+# Xeon, Python 3.11
 INDEX_K_LIMIT = 10**5
 
-# torus scan costs about 1.6e-5 * k s per row k on the same core, so about
-# 13 min for all k <= 10^4 in one process
+# torus scan costs about 1.05e-5 * k s per row k on the same core, so about
+# 9 min for all k <= 10^4 in one process
 SCAN_K_LIMIT = 10**4
 
 # torus spectrum builds and sorts the about (pi/4) lambda_max labels with
@@ -82,13 +83,21 @@ DESCARTES_RANGE_LIMIT = 300
 # larger k is refused with the check, answered without it
 CHECK_MATRICES_K_LIMIT = 10**4
 
-# torus check reads at most this many bytes (a k = 10^4 report is about 0.9 MB)
+# torus check reads at most this many bytes (a k = 10^4 report is about 0.64 MB)
 CHECK_FILE_LIMIT = 2**26
 
-# digits of --n-dim and of each exact rational's numerator and denominator.
-# The longest exact string a report then prints, a noncompact hessian
-# coefficient, has 3615 digits, under Python's 4300-digit int to str limit
+# digits of --n-dim, of legendre verify --m and --n, and of each exact
+# rational's numerator and denominator.  The longest exact strings a report
+# then prints, a noncompact hessian coefficient (3615 digits) and a legendre
+# verify quintic coefficient (3005 digits, degree 20 in the labels), stay
+# under Python's 4300-digit int to str limit; at 215 digits the quintic
+# reaches it
 EXACT_INPUT_DIGITS = 150
+
+# digits of torus spectrum --k: a value_float takes math.sqrt of the radicand
+# R ~ k^8, which overflows a float from k ~ 3.4e38 (k = 10^38 reported, 10^39
+# did not)
+SPECTRUM_K_DIGITS = 38
 
 
 class UsageError(Exception):
@@ -173,6 +182,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _digits_at_most(digits: int):
+    """argparse type: an integer >= 1 with at most this many digits."""
+
+    def parse(text: str) -> int:
+        value = _positive_int(text)
+        if value >= 10**digits:
+            raise argparse.ArgumentTypeError(f"must have at most {digits} digits")
+        return value
+
+    return parse
+
+
 def _worker_count(text: str) -> int:
     value = _positive_int(text)
     cpus = os.cpu_count() or 1
@@ -221,7 +242,8 @@ def build_parser() -> _Parser:
                               "callers such as perfbench's index workload may pass --workers 1")
     _add_common(t_index)
     t_spec = torus.add_parser("spectrum", help="merged spectrum up to a Laplace level")
-    t_spec.add_argument("--k", type=_positive_int, required=True)
+    t_spec.add_argument("--k", type=_digits_at_most(SPECTRUM_K_DIGITS), required=True,
+                        help=f"winding number, at most {SPECTRUM_K_DIGITS} digits")
     t_spec.add_argument("--lambda-max", type=int, default=None,
                         help="Laplace level cap (default 4*k^2, covering all nonpositive "
                              f"branches; at most {LAMBDA_MAX_LIMIT})")
@@ -246,8 +268,9 @@ def build_parser() -> _Parser:
 
     leg = groups.add_parser("legendre").add_subparsers(dest="command", required=True)
     l_verify = leg.add_parser("verify", help="block symmetry + charpoly == quintic^4")
-    l_verify.add_argument("--m", type=_positive_int, required=True)
-    l_verify.add_argument("--n", type=_positive_int, required=True)
+    for label in ("--m", "--n"):
+        l_verify.add_argument(label, type=_digits_at_most(EXACT_INPUT_DIGITS), required=True,
+                              help=f"Fourier label, at most {EXACT_INPUT_DIGITS} digits")
     _add_common(l_verify)
     l_index = leg.add_parser("index", help="index 11 / nullity 18 ledger")
     _add_common(l_index)

@@ -1,10 +1,12 @@
 """Exact scan of the nullity conjecture over a range of windings k.
 
 For each k the interior lattice pairs (m, n) with m^2 + n^2 < 9k^2 are
-classified by the exact sign of the integer discriminant D, one row m at a
-time, by torus.sign_runs: the pairs with D <= 0 form one run of n per row,
-D vanishes only at its ends, and bisection finds each end, O(k log k) per k.
-The certificate is in the sign_runs docstring.
+classified by the exact sign of the integer discriminant D.  The rows with
+5m^2 > 7k^2 need no search: a positive-coefficient identity proves D > 0 on
+all of them (torus.last_row).  torus.sign_runs searches the other rows, one
+row m at a time: the pairs with D <= 0 form one run of n per row, D
+vanishes only at its ends, and bisection finds each end, O(k log k) per k.
+The certificate is in the sign_runs and last_row docstrings.
 """
 
 from __future__ import annotations

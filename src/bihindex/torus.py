@@ -32,8 +32,9 @@ with lambda^- negative / zero,
     index(k)   = 1 + 4(k-1) + 4 f(k),
     nullity(k) = 5 + 4 g(k),
 
-and D > 0 is proved for s >= 9 k^2 (see enumeration_bound), which makes the
-lattice scan finite.
+and D > 0 is proved for s >= 9 k^2 (see enumeration_bound) and on every row
+with 5m^2 > 7k^2 (see last_row), so the lattice scan visits only the rows
+m <= last_row(k) and, in each, the n below the enumeration bound.
 """
 
 from __future__ import annotations
@@ -184,6 +185,30 @@ def enumeration_bound(k: int) -> int:
     return 9 * k * k
 
 
+def last_row(k: int) -> int:
+    """The last row m with 5m^2 < 7k^2: past it D(k, m, n) > 0 for every n.
+
+    Proof.  Put M = 5m^2 - 7k^2 and N = 5n^2.  Then, as polynomials,
+
+        625 D = M^4 + 4 M^3 N + 13 M^3 k^2 + 6 M^2 N^2 + 59 M^2 N k^2
+              + 104 M^2 k^4 + 4 M N^3 + 79 M N^2 k^2 + 238 M N k^4
+              + 542 M k^6 + N^4 + 33 N^3 k^2 + 234 N^2 k^4 + 22 N k^6
+              + 756 k^8,
+
+    and every coefficient is positive.  So D >= 756 k^8 / 625 > 0 on every
+    row with M >= 0, whatever n is.  5m^2 = 7k^2 has no solution (sqrt 35 is
+    irrational), so the other rows are those with m^2 <= 7k^2 // 5.
+
+    The cut sits at m ~ 1.183k; the last row with a negative pair is near
+    m = 1.034k (m^2 ~ 1.069 k^2) for every k checked.  7/5 is the smallest
+    simple ratio for which the shifted coefficients are all positive: for
+    the ratio 11/8 in place of 7/5 the coefficient of n^2 k^6 is negative.
+    """
+    if k < 1:
+        raise InvalidLabelError("k must be >= 1")
+    return isqrt(7 * k * k // 5)
+
+
 def _first_true(pred, lo: int, hi: int, guess: int) -> int:
     """Smallest n in [lo, hi] with pred(n), or hi + 1 if there is none.
 
@@ -213,11 +238,10 @@ def _quartic_run(
     one sign (see sign_runs).  Returns (n_lo, n_hi, zeros, nv): D < 0 exactly
     on n_lo..n_hi (empty if n_lo > n_hi), D = 0 exactly at the ends in zeros,
     and nv, the convex minimum, when the row was proved empty by the integer
-    minimum, else None.  For c0 >= 0 a row that passes the Q(s) cut must be
-    convex, D''(m2) > 0 (the convexity lemma in sign_runs); AssertionError
-    otherwise.  seeds = [witness, n_lo, n_hi, nv] are guesses from the
-    previous row, updated in place; they change the number of evaluations,
-    not the answer.
+    minimum, else None.  For c0 >= 0 the row must be convex, D''(m2) > 0
+    (the convexity lemma in sign_runs); AssertionError otherwise.
+    seeds = [witness, n_lo, n_hi, nv] are guesses from the previous row,
+    updated in place; they change the number of evaluations, not the answer.
     """
 
     def d(n: int) -> int:
@@ -228,9 +252,6 @@ def _quartic_run(
     if c0 < 0:  # one positive root and D(0) < 0: the run is 1..n_hi or empty
         w = n_lo = 1
     else:
-        s1 = m2 + 1
-        if (s1 + c3) * s1 + c2 >= 0:  # D(s) > s^2 (s^2 + c3 s + c2) >= 0 for s >= s1
-            return 1, 0, [], None
         if (6 * m2 + 3 * c3) * m2 + c2 <= 0:  # D''(m2) / 2
             raise AssertionError(f"D is not convex on the row s >= {m2}")
         w = min(max(w_seed, 1), n_max)
@@ -262,8 +283,9 @@ def sign_runs(
     pairs in zeros, and D > 0 at every other interior pair.  witnesses holds
     (m, nv) for each row proved empty through its integer minimum (below), so
     that check_runs can confirm the row without a search.  All three are in
-    (m, n) order.  The cost is O(log k) exact evaluations per m, so
-    O(k log k) per k.
+    (m, n) order.  Only the rows m <= last_row(k), those with 5m^2 < 7k^2,
+    are searched: past them D > 0 for every n (the cut lemma in last_row).
+    The cost is O(log k) exact evaluations per row, so O(k log k) per k.
 
     Proof.  Fix k and m and put s = m^2 + n^2.  Then
 
@@ -276,14 +298,13 @@ def sign_runs(
     D can vanish only at a run end.  The run lies below the enumeration bound.
 
     * 2m^2 < k^2: one positive root and D(0) < 0, so the run is 1..n_hi.
-    * 2m^2 > k^2: D(0) > 0.  If Q(s) = s^2 + k^2 s - (k^4 + 4k^2 m^2) >= 0
-      at s = m^2 + 1, then D > s^2 Q(s) >= 0 for every n: the row is empty.
-      Otherwise the convexity lemma applies: D''(s) / 2 = 6 s^2 + 3 k^2 s
-      - (k^4 + 4k^2 m^2) grows with s and is (2m^2 - k^2)(3m^2 + k^2) > 0
-      at s = m^2, so D is convex on the whole row.  D falls and then rises
-      along n, the sign of D(n+1) - D(n) changes once, and bisection on it
-      finds the minimum nv.  The row is empty iff D(nv) > 0; otherwise nv
-      is a witness with D <= 0, and bisection finds n_lo and n_hi.
+    * 2m^2 > k^2: D(0) > 0, and the convexity lemma applies: D''(s) / 2 =
+      6 s^2 + 3 k^2 s - (k^4 + 4k^2 m^2) grows with s and is
+      (2m^2 - k^2)(3m^2 + k^2) > 0 at s = m^2, so D is convex on the whole
+      row.  D falls and then rises along n, the sign of D(n+1) - D(n)
+      changes once, and bisection on it finds the minimum nv.  The row is
+      empty iff D(nv) > 0; otherwise nv is a witness with D <= 0, and
+      bisection finds n_lo and n_hi.
 
     Every search starts from the previous row's integer answers and gallops
     outwards; every sign is an exact integer comparison.
@@ -295,8 +316,7 @@ def sign_runs(
     zeros: list[tuple[int, int]] = []
     witnesses: list[tuple[int, int]] = []
     seeds = [1, 1, 1, 1]
-    m = 1
-    while m * m + 1 < bound:
+    for m in range(1, last_row(k) + 1):
         m2 = m * m
         c1 = k4 * (2 * m2 - k2)
         n_lo, n_hi, zero_ns, nv = _quartic_run(
@@ -308,7 +328,6 @@ def sign_runs(
             zeros.extend((m, n) for n in zero_ns)
         if nv is not None:
             witnesses.append((m, nv))
-        m += 1
     return runs, zeros, witnesses
 
 
@@ -378,7 +397,7 @@ def index_nullity(k: int) -> IndexReport:
 
 
 # checks stop at the first row after this many failures, so that a report
-# for a huge k with no evidence fails fast instead of scanning all 3k rows
+# for a huge k with no evidence fails fast instead of scanning all its rows
 CHECK_FAILURE_LIMIT = 20
 
 
@@ -392,7 +411,9 @@ def check_runs(
 
     Checks that D(k, m, n) < 0 exactly on the runs (m, n_lo, n_hi), D = 0
     exactly at the zero pairs and D > 0 at every other interior pair, with
-    O(1) exact evaluations of D per row m, so O(k) in all.  It calls no
+    O(1) exact evaluations of D per row m <= last_row(k), so O(k) in all.
+    The rows past last_row(k) need no evaluation: D > 0 on each of them (the
+    cut lemma in last_row), so an entry there is a failure.  It calls no
     search: sign_runs finds the ends by bisection, this function only tests
     them, and it evaluates D as A*B - C^2 (discriminant), not through the
     quartic in s.
@@ -412,8 +433,7 @@ def check_runs(
     A row with no entries must be proved empty:
 
     * 2m^2 < k^2: D has one positive root and D(0) < 0, so D(1) > 0 suffices;
-    * 2m^2 > k^2 and Q(m^2 + 1) >= 0: D > 0 on the whole row (the Q(s) cut);
-    * otherwise the row needs a witness (m, nv), and nothing else has one.
+    * 2m^2 > k^2: the row needs a witness (m, nv), and nothing else has one.
       By the convexity lemma in sign_runs, D is convex on the whole row.  Then
       D(nv - 1) >= D(nv) <= D(nv + 1), a side exempt at n = 1 or at the
       enumeration bound, makes D(nv) the row's minimum, and D(nv) > 0
@@ -422,7 +442,7 @@ def check_runs(
     Runs, zeros and witnesses must be in (m, n) order, with one run and one
     witness per row at most.
     """
-    m_max = isqrt(enumeration_bound(k) - 2)  # the rows m with m^2 + 1 < 9 k^2
+    m_max = last_row(k)
     failures: list[str] = []
     for name, keys in (
         ("negative runs", [(m,) for m, _, _ in runs]),
@@ -431,8 +451,13 @@ def check_runs(
     ):
         if any(a >= b for a, b in zip(keys, keys[1:])):
             failures.append(f"{name} are not in strictly increasing (m, n) order")
-        elif keys and not (1 <= keys[0][0] and keys[-1][0] <= m_max):
-            failures.append(f"{name} leave the rows 1 <= m <= {m_max}")
+        elif keys and keys[0][0] < 1:
+            failures.append(f"{name} start below the row m = 1")
+        elif keys and keys[-1][0] > m_max:
+            failures.append(
+                f"{name} reach past the cut 5m^2 < 7k^2 (rows m <= {m_max}), where "
+                "D > 0 is proved and no evidence is kept; rerun torus index"
+            )
     if failures:
         return failures
 
@@ -463,8 +488,7 @@ def _check_row(
     if run is None and not zs:
         if d(1) <= 0:
             return "D(1) <= 0 but the row has no run"
-        s1 = m2 + 1
-        if 2 * m2 < k2 or s1 * s1 + k2 * s1 >= k2 * (k2 + 4 * m2):  # one root, or Q(s1) >= 0
+        if 2 * m2 < k2:  # one positive root and D(0) < 0
             return None if nv is None else "a witness for a row proved empty without one"
         if nv is None:
             return "no run, no zero pair and no witness"

@@ -14,7 +14,7 @@ import pytest
 
 import bihindex.torus as torus
 from bihindex.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
-from bihindex.torus import check_runs, index_nullity, sign_runs
+from bihindex.torus import check_runs, index_nullity, last_row, sign_runs
 
 
 def index_report(capsys, k):
@@ -110,9 +110,15 @@ def _extra_run_for_a_witness(ev):
     del ev["witnesses"][W]
 
 
-def _extra_run_past_the_cut(ev):
-    # a run in a row the Q(s) cut proves empty without a witness
+def _extra_run_far_past_the_cut(ev):
+    # a run in a row that the cut 5m^2 < 7k^2 proves empty without evidence
     ev["runs"].append([3 * ev["k"] - 1, 1, 1])
+
+
+def _one_row_past_the_cut(name, entry):
+    def mutate(ev):
+        ev[name].append([last_row(ev["k"]) + 1, *entry])
+    return mutate
 
 
 def _inject_zero_next_to_a_run(ev):
@@ -145,7 +151,10 @@ MUTATIONS = {
     "dropped run with 2m^2 > k^2": _drop_run_past_the_diagonal,
     "extra run in a witness row": _extra_run,
     "extra run replacing a witness": _extra_run_for_a_witness,
-    "extra run past the Q cut": _extra_run_past_the_cut,
+    "extra run far past the cut": _extra_run_far_past_the_cut,
+    "extra run one row past the cut": _one_row_past_the_cut("runs", [1, 1]),
+    "zero pair one row past the cut": _one_row_past_the_cut("zeros", [1]),
+    "witness one row past the cut": _one_row_past_the_cut("witnesses", [1]),
     "injected zero next to a run": _inject_zero_next_to_a_run,
     "injected zero inside a run": _inject_zero_inside_a_run,
     "witness nv+1": _corrupt_witness(1, 1),
@@ -153,7 +162,7 @@ MUTATIONS = {
     "witness nv=0": _corrupt_witness(1, -59),
     "dropped witness": _drop_witness,
     "witness in a run row": lambda ev: ev["witnesses"].insert(0, [ev["runs"][-1][0], 1]),
-    "witness past the Q cut": lambda ev: ev["witnesses"].append([3 * ev["k"] - 1, 1]),
+    "witness far past the cut": lambda ev: ev["witnesses"].append([3 * ev["k"] - 1, 1]),
     "runs out of order": lambda ev: ev["runs"].reverse(),
 }
 
@@ -188,6 +197,17 @@ def test_dropped_zero_fails(monkeypatch, report155):
         listed["zeros"] = [list(zero)]
         assert failures_of(listed) == [], zero
         assert failures_of(report155), f"the zero at {zero} was not listed"
+
+
+def test_a_report_from_before_the_cut_fails_in_one_line(capsys, tmp_path, report155):
+    # reports written before the cut kept witnesses for the rows past it,
+    # which now carry no evidence: one failure names the cut, not one per row
+    evidence = copy.deepcopy(report155)
+    evidence["witnesses"].append([last_row(155) + 5, 40])
+    code, captured = check_file(capsys, tmp_path, as_cli_report(capsys, evidence))
+    assert code == EXIT_VERIFICATION
+    (failure,) = json.loads(captured.out)["results"]["failures"]
+    assert "past the cut 5m^2 < 7k^2" in failure and "rerun torus index" in failure
 
 
 def test_report_totals_are_checked(capsys, tmp_path):
@@ -241,8 +261,10 @@ def test_torus_check_malformed_input_gives_one_line(capsys, tmp_path, content):
 
 
 def test_check_cost_is_linear_in_k(monkeypatch):
-    # k = 10^4 has about 3k = 30000 rows; the check makes at most five exact
-    # evaluations of D per row and never searches
+    # k = 10^4 has last_row(k) = 11832 rows below the cut 5m^2 < 7k^2, each
+    # with a run or a witness; the check makes at most four exact
+    # evaluations of D per row (at and next to the ends, or at and next to
+    # the witness and at n = 1) and never searches
     k = 10_000
     runs, zeros, witnesses = sign_runs(k)
     calls = 0
@@ -260,9 +282,9 @@ def test_check_cost_is_linear_in_k(monkeypatch):
     for name in ("sign_runs", "_quartic_run", "_first_true"):
         monkeypatch.setattr(torus, name, forbidden)
     assert check_runs(k, runs, zeros, witnesses) == []
-    rows = 3 * k
-    assert len(runs) + len(witnesses) > rows // 2
-    assert calls <= 5 * rows, calls
+    rows = last_row(k)
+    assert len(runs) + len(witnesses) == rows
+    assert calls <= 4 * rows, calls
 
 
 def test_huge_k_without_evidence_fails_fast():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from bihindex.circle import (
-    circle_eigenvalue,
     circle_index_nullity,
     circle_index_nullity_by_matrices,
 )
@@ -37,13 +36,6 @@ def test_block_equals_torus_axis_block():
             assert circle_block(k, m) == block_matrix(k, m, 0), (k, m)
 
 
-def test_eigenvalues_equal_torus_axis_values():
-    for k in range(1, 26):
-        for m in range(1, 26):
-            for branch in ("plus", "minus"):
-                assert circle_eigenvalue(k, m, branch) == eigenvalue(k, m, 0, branch)
-
-
 def test_index_nullity_formula():
     assert circle_index_nullity(1) == (1, 3)
     assert circle_index_nullity(3) == (5, 3)
@@ -63,8 +55,8 @@ def test_block_eigenvalues_numeric():
     for k in (2, 5):
         for m in (1, 3, 8):
             ev = np.sort(np.linalg.eigvalsh(to_numpy(block_matrix(k, m, 0))))
-            lam = float(circle_eigenvalue(k, m, "minus"))
-            lap = float(circle_eigenvalue(k, m, "plus"))
+            lam = float(eigenvalue(k, m, 0, "minus"))
+            lap = float(eigenvalue(k, m, 0, "plus"))
             expected = np.sort([lam, lam, lap, lap])
             assert np.allclose(ev, expected, rtol=1e-10, atol=1e-9)
 

@@ -10,6 +10,7 @@ import pytest
 
 from bihindex.cli import (
     CHECK_MATRICES_K_LIMIT,
+    SPECTRUM_K_DIGITS,
     DESCARTES_RANGE_LIMIT,
     EXACT_INPUT_DIGITS,
     EXIT_OK,
@@ -126,6 +127,13 @@ def test_usage_errors_exit_one(capsys):
         ["torus", "index", "--k", str(INDEX_K_LIMIT + 1)],
         ["torus", "scan", "--k-max", str(SCAN_K_LIMIT + 1)],
         ["torus", "spectrum", "--k", "2", "--lambda-max", str(LAMBDA_MAX_LIMIT + 1)],
+        # a quintic coefficient of 4300+ digits cannot be printed
+        ["legendre", "verify", "--m", str(10**215), "--n", "1"],
+        # float(-k^4) overflows
+        ["torus", "spectrum", "--k", str(10**78), "--lambda-max", "0"],
+        # one digit above each label bound
+        ["legendre", "verify", "--m", "1", "--n", str(10**EXACT_INPUT_DIGITS)],
+        ["torus", "spectrum", "--k", str(10**SPECTRUM_K_DIGITS), "--lambda-max", "1"],
     ],
 )
 def test_boundary_inputs_give_one_line_diagnostics(capsys, argv):
@@ -164,10 +172,13 @@ _BIG = [str(10**EXACT_INPUT_DIGITS - d) for d in (1, 3, 7, 9)]  # the largest al
         ["reduced", "ellipsoid", "--n-dim", _BIG[0], "--radius", f"1/{_BIG[1]}",
          "--b", f"1/{_BIG[2]}"],
         ["reduced", "sphere", "--n-dim", _BIG[0], "--radius", f"1/{_BIG[1]}"],
+        ["legendre", "verify", "--m", _BIG[0], "--n", _BIG[1]],
+        # every float of the report is finite at the largest torus spectrum --k
+        ["torus", "spectrum", "--k", str(10**SPECTRUM_K_DIGITS - 1), "--lambda-max", "50"],
     ],
 )
 def test_largest_exact_inputs_report(capsys, argv):
-    # at EXACT_INPUT_DIGITS every exact string of the report can still be printed
+    # at the digit bounds every exact string of the report can still be printed
     code, out = run_cli(capsys, *argv)
     assert code == EXIT_OK
     assert json.loads(out)["command"] == " ".join(argv[:2])

@@ -1,11 +1,13 @@
 """Conjecture scan: the exact sign runs against the O(k^2) oracle, determinism,
 the near-tie family."""
 
+import functools
 import os
 from math import isqrt
 
 import pytest
 
+from bihindex import torus
 from bihindex.scan import (
     ScanRow,
     conjecture_scan,
@@ -30,14 +32,37 @@ def test_fast_scan_matches_exact_scan():
         assert (row.f, row.g) == (f, g), k
 
 
+ORACLE_KS = [*range(1, 121), 155, 192, 300]
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_pairs(k):
+    _, _, neg, zero = interior_sign_scan(k)
+    return neg, zero
+
+
+def _oracle_mismatches(ks):
+    """The k whose sign runs differ from the O(k^2) oracle, pair for pair."""
+    bad = []
+    for k in ks:
+        runs, zeros, _ = sign_runs(k)
+        neg, zero = _oracle_pairs(k)
+        if list(run_pairs(runs)) != neg or zeros != zero:
+            bad.append(k)
+        assert all(n_lo <= n_hi for _, n_lo, n_hi in runs), k
+    return bad
+
+
 def test_sign_runs_match_oracle():
     # negative pairs and zero pairs, in (m, n) order, pair for pair
-    for k in [*range(1, 121), 155, 192, 300]:
-        runs, zeros, _ = sign_runs(k)
-        _, _, neg, zero = interior_sign_scan(k)
-        assert list(run_pairs(runs)) == neg, k
-        assert zeros == zero, k
-        assert all(n_lo <= n_hi for _, n_lo, n_hi in runs), k
+    assert _oracle_mismatches(ORACLE_KS) == []
+
+
+def test_a_lower_row_cut_fails_the_oracle(monkeypatch):
+    # the cut 5m^2 < 5k^2 (rows m < k) drops the runs with k < m <= 1.034k,
+    # which every k > 1 here has; k = 1 has no run at all
+    monkeypatch.setattr(torus, "last_row", lambda k: k - 1)
+    assert _oracle_mismatches(ORACLE_KS) == ORACLE_KS[1:]
 
 
 def test_sign_runs_past_the_old_float_range():
@@ -105,9 +130,8 @@ def test_quartic_run_zero_at_run_end(factors, m2, expected):
     # no interior zero of D occurs in the torus family, so the zero branch is
     # driven by synthetic quartics with the same sign pattern + + - e e
     c3, c2, c1, c0, d = _quartic(factors, m2)
-    if c0 > 0:  # the rows past the Q(s) cut that the convexity lemma covers
-        s1 = m2 + 1
-        assert (6 * m2 + 3 * c3) * m2 + c2 > 0 > (s1 + c3) * s1 + c2
+    if c0 > 0:  # the convexity lemma covers the rows with D(0) > 0
+        assert (6 * m2 + 3 * c3) * m2 + c2 > 0
     n_max = 20
     signs = {n: d(n) for n in range(1, n_max + 1)}
     if expected is None:

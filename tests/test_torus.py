@@ -24,6 +24,7 @@ from bihindex.torus import (
     index_nullity,
     interior_sign_scan,
     lambda_parts,
+    last_row,
     min_abs_interior_discriminant,
     negative_eigenvector_coefficient,
     sign_lambda_minus,
@@ -146,6 +147,54 @@ def test_enumeration_bound_boundary_shell():
                 checked += 1
                 assert discriminant(k, m, n) > 0, (k, m, n)
         assert checked > 50
+
+
+def _cut_identity():
+    """{(a, b, c): coefficient} of the right side 625 D = sum coeff M^a N^b k^c,
+    read from the last_row docstring, so that the stated identity is the one proved."""
+    rhs = last_row.__doc__.split("625 D =")[1].split(",")[0]
+    assert "-" not in rhs
+    terms = {}
+    for term in rhs.split("+"):
+        coeff, exps = 1, {"M": 0, "N": 0, "k": 0}
+        for factor in term.split():
+            if factor.isdigit():
+                coeff = int(factor)
+            else:
+                var, _, exp = factor.partition("^")
+                exps[var] = int(exp or 1)
+        key = (exps["M"], exps["N"], exps["k"])
+        assert key not in terms, term
+        terms[key] = coeff
+    return terms
+
+
+def test_row_cut_identity():
+    # 625 D(k, m, n) with M = 5m^2 - 7k^2, N = 5n^2.  Both sides are
+    # polynomials of degree <= 4 in each of k^2, m^2 and n^2, so equality on
+    # the 5 x 5 x 5 grid of the distinct squares of 0..4 proves the identity
+    terms = _cut_identity()
+    assert len(terms) == 15
+    assert all(c > 0 for c in terms.values())
+    assert all(a + b + c // 2 == 4 and c % 2 == 0 for a, b, c in terms)
+    for k in range(5):
+        for m in range(5):
+            for n in range(5):
+                big_m, big_n = 5 * m * m - 7 * k * k, 5 * n * n
+                rhs = sum(c * big_m**a * big_n**b * k**e for (a, b, e), c in terms.items())
+                assert 625 * discriminant(k, m, n) == rhs, (k, m, n)
+
+
+def test_last_row_is_the_cut():
+    for k in range(1, 2001):
+        m = last_row(k)
+        assert 5 * m * m < 7 * k * k < 5 * (m + 1) ** 2, k
+    # so D > 0 on the first row past the cut, at every n below the bound
+    for k in (1, 2, 3, 10, 155):
+        m = last_row(k) + 1
+        assert all(discriminant(k, m, n) > 0 for n in range(0, 3 * k + 1)), k
+    with pytest.raises(InvalidLabelError):
+        last_row(0)
 
 
 def test_index_nullity_published_rows():
