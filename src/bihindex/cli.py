@@ -28,6 +28,7 @@ from . import __version__
 from .bumps import PolynomialBump
 from .circle import circle_index_nullity, circle_index_nullity_by_matrices
 from .legendre import (
+    LEDGER_FAMILIES,
     CharpolyMismatchError,
     descartes_lemma_check,
     legendre_index_nullity,
@@ -94,10 +95,10 @@ CHECK_FILE_LIMIT = 2**26
 # reaches it
 EXACT_INPUT_DIGITS = 150
 
-# digits of torus spectrum --k: a value_float takes math.sqrt of the radicand
-# R ~ k^8, which overflows a float from k ~ 3.4e38 (k = 10^38 reported, 10^39
-# did not)
-SPECTRUM_K_DIGITS = 38
+# digits of torus spectrum --k: a value_float overflows only when the
+# eigenvalue does, and mu1 = -k^4 leaves the float range from k ~ 1.16e77
+# (float(-k^4) is finite at k = 10^77 - 1 and overflows at 1.2e77)
+SPECTRUM_K_DIGITS = 77
 
 
 class UsageError(Exception):
@@ -485,10 +486,9 @@ def _cmd_legendre_verify(args) -> tuple[dict, int]:
 
 def _cmd_legendre_index(args) -> tuple[dict, int]:
     led = legendre_index_nullity()
-    families = ["constant", "axis-m", "axis-n", "interior-1-1", "interior-2-1"]
     rows = [
         [fam, i, nu]
-        for fam, i, nu in zip(families, led.index_split, led.nullity_split)
+        for (fam, _), i, nu in zip(LEDGER_FAMILIES, led.index_split, led.nullity_split)
     ]
     rows.append(["total", led.index, led.nullity])
     results = {

@@ -253,7 +253,13 @@ class Surd:
         return Fraction(self.p + self.branch * r, self.q)
 
     def __float__(self) -> float:
-        return (self.p + self.branch * math.sqrt(self.s)) / self.q
+        # sqrt(s) to 64 bits past the point, with no float of s; opposite signs take
+        # the conjugate form (p^2 - s)/(q (p - branch sqrt(s))), so no digit cancels
+        # and the quotient overflows only when the value does
+        one, r = 1 << 64, math.isqrt(self.s << 128)
+        if self.p * self.branch >= 0:
+            return (self.p * one + self.branch * r) / (self.q * one)
+        return (self.p * self.p - self.s) * one / (self.q * (self.p * one - self.branch * r))
 
     def __repr__(self) -> str:
         return f"Surd(p={self.p}, s={self.s}, q={self.q}, branch={self.branch:+d})"

@@ -12,11 +12,17 @@ f, X1 f, X2 f, X1 X2 f, X2 X2 f with lam-dependent integer coefficients
 in Z[sqrt(2))).  OPERATOR_TABLE holds the rules; matrices.operator_block,
 which also builds the torus and circle blocks, applies them.
 
-The characteristic polynomial of every interior block is the fourth power
-of a quintic P5 whose coefficients a5..a0 are explicit polynomials in
-(m, n); a Descartes sign argument shows P5 has no nonpositive root except
-at the two small labels (1,1) and (2,1).  Summing the exact eigenvalue sign
-counts of all blocks yields index 11 and nullity 18.
+Summing the exact eigenvalue signs of the seven blocks in LEDGER_FAMILIES
+gives index 11 and nullity 18.  Every other block is positive definite by
+three lemmas, each proved for all labels in tests/test_legendre.py from
+forward differences of finitely many integer evaluations (block entries have
+degree <= 4 in each label, so each charpoly coefficient has a known degree):
+* axis cut-off: (t, 0) and (0, t) for t >= AXIS_CUTOFF
+  (test_axis_blocks_are_positive_from_the_cutoff);
+* quintic: charpoly = P5^4 at every m, n >= 1 (test_each_interior_component_has_charpoly_minus_p5);
+* Descartes: the signs of a0..a5 rule out a root <= 0 of P5 at every label of
+  satisfies_lemma_hypothesis, all but (1, 1) and (2, 1)
+  (test_descartes_lemma_holds_for_every_label).
 """
 
 from __future__ import annotations
@@ -101,7 +107,8 @@ def build_legendre_block(m: int, n: int) -> ExactMatrix:
 # -- the quintic factor of the interior characteristic polynomials -------------
 
 def p5_coefficients(m: int, n: int) -> tuple[int, int, int, int, int, int]:
-    """(a0, a1, a2, a3, a4, a5) of the quintic factor for the (m, n) block."""
+    """(a0, a1, a2, a3, a4, a5) of the quintic factor for the (m, n) block; each
+    a_i has degree <= 20 in m and in n, and the quintic lemma derives the table."""
     a5 = -1
     a4 = 5 * m**4 + 20 * m**2 * n**2 + 20 * m**2 + 20 * n**4 + 56 * n**2 - 4
     a3 = (
@@ -220,7 +227,7 @@ class DescartesReport:
 def descartes_lemma_check(m_max: int, n_max: int) -> DescartesReport:
     """Verify the six sign conditions for every hypothesis pair in the range,
     and independently confirm by Sturm counting that the quintic has no root
-    <= 0 there."""
+    <= 0 there.  The window is an oracle; the Descartes lemma is the proof."""
     if m_max < 3 or n_max < 3:
         raise ValueError("range must reach at least (3, 3)")
     violations = []
@@ -258,60 +265,43 @@ class LegendreLedger:
     nullity: int
     index_split: tuple[int, int, int, int, int]
     nullity_split: tuple[int, int, int, int, int]
-    axis_m_scanned_to: int
+    axis_m_scanned_to: int  # the last axis label counted, AXIS_CUTOFF - 1
     axis_n_scanned_to: int
     split_matches_cited: bool
 
 
-def _block_counts(m: int, n: int) -> tuple[int, int]:
-    return eigenvalue_signs(build_legendre_block(m, n))
+# every axis block (t, 0) and (0, t) with t >= AXIS_CUTOFF is positive definite
+AXIS_CUTOFF = 3
 
-
-AXIS_SCAN_LIMIT = 32  # both axes stop at t = 5; a scan still going here miscounts
-
-
-class AxisScanLimitError(RuntimeError):
-    """An axis scan passed AXIS_SCAN_LIMIT without three positive blocks in a row."""
-
-
-def _axis_scan(make_label) -> tuple[int, int, int]:
-    """Accumulate (index, nullity) along an axis family until three
-    consecutive blocks are certified entirely positive by exact sign counts."""
-    idx = nul = consecutive_positive = 0
-    for t in range(1, AXIS_SCAN_LIMIT + 1):
-        neg, zero = _block_counts(*make_label(t))
-        consecutive_positive = consecutive_positive + 1 if neg == 0 and zero == 0 else 0
-        idx += neg
-        nul += zero
-        if consecutive_positive == 3:
-            return idx, nul, t
-    raise AxisScanLimitError(f"no stop by label {make_label(AXIS_SCAN_LIMIT)}")
+# the labels of every block with a nonpositive eigenvalue, by family
+LEDGER_FAMILIES: tuple[tuple[str, tuple[tuple[int, int], ...]], ...] = (
+    ("constant", ((0, 0),)),
+    ("axis-m", tuple((t, 0) for t in range(1, AXIS_CUTOFF))),
+    ("axis-n", tuple((0, t) for t in range(1, AXIS_CUTOFF))),
+    ("interior-1-1", ((1, 1),)),
+    ("interior-2-1", ((2, 1),)),
+)
 
 
 def legendre_index_nullity() -> LegendreLedger:
-    """Exact totals assembled block family by block family.
-
-    Families: the constant block, the (m, 0) axis, the (0, n) axis, and the
-    interior labels (1, 1) and (2, 1); every other interior label is covered
-    by the Descartes certificate (no nonpositive root of the quintic).  The
+    """Exact totals from the blocks in LEDGER_FAMILIES; every other block is
+    positive definite by the three lemmas of the module docstring.  The
     per-family split is compared against the split cited from earlier work
     and flagged, not failed, if only the split disagrees.
     """
-    zero_neg, zero_nul = _block_counts(0, 0)
-    m_neg, m_nul, m_to = _axis_scan(lambda t: (t, 0))
-    n_neg, n_nul, n_to = _axis_scan(lambda t: (0, t))
-    i11_neg, i11_nul = _block_counts(1, 1)
-    i21_neg, i21_nul = _block_counts(2, 1)
-
-    index_split = (zero_neg, m_neg, n_neg, i11_neg, i21_neg)
-    nullity_split = (zero_nul, m_nul, n_nul, i11_nul, i21_nul)
+    signs = [
+        [eigenvalue_signs(build_legendre_block(m, n)) for m, n in labels]
+        for _, labels in LEDGER_FAMILIES
+    ]
+    index_split = tuple(sum(neg for neg, _ in family) for family in signs)
+    nullity_split = tuple(sum(zero for _, zero in family) for family in signs)
     return LegendreLedger(
         index=sum(index_split),
         nullity=sum(nullity_split),
         index_split=index_split,
         nullity_split=nullity_split,
-        axis_m_scanned_to=m_to,
-        axis_n_scanned_to=n_to,
+        axis_m_scanned_to=AXIS_CUTOFF - 1,
+        axis_n_scanned_to=AXIS_CUTOFF - 1,
         split_matches_cited=(
             index_split == CITED_INDEX_SPLIT and nullity_split == CITED_NULLITY_SPLIT
         ),

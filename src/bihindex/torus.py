@@ -528,34 +528,28 @@ def _check_row(
 
 
 def min_abs_interior_discriminant(
-    k: int,
-    m_range: tuple[int, int] | None = None,
-    n_range: tuple[int, int] | None = None,
+    k: int, m_range: tuple[int, int], n_range: tuple[int, int]
 ) -> tuple[int, tuple[int, int]]:
-    """Smallest |D| over interior pairs, with its witness pair.
+    """Smallest |D| over the interior pairs of a window, with its witness pair.
 
-    Without ranges the whole scan region below the enumeration bound is
-    searched; with ranges only the given window (intersected with the
-    region).  Exposes how close the scan comes to a zero of lambda^- (the
-    nullity-5 conjecture holds iff no interior D vanishes).
+    The window m_lo <= m <= m_hi, n_lo <= n <= n_hi is cut to m, n >= 1 and
+    m^2 + n^2 below the enumeration bound; a tie goes to the first pair in
+    (m, n) order.  Exposes how close the scan comes to a zero of lambda^-
+    (the nullity-5 conjecture holds iff no interior D vanishes).
     """
     bound = enumeration_bound(k)
-    best: int | None = None
-    arg = (0, 0)
-    m_lo, m_hi = m_range if m_range else (1, bound)
-    n_lo, n_hi = n_range if n_range else (1, bound)
-    m = max(m_lo, 1)
-    while m <= m_hi and m * m < bound:
-        n = max(n_lo, 1)
-        while n <= n_hi and m * m + n * n < bound:
-            d = abs(discriminant(k, m, n))
-            if best is None or d < best:
-                best, arg = d, (m, n)
-            n += 1
-        m += 1
+    best = min(
+        (
+            (abs(discriminant(k, m, n)), (m, n))
+            for m in range(max(m_range[0], 1), m_range[1] + 1)
+            for n in range(max(n_range[0], 1), n_range[1] + 1)
+            if m * m + n * n < bound
+        ),
+        default=None,
+    )
     if best is None:
         raise InvalidLabelError("empty scan window")
-    return best, arg
+    return best
 
 
 # -- block matrices ------------------------------------------------------------

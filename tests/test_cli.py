@@ -129,7 +129,7 @@ def test_usage_errors_exit_one(capsys):
         ["torus", "spectrum", "--k", "2", "--lambda-max", str(LAMBDA_MAX_LIMIT + 1)],
         # a quintic coefficient of 4300+ digits cannot be printed
         ["legendre", "verify", "--m", str(10**215), "--n", "1"],
-        # float(-k^4) overflows
+        # float(-k^4) would overflow
         ["torus", "spectrum", "--k", str(10**78), "--lambda-max", "0"],
         # one digit above each label bound
         ["legendre", "verify", "--m", "1", "--n", str(10**EXACT_INPUT_DIGITS)],

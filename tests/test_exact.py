@@ -15,6 +15,7 @@ from bihindex.exact import (
     sign_two_radicals,
     surd_sign,
 )
+from bihindex.torus import spectrum
 
 
 def test_quadext_products():
@@ -134,6 +135,18 @@ PI_100 = Fraction(
     "3.1415926535897932384626433832795028841971693993751058209749445923078164062862"
     "089986280348253421170679"
 )
+
+
+@pytest.mark.parametrize("k", [1000, 10**6, 10**12, 10**77 - 1])
+def test_surd_floats_match_a_256_bit_reference(k):
+    # lambda^+ = (T + sqrt(R))/2 with T near -sqrt(R) cancels every digit of
+    # a float sqrt (at k = 10^12 all 21 positive eigenvalues came out 0.0), and
+    # math.sqrt(R) overflows from k ~ 3.4e38; the reference carries 256 bits
+    # of sqrt(s), and no eigenvalue is small enough for them to matter
+    for e in spectrum(k, 20):
+        v = e.eigenvalue
+        ref = Fraction(v.p * 2**256 + v.branch * math.isqrt(v.s << 512), v.q * 2**256)
+        assert abs(Fraction(float(v)) - ref) <= abs(ref) / 2**50, (k, v)
 
 
 def test_pi_enclosure_contains_pi():

@@ -143,17 +143,108 @@ def test_p5_factorization_examples():
         assert rep.charpoly == p5_polynomial(m, n) ** 4
 
 
+def _leading_differences(values) -> list[int]:
+    """Delta^j v(0) for j = 0 .. len - 1, from the samples v(0), v(1), ....
+
+    If v is a polynomial of degree < len, v(u) = sum_j Delta^j v(0) C(u, j)
+    for every u, and C(u, j) >= 0 for every integer u >= 0.
+    """
+    out, row = [], list(values)
+    while row:
+        out.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return out
+
+
+def _leading_differences_2d(grid) -> list[list[int]]:
+    """Delta_u^j Delta_v^l v(0, 0) at [j][l], from the samples grid[u][v]."""
+    along_v = [_leading_differences(row) for row in grid]
+    along_u = [_leading_differences(col) for col in zip(*along_v)]
+    return [list(row) for row in zip(*along_u)]
+
+
 def test_each_interior_component_has_charpoly_minus_p5():
-    # charpoly = P5^4 as one 5 x 5 check times four: each component of an
-    # interior block has charpoly det(xI - A) = -P5 (P5 leads with -x^5)
-    for m in range(1, 13):
-        for n in range(1, 13):
+    """charpoly = P5^4 for every interior label m, n >= 1, from a 21 x 21 grid.
+
+    Each entry of an interior block is a + b sqrt(2), with a and b integer
+    polynomials in (m, n) of degree <= 4 in each: the rule coefficients are
+    at most quadratic in lam = m^2 + 2 n^2, and the derivatives bring m and
+    sqrt(2) n.  So an entry that vanishes at 1 <= m, n <= 21 vanishes at
+    every label, and the coefficient of x^i in the charpoly of a 5 x 5
+    principal submatrix, rational and sqrt(2) parts alike, has degree
+    <= 4 (5 - i) <= 20 in each of m and n, as have a0..a5 of P5.  Two such
+    polynomials that agree on the grid are equal.  Hence the four index sets
+    that components finds at (3, 2) split every interior block, and each
+    has charpoly det(xI - A) = -P5 (P5 leads with -x^5), with no sqrt(2) part
+    (charpoly_exact raises on one).
+    """
+    sets = components(build_legendre_block(3, 2))
+    assert [len(c) for c in sets] == [5, 5, 5, 5]
+    part_of = {i: k for k, c in enumerate(sets) for i in c}
+    for m in range(1, 22):
+        for n in range(1, 22):
             block = build_legendre_block(m, n)
-            comps = components(block)
-            assert [len(c) for c in comps] == [5, 5, 5, 5]
-            for c in comps:
+            assert all(
+                block[i, j] == 0
+                for i in range(20)
+                for j in range(20)
+                if part_of[i] != part_of[j]
+            ), (m, n)
+            p5 = p5_polynomial(m, n)
+            for c in sets:
                 part = ExactMatrix([[block[i, j] for j in c] for i in c])
-                assert charpoly_exact(part) == -p5_polynomial(m, n), (m, n, c)
+                assert charpoly_exact(part) == -p5, (m, n, c)
+
+
+@pytest.mark.parametrize("axis", [lambda t: (t, 0), lambda t: (0, t)], ids=["m", "n"])
+def test_axis_blocks_are_positive_from_the_cutoff(axis):
+    """Every axis block (t, 0) and (0, t) with t >= AXIS_CUTOFF is positive definite.
+
+    The entries of the 10 x 10 block, t >= 1, are polynomials in t of degree
+    <= 4, so the coefficient c_i of x^i in its charpoly p has degree
+    <= 4 (10 - i) <= 40 in t; 42 samples give its differences at t0 to order
+    41, which must vanish.  If every difference of (-1)^i c_i at t0 is >= 0,
+    the lemma of _leading_differences gives (-1)^i c_i(t) >= 0 and
+    c_0(t) >= c_0(t0) for every integer t >= t0.  With c_0(t0) > 0, p(-x) has
+    no sign change and p(0) != 0; p is real-rooted, so by Descartes the block
+    has no eigenvalue <= 0, as in matrices.eigenvalue_signs.  At t0 = 2 the
+    certificate fails: both (2, 0) and (0, 2) carry kernels.
+    """
+    t0 = legendre.AXIS_CUTOFF
+    samples = [charpoly_exact(build_legendre_block(*axis(t0 + u))).coeffs for u in range(42)]
+    assert samples[0][0] > 0
+    for i in range(11):
+        diffs = _leading_differences([(-1) ** i * c[i] for c in samples])
+        assert diffs[41] == 0, i
+        assert all(d >= 0 for d in diffs), i
+
+
+LEMMA_ORIGINS = ((3, 1), (1, 2))  # the quadrants m >= m0, n >= n0 of the lemma
+LEMMA_SIGNS = (1, -1, 1, -1, 1, -1)  # a0 > 0, a1 < 0, ..., a5 < 0
+
+
+def test_descartes_lemma_holds_for_every_label():
+    """The six sign conditions hold at every label of the lemma hypothesis.
+
+    a0..a5 have degree <= 20 in each of m and n, so on the 22 x 22 grid from
+    an origin (m0, n0) the two-variable differences of order 21 vanish, and
+    s_i a_i(m0 + u, n0 + v) = sum Delta_u^j Delta_v^l (s_i a_i)(m0, n0)
+    C(u, j) C(v, l).  Every difference is >= 0 and the value at the origin
+    is > 0, so s_i a_i > 0 on the whole quadrant.  The two quadrants cover
+    satisfies_lemma_hypothesis; descartes_lemma_check is an oracle on a
+    finite window, not the proof.
+    """
+    for m0, n0 in LEMMA_ORIGINS:
+        grid = [[p5_coefficients(m0 + u, n0 + v) for v in range(22)] for u in range(22)]
+        for i, s in enumerate(LEMMA_SIGNS):
+            diffs = _leading_differences_2d([[s * a[i] for a in row] for row in grid])
+            assert diffs[0][0] > 0, (m0, n0, i)
+            assert all(d >= 0 for row in diffs for d in row), (m0, n0, i)
+            assert all(diffs[21][j] == diffs[j][21] == 0 for j in range(22)), (m0, n0, i)
+    for m in range(1, 31):
+        for n in range(1, 31):
+            inside = any(m >= m0 and n >= n0 for m0, n0 in LEMMA_ORIGINS)
+            assert satisfies_lemma_hypothesis(m, n) == inside, (m, n)
 
 
 def test_p5_mismatch_reporting():
@@ -241,19 +332,3 @@ def test_frame_sections_ordering():
     # row 12 + 1 (phiU2 cos sin), and no U1 rule reaches U1 cos sin (row 1)
     blk = build_legendre_block(1, 1)
     assert blk[13, 0] == QuadExt(0, -16) and blk[1, 0] == 0
-
-
-def test_axis_scan_is_bounded(monkeypatch):
-    ledger = legendre_index_nullity()
-    assert (ledger.axis_m_scanned_to, ledger.axis_n_scanned_to) == (5, 5)
-    # a sign count that never reports a positive block must stop at the cap
-    calls = []
-
-    def always_negative(m, n):
-        calls.append((m, n))
-        return 1, 0
-
-    monkeypatch.setattr(legendre, "_block_counts", always_negative)
-    with pytest.raises(legendre.AxisScanLimitError):
-        legendre.legendre_index_nullity()
-    assert len(calls) <= legendre.AXIS_SCAN_LIMIT + 1  # the (0, 0) block, then one axis
