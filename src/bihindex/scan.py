@@ -5,8 +5,12 @@ classified by the exact sign of the integer discriminant D.  The rows with
 5m^2 > 7k^2 need no search: a positive-coefficient identity proves D > 0 on
 all of them (torus.last_row).  torus.sign_runs searches the other rows, one
 row m at a time: the pairs with D <= 0 form one run of n per row, D
-vanishes only at its ends, and bisection finds each end, O(k log k) per k.
-The certificate is in the sign_runs and last_row docstrings.
+vanishes only at its ends, and each end is walked from where the previous
+rows put it.  The sign of D is monotone along the row on each side of a
+point in the run, and on a convex row the sign of D(n+1) - D(n) changes
+once, so the walk's answer is exact wherever it starts; from a good start
+it costs about three exact evaluations per row, so O(k) per k.  The
+certificate is in the sign_runs and last_row docstrings.
 """
 
 from __future__ import annotations

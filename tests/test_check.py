@@ -279,7 +279,7 @@ def test_check_cost_is_linear_in_k(monkeypatch):
         raise AssertionError("check_runs searched")
 
     monkeypatch.setattr(torus, "discriminant", counting)
-    for name in ("sign_runs", "_quartic_run", "_first_true"):
+    for name in ("sign_runs", "_quartic_run", "_run_end"):
         monkeypatch.setattr(torus, name, forbidden)
     assert check_runs(k, runs, zeros, witnesses) == []
     rows = last_row(k)

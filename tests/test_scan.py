@@ -19,6 +19,7 @@ from bihindex.torus import (
     discriminant,
     enumeration_bound,
     interior_sign_scan,
+    last_row,
     min_abs_interior_discriminant,
     run_pairs,
     sign_runs,
@@ -141,14 +142,17 @@ def test_quartic_run_zero_at_run_end(factors, m2, expected):
         assert [n for n, v in signs.items() if v < 0] == list(range(n_lo, n_hi + 1))
         assert [n for n, v in signs.items() if v == 0] == zeros
     for guess in (1, 4, 9, n_max):
-        n_lo, n_hi, zeros, nv = _quartic_run(c3, c2, c1, c0, m2, n_max, [guess] * 4)
-        if expected is not None:
-            assert (n_lo, n_hi, zeros, nv) == (*expected, None), guess
-            continue
-        # an empty row comes with nv, the minimum of the convex row, found by
-        # bisection away from n = 1
-        assert n_lo > n_hi and zeros == [], guess
-        assert nv == min(range(1, n_max + 1), key=d) == 3, guess
+        # entered at the guess as the last run's single pair, and as the
+        # witness of a last row that was empty
+        for seeds in ([guess, guess, guess, 0, 0, 0], [1, 0, guess, 0, 0, 0]):
+            n_lo, n_hi, zeros, nv = _quartic_run(c3, c2, c1, c0, m2, n_max, seeds)
+            if expected is not None:
+                assert (n_lo, n_hi, zeros, nv) == (*expected, None), seeds
+                continue
+            # an empty row comes with nv, the minimum of the convex row, walked
+            # to from the guess
+            assert n_lo > n_hi and zeros == [], seeds
+            assert nv == min(range(1, n_max + 1), key=d) == 3, seeds
 
 
 def test_quartic_run_rejects_a_concave_row():
@@ -158,7 +162,23 @@ def test_quartic_run_rejects_a_concave_row():
     c3, c2, c1, c0, _ = _quartic(([1, -4], [1, -8], [1, 23, 1]), 0)
     for guess in (1, 4, 9, 20):
         with pytest.raises(AssertionError, match="not convex"):
-            _quartic_run(c3, c2, c1, c0, 0, 20, [guess] * 4)
+            _quartic_run(c3, c2, c1, c0, 0, 20, [guess, guess, guess, 0, 0, 0])
+
+
+def test_witnesses_are_first_minima_of_every_empty_convex_row():
+    # torus index reports carry the witnesses, so they must not depend on how
+    # the row is searched: each is the first integer minimum of D on its row,
+    # and every convex row (2m^2 > k^2) below the cut carries a run, a zero
+    # pair or a witness
+    for k in [*range(1, 61), 155, 580]:
+        runs, zeros, witnesses = sign_runs(k)
+        bound = enumeration_bound(k)
+        for m, nv in witnesses:
+            ds = [discriminant(k, m, n) for n in range(1, isqrt(bound - m * m - 1) + 1)]
+            assert nv == ds.index(min(ds)) + 1, (k, m)
+        carried = {m for m, _, _ in runs} | {m for m, _ in zeros} | {m for m, _ in witnesses}
+        convex = {m for m in range(1, last_row(k) + 1) if 2 * m * m > k * k}
+        assert convex <= carried, (k, sorted(convex - carried))
 
 
 def test_conjecture_scan_small_range():
@@ -207,7 +227,7 @@ def test_scan_row_rejects_bad_range():
 @pytest.mark.slow
 @pytest.mark.skipif(
     not os.environ.get("BIHINDEX_FULL_SCAN"),
-    reason="full k<=1500 scan: set BIHINDEX_FULL_SCAN=1 (about 30 s on one worker)",
+    reason="full k<=1500 scan: set BIHINDEX_FULL_SCAN=1 (about 6 s on one worker)",
 )
 def test_full_conjecture_scan_to_1500():
     rows = conjecture_scan(1500)
