@@ -11,7 +11,7 @@ times smaller than its neighbours -- but exactly nonzero.
 
 import time
 
-from bihindex.scan import conjecture_scan, flagged_rows
+from bihindex.scan import conjecture_scan
 from bihindex.torus import discriminant, min_abs_interior_discriminant
 
 K_MAX = 300  # push to 1500 for the full conjecture range (~30 s on one core)
@@ -20,7 +20,7 @@ t0 = time.time()
 rows = conjecture_scan(K_MAX)
 elapsed = time.time() - t0
 print(f"scanned k = 1..{K_MAX} in {elapsed:.1f}s")
-print(f"rows with g(k) != 0: {flagged_rows(rows) or 'none'}")
+print(f"rows with g(k) != 0: {[r for r in rows if r.flagged] or 'none'}")
 print(f"largest f in range: f({max(rows, key=lambda r: r.f).k}) = {max(r.f for r in rows)}")
 
 print("\n=== the near-tie at k = 192 ===")

@@ -18,7 +18,7 @@ Submodules:
   cli         -- command-line reports (json / csv / md)
 """
 
-from .exact import ExactInt, QuadExt, Surd, surd_sign
+from .exact import QuadExt, Surd
 from .matrices import ExactMatrix, charpoly_exact, eigenvalue_signs
 from .polynomials import IntPolynomial, count_roots
 from .torus import IndexReport, block_matrix, check_runs, eigenvalue, index_nullity
@@ -50,10 +50,8 @@ from .noncompact import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExactInt",
     "QuadExt",
     "Surd",
-    "surd_sign",
     "ExactMatrix",
     "charpoly_exact",
     "eigenvalue_signs",

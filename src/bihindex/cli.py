@@ -17,7 +17,6 @@ scan rows ordered by k).
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -126,28 +125,27 @@ def render_json(report: dict) -> str:
     return json.dumps(_round_floats(report), sort_keys=True, indent=2) + "\n"
 
 
-def render_csv(report: dict) -> str:
-    rows = report["results"].get("csv_rows")
+def _table(report: dict, fmt: str) -> tuple[list[str], list[list[str]]]:
+    """The table of a report: its csv_header and its csv_rows as strings."""
     header = report["results"].get("csv_header")
+    rows = report["results"].get("csv_rows")
     if rows is None or header is None:
-        raise UsageError(f"no csv rendering for command {report['command']!r}")
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(str(_round_floats(x)) for x in row) + "\n")
-    return buf.getvalue()
+        raise UsageError(f"no {fmt} rendering for command {report['command']!r}")
+    return header, [[str(_round_floats(x)) for x in row] for row in rows]
+
+
+def render_csv(report: dict) -> str:
+    header, rows = _table(report, "csv")
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
 
 
 def render_md(report: dict) -> str:
-    rows = report["results"].get("csv_rows")
-    header = report["results"].get("csv_header")
-    if rows is None or header is None:
-        raise UsageError(f"no md rendering for command {report['command']!r}")
+    header, rows = _table(report, "md")
     out = [f"### {report['command']}", ""]
     out.append("| " + " | ".join(header) + " |")
     out.append("|" + "|".join(["---"] * len(header)) + "|")
     for row in rows:
-        out.append("| " + " | ".join(str(_round_floats(x)) for x in row) + " |")
+        out.append("| " + " | ".join(row) + " |")
     out.append("")
     return "\n".join(out)
 
@@ -155,52 +153,24 @@ def render_md(report: dict) -> str:
 RENDERERS = {"json": render_json, "csv": render_csv, "md": render_md}
 
 
-def make_report(command: str, inputs: dict, results: dict, anchor: str) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "version": __version__,
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "paper_anchor": anchor,
-    }
-
-
 # -- argument plumbing -------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "csv", "md"), default="json")
-    p.add_argument("--output", default=None, help="write the report to this file")
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _digits_at_most(digits: int):
-    """argparse type: an integer >= 1 with at most this many digits."""
+def _int_in(lo: int, hi: int | None = None, too_large: str | None = None):
+    """argparse type: an integer >= lo, and <= hi unless hi is None; too_large
+    words the refusal above hi (default "must be <= hi")."""
 
     def parse(text: str) -> int:
-        value = _positive_int(text)
-        if value >= 10**digits:
-            raise argparse.ArgumentTypeError(f"must have at most {digits} digits")
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(too_large or f"must be <= {hi}")
         return value
 
     return parse
-
-
-def _worker_count(text: str) -> int:
-    value = _positive_int(text)
-    cpus = os.cpu_count() or 1
-    if value > cpus:
-        raise argparse.ArgumentTypeError(f"must be <= {cpus} (the CPU count), got {value}")
-    return value
 
 
 def _parse_rational(text: str, name: str) -> Fraction:
@@ -233,91 +203,89 @@ def build_parser() -> _Parser:
     p = _Parser(prog="bihindex", description=__doc__)
     p.add_argument("--version", action="version", version=f"bihindex {__version__}")
     groups = p.add_subparsers(dest="group", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # the options of every command
+    common.add_argument("--format", choices=("json", "csv", "md"), default="json")
+    common.add_argument("--output", default=None, help="write the report to this file")
+    cpus = os.cpu_count() or 1
+    workers = _int_in(1, cpus, f"must be <= {cpus} (the CPU count)")
+
+    def digits(lo: int, most: int):
+        return _int_in(lo, 10**most - 1, f"must have at most {most} digits")
 
     torus = groups.add_parser("torus").add_subparsers(dest="command", required=True)
-    t_index = torus.add_parser("index", help="exact index/nullity for one k")
-    t_index.add_argument("--k", type=_positive_int, required=True,
+    t_index = torus.add_parser("index", help="exact index/nullity for one k", parents=[common])
+    t_index.add_argument("--k", type=_int_in(1, INDEX_K_LIMIT), required=True,
                          help=f"winding number, at most {INDEX_K_LIMIT}")
-    t_index.add_argument("--workers", type=_worker_count, default=1,
+    t_index.add_argument("--workers", type=workers, default=1,
                          help="accepted and unused (torus index runs in one process), so that "
                               "callers such as perfbench's index workload may pass --workers 1")
-    _add_common(t_index)
-    t_spec = torus.add_parser("spectrum", help="merged spectrum up to a Laplace level")
-    t_spec.add_argument("--k", type=_digits_at_most(SPECTRUM_K_DIGITS), required=True,
+    t_spec = torus.add_parser("spectrum", help="merged spectrum up to a Laplace level",
+                              parents=[common])
+    t_spec.add_argument("--k", type=digits(1, SPECTRUM_K_DIGITS), required=True,
                         help=f"winding number, at most {SPECTRUM_K_DIGITS} digits")
     t_spec.add_argument("--lambda-max", type=int, default=None,
                         help="Laplace level cap (default 4*k^2, covering all nonpositive "
                              f"branches; at most {LAMBDA_MAX_LIMIT})")
-    _add_common(t_spec)
-    t_scan = torus.add_parser("scan", help="nullity-conjecture scan for k=1..k-max")
-    t_scan.add_argument("--k-max", type=_positive_int, required=True,
+    t_scan = torus.add_parser("scan", help="nullity-conjecture scan for k=1..k-max",
+                              parents=[common])
+    t_scan.add_argument("--k-max", type=_int_in(1, SCAN_K_LIMIT), required=True,
                         help=f"last winding number, at most {SCAN_K_LIMIT}")
-    t_scan.add_argument("--workers", type=_worker_count, default=1,
+    t_scan.add_argument("--workers", type=workers, default=1,
                         help="worker processes, at most the CPU count")
-    _add_common(t_scan)
-    t_check = torus.add_parser("check", help="verify the evidence of a torus index JSON report")
+    t_check = torus.add_parser("check", help="verify the evidence of a torus index JSON report",
+                               parents=[common])
     t_check.add_argument("file", help="a report written by torus index --format json")
-    _add_common(t_check)
 
     circle = groups.add_parser("circle").add_subparsers(dest="command", required=True)
-    c_index = circle.add_parser("index")
-    c_index.add_argument("--k", type=_positive_int, required=True)
+    c_index = circle.add_parser("index", parents=[common])
+    c_index.add_argument("--k", type=_int_in(1), required=True)
     c_index.add_argument("--check-matrices", action="store_true",
                          help="also recount from the blocks' exact eigenvalue signs "
                               f"(k <= {CHECK_MATRICES_K_LIMIT})")
-    _add_common(c_index)
 
     leg = groups.add_parser("legendre").add_subparsers(dest="command", required=True)
-    l_verify = leg.add_parser("verify", help="block symmetry + charpoly == quintic^4")
+    l_verify = leg.add_parser("verify", help="block symmetry + charpoly == quintic^4",
+                              parents=[common])
     for label in ("--m", "--n"):
-        l_verify.add_argument(label, type=_digits_at_most(EXACT_INPUT_DIGITS), required=True,
+        l_verify.add_argument(label, type=digits(1, EXACT_INPUT_DIGITS), required=True,
                               help=f"Fourier label, at most {EXACT_INPUT_DIGITS} digits")
-    _add_common(l_verify)
-    l_index = leg.add_parser("index", help="index 11 / nullity 18 ledger")
-    _add_common(l_index)
-    l_desc = leg.add_parser("descartes", help="six-sign certificate over a range")
-    l_desc.add_argument("--m", type=int, default=50,
-                        help=f"range bound for m, 3..{DESCARTES_RANGE_LIMIT}")
-    l_desc.add_argument("--n", type=int, default=50,
-                        help=f"range bound for n, 3..{DESCARTES_RANGE_LIMIT}")
-    _add_common(l_desc)
+    leg.add_parser("index", help="index 11 / nullity 18 ledger", parents=[common])
+    l_desc = leg.add_parser("descartes", help="six-sign certificate over a range",
+                            parents=[common])
+    for label in ("--m", "--n"):
+        l_desc.add_argument(label, type=_int_in(3, DESCARTES_RANGE_LIMIT), default=50,
+                            help=f"range bound for {label[2:]}, 3..{DESCARTES_RANGE_LIMIT}")
 
     red = groups.add_parser("reduced").add_subparsers(dest="command", required=True)
-    r_sphere = red.add_parser("sphere")
-    r_sphere.add_argument("--n-dim", type=int, required=True)
+    n_dim = digits(2, EXACT_INPUT_DIGITS)
+    r_sphere = red.add_parser("sphere", parents=[common])
+    r_sphere.add_argument("--n-dim", type=n_dim, required=True)
     r_sphere.add_argument("--radius", type=str, required=True)
-    _add_common(r_sphere)
-    r_ell = red.add_parser("ellipsoid")
-    r_ell.add_argument("--n-dim", type=int, required=True)
+    r_ell = red.add_parser("ellipsoid", parents=[common])
+    r_ell.add_argument("--n-dim", type=n_dim, required=True)
     r_ell.add_argument("--radius", type=str, required=True)
     r_ell.add_argument("--b", type=str, required=True)
-    _add_common(r_ell)
-    r_torus = red.add_parser("torus")
-    r_torus.add_argument("--k", type=_positive_int, required=True)
-    _add_common(r_torus)
-    r_bessel = red.add_parser("bessel")
-    _add_common(r_bessel)
-    r_conf = red.add_parser("conformal")
-    _add_common(r_conf)
+    r_torus = red.add_parser("torus", parents=[common])
+    r_torus.add_argument("--k", type=_int_in(1), required=True)
+    red.add_parser("bessel", parents=[common])
+    red.add_parser("conformal", parents=[common])
 
     non = groups.add_parser("noncompact").add_subparsers(dest="command", required=True)
-    n_stable = non.add_parser("stable")
+    n_stable = non.add_parser("stable", parents=[common])
     n_stable.add_argument("--phase", type=str, default=None,
                           help="cubic coefficients a,b,c,d as exact rationals")
-    _add_common(n_stable)
-    n_hess = non.add_parser("hessian")
+    n_hess = non.add_parser("hessian", parents=[common])
     n_hess.add_argument("--phase", type=str, default=None)
-    _add_common(n_hess)
-    n_cx = non.add_parser("counterexample")
-    _add_common(n_cx)
+    non.add_parser("counterexample", parents=[common])
     return p
 
 
 # -- command implementations ---------------------------------------------------------
+#
+# Each returns (inputs, results, ok); main wraps the first two in the report
+# envelope and exits EXIT_VERIFICATION when ok is false.
 
-def _cmd_torus_index(args) -> tuple[dict, int]:
-    if args.k > INDEX_K_LIMIT:
-        raise UsageError(f"--k must be <= {INDEX_K_LIMIT}")
+def _cmd_torus_index(args) -> tuple[dict, dict, bool]:
     r = index_nullity(args.k)
     results = {
         "k": r.k,
@@ -331,18 +299,14 @@ def _cmd_torus_index(args) -> tuple[dict, int]:
         "csv_header": ["k", "f", "g", "index", "nullity"],
         "csv_rows": [[r.k, r.f, r.g, r.index, r.nullity]],
     }
-    return make_report("torus index", {"k": args.k}, results, "torus-index-table"), EXIT_OK
+    return {"k": args.k}, results, True
 
 
-def _cmd_torus_spectrum(args) -> tuple[dict, int]:
+def _cmd_torus_spectrum(args) -> tuple[dict, dict, bool]:
     lam_max = args.lambda_max if args.lambda_max is not None else 4 * args.k * args.k
-    if lam_max < 0:
-        raise UsageError("--lambda-max must be >= 0")
-    if lam_max > LAMBDA_MAX_LIMIT:
-        raise UsageError(
-            f"--lambda-max {lam_max} (default 4*k^2 when not given) exceeds the limit "
-            f"{LAMBDA_MAX_LIMIT}"
-        )
+    if not 0 <= lam_max <= LAMBDA_MAX_LIMIT:
+        raise UsageError(f"--lambda-max {lam_max} (default 4*k^2 when not given) must be "
+                         f">= 0 and <= {LAMBDA_MAX_LIMIT}")
     merged = spectrum(args.k, lam_max)
     rows = [
         [str(e.eigenvalue), float(e.eigenvalue), e.multiplicity, ";".join(e.branches)]
@@ -362,13 +326,10 @@ def _cmd_torus_spectrum(args) -> tuple[dict, int]:
         "csv_header": ["value_exact", "value_float", "multiplicity", "branches"],
         "csv_rows": rows,
     }
-    inputs = {"k": args.k, "lambda_max": lam_max}
-    return make_report("torus spectrum", inputs, results, "torus-eigenvalue-catalog"), EXIT_OK
+    return {"k": args.k, "lambda_max": lam_max}, results, True
 
 
-def _cmd_torus_scan(args) -> tuple[dict, int]:
-    if args.k_max > SCAN_K_LIMIT:
-        raise UsageError(f"--k-max must be <= {SCAN_K_LIMIT}")
+def _cmd_torus_scan(args) -> tuple[dict, dict, bool]:
     ordered = conjecture_scan(args.k_max, workers=args.workers)
     flagged = [r.k for r in ordered if r.flagged]
     results = {
@@ -378,9 +339,7 @@ def _cmd_torus_scan(args) -> tuple[dict, int]:
         "csv_header": ["k", "f", "g", "index", "nullity"],
         "csv_rows": [[r.k, r.f, r.g, r.index, r.nullity] for r in ordered],
     }
-    inputs = {"k_max": args.k_max, "workers": args.workers}
-    code = EXIT_VERIFICATION if flagged else EXIT_OK
-    return make_report("torus scan", inputs, results, "torus-nullity-conjecture"), code
+    return {"k_max": args.k_max, "workers": args.workers}, results, not flagged
 
 
 def _read_index_report(path: str) -> dict:
@@ -418,7 +377,7 @@ def _read_index_report(path: str) -> dict:
     return results
 
 
-def _cmd_torus_check(args) -> tuple[dict, int]:
+def _cmd_torus_check(args) -> tuple[dict, dict, bool]:
     res = _read_index_report(args.file)
     k, runs, zeros = res["k"], res["negative_runs"], res["zero_pairs"]
     totals = run_totals(k, runs, zeros)
@@ -436,11 +395,10 @@ def _cmd_torus_check(args) -> tuple[dict, int]:
         "csv_rows": [[k, len(runs), len(zeros), len(res["empty_row_witnesses"]), len(failures),
                       not failures]],
     }
-    code = EXIT_VERIFICATION if failures else EXIT_OK
-    return make_report("torus check", {"file": args.file}, results, "torus-index-table"), code
+    return {"file": args.file}, results, not failures
 
 
-def _cmd_circle_index(args) -> tuple[dict, int]:
+def _cmd_circle_index(args) -> tuple[dict, dict, bool]:
     if args.check_matrices and args.k > CHECK_MATRICES_K_LIMIT:
         raise UsageError(f"--check-matrices needs --k <= {CHECK_MATRICES_K_LIMIT}")
     idx, nul = circle_index_nullity(args.k)
@@ -451,25 +409,20 @@ def _cmd_circle_index(args) -> tuple[dict, int]:
         "csv_header": ["k", "index", "nullity"],
         "csv_rows": [[args.k, idx, nul]],
     }
-    code = EXIT_OK
+    ok = True
     if args.check_matrices:
         idx2, nul2 = circle_index_nullity_by_matrices(args.k)
         results["matrix_counts"] = {"index": idx2, "nullity": nul2}
-        if (idx2, nul2) != (idx, nul):
-            code = EXIT_VERIFICATION
-    return make_report("circle index", {"k": args.k}, results, "circle-index-formula"), code
+        ok = (idx2, nul2) == (idx, nul)
+    return {"k": args.k}, results, ok
 
 
-def _cmd_legendre_verify(args) -> tuple[dict, int]:
+def _cmd_legendre_verify(args) -> tuple[dict, dict, bool]:
+    inputs = {"m": args.m, "n": args.n}
     try:
         rep = verify_p5_factorization(args.m, args.n)
     except CharpolyMismatchError as exc:
-        results = {"matched": False, "detail": str(exc)}
-        return (
-            make_report("legendre verify", {"m": args.m, "n": args.n}, results,
-                        "legendre-charpoly-quintic-power"),
-            EXIT_VERIFICATION,
-        )
+        return inputs, {"matched": False, "detail": str(exc)}, False
     results = {
         "matched": True,
         "block_order": rep.block_order,
@@ -477,14 +430,10 @@ def _cmd_legendre_verify(args) -> tuple[dict, int]:
         "csv_header": ["m", "n", "block_order", "matched"],
         "csv_rows": [[args.m, args.n, rep.block_order, True]],
     }
-    return (
-        make_report("legendre verify", {"m": args.m, "n": args.n}, results,
-                    "legendre-charpoly-quintic-power"),
-        EXIT_OK,
-    )
+    return inputs, results, True
 
 
-def _cmd_legendre_index(args) -> tuple[dict, int]:
+def _cmd_legendre_index(args) -> tuple[dict, dict, bool]:
     led = legendre_index_nullity()
     rows = [
         [fam, i, nu]
@@ -501,15 +450,10 @@ def _cmd_legendre_index(args) -> tuple[dict, int]:
         "csv_header": ["family", "index", "nullity"],
         "csv_rows": rows,
     }
-    code = EXIT_OK if (led.index, led.nullity) == (11, 18) else EXIT_VERIFICATION
-    return make_report("legendre index", {}, results, "legendre-index-11-nullity-18"), code
+    return {}, results, (led.index, led.nullity) == (11, 18)
 
 
-def _cmd_legendre_descartes(args) -> tuple[dict, int]:
-    if args.m < 3 or args.n < 3:
-        raise UsageError("range bounds must be >= 3")
-    if max(args.m, args.n) > DESCARTES_RANGE_LIMIT:
-        raise UsageError(f"range bounds must be <= {DESCARTES_RANGE_LIMIT}")
+def _cmd_legendre_descartes(args) -> tuple[dict, dict, bool]:
     rep = descartes_lemma_check(args.m, args.n)
     results = {
         "checked": rep.checked,
@@ -518,18 +462,12 @@ def _cmd_legendre_descartes(args) -> tuple[dict, int]:
         "csv_header": ["m_max", "n_max", "checked", "violations", "sturm_confirmed"],
         "csv_rows": [[rep.m_max, rep.n_max, rep.checked, len(rep.violations), rep.sturm_confirmed]],
     }
-    code = EXIT_OK if not rep.violations and rep.sturm_confirmed else EXIT_VERIFICATION
-    return (
-        make_report("legendre descartes", {"m_max": args.m, "n_max": args.n}, results,
-                    "legendre-descartes-certificate"),
-        code,
-    )
+    ok = not rep.violations and rep.sturm_confirmed
+    return {"m_max": args.m, "n_max": args.n}, results, ok
 
 
-def _cmd_reduced(args) -> tuple[dict, int]:
+def _cmd_reduced(args) -> tuple[dict, dict, bool]:
     """reduced sphere, and reduced ellipsoid, which adds --b."""
-    if not 2 <= args.n_dim < 10**EXACT_INPUT_DIGITS:
-        raise UsageError(f"--n-dim must be >= 2, with at most {EXACT_INPUT_DIGITS} digits")
     radius = _parse_rational(args.radius, "--radius")
     b = _parse_rational(args.b, "--b") if args.command == "ellipsoid" else None
     try:
@@ -539,17 +477,15 @@ def _cmd_reduced(args) -> tuple[dict, int]:
         raise UsageError(str(exc))
     inputs = {"n_dim": args.n_dim, "radius": str(radius)}
     results = {"index": idx, "nullity": nul, "threshold_fourth_power": str(problem.quartic_constant())}
-    anchor = "reduced-index-floor-formula"
     if b is not None:
         inputs["b"] = str(b)
         results["critical_latitude"] = problem.critical_latitude()
-        anchor = "reduced-ellipsoid-floor-formula"
     results["csv_header"] = ["n", *list(inputs)[1:], "index", "nullity"]
     results["csv_rows"] = [[*inputs.values(), idx, nul]]
-    return make_report(f"reduced {args.command}", inputs, results, anchor), EXIT_OK
+    return inputs, results, True
 
 
-def _cmd_reduced_torus(args) -> tuple[dict, int]:
+def _cmd_reduced_torus(args) -> tuple[dict, dict, bool]:
     idx, nul = reduced_index_torus(args.k)
     results = {
         "index_reduced": idx,
@@ -557,10 +493,10 @@ def _cmd_reduced_torus(args) -> tuple[dict, int]:
         "csv_header": ["k", "index_reduced", "nullity_reduced"],
         "csv_rows": [[args.k, idx, nul]],
     }
-    return make_report("reduced torus", {"k": args.k}, results, "reduced-torus-index"), EXIT_OK
+    return {"k": args.k}, results, True
 
 
-def _cmd_reduced_bessel(args) -> tuple[dict, int]:
+def _cmd_reduced_bessel(args) -> tuple[dict, dict, bool]:
     rep = bessel_nullity_check()
     names = ["d1_at_0", "d2_at_0", "d3_at_0", "ratio_mean", "ratio_spread", "d4_normalized",
              "d4_target"]
@@ -576,11 +512,10 @@ def _cmd_reduced_bessel(args) -> tuple[dict, int]:
         "csv_header": ["quantity", "value"],
         "csv_rows": [list(row) for row in zip(names, values)],
     }
-    code = EXIT_OK if rep.all_ok else EXIT_VERIFICATION
-    return make_report("reduced bessel", {}, results, "bessel-nullity-direction"), code
+    return {}, results, rep.all_ok
 
 
-def _cmd_reduced_conformal(args) -> tuple[dict, int]:
+def _cmd_reduced_conformal(args) -> tuple[dict, dict, bool]:
     exact = conformal_hessian(PolynomialBump.make(center=0, halfwidth=1, power=6))
     value, positive = float(exact), exact > 0
     results = {
@@ -591,14 +526,13 @@ def _cmd_reduced_conformal(args) -> tuple[dict, int]:
         "csv_header": ["test_function", "hessian", "positive"],
         "csv_rows": [["(1-u^2)^6", value, positive]],
     }
-    code = EXIT_OK if positive else EXIT_VERIFICATION
-    return make_report("reduced conformal", {}, results, "conformal-diffeo-stability"), code
+    return {}, results, positive
 
 
 _CANONICAL_PHASES = ("0,1,0,0", "1,0,1,0", "1,0,-2,0")
 
 
-def _cmd_noncompact_stable(args) -> tuple[dict, int]:
+def _cmd_noncompact_stable(args) -> tuple[dict, dict, bool]:
     texts = [args.phase] if args.phase else list(_CANONICAL_PHASES)
     rows = []
     for text in texts:
@@ -618,14 +552,10 @@ def _cmd_noncompact_stable(args) -> tuple[dict, int]:
         "csv_header": ["a", "b", "c", "d", "stability", "integrand_min"],
         "csv_rows": rows,
     }
-    inputs = {"phase": args.phase}
-    return (
-        make_report("noncompact stable", inputs, results, "noncompact-stability-certificate"),
-        EXIT_OK,
-    )
+    return {"phase": args.phase}, results, True
 
 
-def _cmd_noncompact_hessian(args) -> tuple[dict, int]:
+def _cmd_noncompact_hessian(args) -> tuple[dict, dict, bool]:
     phase = _parse_phase(args.phase) if args.phase else COUNTEREXAMPLE_PHASE
     exact = hessian_form(phase, COUNTEREXAMPLE_SECTION)
     pairing = i2_pairing(phase, COUNTEREXAMPLE_SECTION)
@@ -644,12 +574,10 @@ def _cmd_noncompact_hessian(args) -> tuple[dict, int]:
         "csv_rows": [[str(phase.a), str(phase.b), str(phase.c), str(phase.d), value,
                       pairing_value]],
     }
-    code = EXIT_OK if agree else EXIT_VERIFICATION
-    return make_report("noncompact hessian", {"phase": args.phase}, results,
-                       "noncompact-hessian-form"), code
+    return {"phase": args.phase}, results, agree
 
 
-def _cmd_noncompact_counterexample(args) -> tuple[dict, int]:
+def _cmd_noncompact_counterexample(args) -> tuple[dict, dict, bool]:
     exact = counterexample_value()
     lo, hi = Fraction(-3547, 1000), Fraction(-3527, 1000)  # around the cited -3.537
     ok = lo <= exact <= hi
@@ -662,28 +590,28 @@ def _cmd_noncompact_counterexample(args) -> tuple[dict, int]:
         "csv_header": ["value", "window_lo", "window_hi", "within_window"],
         "csv_rows": [[value, *window, ok]],
     }
-    code = EXIT_OK if ok else EXIT_VERIFICATION
-    return make_report("noncompact counterexample", {}, results,
-                       "noncompact-counterexample-value"), code
+    return {}, results, ok
 
 
-_HANDLERS = {
-    ("torus", "index"): _cmd_torus_index,
-    ("torus", "spectrum"): _cmd_torus_spectrum,
-    ("torus", "scan"): _cmd_torus_scan,
-    ("torus", "check"): _cmd_torus_check,
-    ("circle", "index"): _cmd_circle_index,
-    ("legendre", "verify"): _cmd_legendre_verify,
-    ("legendre", "index"): _cmd_legendre_index,
-    ("legendre", "descartes"): _cmd_legendre_descartes,
-    ("reduced", "sphere"): _cmd_reduced,
-    ("reduced", "ellipsoid"): _cmd_reduced,
-    ("reduced", "torus"): _cmd_reduced_torus,
-    ("reduced", "bessel"): _cmd_reduced_bessel,
-    ("reduced", "conformal"): _cmd_reduced_conformal,
-    ("noncompact", "stable"): _cmd_noncompact_stable,
-    ("noncompact", "hessian"): _cmd_noncompact_hessian,
-    ("noncompact", "counterexample"): _cmd_noncompact_counterexample,
+# (group, command) -> (handler, paper_anchor)
+COMMANDS = {
+    ("torus", "index"): (_cmd_torus_index, "torus-index-table"),
+    ("torus", "spectrum"): (_cmd_torus_spectrum, "torus-eigenvalue-catalog"),
+    ("torus", "scan"): (_cmd_torus_scan, "torus-nullity-conjecture"),
+    ("torus", "check"): (_cmd_torus_check, "torus-index-table"),
+    ("circle", "index"): (_cmd_circle_index, "circle-index-formula"),
+    ("legendre", "verify"): (_cmd_legendre_verify, "legendre-charpoly-quintic-power"),
+    ("legendre", "index"): (_cmd_legendre_index, "legendre-index-11-nullity-18"),
+    ("legendre", "descartes"): (_cmd_legendre_descartes, "legendre-descartes-certificate"),
+    ("reduced", "sphere"): (_cmd_reduced, "reduced-index-floor-formula"),
+    ("reduced", "ellipsoid"): (_cmd_reduced, "reduced-ellipsoid-floor-formula"),
+    ("reduced", "torus"): (_cmd_reduced_torus, "reduced-torus-index"),
+    ("reduced", "bessel"): (_cmd_reduced_bessel, "bessel-nullity-direction"),
+    ("reduced", "conformal"): (_cmd_reduced_conformal, "conformal-diffeo-stability"),
+    ("noncompact", "stable"): (_cmd_noncompact_stable, "noncompact-stability-certificate"),
+    ("noncompact", "hessian"): (_cmd_noncompact_hessian, "noncompact-hessian-form"),
+    ("noncompact", "counterexample"): (_cmd_noncompact_counterexample,
+                                       "noncompact-counterexample-value"),
 }
 
 
@@ -691,8 +619,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        handler = _HANDLERS[(args.group, args.command)]
-        report, code = handler(args)
+        handler, anchor = COMMANDS[(args.group, args.command)]
+        inputs, results, ok = handler(args)
+        report = {
+            "schema": SCHEMA_VERSION,
+            "version": __version__,
+            "command": f"{args.group} {args.command}",
+            "inputs": inputs,
+            "results": results,
+            "paper_anchor": anchor,
+        }
         text = RENDERERS[args.format](report)
     except UsageError as exc:
         print(f"bihindex: error: {exc}", file=sys.stderr)
@@ -707,7 +643,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_USAGE
     else:
         sys.stdout.write(text)
-    return code
+    return EXIT_OK if ok else EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

@@ -20,10 +20,6 @@ import functools
 import math
 from fractions import Fraction
 
-# Arbitrary-precision signed integer; Python's int already satisfies the
-# closure/no-overflow contract, so it is used directly.
-ExactInt = int
-
 SQRT2 = math.sqrt(2.0)
 
 
@@ -270,11 +266,6 @@ class Surd:
         sgn = "+" if self.branch > 0 else "-"
         core = f"{self.p} {sgn} sqrt({self.s})"
         return f"({core})/{self.q}" if self.q != 1 else f"({core})"
-
-
-def surd_sign(v: Surd) -> int:
-    """Exact sign in {-1, 0, +1} of the real represented by ``v``."""
-    return v.sign()
 
 
 # -- the field Q[pi] ------------------------------------------------------------------

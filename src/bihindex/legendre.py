@@ -210,11 +210,6 @@ def _sign_conditions(coeffs) -> tuple[bool, bool, bool, bool, bool, bool]:
     return (a5 < 0, a4 >= 0, a3 <= 0, a2 >= 0, a1 <= 0, a0 > 0)
 
 
-def descartes_conditions(m: int, n: int) -> tuple[bool, bool, bool, bool, bool, bool]:
-    """The six coefficient sign conditions certifying no nonpositive root."""
-    return _sign_conditions(p5_coefficients(m, n))
-
-
 @dataclass(frozen=True)
 class DescartesReport:
     m_max: int

@@ -60,13 +60,6 @@ class CubicPhase:
         return d1, d1.derivative(), d1.derivative(2)
 
 
-def curvature_integrand(phase: CubicPhase, g: Fraction) -> Fraction:
-    """w(g) = (A'')^2 + 2 A''' A' = 72 a^2 g^2 + 48 a b g + 4 b^2 + 12 a c, exact."""
-    g = Fraction(g)
-    a, b, c = phase.a, phase.b, phase.c
-    return 72 * a * a * g * g + 48 * a * b * g + 4 * b * b + 12 * a * c
-
-
 def integrand_min(phase: CubicPhase) -> Fraction:
     """Exact global minimum of w over the line."""
     a, b, c = phase.a, phase.b, phase.c

@@ -92,21 +92,6 @@ class ReducedProblem:
         return Fraction(4 * nm1 * nm1, 1) / (self.b * (self.b + 1) ** 2 * self.radius**4)
 
 
-@dataclass(frozen=True)
-class ReducedSpectrumEntry:
-    m: int
-    eigenvalue: Fraction
-    multiplicity: int
-
-
-def reduced_spectrum(problem: ReducedProblem, m_max: int) -> list[ReducedSpectrumEntry]:
-    c4 = problem.quartic_constant()
-    return [
-        ReducedSpectrumEntry(m, Fraction(m**4) - c4, 1 if m == 0 else 2)
-        for m in range(0, m_max + 1)
-    ]
-
-
 def _integer_fourth_root_floor(x: Fraction) -> tuple[int, bool]:
     """(floor of x^(1/4), exactness flag) for a positive rational x."""
     p, q = x.numerator, x.denominator
@@ -188,16 +173,12 @@ class BesselNullityReport:
     fourth_derivative_target: QPi
 
     @property
-    def vanishing_ok(self) -> bool:
-        return all(d == 0 for d in self.derivatives_at_zero)
-
-    @property
-    def fourth_ok(self) -> bool:
-        return self.fourth_derivative_normalized == self.fourth_derivative_target
-
-    @property
     def all_ok(self) -> bool:
-        return self.vanishing_ok and self.ratio_ok and self.fourth_ok
+        return (
+            all(d == 0 for d in self.derivatives_at_zero)
+            and self.ratio_ok
+            and self.fourth_derivative_normalized == self.fourth_derivative_target
+        )
 
 
 def bessel_nullity_check() -> BesselNullityReport:

@@ -55,13 +55,8 @@ def conjecture_scan(k_max: int, workers: int = 1, k_min: int = 1) -> list[ScanRo
     return rows
 
 
-def flagged_rows(rows: list[ScanRow]) -> list[ScanRow]:
-    return [r for r in rows if r.flagged]
-
-
 __all__ = [
     "ScanRow",
     "scan_row",
     "conjecture_scan",
-    "flagged_rows",
 ]

@@ -3,8 +3,8 @@
 Each oracle reproduces a quantity the package certifies along a different
 route: floating-point matrices for numpy's eigensolvers, the circle blocks
 written out from the circle's own operator rules, an explicit sign count
-over the reduced spectrum, and float values of bump sections for scipy's
-quadrature.  ``diagonal`` builds test matrices with a known
+over the reduced spectrum, the curvature integrand of a cubic phase at a
+point, and float values of bump sections for scipy's quadrature.  ``diagonal`` builds test matrices with a known
 spectrum, and ``random_polynomial_bump`` draws sections with rational data.
 """
 
@@ -18,7 +18,8 @@ import numpy as np
 from bihindex.bumps import CosPowerBump, PolynomialBump
 from bihindex.exact import QUAD_SQRT2, QuadExt
 from bihindex.matrices import ExactMatrix
-from bihindex.reduced import ReducedProblem, _integer_fourth_root_floor, reduced_spectrum
+from bihindex.noncompact import CubicPhase
+from bihindex.reduced import ReducedProblem, _integer_fourth_root_floor
 
 
 def diagonal(values) -> ExactMatrix:
@@ -60,18 +61,27 @@ def circle_block(k: int, m: int) -> ExactMatrix:
 
 
 def reduced_index_nullity_by_counting(problem: ReducedProblem) -> tuple[int, int]:
-    """reduced_index_nullity by explicitly counting eigenvalue signs."""
+    """reduced_index_nullity by explicitly counting the signs of the reduced
+    eigenvalues m^4 - c4, m = 0..m_max, multiplicity 2 for m > 0."""
     c4 = problem.quartic_constant()
     m_max = _integer_fourth_root_floor(c4)[0] + 2
-    index = nullity = 0
-    for e in reduced_spectrum(problem, m_max):
-        if e.eigenvalue < 0:
-            index += e.multiplicity
-        elif e.eigenvalue == 0:
-            nullity += e.multiplicity
     if Fraction(m_max**4) <= c4:
         raise AssertionError("counting window too small")
+    index = nullity = 0
+    for m in range(m_max + 1):
+        eigenvalue, multiplicity = m**4 - c4, 1 if m == 0 else 2
+        if eigenvalue < 0:
+            index += multiplicity
+        elif eigenvalue == 0:
+            nullity += multiplicity
     return index, nullity
+
+
+def curvature_integrand(phase: CubicPhase, g: Fraction) -> Fraction:
+    """w(g) = (A'')^2 + 2 A''' A' = 72 a^2 g^2 + 48 a b g + 4 b^2 + 12 a c, exact."""
+    g = Fraction(g)
+    a, b, c = phase.a, phase.b, phase.c
+    return 72 * a * a * g * g + 48 * a * b * g + 4 * b * b + 12 * a * c
 
 
 def random_polynomial_bump(rng: random.Random, span: int = 4) -> PolynomialBump:

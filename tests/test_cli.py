@@ -1,5 +1,6 @@
 """CLI: exit codes, report schema, format rendering, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -8,19 +9,24 @@ from pathlib import Path
 
 import pytest
 
+from bihindex import cli
 from bihindex.cli import (
     CHECK_MATRICES_K_LIMIT,
+    COMMANDS,
     SPECTRUM_K_DIGITS,
     DESCARTES_RANGE_LIMIT,
     EXACT_INPUT_DIGITS,
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_VERIFICATION,
     INDEX_K_LIMIT,
     LAMBDA_MAX_LIMIT,
     SCAN_K_LIMIT,
+    UsageError,
     build_parser,
     main,
 )
+from bihindex.legendre import CharpolyMismatchError
 from bihindex.torus import interior_sign_scan
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -56,10 +62,21 @@ def test_torus_index_runs_expand_to_the_oracle_pairs(capsys):
     assert results["zero_pairs"] == zero == []
 
 
-def test_legendre_verify_exit_codes(capsys):
+def test_legendre_verify_exit_codes(capsys, monkeypatch):
     code, out = run_cli(capsys, "legendre", "verify", "--m", "1", "--n", "1")
     assert code == EXIT_OK
     assert json.loads(out)["results"]["matched"] is True
+
+    def mismatch(m, n):
+        raise CharpolyMismatchError(3, 7, 8)
+
+    monkeypatch.setattr(cli, "verify_p5_factorization", mismatch)
+    code, out = run_cli(capsys, "legendre", "verify", "--m", "2", "--n", "3")
+    assert code == EXIT_VERIFICATION
+    rep = json.loads(out)
+    assert rep["inputs"] == {"m": 2, "n": 3}
+    assert rep["results"] == {
+        "matched": False, "detail": "charpoly coefficient of x^3: expected 7, got 8"}
 
 
 def test_noncompact_counterexample_window(capsys):
@@ -134,6 +151,10 @@ def test_usage_errors_exit_one(capsys):
         # one digit above each label bound
         ["legendre", "verify", "--m", "1", "--n", str(10**EXACT_INPUT_DIGITS)],
         ["torus", "spectrum", "--k", str(10**SPECTRUM_K_DIGITS), "--lambda-max", "1"],
+        # one below each lower bound that is not 1
+        ["legendre", "descartes", "--m", "2"],
+        ["legendre", "descartes", "--n", "2"],
+        ["reduced", "sphere", "--n-dim", "1", "--radius", "1"],
     ],
 )
 def test_boundary_inputs_give_one_line_diagnostics(capsys, argv):
@@ -209,29 +230,79 @@ def test_csv_and_md_formats(capsys):
     assert json.loads(out)["inputs"] == {"k_max": 3, "workers": 1}
 
 
-@pytest.mark.parametrize(
-    "name,argv",
-    [
-        ("torus_index_k2.json", ["torus", "index", "--k", "2", "--format", "json"]),
-        ("circle_index_k3.csv", ["circle", "index", "--k", "3", "--format", "csv"]),
-        ("legendre_index.md", ["legendre", "index", "--format", "md"]),
-        ("noncompact_stable.csv", ["noncompact", "stable", "--format", "csv"]),
-        ("reduced_sphere_n5.json",
-         ["reduced", "sphere", "--n-dim", "5", "--radius", "1", "--format", "json"]),
-        ("legendre_verify_m3_n2.json",
-         ["legendre", "verify", "--m", "3", "--n", "2", "--format", "json"]),
-        ("circle_index_k45_check.json",
-         ["circle", "index", "--k", "45", "--check-matrices", "--format", "json"]),
-        ("noncompact_hessian.json", ["noncompact", "hessian", "--format", "json"]),
-        ("noncompact_counterexample.json", ["noncompact", "counterexample", "--format", "json"]),
-        ("reduced_conformal.json", ["reduced", "conformal", "--format", "json"]),
-        ("reduced_bessel.json", ["reduced", "bessel", "--format", "json"]),
-    ],
-)
-def test_golden_reports_byte_exact(capsys, name, argv):
+# one golden per command; each runs in a directory holding report.json, the
+# torus index --k 2 report, so that torus check reads a stable relative path
+GOLDENS = [
+    ("torus_index_k2.json", ["torus", "index", "--k", "2", "--format", "json"]),
+    ("circle_index_k3.csv", ["circle", "index", "--k", "3", "--format", "csv"]),
+    ("legendre_index.md", ["legendre", "index", "--format", "md"]),
+    ("noncompact_stable.csv", ["noncompact", "stable", "--format", "csv"]),
+    ("reduced_sphere_n5.json",
+     ["reduced", "sphere", "--n-dim", "5", "--radius", "1", "--format", "json"]),
+    ("legendre_verify_m3_n2.json",
+     ["legendre", "verify", "--m", "3", "--n", "2", "--format", "json"]),
+    ("circle_index_k45_check.json",
+     ["circle", "index", "--k", "45", "--check-matrices", "--format", "json"]),
+    ("noncompact_hessian.json", ["noncompact", "hessian", "--format", "json"]),
+    ("noncompact_counterexample.json", ["noncompact", "counterexample", "--format", "json"]),
+    ("reduced_conformal.json", ["reduced", "conformal", "--format", "json"]),
+    ("reduced_bessel.json", ["reduced", "bessel", "--format", "json"]),
+    ("torus_spectrum_k2_lam8.json",
+     ["torus", "spectrum", "--k", "2", "--lambda-max", "8", "--format", "json"]),
+    ("torus_scan_k6.md", ["torus", "scan", "--k-max", "6", "--format", "md"]),
+    ("torus_check_k2.json", ["torus", "check", "report.json", "--format", "json"]),
+    ("legendre_descartes_m4_n3.json",
+     ["legendre", "descartes", "--m", "4", "--n", "3", "--format", "json"]),
+    ("reduced_ellipsoid_n5_b2.json",
+     ["reduced", "ellipsoid", "--n-dim", "5", "--radius", "1", "--b", "2", "--format", "json"]),
+    ("reduced_torus_k3.csv", ["reduced", "torus", "--k", "3", "--format", "csv"]),
+]
+
+
+@pytest.mark.parametrize("name,argv", GOLDENS)
+def test_golden_reports_byte_exact(capsys, monkeypatch, tmp_path, name, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(["torus", "index", "--k", "2", "--output", "report.json"]) == EXIT_OK
     code, out = run_cli(capsys, *argv)
     assert code == EXIT_OK
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_every_command_has_a_golden():
+    assert {tuple(argv[:2]) for _, argv in GOLDENS} == set(COMMANDS)
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_parser_subcommands_are_the_command_table():
+    parsed = {
+        (group, command)
+        for group, sub in _subcommands(build_parser()).items()
+        for command in _subcommands(sub)
+    }
+    assert parsed == set(COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["torus", "index", "--k", str(INDEX_K_LIMIT + 1)],
+        ["torus", "scan", "--k-max", str(SCAN_K_LIMIT + 1)],
+        ["torus", "spectrum", "--k", str(10**SPECTRUM_K_DIGITS)],
+        ["legendre", "verify", "--m", "1", "--n", str(10**EXACT_INPUT_DIGITS)],
+        ["legendre", "descartes", "--m", "2"],
+        ["legendre", "descartes", "--n", str(DESCARTES_RANGE_LIMIT + 1)],
+        ["reduced", "sphere", "--n-dim", "1", "--radius", "1"],
+        ["reduced", "ellipsoid", "--n-dim", str(10**EXACT_INPUT_DIGITS), "--radius", "1",
+         "--b", "1"],
+    ],
+)
+def test_fixed_caps_are_refused_while_parsing(argv):
+    with pytest.raises(UsageError):
+        build_parser().parse_args(argv)
 
 
 def test_circle_index_answers_any_k_without_the_matrix_check(capsys):

@@ -13,7 +13,6 @@ from bihindex.exact import (
     pi_enclosure,
     sign_p_plus_q_sqrt,
     sign_two_radicals,
-    surd_sign,
 )
 from bihindex.torus import spectrum
 
@@ -54,11 +53,11 @@ def test_quadext_huge_magnitudes():
 
 
 def test_surd_sign_examples():
-    assert surd_sign(Surd(-1, 1, 2)) == 0          # (-1 + sqrt(1)) / 2
-    assert surd_sign(Surd(16, 1088, 2, -1)) == -1  # (16 - sqrt(1088)) / 2
-    assert surd_sign(Surd(0, 0, 2)) == 0           # (0 + sqrt(0)) / 2
-    assert surd_sign(Surd(-3, 8, 5)) == -1
-    assert surd_sign(Surd(-3, 10, 5)) == 1
+    assert Surd(-1, 1, 2).sign() == 0          # (-1 + sqrt(1)) / 2
+    assert Surd(16, 1088, 2, -1).sign() == -1  # (16 - sqrt(1088)) / 2
+    assert Surd(0, 0, 2).sign() == 0           # (0 + sqrt(0)) / 2
+    assert Surd(-3, 8, 5).sign() == -1
+    assert Surd(-3, 10, 5).sign() == 1
 
 
 def test_surd_sign_rule_negative_p():

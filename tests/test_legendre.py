@@ -12,8 +12,8 @@ from bihindex.legendre import (
     CITED_NULLITY_SPLIT,
     FRAMES,
     OPERATOR_TABLE,
+    _sign_conditions,
     build_legendre_block,
-    descartes_conditions,
     descartes_lemma_check,
     legendre_index_nullity,
     p5_coefficients,
@@ -283,15 +283,15 @@ def test_lemma_hypothesis_set():
 
 
 def test_descartes_conditions():
-    assert all(descartes_conditions(1, 2))
+    assert all(_sign_conditions(p5_coefficients(1, 2)))
     # at (1,1) only the last condition fails, and the block is excluded anyway
-    conds = descartes_conditions(1, 1)
+    conds = _sign_conditions(p5_coefficients(1, 1))
     assert conds[:5] == (True, True, True, True, True)
     assert not conds[5]
     # the first five conditions hold on the whole quadrant sample
     for m in range(1, 9):
         for n in range(1, 9):
-            assert descartes_conditions(m, n)[:5] == (True,) * 5
+            assert _sign_conditions(p5_coefficients(m, n))[:5] == (True,) * 5
 
 
 def test_descartes_lemma_check_small_range():

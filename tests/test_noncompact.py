@@ -16,7 +16,6 @@ from bihindex.noncompact import (
     SectionPair,
     Stability,
     counterexample_value,
-    curvature_integrand,
     find_instability_witness,
     hessian_form,
     i2_pairing,
@@ -25,7 +24,7 @@ from bihindex.noncompact import (
     is_strictly_stable,
 )
 
-from oracles import bump_values, random_polynomial_bump
+from oracles import bump_values, curvature_integrand, random_polynomial_bump
 
 F = Fraction
 

@@ -22,11 +22,15 @@ from bihindex.reduced import (
     nullity_direction_energy_series,
     reduced_index_nullity,
     reduced_index_torus,
-    reduced_spectrum,
 )
 from bihindex.torus import index_nullity
 
-from oracles import bump_values, random_polynomial_bump, reduced_index_nullity_by_counting, scaled
+from oracles import (
+    bump_values,
+    random_polynomial_bump,
+    reduced_index_nullity_by_counting,
+    scaled,
+)
 
 
 def test_sphere_examples():
@@ -97,12 +101,11 @@ def test_irrational_inputs_rejected():
 
 
 def test_reduced_spectrum_structure():
+    # the reduced eigenvalues are m^4 - c4, once at m = 0 and twice above it:
+    # c4 = 1 puts m = 0 below zero and the pair m = 1 on it
     problem = ReducedProblem(2, 1)
-    entries = reduced_spectrum(problem, 4)
-    assert [e.multiplicity for e in entries] == [1, 2, 2, 2, 2]
-    eigs = [e.eigenvalue for e in entries]
-    assert eigs == sorted(eigs)
-    assert eigs[0] == -1 and eigs[1] == 0
+    assert problem.quartic_constant() == 1
+    assert reduced_index_nullity(problem) == reduced_index_nullity_by_counting(problem) == (1, 2)
 
 
 def test_reduced_torus():

@@ -11,7 +11,6 @@ from bihindex import torus
 from bihindex.scan import (
     ScanRow,
     conjecture_scan,
-    flagged_rows,
     scan_row,
 )
 from bihindex.torus import (
@@ -185,7 +184,7 @@ def test_conjecture_scan_small_range():
     rows = conjecture_scan(10)
     assert [r.k for r in rows] == list(range(1, 11))
     assert all(r.g == 0 and r.nullity == 5 for r in rows)
-    assert flagged_rows(rows) == []
+    assert [r for r in rows if r.flagged] == []
     assert rows[1] == ScanRow(k=2, f=2, g=0, index=13, nullity=5)
 
 
@@ -231,5 +230,5 @@ def test_scan_row_rejects_bad_range():
 )
 def test_full_conjecture_scan_to_1500():
     rows = conjecture_scan(1500)
-    assert flagged_rows(rows) == []
+    assert [r for r in rows if r.flagged] == []
     assert all(r.nullity == 5 for r in rows)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bihindex import torus
-from bihindex.exact import QUAD_SQRT2, QUAD_ZERO, QuadExt, Surd, surd_sign
+from bihindex.exact import QUAD_SQRT2, QUAD_ZERO, QuadExt, Surd
 from bihindex.matrices import charpoly_exact
 from bihindex.torus import (
     IndexReport,
@@ -110,7 +110,7 @@ def test_sign_test_agrees_with_surd_sign():
         while m * m < bound:
             n = 1
             while m * m + n * n < bound:
-                assert sign_lambda_minus(k, m, n) == surd_sign(eigenvalue(k, m, n, "minus"))
+                assert sign_lambda_minus(k, m, n) == eigenvalue(k, m, n, "minus").sign()
                 n += 1
             m += 1
 
@@ -324,7 +324,7 @@ def test_lambda_plus_positive_in_scan_region():
             n = 0
             while m * m + n * n < bound:
                 if (m, n) != (0, 0):
-                    assert surd_sign(eigenvalue(k, m, n, "plus")) == 1
+                    assert eigenvalue(k, m, n, "plus").sign() == 1
                 n += 1
             m += 1
 
