@@ -17,6 +17,8 @@ scan rows ordered by k).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -74,8 +76,9 @@ SCAN_K_LIMIT = 10**4
 # m^2 + n^2 <= lambda_max: 11 s and 210 MB at 10^5 on the same core
 LAMBDA_MAX_LIMIT = 10**5
 
-# legendre descartes takes about 0.13 ms per (m, n) pair (10-12 s at 300 x 300
-# on one core of an x86-64 Xeon, Python 3.11); larger ranges are refused
+# legendre descartes takes about 0.057 ms per (m, n) pair (5.0-5.2 s at
+# 300 x 300 on one core of an x86-64 Xeon, Python 3.11); larger ranges are
+# refused
 DESCARTES_RANGE_LIMIT = 300
 
 # circle index --check-matrices counts 3k + 1 blocks, about 0.45 ms per unit
@@ -135,8 +138,11 @@ def _table(report: dict, fmt: str) -> tuple[list[str], list[list[str]]]:
 
 
 def render_csv(report: dict) -> str:
+    """Comma-separated rows; a cell that holds a comma or a quote is quoted."""
     header, rows = _table(report, "csv")
-    return "".join(",".join(row) + "\n" for row in [header, *rows])
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *rows])
+    return out.getvalue()
 
 
 def render_md(report: dict) -> str:
@@ -422,7 +428,13 @@ def _cmd_legendre_verify(args) -> tuple[dict, dict, bool]:
     try:
         rep = verify_p5_factorization(args.m, args.n)
     except CharpolyMismatchError as exc:
-        return inputs, {"matched": False, "detail": str(exc)}, False
+        results = {
+            "matched": False,
+            "detail": str(exc),
+            "csv_header": ["m", "n", "matched", "detail"],
+            "csv_rows": [[args.m, args.n, False, str(exc)]],
+        }
+        return inputs, results, False
     results = {
         "matched": True,
         "block_order": rep.block_order,

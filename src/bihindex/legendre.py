@@ -23,6 +23,13 @@ degree <= 4 in each label, so each charpoly coefficient has a known degree):
 * Descartes: the signs of a0..a5 rule out a root <= 0 of P5 at every label of
   satisfies_lemma_hypothesis, all but (1, 1) and (2, 1)
   (test_descartes_lemma_holds_for_every_label).
+
+P5_TABLE holds a0..a5 as integer tables in M = m^2 and N = n^2, so each a_i
+is even in m and in n, and of degree <= 20 in each, by construction.
+p5_row(m) folds M in once and leaves six polynomials in N; p5_coefficients
+and the window of descartes_lemma_check evaluate them at n^2.  Evenness of
+the block charpolys themselves, which would let the quintic lemma sample
+distinct squares only, is not proved.
 """
 
 from __future__ import annotations
@@ -106,60 +113,83 @@ def build_legendre_block(m: int, n: int) -> ExactMatrix:
 
 # -- the quintic factor of the interior characteristic polynomials -------------
 
+# P5_TABLE[i][a][b] is the coefficient of m^(2a) n^(2b) in a_i.  At most 11
+# rows of at most 11 entries is degree <= 20 in m and in n;
+# test_each_interior_component_has_charpoly_minus_p5 checks the values
+# against the block charpolys.
+P5_TABLE: tuple[tuple[tuple[int, ...], ...], ...] = (
+    (  # a0
+        (0, 0, 0, -12288, 60416, -124928, 142336, -98304, 41984, -10240, 1024),
+        (0, 0, -3072, 44032, -31744, 54272, -158720, 134144, -44032, 5120),
+        (0, 1024, 11264, -22528, -121600, -48128, 184832, -83968, 11520),
+        (-256, 3328, -21504, -116224, 52992, 144128, -93184, 15360),
+        (576, -1920, -41152, 44544, 70400, -66304, 13440),
+        (-320, -5056, 11456, 22592, -31360, 8064),
+        (304, 576, 4832, -9856, 3360),
+        (-112, 656, -1984, 960),
+        (44, -232, 180),
+        (-12, 20),
+        (1,),
+    ),
+    (  # a1
+        (0, 0, -2048, -4096, 18176, -14336, -512, 4096, -1280),
+        (0, 512, -5888, 45312, -11520, -18176, 13312, -5120),
+        (-256, 0, 12800, 4608, -34048, 18432, -8960),
+        (-64, 6080, 6272, -23936, 14080, -8960),
+        (272, 1536, -7072, 6400, -5600),
+        (48, -560, 1728, -2240),
+        (64, 256, -560),
+        (16, -80),
+        (-5,),
+    ),
+    (  # a2
+        (0, 256, -2688, 512, 512, 768, 640),
+        (64, -832, -2368, 5440, 1920, 1920),
+        (-320, -320, 5024, 1920, 2400),
+        (-16, 1200, 960, 1600),
+        (-8, 240, 600),
+        (24, 120),
+        (10,),
+    ),
+    (  # a3
+        (0, 256, -736, -512, -160),
+        (80, -272, -704, -320),
+        (-96, -320, -240),
+        (-48, -80),
+        (-10,),
+    ),
+    (  # a4
+        (-4, 56, 20),
+        (20, 20),
+        (5,),
+    ),
+    (  # a5
+        (-1,),
+    ),
+)
+
+
+def p5_row(m: int) -> tuple[IntPolynomial, ...]:
+    """(a0, ..., a5) of the quintic factor at this m, each a polynomial in N = n^2:
+    the table folded at M = m^2 by Horner's rule in M."""
+    mm = m * m
+    row = []
+    for rows in P5_TABLE:
+        acc = [0] * max(map(len, rows))
+        for r in reversed(rows):
+            acc = [c * mm for c in acc]
+            for b, c in enumerate(r):
+                acc[b] += c
+        row.append(IntPolynomial(acc))
+    return tuple(row)
+
+
 def p5_coefficients(m: int, n: int) -> tuple[int, int, int, int, int, int]:
-    """(a0, a1, a2, a3, a4, a5) of the quintic factor for the (m, n) block; each
-    a_i has degree <= 20 in m and in n, and the quintic lemma derives the table."""
-    a5 = -1
-    a4 = 5 * m**4 + 20 * m**2 * n**2 + 20 * m**2 + 20 * n**4 + 56 * n**2 - 4
-    a3 = (
-        -10 * m**8 - 80 * m**6 * n**2 - 48 * m**6 - 240 * m**4 * n**4
-        - 320 * m**4 * n**2 - 96 * m**4 - 320 * m**2 * n**6 - 704 * m**2 * n**4
-        - 272 * m**2 * n**2 + 80 * m**2 - 160 * n**8 - 512 * n**6 - 736 * n**4
-        + 256 * n**2
-    )
-    a2 = (
-        10 * m**12 + 120 * m**10 * n**2 + 24 * m**10 + 600 * m**8 * n**4
-        + 240 * m**8 * n**2 - 8 * m**8 + 1600 * m**6 * n**6 + 960 * m**6 * n**4
-        + 1200 * m**6 * n**2 - 16 * m**6 + 2400 * m**4 * n**8 + 1920 * m**4 * n**6
-        + 5024 * m**4 * n**4 - 320 * m**4 * n**2 - 320 * m**4 + 1920 * m**2 * n**10
-        + 1920 * m**2 * n**8 + 5440 * m**2 * n**6 - 2368 * m**2 * n**4
-        - 832 * m**2 * n**2 + 64 * m**2 + 640 * n**12 + 768 * n**10 + 512 * n**8
-        + 512 * n**6 - 2688 * n**4 + 256 * n**2
-    )
-    a1 = (
-        -5 * m**16 - 80 * m**14 * n**2 + 16 * m**14 - 560 * m**12 * n**4
-        + 256 * m**12 * n**2 + 64 * m**12 - 2240 * m**10 * n**6 + 1728 * m**10 * n**4
-        - 560 * m**10 * n**2 + 48 * m**10 - 5600 * m**8 * n**8 + 6400 * m**8 * n**6
-        - 7072 * m**8 * n**4 + 1536 * m**8 * n**2 + 272 * m**8 - 8960 * m**6 * n**10
-        + 14080 * m**6 * n**8 - 23936 * m**6 * n**6 + 6272 * m**6 * n**4
-        + 6080 * m**6 * n**2 - 64 * m**6 - 8960 * m**4 * n**12 + 18432 * m**4 * n**10
-        - 34048 * m**4 * n**8 + 4608 * m**4 * n**6 + 12800 * m**4 * n**4 - 256 * m**4
-        - 5120 * m**2 * n**14 + 13312 * m**2 * n**12 - 18176 * m**2 * n**10
-        - 11520 * m**2 * n**8 + 45312 * m**2 * n**6 - 5888 * m**2 * n**4
-        + 512 * m**2 * n**2 - 1280 * n**16 + 4096 * n**14 - 512 * n**12
-        - 14336 * n**10 + 18176 * n**8 - 4096 * n**6 - 2048 * n**4
-    )
-    a0 = (
-        m**20 + 20 * m**18 * n**2 - 12 * m**18 + 180 * m**16 * n**4
-        - 232 * m**16 * n**2 + 44 * m**16 + 960 * m**14 * n**6 - 1984 * m**14 * n**4
-        + 656 * m**14 * n**2 - 112 * m**14 + 3360 * m**12 * n**8 - 9856 * m**12 * n**6
-        + 4832 * m**12 * n**4 + 576 * m**12 * n**2 + 304 * m**12
-        + 8064 * m**10 * n**10 - 31360 * m**10 * n**8 + 22592 * m**10 * n**6
-        + 11456 * m**10 * n**4 - 5056 * m**10 * n**2 - 320 * m**10
-        + 13440 * m**8 * n**12 - 66304 * m**8 * n**10 + 70400 * m**8 * n**8
-        + 44544 * m**8 * n**6 - 41152 * m**8 * n**4 - 1920 * m**8 * n**2 + 576 * m**8
-        + 15360 * m**6 * n**14 - 93184 * m**6 * n**12 + 144128 * m**6 * n**10
-        + 52992 * m**6 * n**8 - 116224 * m**6 * n**6 - 21504 * m**6 * n**4
-        + 3328 * m**6 * n**2 - 256 * m**6 + 11520 * m**4 * n**16
-        - 83968 * m**4 * n**14 + 184832 * m**4 * n**12 - 48128 * m**4 * n**10
-        - 121600 * m**4 * n**8 - 22528 * m**4 * n**6 + 11264 * m**4 * n**4
-        + 1024 * m**4 * n**2 + 5120 * m**2 * n**18 - 44032 * m**2 * n**16
-        + 134144 * m**2 * n**14 - 158720 * m**2 * n**12 + 54272 * m**2 * n**10
-        - 31744 * m**2 * n**8 + 44032 * m**2 * n**6 - 3072 * m**2 * n**4
-        + 1024 * n**20 - 10240 * n**18 + 41984 * n**16 - 98304 * n**14
-        + 142336 * n**12 - 124928 * n**10 + 60416 * n**8 - 12288 * n**6
-    )
-    return a0, a1, a2, a3, a4, a5
+    """(a0, a1, a2, a3, a4, a5) of the quintic factor for the (m, n) block:
+    p5_row(m) evaluated at N = n^2, so P5_TABLE is the one written form of
+    the coefficients."""
+    nn = n * n
+    return tuple(a(nn) for a in p5_row(m))
 
 
 def p5_polynomial(m: int, n: int) -> IntPolynomial:
@@ -222,18 +252,22 @@ class DescartesReport:
 def descartes_lemma_check(m_max: int, n_max: int) -> DescartesReport:
     """Verify the six sign conditions for every hypothesis pair in the range,
     and independently confirm by Sturm counting that the quintic has no root
-    <= 0 there.  The window is an oracle; the Descartes lemma is the proof."""
+    <= 0 there.  Each m folds P5_TABLE once (p5_row); each n then costs six
+    Horner evaluations at n^2.  The window is an oracle; the Descartes lemma
+    is the proof."""
     if m_max < 3 or n_max < 3:
         raise ValueError("range must reach at least (3, 3)")
     violations = []
     checked = 0
     sturm_ok = True
     for m in range(1, m_max + 1):
+        row = p5_row(m)
         for n in range(1, n_max + 1):
             if not satisfies_lemma_hypothesis(m, n):
                 continue
             checked += 1
-            p5 = p5_polynomial(m, n)  # a5 = -1, so p5.coeffs keeps all six
+            nn = n * n
+            p5 = IntPolynomial([a(nn) for a in row])  # a5 = -1, so p5.coeffs keeps all six
             if not all(_sign_conditions(p5.coeffs)):
                 violations.append((m, n))
             if count_roots(p5, "negative") != 0 or count_roots(p5, "zero") != 0:

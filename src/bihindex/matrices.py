@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .exact import QUAD_ONE, QUAD_ZERO, QuadExt, int_sign
+from .exact import QUAD_ONE, QUAD_ZERO, QuadExt
 from .polynomials import IntPolynomial, _variations, zero_root_multiplicity
 
 
@@ -190,7 +190,7 @@ def eigenvalue_signs(m: ExactMatrix) -> tuple[int, int]:
     Descartes bounds are equalities.
     """
     p = charpoly_exact(m)
-    negative = _variations(int_sign(c) * (-1) ** i for i, c in enumerate(p.coeffs))
+    negative = _variations(-c if i % 2 else c for i, c in enumerate(p.coeffs))
     return negative, zero_root_multiplicity(p)
 
 

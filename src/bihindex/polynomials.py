@@ -14,11 +14,8 @@ for symmetric matrices, whose real-rooted characteristic polynomials
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import gcd
 from typing import Iterable, Literal
-
-from .exact import int_sign
 
 Region = Literal["negative", "zero", "positive"]
 
@@ -139,27 +136,27 @@ def _sturm_chain(p: list[int]) -> list[list[int]]:
     chain = [p, [i * c for i, c in enumerate(p)][1:]]
     while len(chain[-1]) > 1:
         b = chain[-1]
-        scale, lead = abs(b[-1]), int_sign(b[-1])
-        r = list(chain[-2])
+        scale, lead = abs(b[-1]), 1 if b[-1] > 0 else -1
+        r = chain[-2]
         for shift in range(len(r) - len(b), -1, -1):
-            # r <- |lc(b)| r - sign(lc(b)) top x^shift b cancels the top term
-            top = lead * r[shift + len(b) - 1]
-            r = [scale * c for c in r]
-            for i, c in enumerate(b):
-                r[shift + i] -= top * c
+            # r <- |lc(b)| r - sign(lc(b)) lc(r) x^shift b cancels the top term,
+            # which is dropped
+            top = lead * r[-1]
+            r = [scale * c for c in r[:shift]] + [
+                scale * c - top * d for c, d in zip(r[shift:-1], b)]
         while r and r[-1] == 0:
             r.pop()
         if not r:
             break
-        # the 0 start makes the content positive, also for a one-term r
-        g = reduce(gcd, r, 0)
+        g = gcd(*r)  # positive, since r is not zero
         chain.append([-c // g for c in r])
     return chain
 
 
-def _variations(signs: Iterable[int]) -> int:
-    nz = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(nz, nz[1:]) if a != b)
+def _variations(values: Iterable[int]) -> int:
+    """Sign changes along the nonzero entries of ``values``."""
+    neg = [v < 0 for v in values if v]
+    return sum(1 for a, b in zip(neg, neg[1:]) if a != b)
 
 
 def zero_root_multiplicity(p: IntPolynomial) -> int:
@@ -177,11 +174,11 @@ def _count_distinct(p: IntPolynomial, region: Region) -> int:
     if len(q) <= 1:
         return 0
     chain = _sturm_chain(q)
-    v_at_zero = _variations(int_sign(c[0]) for c in chain)
+    v_at_zero = _variations(c[0] for c in chain)
     if region == "negative":
-        v_lo = _variations(int_sign(c[-1]) * (-1) ** (len(c) - 1) for c in chain)
+        v_lo = _variations(c[-1] if len(c) % 2 else -c[-1] for c in chain)
         return v_lo - v_at_zero
-    v_hi = _variations(int_sign(c[-1]) for c in chain)
+    v_hi = _variations(c[-1] for c in chain)
     return v_at_zero - v_hi
 
 

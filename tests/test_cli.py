@@ -1,6 +1,8 @@
 """CLI: exit codes, report schema, format rendering, determinism."""
 
 import argparse
+import csv
+import io
 import json
 import os
 import subprocess
@@ -71,12 +73,26 @@ def test_legendre_verify_exit_codes(capsys, monkeypatch):
         raise CharpolyMismatchError(3, 7, 8)
 
     monkeypatch.setattr(cli, "verify_p5_factorization", mismatch)
-    code, out = run_cli(capsys, "legendre", "verify", "--m", "2", "--n", "3")
+    detail = "charpoly coefficient of x^3: expected 7, got 8"
+    argv = ["legendre", "verify", "--m", "2", "--n", "3", "--format"]
+    code, out = run_cli(capsys, *argv, "json")
     assert code == EXIT_VERIFICATION
     rep = json.loads(out)
     assert rep["inputs"] == {"m": 2, "n": 3}
     assert rep["results"] == {
-        "matched": False, "detail": "charpoly coefficient of x^3: expected 7, got 8"}
+        "matched": False,
+        "detail": detail,
+        "csv_header": ["m", "n", "matched", "detail"],
+        "csv_rows": [[2, 3, False, detail]],
+    }
+    # every format prints the mismatch and exits 2, none a usage error
+    code, out = run_cli(capsys, *argv, "csv")
+    assert code == EXIT_VERIFICATION
+    assert list(csv.reader(io.StringIO(out))) == [
+        ["m", "n", "matched", "detail"], ["2", "3", "False", detail]]
+    code, out = run_cli(capsys, *argv, "md")
+    assert code == EXIT_VERIFICATION
+    assert f"| 2 | 3 | False | {detail} |" in out.splitlines()
 
 
 def test_noncompact_counterexample_window(capsys):

@@ -301,6 +301,31 @@ def test_descartes_lemma_check_small_range():
     assert rep.checked == 98  # 10*10 minus the two excluded labels
 
 
+def test_p5_table_shape_is_the_degree_premise():
+    """P5_TABLE[i][a][b] multiplies m^(2a) n^(2b) in a_i, so at most 11 rows of
+    at most 11 entries is degree <= 20 in m and in n: the premise of
+    test_each_interior_component_has_charpoly_minus_p5 and
+    test_descartes_lemma_holds_for_every_label."""
+    assert len(legendre.P5_TABLE) == 6
+    for rows in legendre.P5_TABLE:
+        assert 1 <= len(rows) <= 11
+        assert all(len(r) <= 11 for r in rows)
+        assert all(type(c) is int for r in rows for c in r)
+    assert legendre.P5_TABLE[5] == ((-1,),)
+
+
+def test_descartes_window_reads_the_table(monkeypatch):
+    """A sign flip of one a3 entry in P5_TABLE shows in the window, so the
+    window checks the row path rather than a copy of the coefficients."""
+    assert descartes_lemma_check(10, 10).violations == ()
+    a3 = [list(r) for r in legendre.P5_TABLE[3]]
+    a3[0][4] = -a3[0][4]  # the coefficient -160 of n^8
+    table = list(legendre.P5_TABLE)
+    table[3] = tuple(map(tuple, a3))
+    monkeypatch.setattr(legendre, "P5_TABLE", tuple(table))
+    assert descartes_lemma_check(10, 10).violations != ()
+
+
 def test_index_nullity_ledger():
     led = legendre_index_nullity()
     assert (led.index, led.nullity) == (11, 18)
