@@ -18,68 +18,4 @@ Submodules:
   cli         -- command-line reports (json / csv / md)
 """
 
-from .exact import QuadExt, Surd
-from .matrices import ExactMatrix, charpoly_exact, eigenvalue_signs
-from .polynomials import IntPolynomial, count_roots
-from .torus import IndexReport, block_matrix, check_runs, eigenvalue, index_nullity
-from .scan import ScanRow, conjecture_scan
-from .circle import circle_index_nullity
-from .legendre import (
-    build_legendre_block,
-    descartes_lemma_check,
-    legendre_index_nullity,
-    verify_p5_factorization,
-)
-from .reduced import (
-    ReducedProblem,
-    bessel_nullity_check,
-    conformal_hessian,
-    reduced_index_nullity,
-    reduced_index_torus,
-)
-from .noncompact import (
-    CubicPhase,
-    SectionPair,
-    Stability,
-    counterexample_value,
-    hessian_form,
-    integrand_min,
-    is_strictly_stable,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "QuadExt",
-    "Surd",
-    "ExactMatrix",
-    "charpoly_exact",
-    "eigenvalue_signs",
-    "IntPolynomial",
-    "count_roots",
-    "IndexReport",
-    "block_matrix",
-    "check_runs",
-    "eigenvalue",
-    "index_nullity",
-    "ScanRow",
-    "conjecture_scan",
-    "circle_index_nullity",
-    "build_legendre_block",
-    "descartes_lemma_check",
-    "legendre_index_nullity",
-    "verify_p5_factorization",
-    "ReducedProblem",
-    "bessel_nullity_check",
-    "conformal_hessian",
-    "reduced_index_nullity",
-    "reduced_index_torus",
-    "CubicPhase",
-    "SectionPair",
-    "Stability",
-    "counterexample_value",
-    "hessian_form",
-    "integrand_min",
-    "is_strictly_stable",
-    "__version__",
-]

@@ -72,8 +72,9 @@ INDEX_K_LIMIT = 10**5
 # 4 min for all k <= 10^4 in one process
 SCAN_K_LIMIT = 10**4
 
-# torus spectrum builds and sorts the about (pi/4) lambda_max labels with
-# m^2 + n^2 <= lambda_max: 11 s and 210 MB at 10^5 on the same core
+# torus spectrum builds and sorts the branches of the about (pi/4) lambda_max
+# labels with m^2 + n^2 <= lambda_max: 9-10 s and 185 MB peak at 10^5
+# (--k 2, csv) on the same core
 LAMBDA_MAX_LIMIT = 10**5
 
 # legendre descartes takes about 0.057 ms per (m, n) pair (5.0-5.2 s at
@@ -491,6 +492,7 @@ def _cmd_reduced(args) -> tuple[dict, dict, bool]:
     results = {"index": idx, "nullity": nul, "threshold_fourth_power": str(problem.quartic_constant())}
     if b is not None:
         inputs["b"] = str(b)
+        results["critical_cos_2alpha"] = str(problem.critical_cos_2alpha())
         results["critical_latitude"] = problem.critical_latitude()
     results["csv_header"] = ["n", *list(inputs)[1:], "index", "nullity"]
     results["csv_rows"] = [[*inputs.values(), idx, nul]]

@@ -229,10 +229,9 @@ def verify_p5_factorization(m: int, n: int) -> FactorizationReport:
 # -- Descartes sign certificate -------------------------------------------------
 
 def satisfies_lemma_hypothesis(m: int, n: int) -> bool:
-    """True iff (2,1) < (m,n) componentwise-strictly-somewhere or (1,2) <= (m,n)."""
-    beyond_21 = m >= 2 and n >= 1 and (m > 2 or n > 1)
-    beyond_12 = m >= 1 and n >= 2
-    return beyond_21 or beyond_12
+    """True iff (m, n) lies in one of the lemma's quadrants m >= 3, n >= 1 or
+    m >= 1, n >= 2: every interior label except (1, 1) and (2, 1)."""
+    return (m >= 3 and n >= 1) or (m >= 1 and n >= 2)
 
 
 def _sign_conditions(coeffs) -> tuple[bool, bool, bool, bool, bool, bool]:

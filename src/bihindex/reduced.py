@@ -78,11 +78,16 @@ class ReducedProblem:
             if self.b <= 0:
                 raise ValueError("b must be positive")
 
+    def critical_cos_2alpha(self) -> Fraction:
+        """cos 2 alpha = (b - 1)/(b + 1) at the critical latitude alpha, exactly;
+        0 for the round sphere."""
+        if self.b is None:
+            return Fraction(0)
+        return (self.b - 1) / (self.b + 1)
+
     def critical_latitude(self) -> float:
         """The constant latitude of the critical map, in (0, pi/2)."""
-        if self.b is None:
-            return math.pi / 4
-        return 0.5 * math.acos(float((self.b - 1) / (self.b + 1)))
+        return 0.5 * math.acos(float(self.critical_cos_2alpha()))
 
     def quartic_constant(self) -> Fraction:
         """c4 with reduced eigenvalues m^4 - c4."""

@@ -50,13 +50,4 @@ def conjecture_scan(k_max: int, workers: int = 1, k_min: int = 1) -> list[ScanRo
     if workers <= 1:
         return [scan_row(k) for k in ks]
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        rows = list(ex.map(scan_row, ks, chunksize=max(1, len(ks) // (8 * workers))))
-    rows.sort(key=lambda r: r.k)
-    return rows
-
-
-__all__ = [
-    "ScanRow",
-    "scan_row",
-    "conjecture_scan",
-]
+        return list(ex.map(scan_row, ks, chunksize=max(1, len(ks) // (8 * workers))))

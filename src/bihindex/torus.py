@@ -41,9 +41,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import groupby
 from math import isqrt
+from operator import itemgetter
 
-from .exact import QUAD_SQRT2, QuadExt, Surd, int_sign
+from .exact import QUAD_SQRT2, QuadExt, Surd
 from .matrices import ExactMatrix, OperatorTable, operator_block
 
 BRANCHES = ("mu0", "mu1", "plus", "minus")
@@ -68,14 +70,6 @@ class TorusLabel:
             raise InvalidLabelError("winding number k must be >= 1")
         if self.m < 0 or self.n < 0:
             raise InvalidLabelError("Fourier indices must be nonnegative")
-
-
-@dataclass(frozen=True)
-class SpectrumEntry:
-    label: TorusLabel
-    branch: str
-    eigenvalue: Surd
-    multiplicity: int
 
 
 @dataclass(frozen=True)
@@ -165,13 +159,6 @@ def branch_multiplicity(m: int, n: int) -> int:
 
 
 # -- exact sign tests ----------------------------------------------------------
-
-def sign_lambda_minus(k: int, m: int, n: int) -> int:
-    """Sign of lambda^-_{m,n} for m >= 1, n >= 0, via the integer D-test."""
-    if m < 1 or n < 0:
-        raise InvalidLabelError("the D-test needs m >= 1 and n >= 0")
-    return int_sign(discriminant(k, m, n))
-
 
 def enumeration_bound(k: int) -> int:
     """Bound 9k^2: D(k, m, n) > 0 for every interior pair with m^2+n^2 >= 9k^2.
@@ -624,43 +611,29 @@ def block_matrix(k: int, m: int, n: int) -> ExactMatrix:
     return operator_block(OPERATOR_TABLE, m, n, QuadExt(n), k, m * m + n * n)
 
 
-def spectrum_entries(k: int, lambda_max: int) -> list[SpectrumEntry]:
-    """Per-branch eigenvalues for all labels with m^2 + n^2 <= lambda_max."""
-    out = [
-        SpectrumEntry(TorusLabel(k, 0, 0), "mu0", eigenvalue(k, 0, 0, "mu0"), 1),
-        SpectrumEntry(TorusLabel(k, 0, 0), "mu1", eigenvalue(k, 0, 0, "mu1"), 1),
-    ]
-    for m in range(0, isqrt(lambda_max) + 1):
-        for n in range(0, isqrt(lambda_max) + 1):
-            if (m, n) == (0, 0) or m * m + n * n > lambda_max:
-                continue
-            mult = branch_multiplicity(m, n)
-            for branch in ("plus", "minus"):
-                out.append(
-                    SpectrumEntry(TorusLabel(k, m, n), branch, eigenvalue(k, m, n, branch), mult)
-                )
-    return out
-
-
 def spectrum(k: int, lambda_max: int) -> list[MergedEigenvalue]:
     """Spectrum up to Laplace level lambda_max, ties merged, ascending.
 
-    Branch multiplicity and spectral multiplicity differ where branches
-    collide (for instance 0 = mu0 = lambda^-_{k,0} = lambda^-_{0,k} whenever
-    lambda_max >= k^2).
+    Every label (m, n) with m^2 + n^2 <= lambda_max contributes its branches,
+    tagged "branch[m,n]"; the stable exact sort keeps tied tags in label
+    order.  Branch multiplicity and spectral multiplicity differ where
+    branches collide (for instance 0 = mu0 = lambda^-_{k,0} = lambda^-_{0,k}
+    whenever lambda_max >= k^2).
     """
-    entries = spectrum_entries(k, lambda_max)
-    entries.sort(key=lambda e: e.eigenvalue)
-    merged: list[MergedEigenvalue] = []
-    for e in entries:
-        tag = f"{e.branch}[{e.label.m},{e.label.n}]"
-        if merged and merged[-1].eigenvalue == e.eigenvalue:
-            prev = merged[-1]
-            merged[-1] = MergedEigenvalue(
-                prev.eigenvalue, prev.multiplicity + e.multiplicity, prev.branches + (tag,)
-            )
-        else:
-            merged.append(MergedEigenvalue(e.eigenvalue, e.multiplicity, (tag,)))
+    entries = [(eigenvalue(k, 0, 0, b), 1, f"{b}[0,0]") for b in ("mu0", "mu1")]
+    for m in range(isqrt(lambda_max) + 1):
+        for n in range(isqrt(lambda_max - m * m) + 1):
+            if (m, n) != (0, 0):
+                mult = branch_multiplicity(m, n)
+                for b in ("plus", "minus"):
+                    entries.append((eigenvalue(k, m, n, b), mult, f"{b}[{m},{n}]"))
+    entries.sort(key=itemgetter(0))
+    merged = []
+    for value, group in groupby(entries, key=itemgetter(0)):
+        group = list(group)
+        merged.append(
+            MergedEigenvalue(value, sum(e[1] for e in group), tuple(e[2] for e in group))
+        )
     return merged
 
 
@@ -675,8 +648,7 @@ def negative_eigenvector_coefficient(k: int, m: int, n: int) -> Surd:
     if m < 1:
         raise InvalidLabelError("the gradient coupling needs m >= 1")
     TorusLabel(k, m, n)
-    sgn = sign_lambda_minus(k, m, n)
-    if sgn >= 0:
+    if discriminant(k, m, n) >= 0:
         raise NotNegativeError(f"lambda^-({m},{n}) is not negative at k={k}")
     s = m * m + n * n
     _, r = lambda_parts(k, m, n)

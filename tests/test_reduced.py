@@ -138,11 +138,17 @@ def test_ellipsoid_large_and_small_b():
 
 
 def test_critical_latitude():
-    assert ReducedProblem(2, 1).critical_latitude() == pytest.approx(math.pi / 4)
-    for b in (Fraction(1, 3), Fraction(2), Fraction(9)):
-        alpha = ReducedProblem(2, 1, b=b).critical_latitude()
+    sphere = ReducedProblem(2, 1)
+    assert sphere.critical_cos_2alpha() == 0
+    assert sphere.critical_latitude() == pytest.approx(math.pi / 4)
+    for b, cos_2alpha in ((Fraction(1, 3), Fraction(-1, 2)), (Fraction(2), Fraction(1, 3)),
+                          (Fraction(9), Fraction(4, 5))):
+        problem = ReducedProblem(2, 1, b=b)
+        assert problem.critical_cos_2alpha() == cos_2alpha
+        assert type(problem.critical_cos_2alpha()) is Fraction
+        alpha = problem.critical_latitude()
         assert 0 < alpha < math.pi / 2
-        assert math.cos(2 * alpha) == pytest.approx(float((b - 1) / (b + 1)))
+        assert math.cos(2 * alpha) == pytest.approx(float(cos_2alpha))
 
 
 def test_conformal_hessian_zero_and_bump():

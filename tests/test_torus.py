@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bihindex import torus
-from bihindex.exact import QUAD_SQRT2, QUAD_ZERO, QuadExt, Surd
+from bihindex.exact import QUAD_SQRT2, QUAD_ZERO, QuadExt, Surd, int_sign
 from bihindex.matrices import charpoly_exact
 from bihindex.torus import (
     IndexReport,
@@ -27,9 +27,7 @@ from bihindex.torus import (
     last_row,
     min_abs_interior_discriminant,
     negative_eigenvector_coefficient,
-    sign_lambda_minus,
     spectrum,
-    spectrum_entries,
 )
 
 from oracles import to_numpy
@@ -71,26 +69,26 @@ def test_invalid_labels():
 
 
 def test_sign_lambda_minus_examples():
-    assert sign_lambda_minus(2, 1, 1) == -1
-    assert sign_lambda_minus(2, 2, 1) == -1
-    assert sign_lambda_minus(2, 1, 2) == 1
+    assert int_sign(discriminant(2, 1, 1)) == -1
+    assert int_sign(discriminant(2, 2, 1)) == -1
+    assert int_sign(discriminant(2, 1, 2)) == 1
     a, b, c2 = block_coefficients(2, 1, 2)
     assert (a, b) == (53, 17) and a * b - c2 == 101
     # degree one: no interior negatives at all
     for m in range(1, 4):
         for n in range(1, 4):
             if m * m + n * n < 9:
-                assert sign_lambda_minus(1, m, n) == 1
+                assert int_sign(discriminant(1, m, n)) == 1
 
 
 def test_axis_trichotomy():
-    assert sign_lambda_minus(5, 3, 0) == -1
-    assert sign_lambda_minus(5, 5, 0) == 0
-    assert sign_lambda_minus(5, 6, 0) == 1
+    assert int_sign(discriminant(5, 3, 0)) == -1
+    assert int_sign(discriminant(5, 5, 0)) == 0
+    assert int_sign(discriminant(5, 6, 0)) == 1
     for k in range(1, 12):
         for m in range(1, 3 * k):
             expected = -1 if m < k else (0 if m == k else 1)
-            assert sign_lambda_minus(k, m, 0) == expected
+            assert int_sign(discriminant(k, m, 0)) == expected
     # the axis factorisations behind run_totals, proved for all k, m, n: the
     # difference P of the two sides has degree <= 6 in k and <= 8 in m (or
     # n), and a polynomial of those degrees that vanishes on a 7 x 9 grid of
@@ -110,7 +108,7 @@ def test_sign_test_agrees_with_surd_sign():
         while m * m < bound:
             n = 1
             while m * m + n * n < bound:
-                assert sign_lambda_minus(k, m, n) == eigenvalue(k, m, n, "minus").sign()
+                assert int_sign(discriminant(k, m, n)) == eigenvalue(k, m, n, "minus").sign()
                 n += 1
             m += 1
 
@@ -374,20 +372,33 @@ def test_spectrum_merges_coincidences():
         assert len(zero_entries) == 1
         assert zero_entries[0].multiplicity == 5
         assert len(zero_entries[0].branches) == 3
-    # ascending and branch multiplicities 1/2/4
-    entries = spectrum_entries(2, 8)
-    for e in entries:
-        assert e.multiplicity == branch_multiplicity(e.label.m, e.label.n)
+    # ascending, and each multiplicity sums the branch multiplicities 1/2/4
+    merged = spectrum(2, 8)
+    assert all(a.eigenvalue < b.eigenvalue for a, b in zip(merged, merged[1:]))
+    for e in merged:
+        labels = [branch_tag(tag)[1:] for tag in e.branches]
+        assert e.multiplicity == sum(branch_multiplicity(m, n) for m, n in labels)
 
 
-def test_spectrum_entries_reach_the_level_exactly():
-    # labels (m, n) != (0, 0) with m^2 + n^2 <= lambda_max, each with two branches
+def branch_tag(tag):
+    """(branch, m, n) from a spectrum tag such as "minus[2,1]"."""
+    branch, label = tag.rstrip("]").split("[")
+    m, n = label.split(",")
+    return branch, int(m), int(n)
+
+
+def test_spectrum_reaches_the_level_exactly():
+    # labels (m, n) != (0, 0) with m^2 + n^2 <= lambda_max, each with two
+    # branches, and (0, 0) with mu0 and mu1
     for lam_max in (0, 1, 24, 25, 26, 48, 49):
-        labels = {(e.label.m, e.label.n) for e in spectrum_entries(3, lam_max)}
+        tags = [branch_tag(t) for e in spectrum(3, lam_max) for t in e.branches]
+        assert len(tags) == len(set(tags))
         expected = {
-            (m, n) for m in range(8) for n in range(8) if m * m + n * n <= lam_max
+            (b, m, n)
+            for m in range(8) for n in range(8) if 0 < m * m + n * n <= lam_max
+            for b in ("plus", "minus")
         }
-        assert labels == expected | {(0, 0)}
+        assert set(tags) == expected | {("mu0", 0, 0), ("mu1", 0, 0)}
 
 
 def test_min_abs_discriminant_near_miss_window():
