@@ -15,19 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
-from .exact import QPi
+from .exact import QPi, exact_rational
 
 COS, SIN = 0, 1
 _COS_AT_HALF_PI = (1, 0, -1, 0)  # cos(w pi/2), by w mod 4
 _SIN_AT_HALF_PI = (0, 1, 0, -1)
-
-
-def _rational(x, name: str) -> Fraction:
-    if isinstance(x, bool) or not isinstance(x, (Rational, str)):
-        raise TypeError(f"{name} must be an exact rational, got {type(x).__name__}")
-    return Fraction(x)
 
 
 def _put(terms: dict, k: int, w: int, trig: int, c: Fraction) -> None:
@@ -138,9 +131,10 @@ class PolynomialBump:
     ycoeffs: tuple[Fraction, ...]  # P, lowest degree first
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "center", _rational(self.center, "center"))
-        object.__setattr__(self, "halfwidth", _rational(self.halfwidth, "halfwidth"))
-        object.__setattr__(self, "ycoeffs", tuple(_rational(c, "ycoeff") for c in self.ycoeffs))
+        object.__setattr__(self, "center", exact_rational(self.center, "center"))
+        object.__setattr__(self, "halfwidth", exact_rational(self.halfwidth, "halfwidth"))
+        object.__setattr__(self, "ycoeffs",
+                           tuple(exact_rational(c, "ycoeff") for c in self.ycoeffs))
         if self.halfwidth <= 0:
             raise ValueError("halfwidth must be positive")
 
@@ -152,7 +146,7 @@ class PolynomialBump:
         poly = [Fraction(0)] * (2 * power + len(weights))
         for i in range(power + 1):
             for j, w in enumerate(weights):
-                poly[2 * i + j] += (-1) ** i * math.comb(power, i) * _rational(w, "weight")
+                poly[2 * i + j] += (-1) ** i * math.comb(power, i) * exact_rational(w, "weight")
         return cls(center, halfwidth, tuple(poly))
 
     def profile(self) -> TrigPoly:
@@ -171,7 +165,7 @@ class CosPowerBump:
     power: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "center", _rational(self.center, "center"))
+        object.__setattr__(self, "center", exact_rational(self.center, "center"))
         if self.power < 6 or self.power % 2:
             raise ValueError("power must be even and >= 6")
 

@@ -47,7 +47,6 @@ from .noncompact import (
     is_strictly_stable,
 )
 from .reduced import (
-    DegenerateThresholdError,
     ReducedProblem,
     bessel_nullity_check,
     conformal_hessian,
@@ -73,7 +72,7 @@ INDEX_K_LIMIT = 10**5
 SCAN_K_LIMIT = 10**4
 
 # torus spectrum builds and sorts the branches of the about (pi/4) lambda_max
-# labels with m^2 + n^2 <= lambda_max: 9-10 s and 185 MB peak at 10^5
+# labels with m^2 + n^2 <= lambda_max: 9-11 s and 165 MB peak at 10^5
 # (--k 2, csv) on the same core
 LAMBDA_MAX_LIMIT = 10**5
 
@@ -90,12 +89,13 @@ CHECK_MATRICES_K_LIMIT = 10**4
 # torus check reads at most this many bytes (a k = 10^4 report is about 0.64 MB)
 CHECK_FILE_LIMIT = 2**26
 
-# digits of --n-dim, of legendre verify --m and --n, and of each exact
-# rational's numerator and denominator.  The longest exact strings a report
-# then prints, a noncompact hessian coefficient (3615 digits) and a legendre
-# verify quintic coefficient (3005 digits, degree 20 in the labels), stay
-# under Python's 4300-digit int to str limit; at 215 digits the quintic
-# reaches it
+# digits of --n-dim, of legendre verify --m and --n, of circle index --k and
+# reduced torus --k, and of each exact rational's numerator and denominator.
+# The longest exact strings a report then prints, a noncompact hessian
+# coefficient (3615 digits) and a legendre verify quintic coefficient (3005
+# digits, degree 20 in the labels), stay under Python's 4300-digit int to str
+# limit; at 215 digits the quintic reaches it.  Both --k commands print an
+# index of about 2k, which reaches the limit from a 4300-digit k
 EXACT_INPUT_DIGITS = 150
 
 # digits of torus spectrum --k: a value_float overflows only when the
@@ -162,9 +162,9 @@ RENDERERS = {"json": render_json, "csv": render_csv, "md": render_md}
 
 # -- argument plumbing -------------------------------------------------------------
 
-def _int_in(lo: int, hi: int | None = None, too_large: str | None = None):
-    """argparse type: an integer >= lo, and <= hi unless hi is None; too_large
-    words the refusal above hi (default "must be <= hi")."""
+def _int_in(lo: int, hi: int, too_large: str | None = None):
+    """argparse type: an integer in lo..hi; too_large words the refusal above
+    hi (default "must be <= hi")."""
 
     def parse(text: str) -> int:
         try:
@@ -173,7 +173,7 @@ def _int_in(lo: int, hi: int | None = None, too_large: str | None = None):
             raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
-        if hi is not None and value > hi:
+        if value > hi:
             raise argparse.ArgumentTypeError(too_large or f"must be <= {hi}")
         return value
 
@@ -245,7 +245,8 @@ def build_parser() -> _Parser:
 
     circle = groups.add_parser("circle").add_subparsers(dest="command", required=True)
     c_index = circle.add_parser("index", parents=[common])
-    c_index.add_argument("--k", type=_int_in(1), required=True)
+    c_index.add_argument("--k", type=digits(1, EXACT_INPUT_DIGITS), required=True,
+                         help=f"winding number, at most {EXACT_INPUT_DIGITS} digits")
     c_index.add_argument("--check-matrices", action="store_true",
                          help="also recount from the blocks' exact eigenvalue signs "
                               f"(k <= {CHECK_MATRICES_K_LIMIT})")
@@ -273,7 +274,8 @@ def build_parser() -> _Parser:
     r_ell.add_argument("--radius", type=str, required=True)
     r_ell.add_argument("--b", type=str, required=True)
     r_torus = red.add_parser("torus", parents=[common])
-    r_torus.add_argument("--k", type=_int_in(1), required=True)
+    r_torus.add_argument("--k", type=digits(1, EXACT_INPUT_DIGITS), required=True,
+                         help=f"winding number, at most {EXACT_INPUT_DIGITS} digits")
     red.add_parser("bessel", parents=[common])
     red.add_parser("conformal", parents=[common])
 
@@ -314,24 +316,23 @@ def _cmd_torus_spectrum(args) -> tuple[dict, dict, bool]:
     if not 0 <= lam_max <= LAMBDA_MAX_LIMIT:
         raise UsageError(f"--lambda-max {lam_max} (default 4*k^2 when not given) must be "
                          f">= 0 and <= {LAMBDA_MAX_LIMIT}")
-    merged = spectrum(args.k, lam_max)
-    rows = [
-        [str(e.eigenvalue), float(e.eigenvalue), e.multiplicity, ";".join(e.branches)]
-        for e in merged
+    entries = [
+        {
+            "value_exact": str(e.eigenvalue),
+            "value_float": float(e.eigenvalue),
+            "multiplicity": e.multiplicity,
+            "branches": list(e.branches),
+        }
+        for e in spectrum(args.k, lam_max)
     ]
     results = {
         "lambda_max": lam_max,
-        "entries": [
-            {
-                "value_exact": str(e.eigenvalue),
-                "value_float": float(e.eigenvalue),
-                "multiplicity": e.multiplicity,
-                "branches": list(e.branches),
-            }
-            for e in merged
-        ],
+        "entries": entries,
         "csv_header": ["value_exact", "value_float", "multiplicity", "branches"],
-        "csv_rows": rows,
+        "csv_rows": [
+            [e["value_exact"], e["value_float"], e["multiplicity"], ";".join(e["branches"])]
+            for e in entries
+        ],
     }
     return {"k": args.k, "lambda_max": lam_max}, results, True
 
@@ -372,8 +373,8 @@ def _read_index_report(path: str) -> dict:
     for name in ("k", "f", "g", "index", "nullity"):
         if type(results.get(name)) is not int:  # bool is not an integer here
             raise UsageError(f"{path}: results.{name} is not an integer")
-    if results["k"] < 1:
-        raise UsageError(f"{path}: results.k must be >= 1")
+    if not 1 <= results["k"] <= INDEX_K_LIMIT:  # torus index writes no other k
+        raise UsageError(f"{path}: results.k must be >= 1 and <= {INDEX_K_LIMIT}")
     for name, width in (("negative_runs", 3), ("zero_pairs", 2), ("empty_row_witnesses", 2)):
         rows = results.get(name)
         if not isinstance(rows, list) or not all(
@@ -387,13 +388,13 @@ def _read_index_report(path: str) -> dict:
 def _cmd_torus_check(args) -> tuple[dict, dict, bool]:
     res = _read_index_report(args.file)
     k, runs, zeros = res["k"], res["negative_runs"], res["zero_pairs"]
-    totals = run_totals(k, runs, zeros)
-    failures = [
-        f"{name} = {res[name]}, but the runs and zero pairs give {want}"
-        for name, want in zip(("f", "g", "index", "nullity"), totals)
-        if res[name] != want
-    ]
-    failures += check_runs(k, runs, zeros, res["empty_row_witnesses"])
+    failures = check_runs(k, runs, zeros, res["empty_row_witnesses"])
+    if not failures:  # every entry lies in 1 <= n < 3k, so the totals are small
+        failures = [
+            f"{name} = {res[name]}, but the runs and zero pairs give {want}"
+            for name, want in zip(("f", "g", "index", "nullity"), run_totals(k, runs, zeros))
+            if res[name] != want
+        ]
     results = {
         "k": k,
         "verified": not failures,
@@ -486,7 +487,7 @@ def _cmd_reduced(args) -> tuple[dict, dict, bool]:
     try:
         problem = ReducedProblem(n=args.n_dim, radius=radius, b=b)
         idx, nul = reduced_index_nullity(problem)
-    except (DegenerateThresholdError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc))
     inputs = {"n_dim": args.n_dim, "radius": str(radius)}
     results = {"index": idx, "nullity": nul, "threshold_fourth_power": str(problem.quartic_constant())}

@@ -19,12 +19,24 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from numbers import Rational
 
 SQRT2 = math.sqrt(2.0)
 
 
 def int_sign(x: int) -> int:
     return (x > 0) - (x < 0)
+
+
+def exact_rational(x, name: str) -> Fraction:
+    """x as a Fraction: TypeError unless x is a rational number (not a bool) or a
+    string, ValueError if Fraction cannot parse the string (zero denominator too)."""
+    if isinstance(x, bool) or not isinstance(x, (Rational, str)):
+        raise TypeError(f"{name} must be an exact rational, got {type(x).__name__}")
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot parse {name}={x!r} as a rational") from exc
 
 
 def sign_p_plus_q_sqrt(p: int, q: int, s: int) -> int:
@@ -98,15 +110,6 @@ class QuadExt:
 
     __radd__ = __add__
 
-    def __sub__(self, other: int | QuadExt) -> QuadExt:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadExt(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other: int | QuadExt) -> QuadExt:
-        return (-self) + other
-
     def __neg__(self) -> QuadExt:
         return QuadExt(-self.a, -self.b)
 
@@ -118,27 +121,12 @@ class QuadExt:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> QuadExt:
-        if n < 0:
-            raise ValueError("negative power in Z[sqrt(2)]")
-        out = QuadExt(1, 0)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             return self.a == other and self.b == 0
         if isinstance(other, QuadExt):
             return self.a == other.a and self.b == other.b
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * SQRT2
@@ -214,15 +202,6 @@ class Surd:
     def __lt__(self, other: Surd) -> bool:
         return self._cmp(self._as_surd(other)) < 0
 
-    def __le__(self, other: Surd) -> bool:
-        return self._cmp(self._as_surd(other)) <= 0
-
-    def __gt__(self, other: Surd) -> bool:
-        return self._cmp(self._as_surd(other)) > 0
-
-    def __ge__(self, other: Surd) -> bool:
-        return self._cmp(self._as_surd(other)) >= 0
-
     @staticmethod
     def _as_surd(x: Surd | int | Fraction) -> Surd:
         if isinstance(x, Surd):
@@ -230,23 +209,6 @@ class Surd:
         return Surd.from_rational(x)
 
     __hash__ = None  # type: ignore[assignment]  # no canonical form
-
-    def __neg__(self) -> Surd:
-        return Surd(-self.p, self.s, self.q, -self.branch)
-
-    def is_rational(self) -> bool:
-        if self.s == 0:
-            return True
-        r = math.isqrt(self.s)
-        return r * r == self.s
-
-    def as_fraction(self) -> Fraction:
-        if self.s == 0:
-            return Fraction(self.p, self.q)
-        r = math.isqrt(self.s)
-        if r * r != self.s:
-            raise ValueError(f"{self!r} is irrational")
-        return Fraction(self.p + self.branch * r, self.q)
 
     def __float__(self) -> float:
         # sqrt(s) to 64 bits past the point, with no float of s; opposite signs take

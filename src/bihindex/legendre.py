@@ -93,7 +93,6 @@ OPERATOR_TABLE: OperatorTable = {
         ("xi", "f", lambda l: l * l + 4 * l),
     ],
 }
-FRAMES = tuple(OPERATOR_TABLE)
 
 
 def build_legendre_block(m: int, n: int) -> ExactMatrix:

@@ -76,9 +76,6 @@ class ExactMatrix:
             return NotImplemented
         return self.entries == other.entries
 
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
     def trace(self) -> QuadExt:
         t = QUAD_ZERO
         for i in range(self.order):

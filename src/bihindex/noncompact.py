@@ -27,8 +27,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bumps import Bump, CosPowerBump, TrigPoly, _rational
-from .exact import QPi
+from .bumps import Bump, CosPowerBump, TrigPoly
+from .exact import QPi, exact_rational
 
 
 class NotProperError(ValueError):
@@ -49,7 +49,7 @@ class CubicPhase:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, _rational(getattr(self, name), name))
+            object.__setattr__(self, name, exact_rational(getattr(self, name), name))
         if self.a == 0 and self.b == 0:
             raise NotProperError("a = b = 0 gives a harmonic (not proper) map")
 

@@ -46,47 +46,20 @@ class IntPolynomial:
         """Degree; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def leading(self) -> int:
-        if not self.coeffs:
-            return 0
-        return self.coeffs[-1]
-
     def __call__(self, x: int | Fraction):
         out: int | Fraction = 0
         for c in reversed(self.coeffs):
             out = out * x + c
         return out
 
-    def derivative(self) -> IntPolynomial:
-        return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
     # -- ring operations ----------------------------------------------------
-    def __add__(self, other: IntPolynomial) -> IntPolynomial:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
-
-    def __sub__(self, other: IntPolynomial) -> IntPolynomial:
-        return self + (-other)
-
-    def __neg__(self) -> IntPolynomial:
-        return IntPolynomial([-c for c in self.coeffs])
-
-    def __mul__(self, other: IntPolynomial | int) -> IntPolynomial:
-        if isinstance(other, int):
-            return IntPolynomial([other * c for c in self.coeffs])
+    def __mul__(self, other: IntPolynomial) -> IntPolynomial:
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1) if self.coeffs and other.coeffs else []
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return IntPolynomial(out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> IntPolynomial:
         if n < 0:
@@ -104,9 +77,6 @@ class IntPolynomial:
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self.coeffs)})"

@@ -37,26 +37,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 from .bumps import Bump
-from .exact import QPi
-
-
-class DegenerateThresholdError(ValueError):
-    """Raised when the integrality decision cannot be made exactly."""
-
-
-def _as_fraction(x, name: str) -> Fraction:
-    if isinstance(x, bool) or not isinstance(x, (Rational, str)):
-        raise DegenerateThresholdError(
-            f"{name} must be an exact rational (int, Fraction or rational string); "
-            f"got {type(x).__name__} -- the boundary decision would be a float guess"
-        )
-    try:
-        return Fraction(x)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DegenerateThresholdError(f"cannot parse {name}={x!r} as a rational") from exc
+from .exact import QPi, exact_rational
 
 
 @dataclass(frozen=True)
@@ -70,11 +53,11 @@ class ReducedProblem:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("need n >= 2")
-        object.__setattr__(self, "radius", _as_fraction(self.radius, "radius"))
+        object.__setattr__(self, "radius", exact_rational(self.radius, "radius"))
         if self.radius <= 0:
             raise ValueError("radius must be positive")
         if self.b is not None:
-            object.__setattr__(self, "b", _as_fraction(self.b, "b"))
+            object.__setattr__(self, "b", exact_rational(self.b, "b"))
             if self.b <= 0:
                 raise ValueError("b must be positive")
 
@@ -170,8 +153,7 @@ def bessel_rate_series(order: int) -> tuple[Fraction, ...]:
 @dataclass(frozen=True)
 class BesselNullityReport:
     derivatives_at_zero: tuple[QPi, QPi, QPi]
-    ratio_values: tuple[Fraction, ...]  # E' / (pi t - pi J1(4t)/2), where the latter's != 0
-    ratio_mean: Fraction
+    ratio_mean: Fraction  # of E' / (pi t - pi J1(4t)/2), where the latter's != 0
     ratio_spread: Fraction
     ratio_ok: bool  # E' = ratio_mean (pi t - pi J1(4t)/2), coefficient by coefficient
     fourth_derivative_normalized: QPi
@@ -201,7 +183,6 @@ def bessel_nullity_check() -> BesselNullityReport:
     mean = sum(ratios) / len(ratios)
     return BesselNullityReport(
         derivatives_at_zero=tuple(QPi((0, math.factorial(r) * e[r])) for r in (1, 2, 3)),
-        ratio_values=ratios,
         ratio_mean=mean,
         ratio_spread=(max(ratios) - min(ratios)) / abs(mean),
         ratio_ok=rate == tuple(mean * r for r in bessel),

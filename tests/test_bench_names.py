@@ -9,8 +9,10 @@ parses perfbench/*.py and resolves each name it finds:
   bihindex.<module>.<name>                   (and through an import alias)
   importlib.import_module("bihindex.<module>").<name>
 
-tracer.HOOKS is left out: it lists (module, name) pairs as strings, and the
-tracer tolerates a hook on a name that no longer exists.
+tracer.HOOKS lists (module, name) pairs as strings, and the tracer skips a
+hook whose name no longer exists, so its metrics read 0.  Those pairs are
+resolved too: every hook must resolve except the four that are dead already,
+and the result attributes that Tracer._after reads must exist.
 """
 
 import ast
@@ -89,13 +91,23 @@ def bihindex_names(source: str) -> set[str]:
     return names
 
 
-def setup_code() -> str:
-    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
+def bench_constant(file: str, name: str):
+    """The literal value of the top-level assignment ``name = ...`` in perfbench/file."""
+    tree = ast.parse((ROOT / "perfbench" / file).read_text(encoding="utf-8"))
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "SETUP_CODE" for t in node.targets):
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
             return ast.literal_eval(node.value)
-    raise AssertionError("perfbench/run.py defines no SETUP_CODE")
+    raise AssertionError(f"perfbench/{file} defines no {name}")
+
+
+# tracer hooks on names that production no longer has; their metrics read 0
+DEAD_HOOKS = {
+    "bihindex.scan.discriminant",
+    "bihindex.circle.charpoly_exact",
+    "bihindex.legendre.count_roots_with_multiplicity",
+    "bihindex.circle.count_roots_with_multiplicity",
+}
 
 
 def test_bench_files_found():
@@ -132,8 +144,25 @@ def test_the_walk_catches_a_missing_name():
     assert "bihindex.cli.no_such_name" in names
 
 
+def test_tracer_hooks_stay_live():
+    hooks = bench_constant("tracer.py", "HOOKS")
+    assert len(hooks) > len(DEAD_HOOKS)
+    dead = {f"{module}.{name}" for module, name, _ in hooks
+            if not hasattr(importlib.import_module(module), name)}
+    assert dead <= DEAD_HOOKS, f"tracer hooks no longer resolve: {sorted(dead - DEAD_HOOKS)}"
+
+
+def test_tracer_reads_existing_result_attributes():
+    # the attributes Tracer._after reads from the results of the hooked calls
+    row = resolve("bihindex.scan.scan_row")(5)
+    report = resolve("bihindex.cli.index_nullity")(5)
+    ledger = resolve("bihindex.cli.legendre_index_nullity")()
+    for value in (row.f, report.k, report.f, ledger.axis_m_scanned_to, ledger.axis_n_scanned_to):
+        assert type(value) is int
+
+
 def test_bench_setup_code_runs():
-    code = setup_code()
+    code = bench_constant("run.py", "SETUP_CODE")
     assert "bihindex" in code
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))

@@ -260,6 +260,24 @@ def test_torus_check_malformed_input_gives_one_line(capsys, tmp_path, content):
     assert captured.err.startswith("bihindex: error: ")
 
 
+def test_numbers_too_long_to_print_end_in_one_line_or_a_report(capsys, tmp_path):
+    # the index 1 + 4(k - 1) + 4f of a 4300-digit k or run end has 4301 digits,
+    # more than Python prints; a k above INDEX_K_LIMIT is refused, and the
+    # totals are compared only once the runs verify
+    report = index_report(capsys, 2)
+    report["results"]["k"] = int("9" * 4300)
+    code, captured = check_file(capsys, tmp_path, report)
+    assert code == EXIT_USAGE and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("bihindex: error: ")
+    report = index_report(capsys, 2)
+    report["results"]["negative_runs"][-1][2] = int("9" * 4300)
+    code, captured = check_file(capsys, tmp_path, report)
+    assert code == EXIT_VERIFICATION and captured.err == ""
+    results = json.loads(captured.out)["results"]
+    assert results["verified"] is False and results["failures"]
+
+
 def test_check_cost_is_linear_in_k(monkeypatch):
     # k = 10^4 has last_row(k) = 11832 rows below the cut 5m^2 < 7k^2, each
     # with a run or a witness; the check makes at most four exact

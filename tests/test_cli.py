@@ -167,6 +167,11 @@ def test_usage_errors_exit_one(capsys):
         # one digit above each label bound
         ["legendre", "verify", "--m", "1", "--n", str(10**EXACT_INPUT_DIGITS)],
         ["torus", "spectrum", "--k", str(10**SPECTRUM_K_DIGITS), "--lambda-max", "1"],
+        ["circle", "index", "--k", str(10**EXACT_INPUT_DIGITS)],
+        ["reduced", "torus", "--k", str(10**EXACT_INPUT_DIGITS)],
+        # an index of about 2k with 4300 digits cannot be printed
+        ["circle", "index", "--k", "9" * 4300],
+        ["reduced", "torus", "--k", "9" * 4300],
         # one below each lower bound that is not 1
         ["legendre", "descartes", "--m", "2"],
         ["legendre", "descartes", "--n", "2"],
@@ -210,6 +215,8 @@ _BIG = [str(10**EXACT_INPUT_DIGITS - d) for d in (1, 3, 7, 9)]  # the largest al
          "--b", f"1/{_BIG[2]}"],
         ["reduced", "sphere", "--n-dim", _BIG[0], "--radius", f"1/{_BIG[1]}"],
         ["legendre", "verify", "--m", _BIG[0], "--n", _BIG[1]],
+        ["circle", "index", "--k", _BIG[0]],
+        ["reduced", "torus", "--k", _BIG[0]],
         # every float of the report is finite at the largest torus spectrum --k
         ["torus", "spectrum", "--k", str(10**SPECTRUM_K_DIGITS - 1), "--lambda-max", "50"],
     ],
