@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -162,19 +163,34 @@ RENDERERS = {"json": render_json, "csv": render_csv, "md": render_md}
 
 # -- argument plumbing -------------------------------------------------------------
 
+# characters of a refused argument that a diagnostic echoes
+ECHO_CHARS = 40
+
+
+def _echo(text: str) -> str:
+    return text if len(text) <= ECHO_CHARS else text[:ECHO_CHARS] + "..."
+
+
 def _int_in(lo: int, hi: int, too_large: str | None = None):
     """argparse type: an integer in lo..hi; too_large words the refusal above
     hi (default "must be <= hi")."""
+    above = too_large or f"must be <= {hi}"
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+            body = text.strip()
+            sign, digits = (body[0], body[1:]) if body[:1] in ("+", "-") else ("", body)
+            if digits.isdecimal():  # past int()'s digit limit, so far outside lo..hi
+                bound, kind = (f"must be >= {lo}", "negative ") if sign == "-" else (above, "")
+                raise argparse.ArgumentTypeError(
+                    f"{bound}, got a {len(digits)}-digit {kind}integer") from None
+            raise argparse.ArgumentTypeError(f"must be an integer, got {_echo(text)!r}") from None
         if value < lo:
-            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {_echo(str(value))}")
         if value > hi:
-            raise argparse.ArgumentTypeError(too_large or f"must be <= {hi}")
+            raise argparse.ArgumentTypeError(above)
         return value
 
     return parse
@@ -206,7 +222,15 @@ def _parse_phase(text: str) -> CubicPhase:
         raise UsageError(f"--phase {text}: {exc}")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The bihindex argument parser, built once per process.
+
+    Every call returns the same parser: it holds no per-call state (each
+    parse_args returns a fresh Namespace, and the type= callables are pure),
+    so main pays for building it once, not on every call.  The CPU count that
+    bounds --workers is read when it is built.
+    """
     p = _Parser(prog="bihindex", description=__doc__)
     p.add_argument("--version", action="version", version=f"bihindex {__version__}")
     groups = p.add_subparsers(dest="group", required=True)
@@ -230,7 +254,7 @@ def build_parser() -> _Parser:
                               parents=[common])
     t_spec.add_argument("--k", type=digits(1, SPECTRUM_K_DIGITS), required=True,
                         help=f"winding number, at most {SPECTRUM_K_DIGITS} digits")
-    t_spec.add_argument("--lambda-max", type=int, default=None,
+    t_spec.add_argument("--lambda-max", type=_int_in(0, LAMBDA_MAX_LIMIT), default=None,
                         help="Laplace level cap (default 4*k^2, covering all nonpositive "
                              f"branches; at most {LAMBDA_MAX_LIMIT})")
     t_scan = torus.add_parser("scan", help="nullity-conjecture scan for k=1..k-max",
@@ -313,9 +337,9 @@ def _cmd_torus_index(args) -> tuple[dict, dict, bool]:
 
 def _cmd_torus_spectrum(args) -> tuple[dict, dict, bool]:
     lam_max = args.lambda_max if args.lambda_max is not None else 4 * args.k * args.k
-    if not 0 <= lam_max <= LAMBDA_MAX_LIMIT:
-        raise UsageError(f"--lambda-max {lam_max} (default 4*k^2 when not given) must be "
-                         f">= 0 and <= {LAMBDA_MAX_LIMIT}")
+    if lam_max > LAMBDA_MAX_LIMIT:  # only the default: the parser checks a given one
+        raise UsageError(f"--lambda-max defaults to 4*k^2 = {_echo(str(lam_max))}, which "
+                         f"must be <= {LAMBDA_MAX_LIMIT}; give a smaller --lambda-max")
     entries = [
         {
             "value_exact": str(e.eigenvalue),

@@ -11,11 +11,14 @@ point in the run, and on a convex row the sign of D(n+1) - D(n) changes
 once, so the walk's answer is exact wherever it starts; from a good start
 it costs about three exact evaluations per row, so O(k) per k.  The
 certificate is in the sign_runs and last_row docstrings.
+
+The process pool is imported only for workers > 1: loading
+concurrent.futures.process pulls in multiprocessing, about a fifth of a
+fresh CLI start, and one process needs none of it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .torus import run_totals, sign_runs
@@ -49,5 +52,7 @@ def conjecture_scan(k_max: int, workers: int = 1, k_min: int = 1) -> list[ScanRo
     ks = list(range(k_min, k_max + 1))
     if workers <= 1:
         return [scan_row(k) for k in ks]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(scan_row, ks, chunksize=max(1, len(ks) // (8 * workers))))

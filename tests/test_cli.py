@@ -176,6 +176,15 @@ def test_usage_errors_exit_one(capsys):
         ["legendre", "descartes", "--m", "2"],
         ["legendre", "descartes", "--n", "2"],
         ["reduced", "sphere", "--n-dim", "1", "--radius", "1"],
+        # past int()'s 4300-digit limit: the diagnostic names the cap, not the digits
+        ["circle", "index", "--k", "9" * 5000],
+        ["torus", "index", "--k", "-" + "9" * 5000],
+        ["torus", "index", "--k", "-" + "9" * 4300],
+        ["torus", "index", "--k", "x" * 5000],
+        ["torus", "spectrum", "--k", "2", "--lambda-max", "9" * 5000],
+        ["torus", "spectrum", "--k", "2", "--lambda-max", "-1"],
+        # the default level 4*k^2 of the largest --k
+        ["torus", "spectrum", "--k", str(10**SPECTRUM_K_DIGITS - 1)],
     ],
 )
 def test_boundary_inputs_give_one_line_diagnostics(capsys, argv):
@@ -183,6 +192,7 @@ def test_boundary_inputs_give_one_line_diagnostics(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+    assert len(captured.err.encode()) < 200
     assert captured.err.startswith("bihindex: error: ")
     assert "Traceback" not in captured.err
 
@@ -369,9 +379,11 @@ def test_phase_flag_parsing(capsys):
 
 
 def test_cli_import_loads_no_numpy():
+    # nor the process pool, which only torus scan --workers > 1 imports
     code = (
         "import sys, bihindex.cli; bihindex.cli.build_parser(); "
-        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.')))"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] in "
+        "('numpy', 'multiprocessing') or m == 'concurrent.futures.process'))"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -380,6 +392,28 @@ def test_cli_import_loads_no_numpy():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    cpus = str(os.cpu_count() or 1)
+    assert main(["torus", "scan", "--k-max", "3", "--workers", "0"]) == EXIT_USAGE
+    target = tmp_path / "r.json"
+    argv = ["torus", "index", "--k", "3", "--workers", cpus, "--format", "csv"]
+    assert main(argv + ["--output", str(target)]) == EXIT_OK
+    assert target.read_text().startswith("k,f,g,index,nullity\n")
+    capsys.readouterr()
+    code, out = run_cli(capsys, "torus", "scan", "--k-max", "3")
+    assert code == EXIT_OK
+    assert json.loads(out)["inputs"] == {"k_max": 3, "workers": 1}
+
+
+def test_goldens_repeat_byte_exact_in_one_process(capsys, monkeypatch, tmp_path):
+    # the second pass runs in reverse order, so no call depends on the one before
+    monkeypatch.chdir(tmp_path)
+    assert main(["torus", "index", "--k", "2", "--output", "report.json"]) == EXIT_OK
+    for name, argv in GOLDENS + GOLDENS[::-1]:
+        assert run_cli(capsys, *argv) == (EXIT_OK, (GOLDEN / name).read_text(encoding="utf-8"))
 
 
 def test_workers_bounds_checked_while_parsing():
