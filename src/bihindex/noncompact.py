@@ -18,12 +18,16 @@ x = g - center, and f1 and f2 never multiply each other, so each term is a
 TrigPoly integrated over its own support.  Outside the certificate the form
 can turn negative: with A = g^3 - 2 g and f2 = cos^6 on a half-period it is
 2079 pi^9/262144 - ... + 186219151800876019 pi/31457280000000 ~ -3.537.
+
+hessian_form is the only route to the form here.  The fourth-order
+operator I2 and its pairing int <I2 V, V>, the form before integrating by
+parts, are a test oracle (tests/oracles.py); test_integration_by_parts_oracle
+checks that both give the same element of Q[pi].
 """
 
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,11 +73,9 @@ def integrand_min(phase: CubicPhase) -> Fraction:
 
 
 def is_strictly_stable(phase: CubicPhase) -> Stability:
-    """Stable iff a = 0 or b^2 - 3ac <= 0 (exact); the condition is
+    """Stable iff the minimum of w is nonnegative (exact); the condition is
     sufficient, so the other outcome is NOT_CERTIFIED, never 'unstable'."""
-    if phase.a == 0 or phase.b**2 - 3 * phase.a * phase.c <= 0:
-        return Stability.STABLE
-    return Stability.NOT_CERTIFIED
+    return Stability.STABLE if integrand_min(phase) >= 0 else Stability.NOT_CERTIFIED
 
 
 @dataclass(frozen=True)
@@ -98,40 +100,6 @@ def hessian_form(phase: CubicPhase, section: SectionPair) -> QPi:
     return total
 
 
-def i2_sections(phase: CubicPhase, section: SectionPair) -> tuple[TrigPoly, TrigPoly]:
-    """Image of the section under the fourth-order operator, componentwise,
-    each in its own bump's local variable (zero where the bump is None).
-
-    Tangential: f1''''.  Normal: f2'''' + 2 (A')^2 f2'' + 4 A'' A' f2'
-    + (4 A''' A' + 3 (A'')^2 + (A')^4) f2.
-    """
-    tangential = normal = TrigPoly()
-    if section.f1 is not None:
-        tangential = section.f1.profile().derivative(4)
-    if section.f2 is not None:
-        f = section.f2.profile()
-        ap, app, appp = phase.derivatives(section.f2.center)
-        ap2 = ap * ap
-        normal = (
-            f.derivative(4)
-            + 2 * ap2 * f.derivative(2)
-            + 4 * app * ap * f.derivative()
-            + (4 * appp * ap + 3 * app * app + ap2 * ap2) * f
-        )
-    return tangential, normal
-
-
-def i2_pairing(phase: CubicPhase, section: SectionPair) -> QPi:
-    """int < I2 V, V >, the pre-integration-by-parts form of the Hessian."""
-    tangential, normal = i2_sections(phase, section)
-    total = QPi()
-    if section.f1 is not None:
-        total += section.f1.integral(tangential * section.f1.profile())
-    if section.f2 is not None:
-        total += section.f2.integral(normal * section.f2.profile())
-    return total
-
-
 COUNTEREXAMPLE_PHASE = CubicPhase(Fraction(1), Fraction(0), Fraction(-2), Fraction(0))
 COUNTEREXAMPLE_SECTION = SectionPair(f1=None, f2=CosPowerBump(center=Fraction(0), power=6))
 
@@ -140,25 +108,3 @@ def counterexample_value() -> QPi:
     """Hessian of the cos^6 normal section under A = g^3 - 2g; ~ -3.537 < 0."""
     return hessian_form(COUNTEREXAMPLE_PHASE, COUNTEREXAMPLE_SECTION)
 
-
-def find_instability_witness(
-    phase: CubicPhase, tries: int = 60, seed: int = 0
-) -> tuple[SectionPair, QPi] | None:
-    """Best-effort search for a section with negative Hessian.
-
-    Tries cos^6 normal bumps with random rational centres within 1 of the
-    vertex of w(g), where w is most negative, and returns (section, value)
-    for the first whose form is exactly negative.  Finding nothing proves
-    nothing -- the certificate is one-sided.
-    """
-    if is_strictly_stable(phase) is Stability.STABLE:
-        return None
-    g_min = -phase.b / (3 * phase.a) if phase.a else Fraction(0)
-    rng = random.Random(seed)
-    for _ in range(tries):
-        center = g_min + Fraction(rng.randint(-64, 64), 64)
-        section = SectionPair(f2=CosPowerBump(center=center, power=6))
-        val = hessian_form(phase, section)
-        if val.sign() < 0:
-            return section, val
-    return None

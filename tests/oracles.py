@@ -4,8 +4,11 @@ Each oracle reproduces a quantity the package certifies along a different
 route: floating-point matrices for numpy's eigensolvers, the circle blocks
 written out from the circle's own operator rules, an explicit sign count
 over the reduced spectrum, the curvature integrand of a cubic phase at a
-point, and float values of bump sections for scipy's quadrature.  ``diagonal`` builds test matrices with a known
-spectrum, and ``random_polynomial_bump`` draws sections with rational data.
+point, the fourth-order operator I2 of a cubic-phase line and its pairing
+int <I2 V, V> (the Hessian before integrating by parts, in Q[pi]), and
+float values of bump sections for scipy's quadrature.  ``diagonal`` builds
+test matrices with a known spectrum, and ``random_polynomial_bump`` draws
+sections with rational data.
 """
 
 import dataclasses
@@ -15,10 +18,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from bihindex.bumps import CosPowerBump, PolynomialBump
-from bihindex.exact import QUAD_SQRT2, QuadExt
+from bihindex.bumps import CosPowerBump, PolynomialBump, TrigPoly
+from bihindex.exact import QUAD_SQRT2, QPi, QuadExt
 from bihindex.matrices import ExactMatrix
-from bihindex.noncompact import CubicPhase
+from bihindex.noncompact import CubicPhase, SectionPair
 from bihindex.reduced import ReducedProblem, _integer_fourth_root_floor
 
 
@@ -82,6 +85,40 @@ def curvature_integrand(phase: CubicPhase, g: Fraction) -> Fraction:
     g = Fraction(g)
     a, b, c = phase.a, phase.b, phase.c
     return 72 * a * a * g * g + 48 * a * b * g + 4 * b * b + 12 * a * c
+
+
+def i2_sections(phase: CubicPhase, section: SectionPair) -> tuple[TrigPoly, TrigPoly]:
+    """Image of the section under the fourth-order operator, componentwise,
+    each in its own bump's local variable (zero where the bump is None).
+
+    Tangential: f1''''.  Normal: f2'''' + 2 (A')^2 f2'' + 4 A'' A' f2'
+    + (4 A''' A' + 3 (A'')^2 + (A')^4) f2.
+    """
+    tangential = normal = TrigPoly()
+    if section.f1 is not None:
+        tangential = section.f1.profile().derivative(4)
+    if section.f2 is not None:
+        f = section.f2.profile()
+        ap, app, appp = phase.derivatives(section.f2.center)
+        ap2 = ap * ap
+        normal = (
+            f.derivative(4)
+            + 2 * ap2 * f.derivative(2)
+            + 4 * app * ap * f.derivative()
+            + (4 * appp * ap + 3 * app * app + ap2 * ap2) * f
+        )
+    return tangential, normal
+
+
+def i2_pairing(phase: CubicPhase, section: SectionPair) -> QPi:
+    """int < I2 V, V >, the pre-integration-by-parts form of the Hessian."""
+    tangential, normal = i2_sections(phase, section)
+    total = QPi()
+    if section.f1 is not None:
+        total += section.f1.integral(tangential * section.f1.profile())
+    if section.f2 is not None:
+        total += section.f2.integral(normal * section.f2.profile())
+    return total
 
 
 def random_polynomial_bump(rng: random.Random, span: int = 4) -> PolynomialBump:

@@ -1,6 +1,7 @@
 """CLI: exit codes, report schema, format rendering, determinism."""
 
 import argparse
+import ast
 import csv
 import io
 import json
@@ -134,7 +135,7 @@ def test_usage_errors_exit_one(capsys):
         ["torus", "spectrum", "--k", "501"],
         # more workers than CPUs; rejected while parsing, so no process starts
         ["torus", "scan", "--k-max", "3", "--workers", str((os.cpu_count() or 1) + 1)],
-        # about 0.13 ms per pair: 10^8 x 50 would run for a week
+        # about 0.057 ms per pair: 10^8 x 50 would run for three days
         ["legendre", "descartes", "--m", str(10**8), "--n", "50"],
         ["legendre", "descartes", "--m", "50", "--n", str(DESCARTES_RANGE_LIMIT + 1)],
         # too large for a float, or for the quadrature to converge
@@ -185,6 +186,14 @@ def test_usage_errors_exit_one(capsys):
         ["torus", "spectrum", "--k", "2", "--lambda-max", "-1"],
         # the default level 4*k^2 of the largest --k
         ["torus", "spectrum", "--k", str(10**SPECTRUM_K_DIGITS - 1)],
+        # every quoted argument is cut to ECHO_CHARS, argparse's messages too
+        ["reduced", "sphere", "--n-dim", "5", "--radius", "x" * 5000],
+        ["reduced", "sphere", "--n-dim", "5", "--radius", "1e" + "9" * 5000],
+        ["torus", "index", "--k", "3", "--format", "x" * 3000],
+        ["torus", "index", "--k", "3", "x" * 3000],
+        ["torus", "index", "--k", "3", *["x"] * 3000],
+        # inside the digit bound, but the form overflows a float
+        ["noncompact", "hessian", "--phase", ",".join(["9" * EXACT_INPUT_DIGITS] * 4)],
     ],
 )
 def test_boundary_inputs_give_one_line_diagnostics(capsys, argv):
@@ -392,6 +401,26 @@ def test_cli_import_loads_no_numpy():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_src_imports_no_random_numpy_or_scipy():
+    # the package runs on the standard library and is deterministic; a static
+    # walk also sees imports inside functions, and random, which tempfile
+    # loads at start-up anyway
+    banned = {"random", "numpy", "scipy"}
+    src = Path(cli.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, n) for n in names if n.partition(".")[0] in banned]
+    assert len(list(src.glob("*.py"))) > 10
+    assert found == []
 
 
 def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):

@@ -16,15 +16,18 @@ from bihindex.noncompact import (
     SectionPair,
     Stability,
     counterexample_value,
-    find_instability_witness,
     hessian_form,
-    i2_pairing,
-    i2_sections,
     integrand_min,
     is_strictly_stable,
 )
 
-from oracles import bump_values, curvature_integrand, random_polynomial_bump
+from oracles import (
+    bump_values,
+    curvature_integrand,
+    i2_pairing,
+    i2_sections,
+    random_polynomial_bump,
+)
 
 F = Fraction
 
@@ -40,6 +43,9 @@ def test_certificate_examples():
     assert is_strictly_stable(CubicPhase(F(1), F(0), F(1), F(0))) is Stability.STABLE
     assert CubicPhase(F(1), F(0), F(1)).b ** 2 - 3 * F(1) * F(1) == -3
     assert is_strictly_stable(CubicPhase(F(1), F(0), F(-2), F(0))) is Stability.NOT_CERTIFIED
+    # on the boundary b^2 = 3ac the minimum of w is exactly 0, still certified
+    assert integrand_min(CubicPhase(F(1), F(3), F(3), F(0))) == 0
+    assert is_strictly_stable(CubicPhase(F(1), F(3), F(3), F(0))) is Stability.STABLE
 
 
 def test_not_proper_rejected():
@@ -74,7 +80,8 @@ def test_integrand_min_is_attained_minimum():
 
 
 def test_certificate_iff_min_nonnegative_grid():
-    # small exact grid here; the acceptance suite runs the 10^4-point version
+    # the verdict reads integrand_min, so the grid checks it against the closed
+    # form; small exact grid here, the acceptance suite runs the 10^4-point version
     count = 0
     for an in range(-5, 6):
         for bn in range(-5, 6):
@@ -85,7 +92,7 @@ def test_certificate_iff_min_nonnegative_grid():
                 count += 1
                 phase = CubicPhase(a, b, c)
                 stable = is_strictly_stable(phase) is Stability.STABLE
-                assert stable == (integrand_min(phase) >= 0)
+                assert stable == (a == 0 or b * b - 3 * a * c <= 0)
     assert count > 1000
 
 
@@ -225,19 +232,6 @@ def test_hessian_polarization_identity():
         hplus = hessian_form(phase, SectionPair(f2=combine(u, v, +1)))
         hminus = hessian_form(phase, SectionPair(f2=combine(u, v, -1)))
         assert hplus + hminus == 2 * hu + 2 * hv
-
-
-def test_witness_search_finds_instability():
-    witness = find_instability_witness(COUNTEREXAMPLE_PHASE, tries=40, seed=1)
-    assert witness is not None
-    section, value = witness
-    assert value < 0
-    assert hessian_form(COUNTEREXAMPLE_PHASE, section) == value
-    assert isinstance(section.f2.center, Fraction)
-    # the same seed gives the same witness
-    assert find_instability_witness(COUNTEREXAMPLE_PHASE, tries=40, seed=1) == witness
-    # a certified-stable phase yields no witness and short-circuits
-    assert find_instability_witness(CubicPhase(F(0), F(1), F(0))) is None
 
 
 def test_cos_power_bump_regularity():
