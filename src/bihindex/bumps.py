@@ -13,8 +13,8 @@ d/dx, and integrated exactly over a rational interval when no term oscillates
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import QPi, exact_rational
 
@@ -122,21 +122,20 @@ class TrigPoly:
         return sum((c * (hi**k - lo**k) for (k, _, _), c in anti), Fraction(0))
 
 
-@dataclass(frozen=True)
-class PolynomialBump:
-    """P((u - center) / halfwidth) for |u - center| < halfwidth, zero outside."""
+class PolynomialBump(NamedTuple("PolynomialBump", [("center", Fraction), ("halfwidth", Fraction),
+                                                   ("ycoeffs", tuple[Fraction, ...])])):
+    """P((u - center) / halfwidth) for |u - center| < halfwidth, zero outside;
+    ycoeffs holds P, lowest degree first."""
 
-    center: Fraction
-    halfwidth: Fraction
-    ycoeffs: tuple[Fraction, ...]  # P, lowest degree first
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "center", exact_rational(self.center, "center"))
-        object.__setattr__(self, "halfwidth", exact_rational(self.halfwidth, "halfwidth"))
-        object.__setattr__(self, "ycoeffs",
-                           tuple(exact_rational(c, "ycoeff") for c in self.ycoeffs))
-        if self.halfwidth <= 0:
+    def __new__(cls, center, halfwidth, ycoeffs) -> PolynomialBump:  # _make and _replace skip it
+        center = exact_rational(center, "center")
+        halfwidth = exact_rational(halfwidth, "halfwidth")
+        ycoeffs = tuple(exact_rational(c, "ycoeff") for c in ycoeffs)
+        if halfwidth <= 0:
             raise ValueError("halfwidth must be positive")
+        return super().__new__(cls, center, halfwidth, ycoeffs)
 
     @classmethod
     def make(cls, center, halfwidth, power: int = 6, weights=(1,)) -> PolynomialBump:
@@ -157,17 +156,16 @@ class PolynomialBump:
         return QPi((p.integrate(-self.halfwidth, self.halfwidth),))
 
 
-@dataclass(frozen=True)
-class CosPowerBump:
+class CosPowerBump(NamedTuple("CosPowerBump", [("center", Fraction), ("power", int)])):
     """cos^power(u - center) for |u - center| <= pi/2, zero outside."""
 
-    center: Fraction
-    power: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "center", exact_rational(self.center, "center"))
-        if self.power < 6 or self.power % 2:
+    def __new__(cls, center, power: int) -> CosPowerBump:  # _make and _replace skip it
+        center = exact_rational(center, "center")
+        if power < 6 or power % 2:
             raise ValueError("power must be even and >= 6")
+        return super().__new__(cls, center, power)
 
     def profile(self) -> TrigPoly:
         # cos^p x = 2^-p [ C(p, p/2) + 2 sum_{j=1}^{p/2} C(p, p/2 - j) cos(2 j x) ]

@@ -21,7 +21,7 @@ with the exact eigenvalue sign counts of matrices.eigenvalue_signs.
 from __future__ import annotations
 
 from .matrices import eigenvalue_signs
-from .torus import TorusLabel, block_matrix
+from .torus import block_matrix, check_label
 
 
 def circle_index_nullity(k: int) -> tuple[int, int]:
@@ -31,13 +31,13 @@ def circle_index_nullity(k: int) -> tuple[int, int]:
     negative at the k - 1 labels 1 <= m < k and zero at m = k, each with
     multiplicity 2; the m = 0 block adds the eigenvalues -k^4 and 0.
     """
-    TorusLabel(k, 0, 0)  # checks k >= 1
+    check_label(k, 0, 0)  # checks k >= 1
     return 1 + 2 * (k - 1), 3
 
 
 def circle_index_nullity_by_matrices(k: int) -> tuple[int, int]:
     """Same counts, but from exact eigenvalue sign counts of the blocks."""
-    TorusLabel(k, 0, 0)  # checks k >= 1
+    check_label(k, 0, 0)  # checks k >= 1
     index = nullity = 0
     for m in range(0, 3 * k + 1):
         neg, zero = eigenvalue_signs(block_matrix(k, m, 0))

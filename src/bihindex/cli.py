@@ -157,20 +157,27 @@ RENDERERS = {"json": render_json, "csv": render_csv, "md": render_md}
 
 # -- argument plumbing -------------------------------------------------------------
 
-# characters of a refused argument that a diagnostic echoes, and of a whole
+# UTF-8 bytes of a refused argument that a diagnostic echoes, and of a whole
 # argparse message; a file path is echoed whole (the OS caps its length)
-ECHO_CHARS = 40
-MESSAGE_CHARS = 160
+ECHO_BYTES = 40
+MESSAGE_BYTES = 160
 
 
-def _echo(text: str, limit: int = ECHO_CHARS) -> str:
-    return text if len(text) <= limit else text[:limit] + "..."
+def _echo(text: str, limit: int = ECHO_BYTES) -> str:
+    """text, or its longest prefix of at most limit bytes and "...", cut
+    between characters; a character stderr cannot encode counts escaped."""
+    size = 0
+    for i, ch in enumerate(text):
+        size += len(ch.encode(errors="backslashreplace"))
+        if size > limit:
+            return text[:i] + "..."
+    return text
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit 1 with one-line diagnostics
         # argparse quotes a refused argument whole: cut each word, then the line
-        raise UsageError(_echo(" ".join(map(_echo, message.split())), MESSAGE_CHARS))
+        raise UsageError(_echo(" ".join(map(_echo, message.split())), MESSAGE_BYTES))
 
 
 def _int_in(lo: int, hi: int, too_large: str | None = None):

@@ -34,7 +34,7 @@ distinct squares only, is not proved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact import QuadExt
 from .matrices import ExactMatrix, OperatorTable, charpoly_exact, eigenvalue_signs, operator_block
@@ -195,8 +195,7 @@ def p5_polynomial(m: int, n: int) -> IntPolynomial:
     return IntPolynomial(p5_coefficients(m, n))
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
+class FactorizationReport(NamedTuple):
     m: int
     n: int
     block_order: int
@@ -238,8 +237,7 @@ def _sign_conditions(coeffs) -> tuple[bool, bool, bool, bool, bool, bool]:
     return (a5 < 0, a4 >= 0, a3 <= 0, a2 >= 0, a1 <= 0, a0 > 0)
 
 
-@dataclass(frozen=True)
-class DescartesReport:
+class DescartesReport(NamedTuple):
     m_max: int
     n_max: int
     checked: int
@@ -286,8 +284,7 @@ CITED_INDEX_SPLIT = (1, 6, 0, 4, 0)
 CITED_NULLITY_SPLIT = (4, 2, 8, 0, 4)
 
 
-@dataclass(frozen=True)
-class LegendreLedger:
+class LegendreLedger(NamedTuple):
     index: int
     nullity: int
     index_split: tuple[int, int, int, int, int]

@@ -28,8 +28,8 @@ checks that both give the same element of Q[pi].
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bumps import Bump, CosPowerBump, TrigPoly
 from .exact import QPi, exact_rational
@@ -44,18 +44,16 @@ class Stability(enum.Enum):
     NOT_CERTIFIED = "not-certified"
 
 
-@dataclass(frozen=True)
-class CubicPhase:
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction = Fraction(0)
+class CubicPhase(NamedTuple("CubicPhase", [(x, Fraction) for x in "abcd"])):
+    """A = a g^3 + b g^2 + c g + d with exact rational coefficients."""
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, exact_rational(getattr(self, name), name))
-        if self.a == 0 and self.b == 0:
+    __slots__ = ()
+
+    def __new__(cls, a, b, c, d=0) -> CubicPhase:  # _make and _replace skip it
+        a, b, c, d = (exact_rational(x, name) for x, name in zip((a, b, c, d), "abcd"))
+        if a == 0 and b == 0:
             raise NotProperError("a = b = 0 gives a harmonic (not proper) map")
+        return super().__new__(cls, a, b, c, d)
 
     def derivatives(self, center: Fraction) -> tuple[TrigPoly, TrigPoly, TrigPoly]:
         """A', A'', A''' as polynomials in x = g - center."""
@@ -78,8 +76,7 @@ def is_strictly_stable(phase: CubicPhase) -> Stability:
     return Stability.STABLE if integrand_min(phase) >= 0 else Stability.NOT_CERTIFIED
 
 
-@dataclass(frozen=True)
-class SectionPair:
+class SectionPair(NamedTuple):
     """Compactly supported section f1 T + f2 N; None means the zero function."""
 
     f1: Bump | None = None

@@ -35,31 +35,28 @@ pi t - pi J1(4t)/2 coefficient by coefficient, and its fourth derivative at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bumps import Bump
 from .exact import QPi, exact_rational
 
 
-@dataclass(frozen=True)
-class ReducedProblem:
+class ReducedProblem(NamedTuple("ReducedProblem", [("n", int), ("radius", Fraction),
+                                                   ("b", Fraction | None)])):
     """Equivariant problem data; b None means the round sphere target."""
 
-    n: int
-    radius: Fraction
-    b: Fraction | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
+    def __new__(cls, n: int, radius, b=None) -> ReducedProblem:  # _make and _replace skip it
+        if n < 2:
             raise ValueError("need n >= 2")
-        object.__setattr__(self, "radius", exact_rational(self.radius, "radius"))
-        if self.radius <= 0:
+        radius = exact_rational(radius, "radius")
+        if radius <= 0:
             raise ValueError("radius must be positive")
-        if self.b is not None:
-            object.__setattr__(self, "b", exact_rational(self.b, "b"))
-            if self.b <= 0:
-                raise ValueError("b must be positive")
+        if b is not None and (b := exact_rational(b, "b")) <= 0:
+            raise ValueError("b must be positive")
+        return super().__new__(cls, n, radius, b)
 
     def critical_cos_2alpha(self) -> Fraction:
         """cos 2 alpha = (b - 1)/(b + 1) at the critical latitude alpha, exactly;
@@ -150,8 +147,7 @@ def bessel_rate_series(order: int) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class BesselNullityReport:
+class BesselNullityReport(NamedTuple):
     derivatives_at_zero: tuple[QPi, QPi, QPi]
     ratio_mean: Fraction  # of E' / (pi t - pi J1(4t)/2), where the latter's != 0
     ratio_spread: Fraction

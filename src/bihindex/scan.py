@@ -19,13 +19,12 @@ fresh CLI start, and one process needs none of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .torus import run_totals, sign_runs
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     k: int
     f: int
     g: int

@@ -40,10 +40,10 @@ m <= last_row(k) and, in each, the n below the enumeration bound.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from itertools import groupby
 from math import isqrt
 from operator import itemgetter
+from typing import NamedTuple
 
 from .exact import QUAD_SQRT2, QuadExt, Surd
 from .matrices import ExactMatrix, OperatorTable, operator_block
@@ -59,21 +59,15 @@ class NotNegativeError(ValueError):
     """Raised when an eigenvector coefficient is requested for lambda^- >= 0."""
 
 
-@dataclass(frozen=True)
-class TorusLabel:
-    k: int
-    m: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise InvalidLabelError("winding number k must be >= 1")
-        if self.m < 0 or self.n < 0:
-            raise InvalidLabelError("Fourier indices must be nonnegative")
+def check_label(k: int, m: int, n: int) -> None:
+    """Raise InvalidLabelError unless k >= 1 and m, n >= 0."""
+    if k < 1:
+        raise InvalidLabelError("winding number k must be >= 1")
+    if m < 0 or n < 0:
+        raise InvalidLabelError("Fourier indices must be nonnegative")
 
 
-@dataclass(frozen=True)
-class MergedEigenvalue:
+class MergedEigenvalue(NamedTuple):
     """One point of the spectrum with branch contributions summed."""
 
     eigenvalue: Surd
@@ -81,8 +75,7 @@ class MergedEigenvalue:
     branches: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class IndexReport:
+class IndexReport(NamedTuple):
     """Index and nullity of the degree-k map with its lattice evidence.
 
     The evidence is sign_runs' output, O(k) entries: D < 0 exactly on the
@@ -96,9 +89,13 @@ class IndexReport:
     nullity: int
     f: int
     g: int
-    negative_runs: tuple[tuple[int, int, int], ...] = field(repr=False)
-    zero_pairs: tuple[tuple[int, int], ...] = field(repr=False)
-    empty_row_witnesses: tuple[tuple[int, int], ...] = field(repr=False)
+    negative_runs: tuple[tuple[int, int, int], ...]
+    zero_pairs: tuple[tuple[int, int], ...]
+    empty_row_witnesses: tuple[tuple[int, int], ...]
+
+    def __repr__(self) -> str:  # the totals only: the evidence is O(k)
+        totals = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields[:5], self))
+        return f"IndexReport({totals})"
 
     @property
     def negative_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -135,7 +132,7 @@ def eigenvalue(k: int, m: int, n: int, branch: str) -> Surd:
     """Exact eigenvalue for Fourier label (m, n) and the given branch."""
     if branch not in BRANCHES:
         raise InvalidLabelError(f"unknown branch {branch!r}")
-    TorusLabel(k, m, n)
+    check_label(k, m, n)
     if branch == "mu0":
         if (m, n) != (0, 0):
             raise InvalidLabelError("mu0 exists only at (m, n) = (0, 0)")
@@ -607,7 +604,7 @@ def block_matrix(k: int, m: int, n: int) -> ExactMatrix:
     (0,0), 4x4 on the axes, 8x8 in the interior.  The (m, 0) block is also
     the degree-m block of the circle of winding k.
     """
-    TorusLabel(k, m, n)
+    check_label(k, m, n)
     return operator_block(OPERATOR_TABLE, m, n, QuadExt(n), k, m * m + n * n)
 
 
@@ -647,7 +644,7 @@ def negative_eigenvector_coefficient(k: int, m: int, n: int) -> Surd:
     """
     if m < 1:
         raise InvalidLabelError("the gradient coupling needs m >= 1")
-    TorusLabel(k, m, n)
+    check_label(k, m, n)
     if discriminant(k, m, n) >= 0:
         raise NotNegativeError(f"lambda^-({m},{n}) is not negative at k={k}")
     s = m * m + n * n

@@ -11,7 +11,6 @@ test matrices with a known spectrum, and ``random_polynomial_bump`` draws
 sections with rational data.
 """
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -133,7 +132,7 @@ def random_polynomial_bump(rng: random.Random, span: int = 4) -> PolynomialBump:
 
 def scaled(bump: PolynomialBump, a: Fraction) -> PolynomialBump:
     """The bump times the rational a."""
-    return dataclasses.replace(bump, ycoeffs=tuple(a * c for c in bump.ycoeffs))
+    return PolynomialBump(bump.center, bump.halfwidth, tuple(a * c for c in bump.ycoeffs))
 
 
 def bump_values(bump, u: np.ndarray, deriv: int) -> np.ndarray:

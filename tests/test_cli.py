@@ -186,12 +186,15 @@ def test_usage_errors_exit_one(capsys):
         ["torus", "spectrum", "--k", "2", "--lambda-max", "-1"],
         # the default level 4*k^2 of the largest --k
         ["torus", "spectrum", "--k", str(10**SPECTRUM_K_DIGITS - 1)],
-        # every quoted argument is cut to ECHO_CHARS, argparse's messages too
+        # every quoted argument is cut to ECHO_BYTES, argparse's messages too,
+        # counted in UTF-8 bytes, not characters
         ["reduced", "sphere", "--n-dim", "5", "--radius", "x" * 5000],
         ["reduced", "sphere", "--n-dim", "5", "--radius", "1e" + "9" * 5000],
         ["torus", "index", "--k", "3", "--format", "x" * 3000],
         ["torus", "index", "--k", "3", "x" * 3000],
         ["torus", "index", "--k", "3", *["x"] * 3000],
+        ["torus", "index", "--k", "3", *["\u00e9\u00e9\u00e9"] * 300],
+        ["torus", "index", "--k", "3", "--format", "\U0001f600" * 3000],
         # inside the digit bound, but the form overflows a float
         ["noncompact", "hessian", "--phase", ",".join(["9" * EXACT_INPUT_DIGITS] * 4)],
     ],
@@ -388,26 +391,33 @@ def test_phase_flag_parsing(capsys):
 
 
 def test_cli_import_loads_no_numpy():
-    # nor the process pool, which only torus scan --workers > 1 imports
-    code = (
-        "import sys, bihindex.cli; bihindex.cli.build_parser(); "
-        "print(sorted(m for m in sys.modules if m.partition('.')[0] in "
-        "('numpy', 'multiprocessing') or m == 'concurrent.futures.process'))"
-    )
+    # nor what no command needs at start-up: the process pool, which only
+    # torus scan --workers > 1 imports, and dataclasses with its inspect.
+    # Compared with a bare interpreter in the same environment, so that
+    # modules that the interpreter or its site hooks load do not count
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+
+    def modules(setup: str) -> set[str]:
+        code = f"import sys; {setup}; print(' '.join(sys.modules))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    loaded = modules("import bihindex.cli; bihindex.cli.build_parser()") - modules("pass")
+    assert "bihindex.cli" in loaded
+    banned = {"numpy", "dataclasses", "inspect", "multiprocessing", "concurrent.futures.process"}
+    assert sorted(m for m in loaded if m in banned or m.partition(".")[0] in banned) == []
 
 
 def test_src_imports_no_random_numpy_or_scipy():
     # the package runs on the standard library and is deterministic; a static
     # walk also sees imports inside functions, and random, which tempfile
-    # loads at start-up anyway
-    banned = {"random", "numpy", "scipy"}
+    # loads at start-up anyway.  dataclasses (with inspect, ast and dis) costs
+    # about a fifth of a fresh CLI start: records are NamedTuples
+    banned = {"random", "numpy", "scipy", "dataclasses"}
     src = Path(cli.__file__).parent
     found = []
     for path in sorted(src.glob("*.py")):

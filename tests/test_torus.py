@@ -11,13 +11,12 @@ from bihindex import torus
 from bihindex.exact import QUAD_SQRT2, QUAD_ZERO, QuadExt, Surd, int_sign
 from bihindex.matrices import charpoly_exact
 from bihindex.torus import (
-    IndexReport,
     InvalidLabelError,
     NotNegativeError,
-    TorusLabel,
     block_coefficients,
     block_matrix,
     branch_multiplicity,
+    check_label,
     discriminant,
     eigenvalue,
     enumeration_bound,
@@ -64,7 +63,12 @@ def test_invalid_labels():
     with pytest.raises(InvalidLabelError):
         eigenvalue(0, 1, 1, "minus")
     with pytest.raises(InvalidLabelError):
-        TorusLabel(1, -1, 0)
+        check_label(1, -1, 0)
+    with pytest.raises(InvalidLabelError):
+        check_label(1, 0, -1)
+    with pytest.raises(InvalidLabelError):
+        check_label(0, 0, 0)
+    check_label(1, 0, 0)
 
 
 def test_sign_lambda_minus_examples():
@@ -408,10 +412,3 @@ def test_min_abs_discriminant_near_miss_window():
     # a window past the enumeration bound holds no pair
     with pytest.raises(InvalidLabelError):
         min_abs_interior_discriminant(192, m_range=(600, 610), n_range=(1, 5))
-
-
-def test_index_report_is_frozen_dataclass():
-    r = index_nullity(1)
-    assert isinstance(r, IndexReport)
-    with pytest.raises(AttributeError):
-        r.index = 0
