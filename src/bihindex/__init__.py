@@ -13,7 +13,7 @@ Submodules:
                  torus (m, 0) blocks)
   legendre    -- the Legendre torus in S^5 (index 11, nullity 18)
   bumps       -- test sections and the exact x^k cos/sin(w x) algebra
-  reduced     -- equivariant (reduced) index/nullity, conformal + Bessel checks
+  reduced     -- equivariant (reduced) index/nullity, conformal + Bessel proofs
   noncompact  -- strict stability of the cubic-phase lines R -> S^2
   cli         -- command-line reports (json / csv / md)
 """

@@ -47,6 +47,7 @@ from .noncompact import (
     is_strictly_stable,
 )
 from .reduced import (
+    TERM_RATIO,
     ReducedProblem,
     bessel_nullity_check,
     conformal_hessian,
@@ -209,12 +210,12 @@ def _parse_rational(text: str, name: str) -> Fraction:
     # Fraction("1e<N>") builds 10^N, so refuse a long exponent before parsing
     _, e, exponent = text.lower().partition("e")
     if e and len(exponent.strip().lstrip("+-").lstrip("0")) > 4:
-        raise UsageError(f"{name} {_echo(text)!r}: the exponent is too large")
+        raise UsageError(f"{name} {_echo(repr(text))}: the exponent is too large")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"{name} must be an exact rational like 3, 1/2 or 0.25, "
-                         f"got {_echo(text)!r}") from None
+                         f"got {_echo(repr(text))}") from None
     if max(abs(value.numerator), value.denominator) >= 10**EXACT_INPUT_DIGITS:
         raise UsageError(f"{name} needs a numerator and denominator of at most "
                          f"{EXACT_INPUT_DIGITS} digits")
@@ -229,7 +230,7 @@ def _parse_phase(text: str) -> CubicPhase:
     try:
         return CubicPhase(a, b, c, d)
     except NotProperError as exc:
-        raise UsageError(f"--phase {_echo(text)!r}: {exc}")
+        raise UsageError(f"--phase {_echo(repr(text))}: {exc}")
 
 
 @functools.cache
@@ -547,16 +548,17 @@ def _cmd_reduced_torus(args) -> tuple[dict, dict, bool]:
 
 def _cmd_reduced_bessel(args) -> tuple[dict, dict, bool]:
     rep = bessel_nullity_check()
-    names = ["d1_at_0", "d2_at_0", "d3_at_0", "ratio_mean", "ratio_spread", "d4_normalized",
-             "d4_target"]
-    values = [float(x) for x in (*rep.derivatives_at_zero, rep.ratio_mean, rep.ratio_spread,
-                                 rep.fourth_derivative_normalized, rep.fourth_derivative_target)]
+    names = ["d1_at_0", "d2_at_0", "d3_at_0", "ratio", "ratio_proved", "term_ratio",
+             "d4_normalized", "d4_target"]
+    values = [*map(float, rep.derivatives_at_zero), str(rep.ratio), rep.ratio_proved, TERM_RATIO,
+              float(rep.fourth_derivative_normalized), float(rep.fourth_derivative_target)]
     results = {
         "derivatives_at_zero": values[:3],
-        "ratio_mean": values[3],
-        "ratio_spread": values[4],
-        "fourth_derivative_normalized": values[5],
-        "fourth_derivative_target": values[6],
+        "ratio": values[3],
+        "ratio_proved": values[4],
+        "term_ratio": values[5],
+        "fourth_derivative_normalized": values[6],
+        "fourth_derivative_target": values[7],
         "all_ok": rep.all_ok,
         "csv_header": ["quantity", "value"],
         "csv_rows": [list(row) for row in zip(names, values)],
@@ -582,7 +584,7 @@ _CANONICAL_PHASES = ("0,1,0,0", "1,0,1,0", "1,0,-2,0")
 
 
 def _cmd_noncompact_stable(args) -> tuple[dict, dict, bool]:
-    texts = [args.phase] if args.phase else list(_CANONICAL_PHASES)
+    texts = [args.phase] if args.phase is not None else list(_CANONICAL_PHASES)
     rows = []
     for text in texts:
         phase = _parse_phase(text)
@@ -605,12 +607,13 @@ def _cmd_noncompact_stable(args) -> tuple[dict, dict, bool]:
 
 
 def _cmd_noncompact_hessian(args) -> tuple[dict, dict, bool]:
-    phase = _parse_phase(args.phase) if args.phase else COUNTEREXAMPLE_PHASE
+    phase = _parse_phase(args.phase) if args.phase is not None else COUNTEREXAMPLE_PHASE
     exact = hessian_form(phase, COUNTEREXAMPLE_SECTION)
     try:
         value = float(exact)
     except OverflowError as exc:  # a huge phase: the exact value is fine, its float is not
-        raise UsageError(f"--phase {_echo(args.phase)!r}: the hessian has no float value ({exc})")
+        raise UsageError(f"--phase {_echo(repr(args.phase))}: the hessian has no float value "
+                         f"({exc})")
     results = {
         "section": "normal cos^6 bump on a half-period",
         "hessian": value,
@@ -677,7 +680,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"bihindex: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.output:
+    if args.output is not None:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)

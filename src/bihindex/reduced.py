@@ -24,12 +24,10 @@ behaviour of the reduced bienergy along the nullity direction at n = 2,
 R = b = 1, where
 
     E(t) = 1/2 * int_0^{2 pi} [ -t sin(theta) - cos(2 t sin(theta))/2 ]^2 d(theta)
-         = pi/4 + pi t^4/2 - 2 pi t^6/9 + pi t^8/18 - ...
+         = pi/8 + pi t^2/2 + (pi/8) J0(4t) = pi/4 + pi t^4/2 - 2 pi t^6/9 + ...
 
-is a power series with coefficients in pi Q (Wallis integrals of powers of
-sin(theta)).  Its first three derivatives at 0 vanish, E'(t) equals
-pi t - pi J1(4t)/2 coefficient by coefficient, and its fourth derivative at
-0 is 12 pi.
+Its first three derivatives at 0 vanish, its fourth is 12 pi, and
+E'(t) = pi t - pi J1(4t)/2 at every order (proved in bessel_nullity_check).
 """
 
 from __future__ import annotations
@@ -113,45 +111,35 @@ def conformal_hessian(v: Bump) -> QPi:
     return v.integral(d2 * d2 + 4 * d1 * d1)
 
 
-# -- the nullity-direction energy as an exact series -----------------------------
+# -- the nullity-direction energy in closed form ---------------------------------
 
-BESSEL_ORDER = 24  # E(t) through t^24, so E'(t) is compared through t^23
-
-
-def nullity_direction_energy_series(order: int = BESSEL_ORDER) -> tuple[Fraction, ...]:
-    """(e_0, ..., e_order) with E(t) = pi * sum_i e_i t^i + O(t^(order + 1)).
-
-    With s = sin(theta), u = -t s - cos(2 t s)/2 is a power series in t with
-    monomials in s as coefficients; E = 1/2 int u^2 sends each s^p to its
-    Wallis integral.
-    """
-    u = {(1, 1): Fraction(-1)}  # (power of t, power of s) -> coefficient
-    for j in range(order // 2 + 1):  # -cos(2 t s)/2 = -1/2 sum_j (-4)^j (t s)^(2j) / (2j)!
-        u[(2 * j, 2 * j)] = Fraction(-((-4) ** j), 2 * math.factorial(2 * j))
-    coeffs = [Fraction(0)] * (order + 1)
-    for (i1, p1), c1 in u.items():
-        for (i2, p2), c2 in u.items():
-            p = p1 + p2  # int_0^{2 pi} sin^p / (2 pi) = C(p, p/2) / 2^p, and 0 for odd p
-            if i1 + i2 <= order and p % 2 == 0:
-                coeffs[i1 + i2] += c1 * c2 * Fraction(math.comb(p, p // 2), 2**p)
-    return tuple(coeffs)
+TERM_RATIO = "-4/(j(j+1))"  # of the coefficients of t^(2j+1), t^(2j-1) on both sides
 
 
-def bessel_rate_series(order: int) -> tuple[Fraction, ...]:
-    """(r_0, ..., r_order) with pi t - pi J1(4t)/2 = pi * sum_i r_i t^i + O(t^(order + 1)),
-    from J1(x) = sum_j (-1)^j (x/2)^(2j+1) / (j! (j+1)!)."""
-    coeffs = [Fraction(0)] * (order + 1)
-    coeffs[1] = Fraction(1)
-    for j in range((order - 1) // 2 + 1):
-        coeffs[2 * j + 1] -= Fraction((-4) ** j, math.factorial(j) * math.factorial(j + 1))
-    return tuple(coeffs)
+def energy_coefficient(i: int) -> Fraction:
+    """e_i with E(t) = pi * sum_i e_i t^i.  With s = sin(theta),
+    E = 1/2 int [t^2 s^2 + t s cos(2ts) + cos^2(2ts)/4] d(theta); the middle
+    term is odd under theta -> -theta, so it integrates to 0, and
+    cos^2 x = (1 + cos 2x)/2 with J0(x) = (1/2 pi) int cos(x s) d(theta) gives
+    E = pi/8 + pi t^2/2 + (pi/8) J0(4t), J0(4t) = sum_j (-4)^j t^2j / (j!)^2."""
+    if i % 2:
+        return Fraction(0)
+    j = i // 2
+    polynomial = {0: Fraction(1, 8), 1: Fraction(1, 2)}.get(j, 0)  # pi/8 + pi t^2/2
+    return polynomial + Fraction((-4) ** j, 8 * math.factorial(j) ** 2)
+
+
+def bessel_side_coefficient(j: int) -> Fraction:
+    """Coefficient of t^(2j-1), j >= 1, in t - J1(4t)/2, from
+    J1(x) = sum_j (-1)^j (x/2)^(2j+1) / (j! (j+1)!)."""
+    j1_term = Fraction((-4) ** (j - 1), math.factorial(j - 1) * math.factorial(j))
+    return (1 if j == 1 else 0) - j1_term
 
 
 class BesselNullityReport(NamedTuple):
     derivatives_at_zero: tuple[QPi, QPi, QPi]
-    ratio_mean: Fraction  # of E' / (pi t - pi J1(4t)/2), where the latter's != 0
-    ratio_spread: Fraction
-    ratio_ok: bool  # E' = ratio_mean (pi t - pi J1(4t)/2), coefficient by coefficient
+    ratio: Fraction  # of the coefficients of t^3 in E'(t) and in pi t - pi J1(4t)/2
+    ratio_proved: bool  # E'(t) = ratio (pi t - pi J1(4t)/2) at every order
     fourth_derivative_normalized: QPi
     fourth_derivative_target: QPi
 
@@ -159,29 +147,36 @@ class BesselNullityReport(NamedTuple):
     def all_ok(self) -> bool:
         return (
             all(d == 0 for d in self.derivatives_at_zero)
-            and self.ratio_ok
+            and self.ratio_proved
             and self.fourth_derivative_normalized == self.fourth_derivative_target
         )
 
 
 def bessel_nullity_check() -> BesselNullityReport:
-    """Verify the quartic local-minimum behaviour along the nullity direction.
+    """Prove E'(t) = pi t - pi J1(4t)/2 at every order, and the quartic minimum.
 
-    (i) the first three derivatives of E at 0 vanish; (ii) the series of
-    E'(t) is a constant multiple of that of pi t - pi J1(4t)/2 through
-    t^(BESSEL_ORDER - 1); (iii) after dividing out that constant, the fourth
-    derivative of E at 0 equals 12 pi.  All three are exact equalities.
+    Let a_j = 2j e_2j and b_j = bessel_side_coefficient(j), the coefficients
+    of t^(2j-1) in E'/pi and t - J1(4t)/2; both are 0 at j = 1.  For j >= 2
+    they are hypergeometric terms, so (the premise) each term ratio is in
+    lowest terms a rational function of j of degree <= 2 over degree <= 2,
+    and two such functions that agree at 5 integers are equal: their
+    cross-multiplied difference has degree <= 4.  So the base a_2 = ratio * b_2
+    and the term ratio -4/(j(j+1)) of a and of b at j = 2..6 prove
+    a_j = ratio * b_j for every j.  The ratio is 1.
     """
-    e = nullity_direction_energy_series(BESSEL_ORDER)
-    rate = tuple(i * c for i, c in enumerate(e) if i)
-    bessel = bessel_rate_series(BESSEL_ORDER - 1)
-    ratios = tuple(a / b for a, b in zip(rate, bessel) if b)
-    mean = sum(ratios) / len(ratios)
+    def rate(j: int) -> Fraction:
+        return 2 * j * energy_coefficient(2 * j)
+
+    ratio = rate(2) / bessel_side_coefficient(2)
+    proved = rate(1) == ratio * bessel_side_coefficient(1) and all(
+        side(j + 1) == side(j) * Fraction(-4, j * (j + 1))
+        for side in (rate, bessel_side_coefficient) for j in range(2, 7)
+    )
     return BesselNullityReport(
-        derivatives_at_zero=tuple(QPi((0, math.factorial(r) * e[r])) for r in (1, 2, 3)),
-        ratio_mean=mean,
-        ratio_spread=(max(ratios) - min(ratios)) / abs(mean),
-        ratio_ok=rate == tuple(mean * r for r in bessel),
-        fourth_derivative_normalized=QPi((0, 24 * e[4] / mean)),
+        derivatives_at_zero=tuple(
+            QPi((0, math.factorial(r) * energy_coefficient(r))) for r in (1, 2, 3)),
+        ratio=ratio,
+        ratio_proved=proved,
+        fourth_derivative_normalized=QPi((0, 24 * energy_coefficient(4) / ratio)),
         fourth_derivative_target=QPi((0, 12)),
     )

@@ -5,10 +5,12 @@ route: floating-point matrices for numpy's eigensolvers, the circle blocks
 written out from the circle's own operator rules, an explicit sign count
 over the reduced spectrum, the curvature integrand of a cubic phase at a
 point, the fourth-order operator I2 of a cubic-phase line and its pairing
-int <I2 V, V> (the Hessian before integrating by parts, in Q[pi]), and
-float values of bump sections for scipy's quadrature.  ``diagonal`` builds
-test matrices with a known spectrum, and ``random_polynomial_bump`` draws
-sections with rational data.
+int <I2 V, V> (the Hessian before integrating by parts, in Q[pi]), the
+series of the nullity-direction energy E(t) from Wallis integrals and that of
+pi t - pi J1(4t)/2 (the package proves the closed form of E and the Bessel
+identity), and float values of bump sections for scipy's quadrature.
+``diagonal`` builds test matrices with a known spectrum, and
+``random_polynomial_bump`` draws sections with rational data.
 """
 
 import math
@@ -118,6 +120,35 @@ def i2_pairing(phase: CubicPhase, section: SectionPair) -> QPi:
     if section.f2 is not None:
         total += section.f2.integral(normal * section.f2.profile())
     return total
+
+
+def nullity_direction_energy_series(order: int) -> tuple[Fraction, ...]:
+    """(e_0, ..., e_order) with E(t) = pi * sum_i e_i t^i + O(t^(order + 1)).
+
+    With s = sin(theta), u = -t s - cos(2 t s)/2 is a power series in t with
+    monomials in s as coefficients; E = 1/2 int u^2 sends each s^p to its
+    Wallis integral.
+    """
+    u = {(1, 1): Fraction(-1)}  # (power of t, power of s) -> coefficient
+    for j in range(order // 2 + 1):  # -cos(2 t s)/2 = -1/2 sum_j (-4)^j (t s)^(2j) / (2j)!
+        u[(2 * j, 2 * j)] = Fraction(-((-4) ** j), 2 * math.factorial(2 * j))
+    coeffs = [Fraction(0)] * (order + 1)
+    for (i1, p1), c1 in u.items():
+        for (i2, p2), c2 in u.items():
+            p = p1 + p2  # int_0^{2 pi} sin^p / (2 pi) = C(p, p/2) / 2^p, and 0 for odd p
+            if i1 + i2 <= order and p % 2 == 0:
+                coeffs[i1 + i2] += c1 * c2 * Fraction(math.comb(p, p // 2), 2**p)
+    return tuple(coeffs)
+
+
+def bessel_rate_series(order: int) -> tuple[Fraction, ...]:
+    """(r_0, ..., r_order) with pi t - pi J1(4t)/2 = pi * sum_i r_i t^i + O(t^(order + 1)),
+    from J1(x) = sum_j (-1)^j (x/2)^(2j+1) / (j! (j+1)!)."""
+    coeffs = [Fraction(0)] * (order + 1)
+    coeffs[1] = Fraction(1)
+    for j in range((order - 1) // 2 + 1):
+        coeffs[2 * j + 1] -= Fraction((-4) ** j, math.factorial(j) * math.factorial(j + 1))
+    return tuple(coeffs)
 
 
 def random_polynomial_bump(rng: random.Random, span: int = 4) -> PolynomialBump:

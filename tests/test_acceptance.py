@@ -37,7 +37,7 @@ from bihindex.noncompact import (
     is_strictly_stable,
 )
 from bihindex.reduced import (
-    BESSEL_ORDER,
+    TERM_RATIO,
     ReducedProblem,
     bessel_nullity_check,
     conformal_hessian,
@@ -338,11 +338,12 @@ def test_criterion_7_hessian_positivity_and_parts_oracle():
 def test_criterion_8_bessel_direction():
     rep = bessel_nullity_check()
     assert all(d == 0 for d in rep.derivatives_at_zero)
-    assert rep.ratio_spread == 0 and rep.ratio_ok
+    assert rep.ratio == 1 and rep.ratio_proved
     assert rep.fourth_derivative_normalized == rep.fourth_derivative_target
     assert float(rep.fourth_derivative_target) == 12 * math.pi
-    _report("8", "derivatives at 0 vanish exactly; E'(t) = pi t - pi J1(4t)/2 through "
-            f"t^{BESSEL_ORDER - 1}; normalized 4th derivative is exactly 12pi")
+    _report("8", "derivatives at 0 vanish exactly; E'(t) = pi t - pi J1(4t)/2 at every order "
+            f"(base t^3, term ratio {TERM_RATIO} on both sides); normalized 4th derivative "
+            "is exactly 12pi")
 
 
 # -- criterion 9: conformal diffeomorphism ---------------------------------------------------

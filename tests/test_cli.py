@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from bihindex import cli
+from bihindex import cli, reduced
 from bihindex.cli import (
     CHECK_MATRICES_K_LIMIT,
     COMMANDS,
@@ -94,6 +94,15 @@ def test_legendre_verify_exit_codes(capsys, monkeypatch):
     code, out = run_cli(capsys, *argv, "md")
     assert code == EXIT_VERIFICATION
     assert f"| 2 | 3 | False | {detail} |" in out.splitlines()
+
+
+def test_reduced_bessel_exits_two_when_the_proof_fails(capsys, monkeypatch):
+    right = reduced.bessel_side_coefficient
+    monkeypatch.setattr(reduced, "bessel_side_coefficient", lambda j: right(j) * j)
+    code, out = run_cli(capsys, "reduced", "bessel", "--format", "json")
+    assert code == EXIT_VERIFICATION
+    results = json.loads(out)["results"]
+    assert (results["ratio_proved"], results["all_ok"]) == (False, False)
 
 
 def test_noncompact_counterexample_window(capsys):
@@ -197,6 +206,18 @@ def test_usage_errors_exit_one(capsys):
         ["torus", "index", "--k", "3", "--format", "\U0001f600" * 3000],
         # inside the digit bound, but the form overflows a float
         ["noncompact", "hessian", "--phase", ",".join(["9" * EXACT_INPUT_DIGITS] * 4)],
+        # repr escapes a control character in 4 bytes, so the quoted form is cut,
+        # at each of the four sites that quote a rational or a phase
+        ["reduced", "sphere", "--n-dim", "5", "--radius", "\x01" * 5000],
+        ["noncompact", "stable", "--phase", "\x01" * 5000 + ",1,1,1"],
+        ["reduced", "sphere", "--n-dim", "5", "--radius", "1e" + "\x01" * 5000],
+        ["noncompact", "stable", "--phase", "\x1c" * 5000 + "0,0,1,0"],
+        ["noncompact", "hessian", "--phase",
+         "\x1c" * 5000 + ",".join(["9" * EXACT_INPUT_DIGITS] * 4)],
+        # an empty value is given, not absent
+        ["noncompact", "stable", "--phase", ""],
+        ["noncompact", "hessian", "--phase", ""],
+        ["torus", "index", "--k", "2", "--output", ""],
     ],
 )
 def test_boundary_inputs_give_one_line_diagnostics(capsys, argv):

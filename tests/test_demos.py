@@ -1,4 +1,5 @@
-"""Smoke test: every demo script runs to completion in a fresh interpreter."""
+"""Smoke test: every demo script runs to completion in a fresh interpreter,
+with every warning an error, and writes nothing to stderr."""
 
 import os
 import subprocess
@@ -22,7 +23,7 @@ def test_demo_runs(demo):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=ROOT,
         env=env,
         capture_output=True,
@@ -30,5 +31,5 @@ def test_demo_runs(demo):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
     assert proc.stdout

@@ -9,23 +9,24 @@ from scipy.integrate import quad
 
 from bihindex.bumps import SIN, CosPowerBump, PolynomialBump, TrigPoly
 from bihindex import reduced
-from bihindex.exact import QPi
+from bihindex.exact import QPi, Surd
 from bihindex.reduced import (
-    BESSEL_ORDER,
     BesselNullityReport,
     ReducedProblem,
     _integer_fourth_root_floor,
     bessel_nullity_check,
-    bessel_rate_series,
+    bessel_side_coefficient,
     conformal_hessian,
-    nullity_direction_energy_series,
+    energy_coefficient,
     reduced_index_nullity,
     reduced_index_torus,
 )
-from bihindex.torus import index_nullity
+from bihindex.torus import branch_multiplicity, eigenvalue, index_nullity, lambda_parts
 
 from oracles import (
+    bessel_rate_series,
     bump_values,
+    nullity_direction_energy_series,
     random_polynomial_bump,
     reduced_index_nullity_by_counting,
     scaled,
@@ -122,6 +123,30 @@ def test_reduced_bounded_by_full():
         assert rnul <= full.nullity
 
 
+def test_reduced_operator_is_the_torus_minus_branch_at_m_zero():
+    # R(k, 0, n) - (k^4 + k^2 n^2)^2 and T(k, 0, n) - (k^4 + k^2 n^2) - 2(n^4 - k^4) are
+    # polynomials of degree <= 8 in k and in n (lambda_parts is a polynomial of that
+    # degree), so vanishing on a 9 x 9 grid proves them zero: sqrt R = k^4 + k^2 n^2
+    # and lambda^- = (T - sqrt R)/2 = n^4 - k^4 for every (k, n)
+    for k in range(9):
+        for n in range(9):
+            t, r = lambda_parts(k, 0, n)
+            assert r == (k**4 + k * k * n * n) ** 2, (k, n)
+            assert t - (k**4 + k * k * n * n) == 2 * (n**4 - k**4), (k, n)
+    # so the reduced spectrum m^4 - k^4 (once at m = 0, twice above) is mu1 and the
+    # minus branch at the labels (0, n), with the torus multiplicities; past n = k
+    # every lambda^- is positive.  A changed c4 fails here against the torus blocks.
+    for k in range(1, 21):
+        signs = [(eigenvalue(k, 0, 0, "mu1").sign(), branch_multiplicity(0, 0))]
+        for n in range(1, 3 * k):
+            minus = eigenvalue(k, 0, n, "minus")
+            assert minus == Surd(n**4 - k**4, 0), (k, n)
+            signs.append((minus.sign(), branch_multiplicity(0, n)))
+        negative = sum(mult for sign, mult in signs if sign < 0)
+        zero = sum(mult for sign, mult in signs if sign == 0)
+        assert reduced_index_torus(k) == (negative, zero), k
+
+
 def test_ellipsoid_large_and_small_b():
     # large flattening stabilises down to reduced index 1 ...
     for b in (16, 20, 100, 1000):
@@ -189,7 +214,7 @@ def test_conformal_hessian_matches_quadrature_oracle():
 
 
 def test_j1_series():
-    # pi t - pi J1(4t)/2 from the exact series, against scipy's J1
+    # pi t - pi J1(4t)/2 from the exact oracle series, against scipy's J1
     from scipy.special import j1 as scipy_j1
 
     r = bessel_rate_series(41)
@@ -211,13 +236,14 @@ def test_wallis_integrals_match_the_trig_algebra():
 
 
 def test_energy_even_and_rate_odd():
-    e = nullity_direction_energy_series()
-    assert len(e) == BESSEL_ORDER + 1
+    from scipy.special import j0 as scipy_j0
+
+    e = nullity_direction_energy_series(24)
     assert all(c == 0 for c in e[1::2])  # E is even in t, so E' is odd
     assert e[0] == Fraction(1, 4)  # E(0) = pi/4 (the constant profile)
     F = Fraction
     assert e[:9] == (F(1, 4), 0, 0, 0, F(1, 2), 0, F(-2, 9), 0, F(1, 18))
-    # against the defining integral, by scipy
+    # the oracle series and the closed form against the defining integral, by scipy
     for t in (0.1, 0.3, 0.6):
         def integrand(theta):
             u = -t * math.sin(theta) - 0.5 * math.cos(2 * t * math.sin(theta))
@@ -225,30 +251,53 @@ def test_energy_even_and_rate_odd():
 
         direct, _ = quad(integrand, 0.0, 2 * math.pi, epsabs=0, epsrel=1e-13, limit=200)
         series = math.pi * sum(float(c) * t**i for i, c in enumerate(e))
+        closed = math.pi / 8 + math.pi * t * t / 2 + math.pi / 8 * scipy_j0(4 * t)
         assert series == pytest.approx(direct, rel=1e-12)
+        assert closed == pytest.approx(direct, rel=1e-12)
+
+
+def test_closed_form_matches_the_series_oracles():
+    # E = pi/8 + pi t^2/2 + (pi/8) J0(4t) against the u-series, and i e_i against the
+    # coefficient of t^(i-1) in t - J1(4t)/2, through t^60
+    assert tuple(energy_coefficient(i) for i in range(61)) == nullity_direction_energy_series(60)
+    rate = bessel_rate_series(59)
+    assert tuple(i * energy_coefficient(i) for i in range(1, 61)) == rate
+    assert all(bessel_side_coefficient(j) == rate[2 * j - 1] for j in range(1, 31))
 
 
 def test_small_t_series_of_rate():
     # E'(t) = 2 pi t^3 - (4 pi / 3) t^5 + O(t^7), from the alternating series
-    e = nullity_direction_energy_series()
-    assert tuple(i * c for i, c in enumerate(e) if i)[:6] == (0, 0, 0, 2, 0, Fraction(-4, 3))
+    rate = tuple(i * energy_coefficient(i) for i in range(1, 7))
+    assert rate == (0, 0, 0, 2, 0, Fraction(-4, 3))
+
+
+def _j1_side(j, base=-4, shift=0):
+    """bessel_side_coefficient with the base of its power or its second factorial changed."""
+    return (1 if j == 1 else 0) - Fraction(
+        base ** (j - 1), math.factorial(j - 1) * math.factorial(j + shift))
 
 
 def test_bessel_nullity_report(monkeypatch):
     rep = bessel_nullity_check()
     assert isinstance(rep, BesselNullityReport)
     assert rep.derivatives_at_zero == (QPi(), QPi(), QPi())
-    assert (rep.ratio_mean, rep.ratio_spread) == (1, 0)
+    assert (rep.ratio, rep.ratio_proved) == (1, True)
     assert rep.fourth_derivative_normalized == rep.fourth_derivative_target == QPi((0, 12))
     assert rep.all_ok
-    # a wrong Bessel coefficient anywhere in the compared range fails the ratio check,
-    # also where the right one is zero and so gives no ratio
-    right = reduced.bessel_rate_series
-    for i, wrong in ((19, Fraction(1, 10**9)), (0, Fraction(1))):
-        def perturbed(order, i=i, wrong=wrong):
-            r = right(order)
-            return r[:i] + (r[i] + wrong,) + r[i + 1:]
-
-        monkeypatch.setattr(reduced, "bessel_rate_series", perturbed)
-        assert not bessel_nullity_check().ratio_ok, i
+    assert all(_j1_side(j) == bessel_side_coefficient(j) for j in range(1, 30))
+    # a J1-side term with a changed base or factorial fails the proof, and so do a
+    # slightly wrong coefficient that the proof evaluates and a wrong coefficient of t,
+    # where both sides are zero and give no term ratio
+    right = reduced.bessel_side_coefficient
+    wrong_sides = [
+        lambda j: _j1_side(j, base=4),
+        lambda j: _j1_side(j, base=-2),
+        lambda j: _j1_side(j, shift=1),
+        lambda j: _j1_side(j, shift=-1),
+        lambda j: right(j) + (j == 5) * Fraction(1, 10**9),
+        lambda j: right(j) + (j == 1),
+    ]
+    for i, wrong in enumerate(wrong_sides):
+        monkeypatch.setattr(reduced, "bessel_side_coefficient", wrong)
+        assert not bessel_nullity_check().ratio_proved, i
         assert not bessel_nullity_check().all_ok, i
