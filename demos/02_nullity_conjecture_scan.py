@@ -3,7 +3,7 @@
 The nullity exceeds 5 exactly when some interior lattice pair (m, n) makes
 the integer discriminant D vanish.  The scan classifies every pair below the
 certified bound m^2 + n^2 < 9 k^2 with exact integer signs, one run of
-negative pairs per m (torus.sign_runs); the rows with 5m^2 > 7k^2 are
+negative pairs per m (torus.sign_runs); the rows with 14m^2 > 15k^2 are
 proved positive at once (torus.last_row).  The closest call in
 this range sits at k = 192 near (m, n) = (100, 185), where D is about 10^15
 times smaller than its neighbours -- but exactly nonzero.
@@ -14,7 +14,7 @@ import time
 from bihindex.scan import conjecture_scan
 from bihindex.torus import discriminant, min_abs_interior_discriminant
 
-K_MAX = 300  # push to 1500 for the full conjecture range (~30 s on one core)
+K_MAX = 300  # push to 1500 for the full conjecture range (~2 s on one core)
 
 t0 = time.time()
 rows = conjecture_scan(K_MAX)

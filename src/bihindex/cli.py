@@ -63,13 +63,13 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 
-# torus index walks the rows 5m^2 < 7k^2 with about three exact evaluations
-# each, O(k): 1.4 s, 6.6 MB of JSON and 88 MB peak at k = 10^5 on one core of
-# an x86-64 Xeon, Python 3.11
+# torus index walks the rows 14m^2 < 15k^2 with about 2.3 exact evaluations
+# each, O(k): 0.65 s, 5.9 MB of JSON and 77 MB peak at k = 10^5 on one core
+# of an x86-64 Xeon, Python 3.11
 INDEX_K_LIMIT = 10**5
 
-# torus scan costs about 4e-6 * k s per row k on the same core, so about
-# 4 min for all k <= 10^4 in one process
+# torus scan costs about 1.5e-6 * k s per row k on the same core, so about
+# 80 s for all k <= 10^4 in one process
 SCAN_K_LIMIT = 10**4
 
 # torus spectrum builds and sorts the branches of the about (pi/4) lambda_max

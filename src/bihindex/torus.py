@@ -33,8 +33,10 @@ with lambda^- negative / zero,
     nullity(k) = 5 + 4 g(k),
 
 and D > 0 is proved for s >= 9 k^2 (see enumeration_bound) and on every row
-with 5m^2 > 7k^2 (see last_row), so the lattice scan visits only the rows
-m <= last_row(k) and, in each, the n below the enumeration bound.
+with 14m^2 > 15k^2 (see last_row), so the lattice scan visits only the rows
+m <= last_row(k) and, in each, the n below the enumeration bound.  On a row
+m <= k the negative pairs start at n = 1 (see sign_runs), so the scan looks
+for one end of them there.
 """
 
 from __future__ import annotations
@@ -80,8 +82,8 @@ class IndexReport(NamedTuple):
 
     The evidence is sign_runs' output, O(k) entries: D < 0 exactly on the
     pairs (m, n_lo..n_hi) of negative_runs and D = 0 exactly at zero_pairs;
-    empty_row_witnesses holds the (m, nv) of the rows proved empty by their
-    convex minimum nv.  check_runs verifies all three.
+    empty_row_witnesses holds the (m, nv) of the rows m > k proved empty by
+    their convex minimum nv.  check_runs verifies all three.
     """
 
     k: int
@@ -170,46 +172,55 @@ def enumeration_bound(k: int) -> int:
 
 
 def last_row(k: int) -> int:
-    """The last row m with 5m^2 < 7k^2: past it D(k, m, n) > 0 for every n.
+    """The last row m with 14m^2 < 15k^2: past it D(k, m, n) > 0 for every n.
 
-    Proof.  Put M = 5m^2 - 7k^2 and N = 5n^2.  Then, as polynomials,
+    Proof.  Put M = 14m^2 - 15k^2, N = n^2 and K = k^2.  Then, as polynomials,
 
-        625 D = M^4 + 4 M^3 N + 13 M^3 k^2 + 6 M^2 N^2 + 59 M^2 N k^2
-              + 104 M^2 k^4 + 4 M N^3 + 79 M N^2 k^2 + 238 M N k^4
-              + 542 M k^6 + N^4 + 33 N^3 k^2 + 234 N^2 k^4 + 22 N k^6
-              + 756 k^8,
+        14^4 D = M^4 + 56 M^3 N + 18 M^3 K + 1176 M^2 N^2 + 1540 M^2 N K
+               + 440 M^2 K^2 + 10976 M N^3 + 32536 M N^2 K + 8400 M N K^2
+               + 6318 M K^3 + K^4 q(N/K),
 
-    and every coefficient is positive.  So D >= 756 k^8 / 625 > 0 on every
-    row with M >= 0, whatever n is.  5m^2 = 7k^2 has no solution (sqrt 35 is
-    irrational), so the other rows are those with m^2 <= 7k^2 // 5.
+        q(t) = 38416 t^4 + 203056 t^3 + 185024 t^2 - 69916 t + 5895.
 
-    The cut sits at m ~ 1.183k; the last row with a negative pair is near
-    m = 1.034k (m^2 ~ 1.069 k^2) for every k checked.  7/5 is the smallest
-    simple ratio for which the shifted coefficients are all positive: for
-    the ratio 11/8 in place of 7/5 the coefficient of n^2 k^6 is negative.
+    Every term with M has a positive coefficient, q(0) > 0 and q has no
+    positive root (a Sturm count, polynomials.count_roots), so q > 0 for
+    t >= 0 and D > 0 on every row with M >= 0, whatever n is.  14m^2 = 15k^2
+    has no solution (sqrt 210 is irrational), so the other rows are those
+    with m^2 <= 15k^2 // 14.
+
+    The cut sits at m ~ 1.035k, just past the tip of the negative region:
+    the last row with a negative pair is near m = 1.034k (m^2 ~ 1.068 k^2)
+    for every k checked.  15/14 is the smallest ratio (j + 1)/j above that
+    1.068; the next one, 16/15, cuts off rows with negative pairs.
     """
     if k < 1:
         raise InvalidLabelError("k must be >= 1")
-    return isqrt(7 * k * k // 5)
+    return isqrt(15 * k * k // 14)
 
 
-def _run_end(d, a: int, da: int, b: int, guess: int) -> tuple[int, int]:
+def _run_end(
+    q: tuple[int, int, int, int, int], a: int, da: int, b: int, guess: int
+) -> tuple[int, int]:
     """(e, D(e)) for e, the last n from a towards b with D(n) <= 0.
 
-    D(a) = da <= 0, and b is a point with D(b) > 0 or the sentinel just
-    outside the row; the sign of D must be monotone from a to b.  The probes
-    go out from guess (moved next to a or b if it is not between them) to
-    offsets 1, 2, 4, ... until they bracket e, then bisect: 2 evaluations of
-    D when guess is e or e's outer neighbour, O(log |guess - e|) in all, and
-    the answer never depends on guess.
+    q = (c3, c2, c1, c0, m2) is the row: D(n) = P(m2 + n^2) with
+    P(s) = s^4 + c3 s^3 + c2 s^2 + c1 s + c0 (see sign_runs).  D(a) = da <= 0,
+    and b is a point with D(b) > 0 or the sentinel just outside the row; the
+    sign of D must be monotone from a to b.  The probes go out from guess
+    (moved next to a or b if it is not between them) to offsets 1, 2, 4, ...
+    until they bracket e, then bisect: 2 evaluations of D when guess is e or
+    e's outer neighbour, O(log |guess - e|) in all, and the answer never
+    depends on guess.
     """
+    c3, c2, c1, c0, m2 = q
     out = 1 if b > a else -1
     x = guess
     if (x - a) * (x - b) >= 0:
         x = guess = a + out if (x - a) * out <= 0 else b - out
     off = 0
     while (b - a) * out > 1:
-        v = d(x)
+        s = m2 + x * x
+        v = (((s + c3) * s + c2) * s + c1) * s + c0
         off = 2 * off or 1
         if v <= 0:
             a, da, x = x, v, guess + off * out
@@ -220,63 +231,59 @@ def _run_end(d, a: int, da: int, b: int, guess: int) -> tuple[int, int]:
     return a, da
 
 
-def _quartic_run(
-    c3: int, c2: int, c1: int, c0: int, m2: int, n_max: int, seeds: list[int]
-) -> tuple[int, int, list[int], int | None]:
-    """Split the run {1 <= n <= n_max : D(m2 + n^2) <= 0} by sign.
+def _run_from_one(
+    q: tuple[int, int, int, int, int], n_max: int, guess: int
+) -> tuple[int, list[int], int]:
+    """(n_hi, zeros, e) for a row whose run {n >= 1 : D <= 0} is 1..e.
 
-    D(s) = s^4 + c3 s^3 + c2 s^2 + c1 s + c0 with c3 > 0 > c2 and c1, c0 of
-    one sign (see sign_runs).  Returns (n_lo, n_hi, zeros, nv): D < 0 exactly
-    on n_lo..n_hi (empty if n_lo > n_hi), D = 0 exactly at the ends in zeros,
-    and nv, the first integer minimum, when the row was proved empty by it,
-    else None.  For c0 >= 0 the row must be convex, D''(m2) > 0 (the
-    convexity lemma in sign_runs); AssertionError otherwise.
-
-    seeds = [lo, hi, w, dlo, dhi, dw] come from the previous rows and are
-    updated in place: lo..hi is the last row's run {D <= 0} (lo > hi if it
-    had none), w its midpoint or witness, and dlo, dhi, dw how each moved from
-    the row before.  Each end is walked from lo + dlo or hi + dhi; a convex
-    row is entered at lo + dlo, or at w + dw when those guesses cross.  The
-    seeds change the number of evaluations, not the answer.
+    q as in _run_end; D(0) <= 0 and the run starts at n = 1 when it is not
+    empty (the one-end lemma in sign_runs).  D < 0 exactly on 1..n_hi, D = 0
+    exactly at zeros, which is [e] or [], and e = 0 for an empty run.  Only
+    e is walked, from guess; D(1) is not evaluated, since D(1) < 0 once
+    e >= 2.
     """
+    e, v = _run_end(q, 0, 0, n_max + 1, guess)  # n = 0 stands for the run's inside
+    return (e - 1, [e], e) if v == 0 and e else (e, [], e)
+
+
+def _convex_run(
+    q: tuple[int, int, int, int, int], n_max: int, g_lo: int, g_hi: int
+) -> tuple[int, int, list[int], int | None]:
+    """Split the run {1 <= n <= n_max : D(n) <= 0} of a convex row by sign.
+
+    q = (c3, c2, c1, c0, m2) as in _run_end, with D''(m2) > 0 (the convexity
+    lemma in sign_runs); AssertionError otherwise.  Returns (n_lo, n_hi,
+    zeros, nv): D < 0 exactly on n_lo..n_hi (empty if n_lo > n_hi), D = 0
+    exactly at the ends in zeros, and nv, the first integer minimum, when the
+    row was proved empty by it, else None.
+
+    The row is entered at g_hi, and its ends are walked from g_lo and g_hi.
+    The guesses change the number of evaluations, not the answer.
+    """
+    c3, c2, c1, c0, m2 = q
+    if (6 * m2 + 3 * c3) * m2 + c2 <= 0:  # P''(m2) / 2
+        raise AssertionError(f"D is not convex on the row s >= {m2}")
 
     def d(n: int) -> int:
         s = m2 + n * n
         return (((s + c3) * s + c2) * s + c1) * s + c0
 
-    lo, hi, w, dlo, dhi, dw = seeds
-    g_lo, g_hi = lo + dlo, hi + dhi
-    if c0 < 0:  # one positive root and D(0) < 0: the run is 1..n_hi or empty
-        # a = 0 stands for the run's inside, so D(1) is not evaluated: D <= 0
-        # on 1..n_hi, D < 0 strictly inside it, and n_hi = 0 for an empty run
-        n_hi, v_hi = _run_end(d, 0, 0, n_max + 1, g_hi)
-        if n_hi == 0:
-            seeds[:] = [1, 0, w, 0, 0, 0]
-            return 1, 0, [], None
-        n_lo, v_lo = 1, v_hi if n_hi == 1 else -1
-    else:
-        if (6 * m2 + 3 * c3) * m2 + c2 <= 0:  # D''(m2) / 2
-            raise AssertionError(f"D is not convex on the row s >= {m2}")
-        x = min(max(w + dw if g_lo > g_hi else g_lo, 1), n_max)
-        v, side = d(x), 0
-        if v > 0:  # walk downhill to the first n with D <= 0, or to the minimum
-            u = d(x + 1) if x < n_max else v
-            if u < v:  # the run, if any, starts right of x: its first n is n_lo
-                side, x, v = 1, x + 1, u
-                while v > 0 and x < n_max and (u := d(x + 1)) < v:
-                    x, v = x + 1, u
-            else:  # the minimum is at x or left of it: the first n is n_hi
-                side = -1
-                while v > 0 and x > 1 and (u := d(x - 1)) <= v:
-                    x, v = x - 1, u
-            if v > 0:  # D(x - 1) > D(x) <= D(x + 1): the row is empty
-                seeds[:] = [1, 0, x, 0, 0, x - w]
-                return 1, 0, [], x
-        n_lo, v_lo = (x, v) if side > 0 else _run_end(d, x, v, 0, g_lo)
-        n_hi, v_hi = (x, v) if side < 0 else _run_end(d, x, v, n_max + 1, g_hi)
-    mid = (n_lo + n_hi) // 2
-    moved = (n_lo - lo, n_hi - hi) if lo <= hi else (0, 0)
-    seeds[:] = [n_lo, n_hi, mid, *moved, mid - w]
+    x = min(max(g_hi, 1), n_max)
+    v, side = d(x), 0
+    if v > 0:  # walk downhill to the first n with D <= 0, or to the minimum
+        u = d(x + 1) if x < n_max else v
+        if u < v:  # the run, if any, starts right of x: its first n is n_lo
+            side, x, v = 1, x + 1, u
+            while v > 0 and x < n_max and (u := d(x + 1)) < v:
+                x, v = x + 1, u
+        else:  # the minimum is at x or left of it: the first n is n_hi
+            side = -1
+            while v > 0 and x > 1 and (u := d(x - 1)) <= v:
+                x, v = x - 1, u
+        if v > 0:  # D(x - 1) > D(x) <= D(x + 1): the row is empty
+            return 1, 0, [], x
+    n_lo, v_lo = (x, v) if side > 0 else _run_end(q, x, v, 0, g_lo)
+    n_hi, v_hi = (x, v) if side < 0 else _run_end(q, x, v, n_max + 1, g_hi)
     zeros = []
     if v_lo == 0:
         zeros.append(n_lo)
@@ -295,13 +302,15 @@ def sign_runs(
     Returns (runs, zeros, witnesses): D(k, m, n) < 0 exactly for
     n_lo <= n <= n_hi for each (m, n_lo, n_hi) in runs, D = 0 exactly at the
     pairs in zeros, and D > 0 at every other interior pair.  witnesses holds
-    (m, nv) for each row proved empty through its integer minimum (below), so
-    that check_runs can confirm the row without a search.  All three are in
-    (m, n) order.  Only the rows m <= last_row(k), those with 5m^2 < 7k^2,
-    are searched: past them D > 0 for every n (the cut lemma in last_row).
-    Each end is walked from the previous rows' ends, so a row costs two to
-    four exact evaluations of D while its ends move smoothly: 2.9 per row
-    over all k <= 300 and 2.7 at k = 10^4, so O(k) per k in practice.
+    (m, nv) for each row k < m proved empty through its integer minimum
+    (below), so that check_runs can confirm the row without a search.  All
+    three are in (m, n) order.  Only the rows m <= last_row(k), those with
+    14m^2 < 15k^2, are searched: past them D > 0 for every n (the cut lemma
+    in last_row).  A row m <= k has one run end to find, walked from the
+    previous rows' ends: 2 exact evaluations of D while the end moves
+    smoothly.  The rows k < m <= last_row(k), about 3 % of them, are entered
+    at a guess and walked at both ends.  That is 2.4 evaluations per row over
+    all k <= 300 and 2.3 at k = 10^4, so O(k) per k.
 
     Proof.  Fix k and m and put s = m^2 + n^2.  Then
 
@@ -313,14 +322,21 @@ def sign_runs(
     roots, so {n >= 1 : D <= 0} is one run n_lo..n_hi, with D < 0 inside it:
     D can vanish only at a run end.  The run lies below the enumeration bound.
 
-    * 2m^2 < k^2: one positive root and D(0) < 0, so the run is 1..n_hi.
-    * 2m^2 > k^2: D(0) > 0, and the convexity lemma applies: D''(s) / 2 =
-      6 s^2 + 3 k^2 s - (k^4 + 4k^2 m^2) grows with s and is
-      (2m^2 - k^2)(3m^2 + k^2) > 0 at s = m^2, so D is convex on the whole
-      row.  D falls and then rises in s, and s grows with n, so the sign of
-      D(n+1) - D(n) changes once, from - to +, at the first integer minimum
-      nv (the differences themselves need not increase in n).  The row is
-      empty iff D(nv) > 0, and then nv is its witness.
+    * Convexity lemma: for 2m^2 > k^2, D''(s) / 2 = 6 s^2 + 3 k^2 s -
+      (k^4 + 4k^2 m^2) grows with s and is (2m^2 - k^2)(3m^2 + k^2) > 0 at
+      s = m^2, so D is convex on the whole row.
+    * One end for m <= k: on the axis D(k, m, 0) = m^2 (m^2 - k^2)((m^2 -
+      k^2)^2 + 2k^4) <= 0.  For 2m^2 < k^2, D has one positive root and
+      D(0) < 0; for 2m^2 > k^2, D is convex and {s >= m^2 : D <= 0}, a
+      sublevel set that contains s = m^2, is an interval.  Either way the
+      run is 1..e, or empty when e = 0, and only e is searched.  D(1) < 0
+      when e >= 2 (D(0) <= 0, D(e) <= 0 and D is below its chord, or below
+      zero up to its one root), so only D(e) can vanish.
+    * Rows k < m: D(0) > 0 and the row is convex.  D falls and then rises
+      in s, and s grows with n, so the sign of D(n+1) - D(n) changes once,
+      from - to +, at the first integer minimum nv (the differences
+      themselves need not increase in n).  The row is empty iff D(nv) > 0,
+      and then nv is its witness.
 
     Why a walk is exact: the sign of D is monotone along the row on each
     side of a point in the run (D <= 0 up to an end, D > 0 past it), so one
@@ -338,15 +354,31 @@ def sign_runs(
     runs: list[tuple[int, int, int]] = []
     zeros: list[tuple[int, int]] = []
     witnesses: list[tuple[int, int]] = []
-    seeds = [1, 0, 1, 0, 0, 0]  # no row before the first
-    for m in range(1, last_row(k) + 1):
+    e, de = k, 0  # the first row is walked from n = k
+    for m in range(1, k + 1):
         m2 = m * m
         c1 = k4 * (2 * m2 - k2)
-        n_lo, n_hi, zero_ns, nv = _quartic_run(
-            k2, -(k4 + 4 * k2 * m2), c1, 2 * m2 * c1, m2, isqrt(bound - m2 - 1), seeds
-        )
+        q = (k2, -(k4 + 4 * k2 * m2), c1, 2 * m2 * c1, m2)
+        n_hi, zero_ns, end = _run_from_one(q, isqrt(bound - m2 - 1), e + de)
+        e, de = end, end - e
+        if n_hi:
+            runs.append((m, 1, n_hi))
+        if zero_ns:
+            zeros.append((m, end))
+    # the rows past the axis zero m = k, guessed from the last two rows: lo..hi
+    # is the last run, or lo = hi its witness when the row had none
+    lo, hi, dlo, dhi = 1, e, 0, de
+    for m in range(k + 1, last_row(k) + 1):
+        m2 = m * m
+        c1 = k4 * (2 * m2 - k2)
+        q = (k2, -(k4 + 4 * k2 * m2), c1, 2 * m2 * c1, m2)
+        n_lo, n_hi, zero_ns, nv = _convex_run(q, isqrt(bound - m2 - 1), lo + dlo, hi + dhi)
         if n_lo <= n_hi:
             runs.append((m, n_lo, n_hi))
+            lo, hi, dlo, dhi = n_lo, n_hi, n_lo - lo, n_hi - hi
+        else:
+            lo = hi = nv or hi
+            dlo = dhi = 0
         if zero_ns:
             zeros.extend((m, n) for n in zero_ns)
         if nv is not None:
@@ -454,8 +486,9 @@ def check_runs(
 
     A row with no entries must be proved empty:
 
-    * 2m^2 < k^2: D has one positive root and D(0) < 0, so D(1) > 0 suffices;
-    * 2m^2 > k^2: the row needs a witness (m, nv), and nothing else has one.
+    * m <= k: a run of the row starts at n = 1 (the one-end lemma in
+      sign_runs), so D(1) > 0 suffices, and the row has no witness;
+    * m > k: the row needs a witness (m, nv), and nothing else has one.
       By the convexity lemma in sign_runs, D is convex on the whole row.  Then
       D(nv - 1) >= D(nv) <= D(nv + 1), a side exempt at n = 1 or at the
       enumeration bound, makes D(nv) the row's minimum, and D(nv) > 0
@@ -477,8 +510,13 @@ def check_runs(
             failures.append(f"{name} start below the row m = 1")
         elif keys and keys[-1][0] > m_max:
             failures.append(
-                f"{name} reach past the cut 5m^2 < 7k^2 (rows m <= {m_max}), where "
+                f"{name} reach past the cut 14m^2 < 15k^2 (rows m <= {m_max}), where "
                 "D > 0 is proved and no evidence is kept; rerun torus index"
+            )
+        elif name == "witnesses" and keys and keys[0][0] <= k:
+            failures.append(
+                f"witnesses in the rows m <= k = {k}, where D(1) > 0 proves a row "
+                "empty and no witness is kept; rerun torus index"
             )
     if failures:
         return failures
@@ -501,8 +539,7 @@ def _check_row(
     k: int, m: int, run: tuple[int, int] | None, zs: list[int], nv: int | None
 ) -> str | None:
     """The first failure of one row of check_runs' evidence, or None."""
-    k2, m2 = k * k, m * m
-    n_max = isqrt(enumeration_bound(k) - m2 - 1)
+    n_max = isqrt(enumeration_bound(k) - m * m - 1)
 
     def d(n: int) -> int:
         return discriminant(k, m, n)
@@ -510,8 +547,8 @@ def _check_row(
     if run is None and not zs:
         if d(1) <= 0:
             return "D(1) <= 0 but the row has no run"
-        if 2 * m2 < k2:  # one positive root and D(0) < 0
-            return None if nv is None else "a witness for a row proved empty without one"
+        if m <= k:  # a run of the row would start at n = 1
+            return None
         if nv is None:
             return "no run, no zero pair and no witness"
         if not 1 <= nv <= n_max:

@@ -9,12 +9,13 @@ one exit-1 line.
 
 import copy
 import json
+from math import isqrt
 
 import pytest
 
 import bihindex.torus as torus
 from bihindex.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
-from bihindex.torus import check_runs, index_nullity, last_row, sign_runs
+from bihindex.torus import check_runs, discriminant, index_nullity, last_row, sign_runs
 
 
 def index_report(capsys, k):
@@ -30,11 +31,16 @@ def check_file(capsys, tmp_path, content):
     return code, captured
 
 
+# k = 176 has a row past its last run below the cut, so its report carries a
+# witness as well as runs
+K = 176
+
+
 @pytest.fixture(scope="module")
-def report155():
-    r = index_nullity(155)
+def report176():
+    r = index_nullity(K)
     return {
-        "k": 155,
+        "k": K,
         "runs": [list(run) for run in r.negative_runs],
         "zeros": [list(z) for z in r.zero_pairs],
         "witnesses": [list(w) for w in r.empty_row_witnesses],
@@ -77,7 +83,7 @@ def _run_row(evidence, pred):
     return next(i for i, (_, n_lo, n_hi) in enumerate(evidence["runs"]) if pred(n_lo, n_hi))
 
 
-# index of the first witness at k = 155: row m = 161, nv = 59 well inside the
+# index of the first witness at k = 176: row m = 182, nv = 68 well inside the
 # row, so moving nv either way breaks the local minimum
 W = 0
 
@@ -94,7 +100,7 @@ def _drop_run(ev):
 
 
 def _drop_run_past_the_diagonal(ev):
-    # a row with 2m^2 > k^2, where emptiness would need a witness
+    # a row m > k (so 2m^2 > k^2), where emptiness would need a witness
     del ev["runs"][_run_row(ev, lambda lo, hi: lo > 1)]
 
 
@@ -111,7 +117,7 @@ def _extra_run_for_a_witness(ev):
 
 
 def _extra_run_far_past_the_cut(ev):
-    # a run in a row that the cut 5m^2 < 7k^2 proves empty without evidence
+    # a run in a row that the cut 14m^2 < 15k^2 proves empty without evidence
     ev["runs"].append([3 * ev["k"] - 1, 1, 1])
 
 
@@ -137,6 +143,10 @@ def _corrupt_witness(position, delta):
     return mutate
 
 
+def _zero_witness(ev):
+    ev["witnesses"][W][1] = 0
+
+
 def _drop_witness(ev):
     del ev["witnesses"][W]
 
@@ -159,7 +169,7 @@ MUTATIONS = {
     "injected zero inside a run": _inject_zero_inside_a_run,
     "witness nv+1": _corrupt_witness(1, 1),
     "witness nv-1": _corrupt_witness(1, -1),
-    "witness nv=0": _corrupt_witness(1, -59),
+    "witness nv=0": _zero_witness,
     "dropped witness": _drop_witness,
     "witness in a run row": lambda ev: ev["witnesses"].insert(0, [ev["runs"][-1][0], 1]),
     "witness far past the cut": lambda ev: ev["witnesses"].append([3 * ev["k"] - 1, 1]),
@@ -168,22 +178,22 @@ MUTATIONS = {
 
 
 @pytest.mark.parametrize("name", list(MUTATIONS))
-def test_torus_check_rejects_mutated_report(capsys, tmp_path, report155, name):
-    evidence = copy.deepcopy(report155)
+def test_torus_check_rejects_mutated_report(capsys, tmp_path, report176, name):
+    evidence = copy.deepcopy(report176)
     MUTATIONS[name](evidence)
-    assert evidence != report155
+    assert evidence != report176
     assert failures_of(evidence), name
     code, captured = check_file(capsys, tmp_path, as_cli_report(capsys, evidence))
     assert code == EXIT_VERIFICATION, name
     assert json.loads(captured.out)["results"]["verified"] is False
 
 
-def test_dropped_zero_fails(monkeypatch, report155):
+def test_dropped_zero_fails(monkeypatch, report176):
     # no interior zero of D occurs for k <= 1500, so the zero branch is driven
     # by a D that vanishes at one extra pair: just past the end of a run, and
     # at the minimum of a witness row (a double root, the row's only entry)
-    run_m, _, n_hi = report155["runs"][10]
-    witness_m, nv = report155["witnesses"][W]
+    run_m, _, n_hi = report176["runs"][10]
+    witness_m, nv = report176["witnesses"][W]
     real = torus.discriminant
     for zero, edit in (
         ((run_m, n_hi + 1), lambda ev: None),
@@ -192,22 +202,40 @@ def test_dropped_zero_fails(monkeypatch, report155):
         monkeypatch.setattr(
             torus, "discriminant", lambda k, m, n: 0 if (m, n) == zero else real(k, m, n)
         )
-        listed = copy.deepcopy(report155)
+        listed = copy.deepcopy(report176)
         edit(listed)
         listed["zeros"] = [list(zero)]
         assert failures_of(listed) == [], zero
-        assert failures_of(report155), f"the zero at {zero} was not listed"
+        assert failures_of(report176), f"the zero at {zero} was not listed"
 
 
-def test_a_report_from_before_the_cut_fails_in_one_line(capsys, tmp_path, report155):
-    # reports written before the cut kept witnesses for the rows past it,
-    # which now carry no evidence: one failure names the cut, not one per row
-    evidence = copy.deepcopy(report155)
-    evidence["witnesses"].append([last_row(155) + 5, 40])
-    code, captured = check_file(capsys, tmp_path, as_cli_report(capsys, evidence))
-    assert code == EXIT_VERIFICATION
-    (failure,) = json.loads(captured.out)["results"]["failures"]
-    assert "past the cut 5m^2 < 7k^2" in failure and "rerun torus index" in failure
+def _first_minimum(k, m):
+    n_max = isqrt(torus.enumeration_bound(k) - m * m - 1)
+    return min(range(1, n_max + 1), key=lambda n: discriminant(k, m, n))
+
+
+def test_a_report_from_before_the_cut_fails_in_one_line(capsys, tmp_path):
+    # reports written before the cut 14m^2 < 15k^2 and the one-end walk kept
+    # witnesses for the rows up to 5m^2 < 7k^2, and for the empty rows with
+    # 2m^2 > k^2 and m <= k (only k = 1 has one, (1, 1)); those rows now carry
+    # no evidence, and one failure names the reason, not one per row.  The
+    # runs and zero pairs are unchanged.
+    k = 155
+    r = index_nullity(k)
+    old_witnesses = [
+        [m, _first_minimum(k, m)] for m in range(last_row(k) + 1, isqrt(7 * k * k // 5) + 1)
+    ]
+    assert r.empty_row_witnesses == () and len(old_witnesses) == 23
+    old_reports = [
+        ({"k": k, "runs": [list(x) for x in r.negative_runs], "zeros": [],
+          "witnesses": old_witnesses}, "past the cut 14m^2 < 15k^2"),
+        ({"k": 1, "runs": [], "zeros": [], "witnesses": [[1, 1]]}, "in the rows m <= k = 1"),
+    ]
+    for evidence, reason in old_reports:
+        code, captured = check_file(capsys, tmp_path, as_cli_report(capsys, evidence))
+        assert code == EXIT_VERIFICATION
+        (failure,) = json.loads(captured.out)["results"]["failures"]
+        assert reason in failure and failure.endswith("rerun torus index"), failure
 
 
 def test_report_totals_are_checked(capsys, tmp_path):
@@ -279,7 +307,7 @@ def test_numbers_too_long_to_print_end_in_one_line_or_a_report(capsys, tmp_path)
 
 
 def test_check_cost_is_linear_in_k(monkeypatch):
-    # k = 10^4 has last_row(k) = 11832 rows below the cut 5m^2 < 7k^2, each
+    # k = 10^4 has last_row(k) = 10350 rows below the cut 14m^2 < 15k^2, each
     # with a run or a witness; the check makes at most four exact
     # evaluations of D per row (at and next to the ends, or at and next to
     # the witness and at n = 1) and never searches
@@ -297,7 +325,7 @@ def test_check_cost_is_linear_in_k(monkeypatch):
         raise AssertionError("check_runs searched")
 
     monkeypatch.setattr(torus, "discriminant", counting)
-    for name in ("sign_runs", "_quartic_run", "_run_end"):
+    for name in ("sign_runs", "_run_end", "_run_from_one", "_convex_run"):
         monkeypatch.setattr(torus, name, forbidden)
     assert check_runs(k, runs, zeros, witnesses) == []
     rows = last_row(k)

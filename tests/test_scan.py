@@ -3,6 +3,7 @@ the near-tie family."""
 
 import functools
 import os
+from hashlib import sha256
 from math import isqrt
 
 import pytest
@@ -14,7 +15,8 @@ from bihindex.scan import (
     scan_row,
 )
 from bihindex.torus import (
-    _quartic_run,
+    _convex_run,
+    _run_from_one,
     discriminant,
     enumeration_bound,
     interior_sign_scan,
@@ -58,11 +60,41 @@ def test_sign_runs_match_oracle():
     assert _oracle_mismatches(ORACLE_KS) == []
 
 
+# the k with a negative pair in a row m > k: every k >= 30 of ORACLE_KS
+PAST_THE_AXIS_ZERO = [k for k in ORACLE_KS if k >= 30]
+
+
 def test_a_lower_row_cut_fails_the_oracle(monkeypatch):
-    # the cut 5m^2 < 5k^2 (rows m < k) drops the runs with k < m <= 1.034k,
-    # which every k > 1 here has; k = 1 has no run at all
+    # the cut m < k drops the runs with k < m <= 1.034k, which every k >= 30
+    # here has; the rows m <= k are walked whatever the cut (their runs start
+    # at n = 1 up to the axis zero m = k)
     monkeypatch.setattr(torus, "last_row", lambda k: k - 1)
-    assert _oracle_mismatches(ORACLE_KS) == ORACLE_KS[1:]
+    assert _oracle_mismatches(ORACLE_KS) == PAST_THE_AXIS_ZERO
+
+
+def test_the_next_ratio_cut_fails_the_oracle(monkeypatch):
+    # 16/15, the ratio (j + 1)/j after 15/14, lies below m^2/k^2 of the last
+    # negative row (about 1.068) often enough to drop runs
+    monkeypatch.setattr(torus, "last_row", lambda k: isqrt(16 * k * k // 15))
+    assert _oracle_mismatches(ORACLE_KS) == [30, 59, 60, 89, 90, 91, 118, 119, 120, 300]
+
+
+def test_runs_start_at_one_up_to_the_axis_zero(monkeypatch):
+    # the one-end lemma: every run in a row m <= k starts at n = 1
+    for k in ORACLE_KS:
+        runs, _, _ = sign_runs(k)
+        assert all(n_lo == 1 for m, n_lo, _ in runs if m <= k), k
+    # and it stops at m = k: a run forced to start at n = 1 in row k + 1
+    # fails the oracle wherever that row has a run
+    real = torus._convex_run
+
+    def start_at_one_past_the_axis(q, *guesses):
+        n_lo, n_hi, zeros, nv = real(q, *guesses)
+        first_row_past_k = q[4] == (isqrt(q[0]) + 1) ** 2  # q = (k^2, ..., m^2)
+        return (1 if first_row_past_k else n_lo), n_hi, zeros, nv
+
+    monkeypatch.setattr(torus, "_convex_run", start_at_one_past_the_axis)
+    assert _oracle_mismatches(ORACLE_KS) == PAST_THE_AXIS_ZERO
 
 
 def test_sign_runs_past_the_old_float_range():
@@ -75,8 +107,9 @@ def test_sign_runs_past_the_old_float_range():
     last = max(by_m)
     assert sorted(by_m) == list(range(1, last + 1))
     bound = enumeration_bound(k)
-    # 7071 / 7072 straddle 2m^2 = k^2, where the row's case changes
-    for m in (1, 2_500, 7_071, 7_072, 9_000, last, last + 1, 20_000):
+    # 7071 / 7072 straddle 2m^2 = k^2, where the row becomes convex, and
+    # 10000 / 10001 the axis zero m = k, where the run leaves n = 1
+    for m in (1, 2_500, 7_071, 7_072, 9_000, 10_000, 10_001, last, last + 1, 20_000):
         n_max = isqrt(bound - m * m - 1)
         brute = [n for n in range(1, n_max + 1) if discriminant(k, m, n) < 0]
         if m > last:
@@ -101,7 +134,8 @@ def _expand(*factors):
 
 
 def _quartic(factors, m2):
-    """(c3, c2, c1, c0, d) for D(s) = the product of factors, d(n) = D(m2 + n^2)."""
+    """(q, d) for D(s) = the product of factors: q = (c3, c2, c1, c0, m2) as
+    the row walk takes it, and d(n) = D(m2 + n^2)."""
     one, c3, c2, c1, c0 = _expand(*factors)
     assert one == 1 and c3 > 0 > c2 and c1 * c0 > 0  # the sign pattern + + - e e
 
@@ -109,7 +143,7 @@ def _quartic(factors, m2):
         s = m2 + n * n
         return (((s + c3) * s + c2) * s + c1) * s + c0
 
-    return c3, c2, c1, c0, d
+    return (c3, c2, c1, c0, m2), d
 
 
 @pytest.mark.parametrize(
@@ -119,19 +153,22 @@ def _quartic(factors, m2):
         (([1, -8], [1, -16], [1, 36, 191]), 7, (2, 2, [1, 3])),
         # a double root s = 3 = 2 + 1^2: the run is the single zero
         (([1, -3], [1, -3], [1, 7, 4]), 2, (2, 1, [1])),
-        # one positive root s = 29 = 4 + 5^2 and D(0) < 0: run 1..5
+        # one positive root s = 29 = 4 + 5^2 and D(0) < 0: run 1..5, walked
+        # at its one end as a row m <= k is
         (([1, -29], [1, 1], [1, 30, 1]), 4, (1, 4, [5])),
         # the torus row k = 10, m = 11: no root, so the row must be proved
         # empty, with the convex minimum nv = 3 as its witness
         (([1, 100, -58400, 1420000, 343640000],), 121, None),
+        # one positive root s = 5 = 4 + 1^2 and D(0) < 0: the run is the
+        # single zero n = 1
+        (([1, -5], [1, 1], [1, 30, 1]), 4, (1, 0, [1])),
     ],
 )
 def test_quartic_run_zero_at_run_end(factors, m2, expected):
     # no interior zero of D occurs in the torus family, so the zero branch is
     # driven by synthetic quartics with the same sign pattern + + - e e
-    c3, c2, c1, c0, d = _quartic(factors, m2)
-    if c0 > 0:  # the convexity lemma covers the rows with D(0) > 0
-        assert (6 * m2 + 3 * c3) * m2 + c2 > 0
+    q, d = _quartic(factors, m2)
+    c3, c2, _, c0, _ = q
     n_max = 20
     signs = {n: d(n) for n in range(1, n_max + 1)}
     if expected is None:
@@ -140,44 +177,52 @@ def test_quartic_run_zero_at_run_end(factors, m2, expected):
         n_lo, n_hi, zeros = expected
         assert [n for n, v in signs.items() if v < 0] == list(range(n_lo, n_hi + 1))
         assert [n for n, v in signs.items() if v == 0] == zeros
+    if c0 < 0:  # D(0) < 0 and one positive root: the run is 1..e
+        assert d(0) < 0
+        for guess in (1, 4, 5, 9, n_max):
+            n_hi, zeros, e = _run_from_one(q, n_max, guess)
+            assert (1, n_hi, zeros) == expected and e == max(n_hi, *zeros), guess
+        return
+    assert (6 * m2 + 3 * c3) * m2 + c2 > 0  # the convexity lemma's premise
     for guess in (1, 4, 9, n_max):
-        # entered at the guess as the last run's single pair, and as the
-        # witness of a last row that was empty
-        for seeds in ([guess, guess, guess, 0, 0, 0], [1, 0, guess, 0, 0, 0]):
-            n_lo, n_hi, zeros, nv = _quartic_run(c3, c2, c1, c0, m2, n_max, seeds)
+        # entered at the guess as the last run's single pair or the witness of
+        # a last row that was empty, and as the end of a run from n = 1
+        for guesses in ((guess, guess), (1, guess)):
+            n_lo, n_hi, zeros, nv = _convex_run(q, n_max, *guesses)
             if expected is not None:
-                assert (n_lo, n_hi, zeros, nv) == (*expected, None), seeds
+                assert (n_lo, n_hi, zeros, nv) == (*expected, None), guesses
                 continue
             # an empty row comes with nv, the minimum of the convex row, walked
             # to from the guess
-            assert n_lo > n_hi and zeros == [], seeds
-            assert nv == min(range(1, n_max + 1), key=d) == 3, seeds
+            assert n_lo > n_hi and zeros == [], guesses
+            assert nv == min(range(1, n_max + 1), key=d) == 3, guesses
 
 
 def test_quartic_run_rejects_a_concave_row():
     # roots s = 4, 8 with D''(0) < 0: the only pair with D <= 0 is the zero
     # n = 2, which a search for the convex minimum would miss, so a row that
     # is not convex must raise rather than answer
-    c3, c2, c1, c0, _ = _quartic(([1, -4], [1, -8], [1, 23, 1]), 0)
+    q, _ = _quartic(([1, -4], [1, -8], [1, 23, 1]), 0)
     for guess in (1, 4, 9, 20):
         with pytest.raises(AssertionError, match="not convex"):
-            _quartic_run(c3, c2, c1, c0, 0, 20, [guess, guess, guess, 0, 0, 0])
+            _convex_run(q, 20, guess, guess)
 
 
 def test_witnesses_are_first_minima_of_every_empty_convex_row():
     # torus index reports carry the witnesses, so they must not depend on how
     # the row is searched: each is the first integer minimum of D on its row,
-    # and every convex row (2m^2 > k^2) below the cut carries a run, a zero
-    # pair or a witness
-    for k in [*range(1, 61), 155, 580]:
+    # every row k < m <= last_row(k) carries a run, a zero pair or a witness,
+    # and no row m <= k carries a witness (D(1) > 0 proves such a row empty)
+    for k in [*range(1, 61), 155, 176, 580]:
         runs, zeros, witnesses = sign_runs(k)
         bound = enumeration_bound(k)
         for m, nv in witnesses:
+            assert k < m <= last_row(k), (k, m)
             ds = [discriminant(k, m, n) for n in range(1, isqrt(bound - m * m - 1) + 1)]
             assert nv == ds.index(min(ds)) + 1, (k, m)
         carried = {m for m, _, _ in runs} | {m for m, _ in zeros} | {m for m, _ in witnesses}
-        convex = {m for m in range(1, last_row(k) + 1) if 2 * m * m > k * k}
-        assert convex <= carried, (k, sorted(convex - carried))
+        past_the_axis_zero = set(range(k + 1, last_row(k) + 1))
+        assert past_the_axis_zero <= carried, (k, sorted(past_the_axis_zero - carried))
 
 
 def test_conjecture_scan_small_range():
@@ -226,9 +271,26 @@ def test_scan_row_rejects_bad_range():
 @pytest.mark.slow
 @pytest.mark.skipif(
     not os.environ.get("BIHINDEX_FULL_SCAN"),
-    reason="full k<=1500 scan: set BIHINDEX_FULL_SCAN=1 (about 6 s on one worker)",
+    reason="full k<=1500 scan: set BIHINDEX_FULL_SCAN=1 (about 2 s on one worker)",
 )
 def test_full_conjecture_scan_to_1500():
     rows = conjecture_scan(1500)
     assert [r for r in rows if r.flagged] == []
     assert all(r.nullity == 5 for r in rows)
+
+
+# sha256 of " ".join(str(f(k)) for k in 1..10^4), computed by the walk of
+# commit 6138d97, which searched both ends of every row up to 5m^2 < 7k^2
+F_SHA256_TO_10K = "1a7f32cb85dc2e5ffe6fe991c935935f802eae3871c14cde2c89a361c21e268d"
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    not os.environ.get("BIHINDEX_FULL_SCAN"),
+    reason="full k<=10^4 scan: set BIHINDEX_FULL_SCAN=1 (about 80 s on one worker)",
+)
+def test_full_conjecture_scan_to_10k_matches_the_checksum():
+    # g = 0 for every k <= 10^4, i.e. no primitive interior zero of D there
+    rows = conjecture_scan(10_000)
+    assert [r for r in rows if r.flagged] == []
+    assert sha256(" ".join(str(r.f) for r in rows).encode()).hexdigest() == F_SHA256_TO_10K

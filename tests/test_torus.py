@@ -10,6 +10,7 @@ import pytest
 from bihindex import torus
 from bihindex.exact import QUAD_SQRT2, QUAD_ZERO, QuadExt, Surd, int_sign
 from bihindex.matrices import charpoly_exact
+from bihindex.polynomials import IntPolynomial, count_roots
 from bihindex.torus import (
     InvalidLabelError,
     NotNegativeError,
@@ -151,45 +152,56 @@ def test_enumeration_bound_boundary_shell():
 
 
 def _cut_identity():
-    """{(a, b, c): coefficient} of the right side 625 D = sum coeff M^a N^b k^c,
-    read from the last_row docstring, so that the stated identity is the one proved."""
-    rhs = last_row.__doc__.split("625 D =")[1].split(",")[0]
+    """The last_row docstring's identity 14^4 D = sum c M^a N^b K^e + K^4 q(N/K),
+    read from it so that the stated identity is the one proved:
+    ({(a, b, e): c} of the terms with M, q's coefficients lowest first)."""
+    doc = last_row.__doc__
+    rhs = doc.split("14^4 D =")[1].split("+ K^4 q(N/K)")[0]
     assert "-" not in rhs
     terms = {}
     for term in rhs.split("+"):
-        coeff, exps = 1, {"M": 0, "N": 0, "k": 0}
+        coeff, exps = 1, {"M": 0, "N": 0, "K": 0}
         for factor in term.split():
             if factor.isdigit():
                 coeff = int(factor)
             else:
                 var, _, exp = factor.partition("^")
                 exps[var] = int(exp or 1)
-        key = (exps["M"], exps["N"], exps["k"])
+        key = (exps["M"], exps["N"], exps["K"])
         assert key not in terms, term
         terms[key] = coeff
-    return terms
+    q = [0] * 5
+    for term in doc.split("q(t) =")[1].split(".\n")[0].replace("- ", "+ -").split("+"):
+        coeff, t, power = term.strip().partition(" t")
+        q[int(power.lstrip("^") or 1) if t else 0] = int(coeff)
+    return terms, q
 
 
 def test_row_cut_identity():
-    # 625 D(k, m, n) with M = 5m^2 - 7k^2, N = 5n^2.  Both sides are
+    # 14^4 D(k, m, n) with M = 14m^2 - 15k^2, N = n^2, K = k^2.  Both sides are
     # polynomials of degree <= 4 in each of k^2, m^2 and n^2, so equality on
     # the 5 x 5 x 5 grid of the distinct squares of 0..4 proves the identity
-    terms = _cut_identity()
-    assert len(terms) == 15
-    assert all(c > 0 for c in terms.values())
-    assert all(a + b + c // 2 == 4 and c % 2 == 0 for a, b, c in terms)
+    terms, q = _cut_identity()
+    assert len(terms) == 10
+    assert all(c > 0 and a >= 1 and a + b + e == 4 for (a, b, e), c in terms.items())
     for k in range(5):
         for m in range(5):
             for n in range(5):
-                big_m, big_n = 5 * m * m - 7 * k * k, 5 * n * n
-                rhs = sum(c * big_m**a * big_n**b * k**e for (a, b, e), c in terms.items())
-                assert 625 * discriminant(k, m, n) == rhs, (k, m, n)
+                big_m, big_n, big_k = 14 * m * m - 15 * k * k, n * n, k * k
+                rhs = sum(c * big_m**a * big_n**b * big_k**e for (a, b, e), c in terms.items())
+                rhs += sum(c * big_n**i * big_k ** (4 - i) for i, c in enumerate(q))
+                assert 14**4 * discriminant(k, m, n) == rhs, (k, m, n)
+    # so D > 0 once M >= 0: q(0) > 0 and q has no positive root, hence
+    # K^4 q(N/K) > 0 for K > 0 and N >= 0
+    assert q[0] > 0
+    assert count_roots(IntPolynomial(q), "positive") == 0
 
 
 def test_last_row_is_the_cut():
     for k in range(1, 2001):
         m = last_row(k)
-        assert 5 * m * m < 7 * k * k < 5 * (m + 1) ** 2, k
+        assert 14 * m * m < 15 * k * k < 14 * (m + 1) ** 2, k
+        assert m >= k  # the rows m <= k, walked at one end, all lie below the cut
     # so D > 0 on the first row past the cut, at every n below the bound
     for k in (1, 2, 3, 10, 155):
         m = last_row(k) + 1
