@@ -1,8 +1,9 @@
 """The biharmonic Legendre torus in S^5: index 11, nullity 18, exactly.
 
-The operator acts on 20-dimensional blocks indexed by (m, n); each block's
-characteristic polynomial is the fourth power of an explicit quintic, whose
-coefficient signs certify positivity for all but finitely many labels.  The
+The operator acts on 20-dimensional blocks indexed by (m, n); each block
+splits into four 5x5 components, each with characteristic polynomial minus
+an explicit quintic, whose coefficient signs certify positivity for all but
+finitely many labels.  The
 exact ledger below assembles the totals block family by block family.
 """
 
@@ -16,7 +17,7 @@ from bihindex.legendre import (
     verify_p5_factorization,
 )
 
-print("=== charpoly == quintic^4, exact, for small interior blocks ===")
+print("=== each 5x5 component: charpoly == -quintic, exact, for small interior blocks ===")
 for (m, n) in [(1, 1), (2, 1), (1, 2), (3, 3)]:
     rep = verify_p5_factorization(m, n)
     a0 = p5_coefficients(m, n)[0]

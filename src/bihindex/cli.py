@@ -64,12 +64,12 @@ EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 
 # torus index walks the rows 14m^2 < 15k^2 with about 2.3 exact evaluations
-# each, O(k): 0.65 s, 5.9 MB of JSON and 77 MB peak at k = 10^5 on one core
+# each, O(k): 0.6 s, 5.9 MB of JSON and 77 MB peak at k = 10^5 on one core
 # of an x86-64 Xeon, Python 3.11
 INDEX_K_LIMIT = 10**5
 
-# torus scan costs about 1.5e-6 * k s per row k on the same core, so about
-# 80 s for all k <= 10^4 in one process
+# torus scan costs about 1.4e-6 * k s per row k on the same core, so about
+# 72 s for all k <= 10^4 in one process
 SCAN_K_LIMIT = 10**4
 
 # torus spectrum builds and sorts the branches of the about (pi/4) lambda_max
@@ -287,7 +287,7 @@ def build_parser() -> _Parser:
                               f"(k <= {CHECK_MATRICES_K_LIMIT})")
 
     leg = groups.add_parser("legendre").add_subparsers(dest="command", required=True)
-    l_verify = leg.add_parser("verify", help="block symmetry + charpoly == quintic^4",
+    l_verify = leg.add_parser("verify", help="each 5x5 component: charpoly == -quintic",
                               parents=[common])
     for label in ("--m", "--n"):
         l_verify.add_argument(label, type=digits(1, EXACT_INPUT_DIGITS), required=True,

@@ -19,7 +19,8 @@ forward differences of finitely many integer evaluations (block entries have
 degree <= 4 in each label, so each charpoly coefficient has a known degree):
 * axis cut-off: (t, 0) and (0, t) for t >= AXIS_CUTOFF
   (test_axis_blocks_are_positive_from_the_cutoff);
-* quintic: charpoly = P5^4 at every m, n >= 1 (test_each_interior_component_has_charpoly_minus_p5);
+* quintic: at every m, n >= 1 the block splits into four 5 x 5 components,
+  each with charpoly -P5 (test_each_interior_component_has_charpoly_minus_p5);
 * Descartes: the signs of a0..a5 rule out a root <= 0 of P5 at every label of
   satisfies_lemma_hypothesis, all but (1, 1) and (2, 1)
   (test_descartes_lemma_holds_for_every_label).
@@ -34,15 +35,18 @@ distinct squares only, is not proved.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import NamedTuple
 
 from .exact import QuadExt
-from .matrices import ExactMatrix, OperatorTable, charpoly_exact, eigenvalue_signs, operator_block
+from .matrices import (
+    ExactMatrix, OperatorTable, charpoly_exact, components, eigenvalue_signs, operator_block,
+)
 from .polynomials import IntPolynomial, count_roots
 
 
 class CharpolyMismatchError(ValueError):
-    """Raised when a block charpoly differs from the predicted quintic power."""
+    """Raised when the charpoly of a block component differs from -P5."""
 
     def __init__(self, power: int, expected: int, got: int) -> None:
         self.power = power
@@ -199,29 +203,31 @@ class FactorizationReport(NamedTuple):
     m: int
     n: int
     block_order: int
-    charpoly: IntPolynomial
     quintic: IntPolynomial
 
 
 def verify_p5_factorization(m: int, n: int) -> FactorizationReport:
-    """Check charpoly(block(m, n)) == P5(m, n)^4 exactly.
+    """Check that each connected component of block(m, n) has charpoly -P5(m, n).
 
-    The charpoly is monic det(xI - M); P5 has leading coefficient -1, so its
-    fourth power is monic as well and the comparison needs no sign fix.
-    Raises CharpolyMismatchError with the first differing coefficient.
+    The charpoly of a component c is the monic det(xI - block[c][c]); P5
+    leads with -x^5, so the match needs c of order 5, and four such
+    components give charpoly(block) = P5^4.  Raises CharpolyMismatchError
+    at the first power that differs; a component of order d != 5 differs
+    at x^max(d, 5) at the latest.
     """
     if m < 1 or n < 1:
         raise ValueError("the quintic factorization concerns interior blocks")
     block = build_legendre_block(m, n)
-    cp = charpoly_exact(block)
     p5 = p5_polynomial(m, n)
-    predicted = p5**4
-    if cp != predicted:
-        for power, (got, want) in enumerate(zip(cp.coeffs, predicted.coeffs)):
-            if got != want:
-                raise CharpolyMismatchError(power, want, got)
-        raise CharpolyMismatchError(min(cp.degree, predicted.degree), 0, 0)
-    return FactorizationReport(m=m, n=n, block_order=block.order, charpoly=cp, quintic=p5)
+    want = [-c for c in p5.coeffs]
+    rows = block.entries
+    for comp in components(block):
+        part = ExactMatrix([[rows[i][j] for j in comp] for i in comp])
+        got = charpoly_exact(part).coeffs
+        for power, (g, w) in enumerate(zip_longest(got, want, fillvalue=0)):
+            if g != w:
+                raise CharpolyMismatchError(power, w, g)
+    return FactorizationReport(m=m, n=n, block_order=block.order, quintic=p5)
 
 
 # -- Descartes sign certificate -------------------------------------------------

@@ -52,27 +52,6 @@ class IntPolynomial:
             out = out * x + c
         return out
 
-    # -- ring operations ----------------------------------------------------
-    def __mul__(self, other: IntPolynomial) -> IntPolynomial:
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1) if self.coeffs and other.coeffs else []
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(out)
-
-    def __pow__(self, n: int) -> IntPolynomial:
-        if n < 0:
-            raise ValueError("negative power")
-        out = IntPolynomial([1])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntPolynomial):
             return NotImplemented

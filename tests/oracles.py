@@ -9,8 +9,9 @@ int <I2 V, V> (the Hessian before integrating by parts, in Q[pi]), the
 series of the nullity-direction energy E(t) from Wallis integrals and that of
 pi t - pi J1(4t)/2 (the package proves the closed form of E and the Bessel
 identity), and float values of bump sections for scipy's quadrature.
-``diagonal`` builds test matrices with a known spectrum, and
-``random_polynomial_bump`` draws sections with rational data.
+``diagonal`` builds test matrices with a known spectrum, ``poly_product``
+multiplies integer polynomials, and ``random_polynomial_bump`` draws
+sections with rational data.
 """
 
 import math
@@ -23,6 +24,7 @@ from bihindex.bumps import CosPowerBump, PolynomialBump, TrigPoly
 from bihindex.exact import QUAD_SQRT2, QPi, QuadExt
 from bihindex.matrices import ExactMatrix
 from bihindex.noncompact import CubicPhase, SectionPair
+from bihindex.polynomials import IntPolynomial
 from bihindex.reduced import ReducedProblem, _integer_fourth_root_floor
 
 
@@ -32,6 +34,18 @@ def diagonal(values) -> ExactMatrix:
     return ExactMatrix(
         [[v if i == j else 0 for j in range(len(vals))] for i, v in enumerate(vals)]
     )
+
+
+def poly_product(*factors: IntPolynomial) -> IntPolynomial:
+    """The product of the factors, by schoolbook convolution; 1 for none."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f.coeffs) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f.coeffs):
+                prod[i + j] += a * b
+        out = prod
+    return IntPolynomial(out)
 
 
 def to_numpy(m: ExactMatrix) -> np.ndarray:

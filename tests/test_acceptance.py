@@ -223,7 +223,7 @@ def test_criterion_5i_charpoly_is_quintic_fourth_power():
         for n in range(1, 7):
             rep = verify_p5_factorization(m, n)  # symmetry + rationality + equality
             assert rep.block_order == 20
-    _report("5(i)", "36 blocks: symmetric, rational charpoly == quintic^4 exactly")
+    _report("5(i)", "36 blocks: each 5x5 component symmetric, charpoly == -quintic exactly")
 
 
 def test_criterion_5ii_quintic_constant_terms():

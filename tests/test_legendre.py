@@ -1,6 +1,8 @@
 """Legendre torus blocks: printed entries, an FFT oracle, the quintic, the ledger."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from bihindex.legendre import (
     CITED_INDEX_SPLIT,
     CITED_NULLITY_SPLIT,
     OPERATOR_TABLE,
+    CharpolyMismatchError,
     _sign_conditions,
     build_legendre_block,
     descartes_lemma_check,
@@ -23,7 +26,9 @@ from bihindex.legendre import (
 from bihindex.matrices import ExactMatrix, charpoly_exact, components, trig_basis
 from bihindex.polynomials import IntPolynomial, count_roots
 
-from oracles import to_numpy
+from oracles import poly_product, to_numpy
+
+REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs.json"
 
 
 def test_block_orders():
@@ -136,10 +141,22 @@ def test_p5_coefficient_values():
 
 
 def test_p5_factorization_examples():
+    # the whole-block identity charpoly = P5^4 follows from the per-component
+    # check of verify_p5_factorization; here it is recomputed as an oracle
     for (m, n) in [(1, 1), (2, 1), (3, 3)]:
         rep = verify_p5_factorization(m, n)
         assert rep.block_order == 20
-        assert rep.charpoly == p5_polynomial(m, n) ** 4
+        assert rep.quintic == p5_polynomial(m, n)
+        assert charpoly_exact(build_legendre_block(m, n)) == poly_product(*[rep.quintic] * 4)
+
+
+def test_verify_passes_at_every_certify_label():
+    """verify_p5_factorization holds at each label 1 <= m, n <= 12, the labels
+    the certify benchmark draws, with the quintic perfbench/refs.json records."""
+    refs = json.loads(REFS.read_text(encoding="utf-8"))["p5"]
+    for m in range(1, 13):
+        for n in range(1, 13):
+            assert list(verify_p5_factorization(m, n).quintic.coeffs) == refs[f"{m},{n}"], (m, n)
 
 
 def _leading_differences(values) -> list[int]:
@@ -163,7 +180,8 @@ def _leading_differences_2d(grid) -> list[list[int]]:
 
 
 def test_each_interior_component_has_charpoly_minus_p5():
-    """charpoly = P5^4 for every interior label m, n >= 1, from a 21 x 21 grid.
+    """Every interior block splits into four 5 x 5 components with charpoly -P5,
+    at every label m, n >= 1, from a 21 x 21 grid.
 
     Each entry of an interior block is a + b sqrt(2), with a and b integer
     polynomials in (m, n) of degree <= 4 in each: the rule coefficients are
@@ -192,7 +210,7 @@ def test_each_interior_component_has_charpoly_minus_p5():
             p5 = p5_polynomial(m, n)
             for c in sets:
                 part = ExactMatrix([[block[i, j] for j in c] for i in c])
-                assert charpoly_exact(part) == p5 * IntPolynomial([-1]), (m, n, c)
+                assert charpoly_exact(part) == IntPolynomial([-a for a in p5.coeffs]), (m, n, c)
 
 
 @pytest.mark.parametrize("axis", [lambda t: (t, 0), lambda t: (0, t)], ids=["m", "n"])
@@ -246,14 +264,36 @@ def test_descartes_lemma_holds_for_every_label():
             assert satisfies_lemma_hypothesis(m, n) == inside, (m, n)
 
 
-def test_p5_mismatch_reporting():
-    # a deliberately perturbed quintic cannot be the charpoly factor
-    a0, *rest = p5_polynomial(1, 1).coeffs
-    perturbed = IntPolynomial([a0 + 1, *rest])  # shift a0 by 1
-    cp = charpoly_exact(build_legendre_block(1, 1))
-    assert cp != perturbed**4
+def test_p5_mismatch_reporting(monkeypatch):
     with pytest.raises(ValueError):
         verify_p5_factorization(0, 1)
+    # a deliberately perturbed quintic is neither the factor of the whole
+    # block's charpoly nor, negated, the charpoly of a component
+    a0, *rest = p5_polynomial(1, 1).coeffs
+    perturbed = IntPolynomial([a0 + 1, *rest])  # shift a0 by 1
+    assert charpoly_exact(build_legendre_block(1, 1)) != poly_product(*[perturbed] * 4)
+    monkeypatch.setattr(legendre, "p5_polynomial", lambda m, n: perturbed)
+    with pytest.raises(CharpolyMismatchError) as err:
+        verify_p5_factorization(1, 1)
+    assert (err.value.power, err.value.expected, err.value.got) == (0, -a0 - 1, -a0)
+
+
+def test_p5_mismatch_on_a_block_split_otherwise(monkeypatch):
+    # drop the couplings inside the last component of the (3, 2) block: the
+    # first three components still have charpoly -P5, the 1 x 1 ones do not
+    block = build_legendre_block(3, 2)
+    last = set(components(block)[-1])
+    split = ExactMatrix([
+        [x if i == j or not {i, j} <= last else 0 for j, x in enumerate(row)]
+        for i, row in enumerate(block.entries)
+    ])
+    assert [len(c) for c in components(split)] == [5, 5, 5, 1, 1, 1, 1, 1]
+    monkeypatch.setattr(legendre, "build_legendre_block", lambda m, n: split)
+    with pytest.raises(CharpolyMismatchError) as err:
+        verify_p5_factorization(3, 2)
+    first = split[min(last), min(last)]
+    assert (err.value.power, err.value.expected) == (0, -p5_coefficients(3, 2)[0])
+    assert err.value.got == -first.a and first.b == 0
 
 
 def test_p5_root_counts_drive_the_two_small_blocks():

@@ -268,17 +268,6 @@ def test_scan_row_rejects_bad_range():
         conjecture_scan(5, k_min=9)
 
 
-@pytest.mark.slow
-@pytest.mark.skipif(
-    not os.environ.get("BIHINDEX_FULL_SCAN"),
-    reason="full k<=1500 scan: set BIHINDEX_FULL_SCAN=1 (about 2 s on one worker)",
-)
-def test_full_conjecture_scan_to_1500():
-    rows = conjecture_scan(1500)
-    assert [r for r in rows if r.flagged] == []
-    assert all(r.nullity == 5 for r in rows)
-
-
 # sha256 of " ".join(str(f(k)) for k in 1..10^4), computed by the walk of
 # commit 6138d97, which searched both ends of every row up to 5m^2 < 7k^2
 F_SHA256_TO_10K = "1a7f32cb85dc2e5ffe6fe991c935935f802eae3871c14cde2c89a361c21e268d"
@@ -287,7 +276,7 @@ F_SHA256_TO_10K = "1a7f32cb85dc2e5ffe6fe991c935935f802eae3871c14cde2c89a361c21e2
 @pytest.mark.slow
 @pytest.mark.skipif(
     not os.environ.get("BIHINDEX_FULL_SCAN"),
-    reason="full k<=10^4 scan: set BIHINDEX_FULL_SCAN=1 (about 80 s on one worker)",
+    reason="full k<=10^4 scan: set BIHINDEX_FULL_SCAN=1 (about 72 s on one worker)",
 )
 def test_full_conjecture_scan_to_10k_matches_the_checksum():
     # g = 0 for every k <= 10^4, i.e. no primitive interior zero of D there
