@@ -12,7 +12,7 @@ times smaller than its neighbours -- but exactly nonzero.
 import time
 
 from bihindex.scan import conjecture_scan
-from bihindex.torus import discriminant, min_abs_interior_discriminant
+from bihindex.torus import discriminant
 
 K_MAX = 300  # push to 1500 for the full conjecture range (~2 s on one core)
 
@@ -24,7 +24,11 @@ print(f"rows with g(k) != 0: {[r for r in rows if r.flagged] or 'none'}")
 print(f"largest f in range: f({max(rows, key=lambda r: r.f).k}) = {max(r.f for r in rows)}")
 
 print("\n=== the near-tie at k = 192 ===")
-d_min, (m0, n0) = min_abs_interior_discriminant(192, m_range=(95, 105), n_range=(180, 190))
+# every pair of the window 95 <= m <= 105, 180 <= n <= 190 is interior and
+# below the enumeration bound m^2 + n^2 < 9k^2
+d_min, (m0, n0) = min(
+    (abs(discriminant(192, m, n)), (m, n)) for m in range(95, 106) for n in range(180, 191)
+)
 print(f"  min |D| in the window: {d_min} at (m, n) = ({m0}, {n0})")
 for n in (184, 185, 186):
     print(f"  D(192, 100, {n}) = {discriminant(192, 100, n):>22}")

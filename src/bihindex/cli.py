@@ -54,7 +54,7 @@ from .reduced import (
     reduced_index_nullity,
     reduced_index_torus,
 )
-from .scan import conjecture_scan
+from .scan import ScanRow, conjecture_scan
 from .torus import check_runs, index_nullity, run_totals, spectrum
 
 SCHEMA_VERSION = 2
@@ -330,19 +330,9 @@ def build_parser() -> _Parser:
 # envelope and exits EXIT_VERIFICATION when ok is false.
 
 def _cmd_torus_index(args) -> tuple[dict, dict, bool]:
-    r = index_nullity(args.k)
-    results = {
-        "k": r.k,
-        "f": r.f,
-        "g": r.g,
-        "index": r.index,
-        "nullity": r.nullity,
-        "negative_runs": r.negative_runs,  # rendered as lists, like every tuple
-        "zero_pairs": r.zero_pairs,
-        "empty_row_witnesses": r.empty_row_witnesses,
-        "csv_header": ["k", "f", "g", "index", "nullity"],
-        "csv_rows": [[r.k, r.f, r.g, r.index, r.nullity]],
-    }
+    results = index_nullity(args.k)._asdict()  # the evidence renders as lists, like every tuple
+    results["csv_header"] = list(ScanRow._fields)
+    results["csv_rows"] = [[results[name] for name in ScanRow._fields]]
     return {"k": args.k}, results, True
 
 
@@ -379,8 +369,8 @@ def _cmd_torus_scan(args) -> tuple[dict, dict, bool]:
         "k_max": args.k_max,
         "all_nullity_five": not flagged,
         "flagged_k": flagged,
-        "csv_header": ["k", "f", "g", "index", "nullity"],
-        "csv_rows": [[r.k, r.f, r.g, r.index, r.nullity] for r in ordered],
+        "csv_header": list(ScanRow._fields),
+        "csv_rows": [list(r) for r in ordered],
     }
     return {"k_max": args.k_max, "workers": args.workers}, results, not flagged
 
@@ -405,7 +395,7 @@ def _read_index_report(path: str) -> dict:
     results = report.get("results")
     if not isinstance(results, dict):
         raise UsageError(f"{path}: results is not an object")
-    for name in ("k", "f", "g", "index", "nullity"):
+    for name in ScanRow._fields:
         if type(results.get(name)) is not int:  # bool is not an integer here
             raise UsageError(f"{path}: results.{name} is not an integer")
     if not 1 <= results["k"] <= INDEX_K_LIMIT:  # torus index writes no other k
@@ -427,7 +417,7 @@ def _cmd_torus_check(args) -> tuple[dict, dict, bool]:
     if not failures:  # every entry lies in 1 <= n < 3k, so the totals are small
         failures = [
             f"{name} = {res[name]}, but the runs and zero pairs give {want}"
-            for name, want in zip(("f", "g", "index", "nullity"), run_totals(k, runs, zeros))
+            for name, want in zip(ScanRow._fields[1:], run_totals(k, runs, zeros))
             if res[name] != want
         ]
     results = {

@@ -41,8 +41,7 @@ class ScanRow(NamedTuple):
 def scan_row(k: int) -> ScanRow:
     """Exact (f, g, index, nullity) for one k, counted from the sign runs."""
     runs, zeros, _ = sign_runs(k)
-    f, g, index, nullity = run_totals(k, runs, zeros)
-    return ScanRow(k=k, f=f, g=g, index=index, nullity=nullity)
+    return ScanRow(k, *run_totals(k, runs, zeros))
 
 
 def conjecture_scan(k_max: int, workers: int = 1, k_min: int = 1) -> list[ScanRow]:

@@ -14,20 +14,22 @@ symmetric block with entries in Z[sqrt(2)]:
     A = (3m^2+n^2) k^2 + s^2,  B = -k^4 + 2m^2 k^2 + s^2,
     C = 2 sqrt(2) k m s,       s = m^2 + n^2.
 
-Each 8x8 block has the two eigenvalues
+Each 8x8 block is four copies of the 2x2 block [[A, C], [C, B]], so its two
+eigenvalues are
 
-    lambda^{+-} = ( T +- sqrt(R) ) / 2,
-    T = -k^4 + k^2 (5m^2+n^2) + 2 s^2,
-    R = k^8 + 2 k^6 s + k^4 s^2 + 32 k^2 m^2 s^2,
+    lambda^{+-} = ( T +- sqrt(R) ) / 2,   T = A + B,   R = (A - B)^2 + 4 C^2,
 
 with multiplicity 4 (2 on the axes, where the same formulas apply with n = 0
 or m = 0; for m = 0 the radicand is a perfect square and the eigenvalues are
-the rationals n^2(n^2+k^2) and n^4-k^4).
+the rationals n^2(n^2+k^2) and n^4-k^4), and
 
-Since lambda^+ > 0 away from (0,0), the sign of lambda^- is the sign of the
-integer D = A*B - C^2 = A*B - 8 k^2 m^2 s^2, which this module uses for all
-counting.  Writing f(k) / g(k) for the number of interior pairs (m, n >= 1)
-with lambda^- negative / zero,
+    D = A*B - C^2 = (T^2 - R) / 4 = lambda^+ lambda^-.
+
+So block_coefficients, (A, B, C^2), is the one written closed form of the
+block: lambda_parts and discriminant derive from it.  Since lambda^+ > 0 away
+from (0,0), the sign of lambda^- is the sign of the integer D, which this
+module uses for all counting.  Writing f(k) / g(k) for the number of
+interior pairs (m, n >= 1) with lambda^- negative / zero,
 
     index(k)   = 1 + 4(k-1) + 4 f(k),
     nullity(k) = 5 + 4 g(k),
@@ -107,14 +109,6 @@ class IndexReport(NamedTuple):
 
 # -- closed forms -------------------------------------------------------------
 
-def lambda_parts(k: int, m: int, n: int) -> tuple[int, int]:
-    """(T, R) with lambda^{+-} = (T +- sqrt(R)) / 2."""
-    s = m * m + n * n
-    t = -k**4 + k * k * (5 * m * m + n * n) + 2 * s * s
-    r = k**8 + 2 * k**6 * s + k**4 * s * s + 32 * k * k * m * m * s * s
-    return t, r
-
-
 def block_coefficients(k: int, m: int, n: int) -> tuple[int, int, int]:
     """(A, B, C^2) of the coupled block; valid for any (m, n) != (0, 0)."""
     s = m * m + n * n
@@ -122,6 +116,12 @@ def block_coefficients(k: int, m: int, n: int) -> tuple[int, int, int]:
     b = -k**4 + 2 * m * m * k * k + s * s
     c2 = 8 * k * k * m * m * s * s
     return a, b, c2
+
+
+def lambda_parts(k: int, m: int, n: int) -> tuple[int, int]:
+    """(T, R) = (A + B, (A - B)^2 + 4 C^2): lambda^{+-} = (T +- sqrt(R)) / 2."""
+    a, b, c2 = block_coefficients(k, m, n)
+    return a + b, (a - b) ** 2 + 4 * c2
 
 
 def discriminant(k: int, m: int, n: int) -> int:
@@ -394,28 +394,20 @@ def run_pairs(runs: list[tuple[int, int, int]]):
 def interior_sign_scan(k: int) -> tuple[int, int, list[tuple[int, int]], list[tuple[int, int]]]:
     """Exact scan of all interior pairs below the enumeration bound.
 
-    Returns (f, g, negative_pairs, zero_pairs).  The O(k^2) oracle for sign_runs.
+    Returns (f, g, negative_pairs, zero_pairs).  The O(k^2) oracle for
+    sign_runs: it signs every pair by discriminant, never through the walk's
+    quartic in s.
     """
     bound = enumeration_bound(k)
-    k2 = k * k
-    k4 = k2 * k2
     neg: list[tuple[int, int]] = []
     zero: list[tuple[int, int]] = []
-    m = 1
-    while m * m < bound:
-        m2 = m * m
-        n = 1
-        while m2 + n * n < bound:
-            s = m2 + n * n
-            a = k2 * (2 * m2 + s) + s * s
-            b = s * s + 2 * m2 * k2 - k4
-            d = a * b - 8 * k2 * m2 * s * s
+    for m in range(1, isqrt(bound - 1) + 1):
+        for n in range(1, isqrt(bound - m * m - 1) + 1):
+            d = discriminant(k, m, n)
             if d < 0:
                 neg.append((m, n))
             elif d == 0:
                 zero.append((m, n))
-            n += 1
-        m += 1
     return len(neg), len(zero), neg, zero
 
 
@@ -439,16 +431,7 @@ def index_nullity(k: int) -> IndexReport:
     """Exact index and nullity of the degree-k map, with the lattice evidence."""
     runs, zeros, witnesses = sign_runs(k)
     f, g, index, nullity = run_totals(k, runs, zeros)
-    return IndexReport(
-        k=k,
-        index=index,
-        nullity=nullity,
-        f=f,
-        g=g,
-        negative_runs=tuple(runs),
-        zero_pairs=tuple(zeros),
-        empty_row_witnesses=tuple(witnesses),
-    )
+    return IndexReport(k, index, nullity, f, g, tuple(runs), tuple(zeros), tuple(witnesses))
 
 
 # checks stop at the first row after this many failures, so that a report
@@ -584,31 +567,6 @@ def _check_row(
     if hi < n_max and d(hi + 1) <= 0:
         return f"D <= 0 at n = {hi + 1}, above the run"
     return None
-
-
-def min_abs_interior_discriminant(
-    k: int, m_range: tuple[int, int], n_range: tuple[int, int]
-) -> tuple[int, tuple[int, int]]:
-    """Smallest |D| over the interior pairs of a window, with its witness pair.
-
-    The window m_lo <= m <= m_hi, n_lo <= n <= n_hi is cut to m, n >= 1 and
-    m^2 + n^2 below the enumeration bound; a tie goes to the first pair in
-    (m, n) order.  Exposes how close the scan comes to a zero of lambda^-
-    (the nullity-5 conjecture holds iff no interior D vanishes).
-    """
-    bound = enumeration_bound(k)
-    best = min(
-        (
-            (abs(discriminant(k, m, n)), (m, n))
-            for m in range(max(m_range[0], 1), m_range[1] + 1)
-            for n in range(max(n_range[0], 1), n_range[1] + 1)
-            if m * m + n * n < bound
-        ),
-        default=None,
-    )
-    if best is None:
-        raise InvalidLabelError("empty scan window")
-    return best
 
 
 # -- block matrices ------------------------------------------------------------

@@ -2,13 +2,14 @@
 
 Each oracle reproduces a quantity the package certifies along a different
 route: floating-point matrices for numpy's eigensolvers, the circle blocks
-written out from the circle's own operator rules, an explicit sign count
-over the reduced spectrum, the curvature integrand of a cubic phase at a
-point, the fourth-order operator I2 of a cubic-phase line and its pairing
-int <I2 V, V> (the Hessian before integrating by parts, in Q[pi]), the
-series of the nullity-direction energy E(t) from Wallis integrals and that of
-pi t - pi J1(4t)/2 (the package proves the closed form of E and the Bessel
-identity), and float values of bump sections for scipy's quadrature.
+and the interior torus blocks written out from their own operator rules, an
+explicit sign count over the reduced spectrum, the curvature integrand of a
+cubic phase at a point, the fourth-order operator I2 of a cubic-phase line
+and its pairing int <I2 V, V> (the Hessian before integrating by parts, in
+Q[pi]), the series of the nullity-direction energy E(t) from Wallis
+integrals and that of pi t - pi J1(4t)/2 (the package proves the closed form
+of E and the Bessel identity), and float values of bump sections for scipy's
+quadrature.
 ``diagonal`` builds test matrices with a known spectrum, ``poly_product``
 multiplies integer polynomials, and ``random_polynomial_bump`` draws
 sections with rational data.
@@ -74,6 +75,36 @@ def circle_block(k: int, m: int) -> ExactMatrix:
             [z, QuadExt(diag_t), c, z],
             [z, c, QuadExt(diag_n), z],
             [-c, z, z, QuadExt(diag_n)],
+        ]
+    )
+
+
+def torus_block(k: int, m: int, n: int) -> ExactMatrix:
+    """Interior block (m, n >= 1) of the torus operator, written out.
+
+    From the torus operator rules with lam = m^2 + n^2 and ' = d/d(gamma): a
+    tangential section f y gets (lam (lam + k^2) f - 2 k^2 f'') y
+    + 2 sqrt(2) k lam f' eta, a normal one f eta gets ((lam^2 - k^4) f
+    - 2 k^2 f'') eta - 2 sqrt(2) k lam f' y.  With f'' = -m^2 f that is A and
+    B on the diagonal and the couplings +-C, C = 2 sqrt(2) k m lam.  Basis
+    y cc, y cs, y sc, y ss, eta cc, eta cs, eta sc, eta ss (cos/sin of m gamma,
+    then of n theta).
+    """
+    lam = m * m + n * n
+    a = QuadExt(lam * (lam + k * k) + 2 * k * k * m * m)
+    b = QuadExt(lam * lam - k**4 + 2 * k * k * m * m)
+    c = QUAD_SQRT2 * (2 * k * m * lam)  # from f' = -m sin / +m cos
+    z = QuadExt(0)
+    return ExactMatrix(
+        [
+            [a, z, z, z, z, z, -c, z],
+            [z, a, z, z, z, z, z, -c],
+            [z, z, a, z, c, z, z, z],
+            [z, z, z, a, z, c, z, z],
+            [z, z, c, z, b, z, z, z],
+            [z, z, z, c, z, b, z, z],
+            [-c, z, z, z, z, z, b, z],
+            [z, -c, z, z, z, z, z, b],
         ]
     )
 

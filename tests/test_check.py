@@ -13,6 +13,7 @@ from math import isqrt
 
 import pytest
 
+import bihindex.cli as cli
 import bihindex.torus as torus
 from bihindex.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from bihindex.torus import check_runs, discriminant, index_nullity, last_row, sign_runs
@@ -137,6 +138,18 @@ def _inject_zero_inside_a_run(ev):
     ev["zeros"] = sorted(ev["zeros"] + [[m, n_lo + 1]])
 
 
+def _empty_run(ev):
+    # lo > 1 keeps both ends inside 1 <= n, so only the order of the ends fails
+    i = _run_row(ev, lambda lo, hi: lo > 1)
+    ev["runs"][i][2] = ev["runs"][i][1] - 1
+
+
+def _inject_zero_below_a_run(ev):
+    # a row m > k, where the run starts past n = 1
+    m, n_lo, _ = ev["runs"][_run_row(ev, lambda lo, hi: lo > 1)]
+    ev["zeros"] = sorted(ev["zeros"] + [[m, n_lo - 1]])
+
+
 def _corrupt_witness(position, delta):
     def mutate(ev):
         ev["witnesses"][W][position] += delta
@@ -167,6 +180,8 @@ MUTATIONS = {
     "witness one row past the cut": _one_row_past_the_cut("witnesses", [1]),
     "injected zero next to a run": _inject_zero_next_to_a_run,
     "injected zero inside a run": _inject_zero_inside_a_run,
+    "injected zero below a run": _inject_zero_below_a_run,
+    "empty run": _empty_run,
     "witness nv+1": _corrupt_witness(1, 1),
     "witness nv-1": _corrupt_witness(1, -1),
     "witness nv=0": _zero_witness,
@@ -188,6 +203,20 @@ def test_torus_check_rejects_mutated_report(capsys, tmp_path, report176, name):
     assert json.loads(captured.out)["results"]["verified"] is False
 
 
+@pytest.mark.parametrize(
+    "name,reason",
+    [("empty run", "is empty"), ("injected zero below a run", "D != 0 at the zero pair")],
+)
+def test_a_mutation_fails_at_its_own_check(report176, name, reason):
+    # without their own checks other checks would refuse these rows too (D >= 0
+    # at an end of the run, a zero pair not next to the run), so name the
+    # check each one reaches
+    evidence = copy.deepcopy(report176)
+    MUTATIONS[name](evidence)
+    (failure,) = failures_of(evidence)
+    assert reason in failure, failure
+
+
 def test_dropped_zero_fails(monkeypatch, report176):
     # no interior zero of D occurs for k <= 1500, so the zero branch is driven
     # by a D that vanishes at one extra pair: just past the end of a run, and
@@ -207,6 +236,37 @@ def test_dropped_zero_fails(monkeypatch, report176):
         listed["zeros"] = [list(zero)]
         assert failures_of(listed) == [], zero
         assert failures_of(report176), f"the zero at {zero} was not listed"
+
+
+@pytest.mark.parametrize("name", ["_run_from_one", "_convex_run"])
+def test_a_zero_found_by_the_walk_is_listed_and_refused(monkeypatch, report176, name):
+    # no interior zero of D occurs for k <= 10^4, so sign_runs' zero branches
+    # are driven by a walk that reports the upper end of one run as a zero:
+    # in row 10 (m <= k) for _run_from_one, in row k + 1 for _convex_run
+    m0 = 10 if name == "_run_from_one" else K + 1
+    real = getattr(torus, name)
+
+    def walk(q, *args):
+        out = real(q, *args)
+        if q[4] != m0 * m0:  # q[4] is the row's m^2
+            return out
+        if name == "_run_from_one":
+            n_hi, zeros, e = out
+            assert zeros == [] and n_hi == e >= 2
+            return e - 1, [e], e
+        n_lo, n_hi, zeros, nv = out
+        assert zeros == [] and n_lo < n_hi
+        return n_lo, n_hi - 1, [n_hi], nv
+
+    monkeypatch.setattr(torus, name, walk)
+    r = index_nullity(K)
+    ((_, _, n_hi),) = [run for run in report176["runs"] if run[0] == m0]
+    assert r.zero_pairs == ((m0, n_hi),)
+    assert (r.g, r.nullity) == (1, 9)
+    assert r.f == sum(hi - lo + 1 for _, lo, hi in report176["runs"]) - 1
+    assert check_runs(K, r.negative_runs, r.zero_pairs, r.empty_row_witnesses) == [
+        f"row m = {m0}: D != 0 at the zero pair n = {n_hi}"
+    ]
 
 
 def _first_minimum(k, m):
@@ -258,9 +318,11 @@ def test_report_totals_are_checked(capsys, tmp_path):
         "k as bool",
         "not utf-8",
         "a huge integer",
+        "results as a list",
+        "above the size limit",
     ],
 )
-def test_torus_check_malformed_input_gives_one_line(capsys, tmp_path, content):
+def test_torus_check_malformed_input_gives_one_line(capsys, monkeypatch, tmp_path, content):
     path = tmp_path / "report.json"
     good = json.dumps(index_report(capsys, 3))
     if content == "truncated":
@@ -281,11 +343,21 @@ def test_torus_check_malformed_input_gives_one_line(capsys, tmp_path, content):
         path.write_bytes(b"\xff\xfe" + good.encode())
     elif content == "a huge integer":
         path.write_text(good.replace('"k": 3', '"k": 1' + "0" * 5000))
+    elif content == "results as a list":
+        report = json.loads(good)
+        report["results"] = list(report["results"].values())
+        path.write_text(json.dumps(report))
+    elif content == "above the size limit":
+        path.write_text(good)
+        monkeypatch.setattr(cli, "CHECK_FILE_LIMIT", len(good) - 1)
     assert main(["torus", "check", str(path)]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("bihindex: error: ")
+    reason = {"results as a list": "results is not an object",
+              "above the size limit": f"is larger than {len(good) - 1} bytes"}
+    assert reason.get(content, "") in captured.err
 
 
 def test_numbers_too_long_to_print_end_in_one_line_or_a_report(capsys, tmp_path):

@@ -214,6 +214,10 @@ def test_usage_errors_exit_one(capsys):
         ["noncompact", "stable", "--phase", "\x1c" * 5000 + "0,0,1,0"],
         ["noncompact", "hessian", "--phase",
          "\x1c" * 5000 + ",".join(["9" * EXACT_INPUT_DIGITS] * 4)],
+        # parsed, then refused by ReducedProblem
+        ["reduced", "sphere", "--n-dim", "2", "--radius", "0"],
+        ["reduced", "sphere", "--n-dim", "2", "--radius=-1/2"],
+        ["reduced", "ellipsoid", "--n-dim", "5", "--radius", "1", "--b", "0"],
         # an empty value is given, not absent
         ["noncompact", "stable", "--phase", ""],
         ["noncompact", "hessian", "--phase", ""],

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bihindex import legendre
+from bihindex.cli import EXIT_VERIFICATION, main
 from bihindex.exact import QuadExt
 from bihindex.legendre import (
     CITED_INDEX_SPLIT,
@@ -362,6 +363,24 @@ def test_descartes_window_reads_the_table(monkeypatch):
     table[3] = tuple(map(tuple, a3))
     monkeypatch.setattr(legendre, "P5_TABLE", tuple(table))
     assert descartes_lemma_check(10, 10).violations != ()
+
+
+def test_a_sturm_count_that_disagrees_is_a_violation(capsys, monkeypatch):
+    """The window's Sturm confirmation is read: one negative root counted at
+    (3, 2) makes that label a violation, sturm_confirmed false and legendre
+    descartes exit 2, while the six sign conditions still hold there."""
+    at_32 = p5_coefficients(3, 2)
+    real = legendre.count_roots
+
+    def count(p, kind):
+        return 1 if (kind, tuple(p.coeffs)) == ("negative", at_32) else real(p, kind)
+
+    monkeypatch.setattr(legendre, "count_roots", count)
+    rep = descartes_lemma_check(4, 3)
+    assert rep.violations == ((3, 2),) and rep.sturm_confirmed is False
+    assert main(["legendre", "descartes", "--m", "4", "--n", "3"]) == EXIT_VERIFICATION
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["violations"] == [[3, 2]] and results["sturm_confirmed"] is False
 
 
 def test_index_nullity_ledger():

@@ -21,7 +21,6 @@ from bihindex.torus import (
     enumeration_bound,
     interior_sign_scan,
     last_row,
-    min_abs_interior_discriminant,
     run_pairs,
     sign_runs,
 )
@@ -32,6 +31,20 @@ def test_fast_scan_matches_exact_scan():
         f, g, _, _ = interior_sign_scan(k)
         row = scan_row(k)
         assert (row.f, row.g) == (f, g), k
+
+
+def test_the_oracle_lists_a_zero(monkeypatch):
+    # no interior zero of D occurs for k <= 10^4, so the oracle's zero branch
+    # is driven by a D that vanishes at one extra pair, here a negative one
+    real = torus.discriminant
+    _, _, neg, _ = interior_sign_scan(5)
+    assert (3, 4) in neg
+    monkeypatch.setattr(
+        torus, "discriminant", lambda k, m, n: 0 if (m, n) == (3, 4) else real(k, m, n)
+    )
+    f, g, neg_now, zero = interior_sign_scan(5)
+    assert (f, g, zero) == (len(neg) - 1, 1, [(3, 4)])
+    assert neg_now == [p for p in neg if p != (3, 4)]
 
 
 ORACLE_KS = [*range(1, 121), 155, 192, 300]
@@ -243,8 +256,11 @@ def test_near_tie_at_k192_is_exactly_nonzero():
     # the closest approach to a vanishing interior branch in this range:
     # |D| ~ 2e14 at (100, 185), about 1e15 times smaller than the term scale,
     # and exactly nonzero
-    d, arg = min_abs_interior_discriminant(192, m_range=(95, 105), n_range=(180, 190))
+    window = [(m, n) for m in range(95, 106) for n in range(180, 191)]
+    assert all(m * m + n * n < enumeration_bound(192) for m, n in window)
+    d, arg = min((abs(discriminant(192, m, n)), (m, n)) for m, n in window)
     assert (d, arg) == (193615494292225, (100, 185))
+    assert discriminant(192, 100, 185) == d  # lambda^- > 0 there
     assert scan_row(192).g == 0
 
 

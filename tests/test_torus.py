@@ -9,7 +9,7 @@ import pytest
 
 from bihindex import torus
 from bihindex.exact import QUAD_SQRT2, QUAD_ZERO, QuadExt, Surd, int_sign
-from bihindex.matrices import charpoly_exact
+from bihindex.matrices import charpoly_exact, components
 from bihindex.polynomials import IntPolynomial, count_roots
 from bihindex.torus import (
     InvalidLabelError,
@@ -25,12 +25,11 @@ from bihindex.torus import (
     interior_sign_scan,
     lambda_parts,
     last_row,
-    min_abs_interior_discriminant,
     negative_eigenvector_coefficient,
     spectrum,
 )
 
-from oracles import to_numpy
+from oracles import to_numpy, torus_block
 
 PUBLISHED_ROWS = {
     1: (1, 5), 2: (13, 5), 3: (29, 5), 4: (57, 5), 5: (89, 5), 6: (129, 5),
@@ -257,6 +256,31 @@ def test_block_trace_and_determinant_identity():
         assert p.coeffs[7] == -4 * (a + b)
 
 
+def test_interior_block_is_the_written_out_block_at_every_label():
+    # OPERATOR_TABLE takes X1 derivatives only, so an interior block sees n
+    # only through lam = m^2 + n^2
+    kinds = {kind for rules in torus.OPERATOR_TABLE.values() for _, kind, _ in rules}
+    assert kinds == {"f", "x1", "x1x1"}
+    # on the interior the basis is fixed, and every entry of block_matrix is a
+    # polynomial of degree <= 4 in each of k, m and n (the table's
+    # coefficients times m or m^2), so agreement on the 5 x 5 x 5 grid proves
+    # block_matrix = torus_block at every label.  torus_block is four 2 x 2
+    # components [[A, +-C], [+-C, B]], each with charpoly x^2 - T x + D,
+    # T = A + B and D = A B - C^2: so charpoly = (x^2 - T x + D)^4, and
+    # block_coefficients, lambda_parts and discriminant hold at every label
+    for k in range(1, 6):
+        for m in range(1, 6):
+            for n in range(1, 6):
+                blk = torus_block(k, m, n)
+                assert block_matrix(k, m, n) == blk, (k, m, n)
+                assert components(blk) == [[0, 6], [1, 7], [2, 4], [3, 5]]
+                a, b, c2 = blk[0, 0].a, blk[4, 4].a, (blk[2, 4] * blk[2, 4]).a
+                t, d = a + b, a * b - c2
+                assert block_coefficients(k, m, n) == (a, b, c2), (k, m, n)
+                assert lambda_parts(k, m, n) == (t, t * t - 4 * d), (k, m, n)
+                assert discriminant(k, m, n) == d, (k, m, n)
+
+
 def test_block_eigenvalues_match_closed_forms():
     for k in (1, 2, 3):
         for m in range(0, 6):
@@ -414,13 +438,3 @@ def test_spectrum_reaches_the_level_exactly():
             for b in ("plus", "minus")
         }
         assert set(tags) == expected | {("mu0", 0, 0), ("mu1", 0, 0)}
-
-
-def test_min_abs_discriminant_near_miss_window():
-    d, arg = min_abs_interior_discriminant(192, m_range=(95, 105), n_range=(180, 190))
-    assert arg == (100, 185)
-    assert d == 193615494292225  # small on the 1e29 scale of the terms, but nonzero
-    assert d == abs(discriminant(192, 100, 185))
-    # a window past the enumeration bound holds no pair
-    with pytest.raises(InvalidLabelError):
-        min_abs_interior_discriminant(192, m_range=(600, 610), n_range=(1, 5))
