@@ -63,13 +63,13 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 
-# torus index walks the rows 14m^2 < 15k^2 with about 2.3 exact evaluations
-# each, O(k): 0.6 s, 5.9 MB of JSON and 77 MB peak at k = 10^5 on one core
+# torus index walks the rows 14m^2 < 15k^2 with about 1.5 exact evaluations
+# each, O(k): 0.4 s, 5.9 MB of JSON and 75 MB peak at k = 10^5 on one core
 # of an x86-64 Xeon, Python 3.11
 INDEX_K_LIMIT = 10**5
 
-# torus scan costs about 1.4e-6 * k s per row k on the same core, so about
-# 72 s for all k <= 10^4 in one process
+# torus scan costs about 8e-7 * k s per row k on the same core, so about
+# 40 s for all k <= 10^4 in one process
 SCAN_K_LIMIT = 10**4
 
 # torus spectrum builds and sorts the branches of the about (pi/4) lambda_max
@@ -125,25 +125,22 @@ def render_json(report: dict) -> str:
     return json.dumps(_round_floats(report), sort_keys=True, indent=2) + "\n"
 
 
-def _table(report: dict, fmt: str) -> tuple[list[str], list[list[str]]]:
+def _table(report: dict) -> tuple[list[str], list[list[str]]]:
     """The table of a report: its csv_header and its csv_rows as strings."""
-    header = report["results"].get("csv_header")
-    rows = report["results"].get("csv_rows")
-    if rows is None or header is None:
-        raise UsageError(f"no {fmt} rendering for command {report['command']!r}")
-    return header, [[str(_round_floats(x)) for x in row] for row in rows]
+    rows = report["results"]["csv_rows"]
+    return report["results"]["csv_header"], [[str(_round_floats(x)) for x in row] for row in rows]
 
 
 def render_csv(report: dict) -> str:
     """Comma-separated rows; a cell that holds a comma or a quote is quoted."""
-    header, rows = _table(report, "csv")
+    header, rows = _table(report)
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows([header, *rows])
     return out.getvalue()
 
 
 def render_md(report: dict) -> str:
-    header, rows = _table(report, "md")
+    header, rows = _table(report)
     out = [f"### {report['command']}", ""]
     out.append("| " + " | ".join(header) + " |")
     out.append("|" + "|".join(["---"] * len(header)) + "|")

@@ -238,19 +238,19 @@ def test_dropped_zero_fails(monkeypatch, report176):
         assert failures_of(report176), f"the zero at {zero} was not listed"
 
 
-@pytest.mark.parametrize("name", ["_run_from_one", "_convex_run"])
+@pytest.mark.parametrize("name", ["_step_down", "_convex_run"])
 def test_a_zero_found_by_the_walk_is_listed_and_refused(monkeypatch, report176, name):
     # no interior zero of D occurs for k <= 10^4, so sign_runs' zero branches
     # are driven by a walk that reports the upper end of one run as a zero:
-    # in row 10 (m <= k) for _run_from_one, in row k + 1 for _convex_run
-    m0 = 10 if name == "_run_from_one" else K + 1
+    # in row 10 (m <= k) for _step_down, in row k + 1 for _convex_run
+    m0 = 10 if name == "_step_down" else K + 1
     real = getattr(torus, name)
 
     def walk(q, *args):
         out = real(q, *args)
         if q[4] != m0 * m0:  # q[4] is the row's m^2
             return out
-        if name == "_run_from_one":
+        if name == "_step_down":
             n_hi, zeros, e = out
             assert zeros == [] and n_hi == e >= 2
             return e - 1, [e], e
@@ -397,7 +397,7 @@ def test_check_cost_is_linear_in_k(monkeypatch):
         raise AssertionError("check_runs searched")
 
     monkeypatch.setattr(torus, "discriminant", counting)
-    for name in ("sign_runs", "_run_end", "_run_from_one", "_convex_run"):
+    for name in ("sign_runs", "_run_end", "_step_down", "_convex_run"):
         monkeypatch.setattr(torus, name, forbidden)
     assert check_runs(k, runs, zeros, witnesses) == []
     rows = last_row(k)

@@ -342,6 +342,20 @@ def test_every_command_has_a_golden():
     assert {tuple(argv[:2]) for _, argv in GOLDENS} == set(COMMANDS)
 
 
+@pytest.mark.parametrize("name,argv", GOLDENS)
+def test_every_command_has_a_table(monkeypatch, tmp_path, name, argv):
+    # csv and md render results' csv_header and csv_rows, which every handler
+    # sets; the goldens reach each entry of the command table
+    monkeypatch.chdir(tmp_path)
+    assert main(["torus", "index", "--k", "2", "--output", "report.json"]) == EXIT_OK
+    args = build_parser().parse_args(argv)
+    handler, _ = COMMANDS[(args.group, args.command)]
+    _, results, _ = handler(args)
+    header, rows = results["csv_header"], results["csv_rows"]
+    assert header and all(isinstance(h, str) for h in header), name
+    assert rows and all(len(row) == len(header) for row in rows), name
+
+
 def _subcommands(parser: argparse.ArgumentParser) -> dict:
     (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return action.choices

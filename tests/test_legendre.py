@@ -338,6 +338,10 @@ def test_descartes_lemma_check_small_range():
     assert rep.violations == ()
     assert rep.sturm_confirmed
     assert rep.checked == 98  # 10*10 minus the two excluded labels
+    # the CLI parser stops a smaller range first; the function refuses it too
+    for m_max, n_max in ((2, 5), (5, 2)):
+        with pytest.raises(ValueError, match="range must reach at least"):
+            descartes_lemma_check(m_max, n_max)
 
 
 def test_p5_table_shape_is_the_degree_premise():

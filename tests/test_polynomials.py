@@ -154,6 +154,11 @@ def test_zero_polynomial_rejected():
         count_roots(IntPolynomial([]), "negative")
 
 
+def test_unknown_region_rejected():
+    with pytest.raises(ValueError, match="unknown region 'inside'"):
+        count_roots(IntPolynomial([-1, 0, 1]), "inside")
+
+
 def test_high_degree_big_coefficients():
     # (x - 10^9)^2 (x + 10^9) has exact big-int arithmetic throughout
     big = 10**9

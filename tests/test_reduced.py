@@ -113,6 +113,8 @@ def test_reduced_torus():
     assert reduced_index_torus(4) == (7, 2)
     for k in range(1, 21):
         assert reduced_index_torus(k) == (1 + 2 * (k - 1), 2)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        reduced_index_torus(0)
 
 
 def test_reduced_bounded_by_full():

@@ -1,11 +1,12 @@
 """The row walk's guesses change its cost, never its answer.
 
-sign_runs walks each row from guesses that it carries over from the previous
-rows: a row m <= k through _run_from_one, which walks the one end of a run
-that starts at n = 1, and a row k < m <= last_row(k) through _convex_run.
-Here both run on real torus rows from arbitrary guesses, and the run, zero
-pairs and witness must equal a brute-force pass of D = A*B - C^2 over the
-whole row.
+sign_runs walks each row from where the previous rows left it: a row m <= k
+through _step_down, which steps the one end of a run that starts at n = 1
+down from any e with D(e + 1) > 0, and a row k < m <= last_row(k) through
+_convex_run, from guesses.  Here both run on real torus rows, _step_down from
+every start the staircase lemma allows and _convex_run from arbitrary
+guesses, and the run, zero pairs and witness must equal a brute-force pass of
+D = A*B - C^2 over the whole row.
 """
 
 from math import isqrt
@@ -18,7 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from bihindex.torus import (  # noqa: E402
     _convex_run,
-    _run_from_one,
+    _step_down,
     discriminant,
     enumeration_bound,
     last_row,
@@ -56,10 +57,16 @@ def row_quartic(k, m):
 
 
 def walk_row(k, m, n_max, guesses):
-    """(negative n, zero n, witness or None) of the row, walked from the guesses."""
+    """(negative n, zero n, witness or None) of the row, walked from the guesses.
+
+    A row m <= k steps down from the first n >= the guess with D(n + 1) > 0,
+    any start the staircase allows, up to n_max (D > 0 past the bound)."""
     q = row_quartic(k, m)
     if m <= k:
-        n_hi, zeros, _ = _run_from_one(q, n_max, guesses[1])
+        e = min(max(guesses[1], 0), n_max)
+        while e < n_max and discriminant(k, m, e + 1) <= 0:
+            e += 1
+        n_hi, zeros, _ = _step_down(q, e)
         return list(range(1, n_hi + 1)), zeros, None
     n_lo, n_hi, zeros, nv = _convex_run(q, n_max, *guesses)
     return list(range(n_lo, n_hi + 1)), zeros, nv

@@ -16,7 +16,7 @@ from bihindex.scan import (
 )
 from bihindex.torus import (
     _convex_run,
-    _run_from_one,
+    _step_down,
     discriminant,
     enumeration_bound,
     interior_sign_scan,
@@ -166,8 +166,8 @@ def _quartic(factors, m2):
         (([1, -8], [1, -16], [1, 36, 191]), 7, (2, 2, [1, 3])),
         # a double root s = 3 = 2 + 1^2: the run is the single zero
         (([1, -3], [1, -3], [1, 7, 4]), 2, (2, 1, [1])),
-        # one positive root s = 29 = 4 + 5^2 and D(0) < 0: run 1..5, walked
-        # at its one end as a row m <= k is
+        # one positive root s = 29 = 4 + 5^2 and D(0) < 0: run 1..5, stepped
+        # down at its one end as a row m <= k is
         (([1, -29], [1, 1], [1, 30, 1]), 4, (1, 4, [5])),
         # the torus row k = 10, m = 11: no root, so the row must be proved
         # empty, with the convex minimum nv = 3 as its witness
@@ -192,9 +192,11 @@ def test_quartic_run_zero_at_run_end(factors, m2, expected):
         assert [n for n, v in signs.items() if v == 0] == zeros
     if c0 < 0:  # D(0) < 0 and one positive root: the run is 1..e
         assert d(0) < 0
-        for guess in (1, 4, 5, 9, n_max):
-            n_hi, zeros, e = _run_from_one(q, n_max, guess)
-            assert (1, n_hi, zeros) == expected and e == max(n_hi, *zeros), guess
+        end = max(expected[1], *expected[2])
+        # any start e0 >= end has D(e0 + 1) > 0, as the staircase lemma gives
+        for start in (end, end + 1, 9, n_max):
+            n_hi, zeros, e = _step_down(q, start)
+            assert (1, n_hi, zeros) == expected and e == end, start
         return
     assert (6 * m2 + 3 * c3) * m2 + c2 > 0  # the convexity lemma's premise
     for guess in (1, 4, 9, n_max):
@@ -292,7 +294,7 @@ F_SHA256_TO_10K = "1a7f32cb85dc2e5ffe6fe991c935935f802eae3871c14cde2c89a361c21e2
 @pytest.mark.slow
 @pytest.mark.skipif(
     not os.environ.get("BIHINDEX_FULL_SCAN"),
-    reason="full k<=10^4 scan: set BIHINDEX_FULL_SCAN=1 (about 72 s on one worker)",
+    reason="full k<=10^4 scan: set BIHINDEX_FULL_SCAN=1 (about 40 s on one worker)",
 )
 def test_full_conjecture_scan_to_10k_matches_the_checksum():
     # g = 0 for every k <= 10^4, i.e. no primitive interior zero of D there

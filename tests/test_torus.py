@@ -26,10 +26,11 @@ from bihindex.torus import (
     lambda_parts,
     last_row,
     negative_eigenvector_coefficient,
+    sign_runs,
     spectrum,
 )
 
-from oracles import to_numpy, torus_block
+from oracles import poly_product, to_numpy, torus_block
 
 PUBLISHED_ROWS = {
     1: (1, 5), 2: (13, 5), 3: (29, 5), 4: (57, 5), 5: (89, 5), 6: (129, 5),
@@ -60,6 +61,10 @@ def test_invalid_labels():
         eigenvalue(1, 0, 0, "minus")
     with pytest.raises(InvalidLabelError):
         eigenvalue(1, 1, 1, "mu0")
+    with pytest.raises(InvalidLabelError, match="mu1 exists only at"):
+        eigenvalue(1, 1, 0, "mu1")
+    with pytest.raises(InvalidLabelError, match="unknown branch 'lambda'"):
+        eigenvalue(1, 1, 1, "lambda")
     with pytest.raises(InvalidLabelError):
         eigenvalue(0, 1, 1, "minus")
     with pytest.raises(InvalidLabelError):
@@ -194,6 +199,128 @@ def test_row_cut_identity():
     # K^4 q(N/K) > 0 for K > 0 and N >= 0
     assert q[0] > 0
     assert count_roots(IntPolynomial(q), "positive") == 0
+
+
+# polynomials in M = m^2, N = n^2 and K = k^2 as {(i, j, l): c} for c M^i N^j K^l
+def _mul(p, q):
+    out = {}
+    for (a, b, c), x in p.items():
+        for (d, e, f), y in q.items():
+            out[a + d, b + e, c + f] = out.get((a + d, b + e, c + f), 0) + x * y
+    return out
+
+
+def _add(p, q, sign=1):
+    out = dict(p)
+    for key, y in q.items():
+        out[key] = out.get(key, 0) + sign * y
+    return out
+
+
+def _staircase_d():
+    """D = A*B - C^2 in M, N, K, from block_coefficients' closed form."""
+    s2 = _mul(*[{(1, 0, 0): 1, (0, 1, 0): 1}] * 2)
+    a = _add({(1, 0, 1): 3, (0, 1, 1): 1}, s2)
+    b = _add({(0, 0, 2): -1, (1, 0, 1): 2}, s2)
+    return _add(_mul(a, b), _mul({(1, 0, 1): 8}, s2), -1)
+
+
+def _in_n(p, big_m, big_k):
+    """Coefficients in N, lowest first, of p at the given M and K."""
+    out = [0] * (1 + max(j for _, j, _ in p))
+    for (i, j, l), c in p.items():
+        out[j] += c * big_m**i * big_k**l
+    return out
+
+
+def _det(rows):
+    """Exact determinant by Gaussian elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for i in range(len(a)):
+        pivot = next((r for r in range(i, len(a)) if a[r][i]), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            a[i], a[pivot], det = a[pivot], a[i], -det
+        det *= a[i][i]
+        for r in range(i + 1, len(a)):
+            ratio = a[r][i] / a[i][i]
+            a[r] = [x - ratio * y for x, y in zip(a[r], a[i])]
+    return det
+
+
+def _sylvester(f, g):
+    """Sylvester matrix of f and g, coefficients lowest first: det = Res(f, g)."""
+    m, n = len(f) - 1, len(g) - 1
+    rows = [[0] * i + f[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    return rows + [[0] * i + g[::-1] + [0] * (m - 1 - i) for i in range(m)]
+
+
+def test_staircase_lemma():
+    # sign_runs' staircase lemma, with integer tools: D(k, m, n) > 0 implies
+    # D(k, m', n) > 0 for 0 <= m < m' <= k
+    d = _staircase_d()
+    # the polynomial is the code's D: degree <= 4 in each of K, M and N, so
+    # the 5 x 5 x 5 grid of the distinct squares of 0..4 proves it; and it is
+    # homogeneous of degree 4 and monic of degree 4 in N
+    for k in range(5):
+        for m in range(5):
+            for n in range(5):
+                value = sum(c * m ** (2 * i) * n ** (2 * j) * k ** (2 * l)
+                            for (i, j, l), c in d.items())
+                assert value == discriminant(k, m, n), (k, m, n)
+    assert all(sum(key) == 4 for key, c in d.items() if c)
+    assert d[0, 4, 0] == 1
+    dm = {(i - 1, j, l): i * c for (i, j, l), c in d.items() if i and c}
+
+    # Res_N(D, dD/dM) = -32 M q(M) at K = 1, q as the docstring states it.
+    # The 7 x 7 Sylvester determinant has 3 rows of D's coefficients in N,
+    # each of degree <= 4 in M, and 4 rows of dD/dM's, of degree <= 3: it is
+    # a polynomial of degree <= 24 in M, fixed by its values at 25 integers
+    doc = sign_runs.__doc__
+    assert "Res_N(D, dD/dM) = -32 M q(M)," in doc
+    q = [0] * 5
+    rhs = doc.split("q(M) =")[1].split(",\n")[0].replace("- ", "+ -")
+    for term in rhs.split("+"):
+        coeff, big_m, power = term.strip().partition(" M")
+        q[int(power.lstrip("^") or 1) if big_m else 0] = int(coeff)
+    assert q == [72, -708, 2289, -2496, 1024]
+    for big_m in range(25):
+        f, g = _in_n(d, big_m, 1), _in_n(dm, big_m, 1)
+        assert (len(f), len(g), f[-1], g[-1]) == (5, 4, 1, 4)  # leading coefficients
+        resultant = _det(_sylvester(f, g))
+        assert resultant == -32 * big_m * IntPolynomial(q)(big_m), big_m
+
+    # q has no root in (0, 1]: with M = 1/(1 + t), which maps t >= 0 onto
+    # (0, 1], (1 + t)^4 q(M) has no root t >= 0
+    t_poly = [0] * 5
+    for i, c in enumerate(q):
+        for j in range(5 - i):
+            t_poly[j] += c * math.comb(4 - i, j)
+    assert t_poly[0] == IntPolynomial(q)(1) != 0
+    assert count_roots(IntPolynomial(t_poly), "positive") == 0
+
+    # the sign of dD/dM where D = 0 is +, checked at 2M = K; K = 2, M = 1
+    # keeps it integral (the docstring's K = 1 case scaled by 2).  There
+    # D = (N + 1)^2 (N^2 + 4N - 9), whose one root N > 0 is sqrt 13 - 2 > 1,
+    # and dD/dM = 52 (N - 1) modulo N^2 + 4N - 9, so dD/dM > 0 at the root
+    assert IntPolynomial(_in_n(d, 1, 2)) == poly_product(
+        IntPolynomial([1, 1]), IntPolynomial([1, 1]), IntPolynomial([-9, 4, 1]))
+    assert 1 + 4 - 9 < 0  # N^2 + 4N - 9 < 0 at N = 1, so its root N > 1
+    r = _in_n(dm, 1, 2)
+    while len(r) > 2:  # reduce modulo the monic N^2 + 4N - 9
+        top = r.pop()
+        r[-1] -= 4 * top
+        r[-2] += 9 * top
+    assert r == [-52, 52]
+
+    # and the lemma's consequence, by brute force on small k: D > 0 in row m
+    # stays positive in row m + 1 <= k, from the axis m = 0 on
+    for k in range(1, 31):
+        for m in range(k):
+            for n in range(1, 3 * k + 1):
+                assert discriminant(k, m, n) <= 0 or discriminant(k, m + 1, n) > 0, (k, m, n)
 
 
 def test_last_row_is_the_cut():
