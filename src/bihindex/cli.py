@@ -10,8 +10,8 @@ Grammar (one subcommand per verified statement):
 
 Exit codes: 0 success, 1 usage error, 2 verification failure.  Reports are
 deterministic: identical invocations produce byte-identical output (floats
-are rounded to 12 significant digits before rendering, JSON keys sorted,
-scan rows ordered by k).
+are rounded to 12 significant digits at the leaves while rendering, JSON
+keys sorted, scan rows ordered by k).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from . import __version__
@@ -64,7 +65,7 @@ EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 
 # torus index walks the rows 14m^2 < 15k^2 with about 1.5 exact evaluations
-# each, O(k): 0.4 s, 5.9 MB of JSON and 75 MB peak at k = 10^5 on one core
+# each, O(k): 0.28 s, 5.9 MB of JSON and 51 MB peak at k = 10^5 on one core
 # of an x86-64 Xeon, Python 3.11
 INDEX_K_LIMIT = 10**5
 
@@ -111,24 +112,37 @@ class UsageError(Exception):
 
 # -- deterministic rendering -----------------------------------------------------
 
-def _round_floats(obj: Any) -> Any:
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+def _round(x: Any) -> Any:
+    """x rounded to 12 significant digits if it is a float, else x."""
+    return float(f"{x:.12g}") if isinstance(x, float) else x
+
+
+def _json(obj: Any, indent: str) -> str:
+    """obj as JSON at nesting indent; TypeError for a type or key JSON cannot hold."""
+    if isinstance(obj, int) and obj is not True and obj is not False:
+        return int.__repr__(obj)
+    inner = indent + "  "
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+        items, ends = [_json(value, inner) for value in obj], "[]"
+    elif isinstance(obj, dict):
+        items, ends = [f"{_quote(key)}: {_json(obj[key], inner)}" for key in sorted(obj)], "{}"
+    elif isinstance(obj, str):
+        return _quote(obj)
+    elif obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    else:  # a float: float.__repr__ raises TypeError for any other type
+        return float.__repr__(_round(obj)).replace("inf", "Infinity").replace("nan", "NaN")
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{ends[1]}" if items else ends
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(_round_floats(report), sort_keys=True, indent=2) + "\n"
+    return _json(report, "") + "\n"
 
 
 def _table(report: dict) -> tuple[list[str], list[list[str]]]:
     """The table of a report: its csv_header and its csv_rows as strings."""
     rows = report["results"]["csv_rows"]
-    return report["results"]["csv_header"], [[str(_round_floats(x)) for x in row] for row in rows]
+    return report["results"]["csv_header"], [[str(_round(x)) for x in row] for row in rows]
 
 
 def render_csv(report: dict) -> str:

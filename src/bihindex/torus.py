@@ -341,17 +341,30 @@ def sign_runs(
           Res_N(D, dD/dM) = -32 M q(M),
           q(M) = 1024 M^4 - 2496 M^3 + 2289 M^2 - 708 M + 72,
 
-      and q has no root in (0, 1] (a Sturm count), so dD/dM != 0 wherever
-      D = 0 with 0 < M <= 1.  There D has one root N*(M) > 0, with D < 0
-      below it and D > 0 above it (the one-end lemma read over the reals;
-      at 2M = 1, D = s^2 (s^2 + s - 3)), so N* is continuous in M and
-      dD/dM keeps one sign along it.  The sign is +: at 2M = 1, dD/dM =
-      13 (s - 1) at the root s = (sqrt 13 - 1)/2 > 1.  Now fix N > 0 with
-      D(M, N) > 0, and let M0 be the least M' in (M, 1] with D(M', N) <= 0,
-      if one exists.  Then M0 > 0, D(M0, N) = 0 and D > 0 on [M, M0),
-      against dD/dM(M0, N) > 0.  So D(m, e + 1) > 0 at the end e of row
-      m - 1, and row m's end is the first n from e down with D <= 0; on the
-      axis m = 0, D = n^2 (n^2 + k^2)(n^4 - k^4) and e = k.
+      and q has no real root (q(0) = 72, and a Sturm count on each side of
+      0), so dD/dM != 0 wherever D = 0 with M > 0.  For 0 < M <= 1, D has
+      one root N*(M) > 0, with D < 0 below it and D > 0 above it (the
+      one-end lemma read over the reals; at 2M = 1, D = s^2 (s^2 + s - 3)),
+      so N* is continuous in M and dD/dM keeps one sign along it.  The
+      sign is +: at 2M = 1, dD/dM = 13 (s - 1) at the root s = (sqrt 13 -
+      1)/2 > 1.  Now fix N > 0 with D(M, N) > 0, and let M0 be the least M'
+      in (M, 1] with D(M', N) <= 0, if one exists.  Then M0 > 0,
+      D(M0, N) = 0 and D > 0 on [M, M0), against dD/dM(M0, N) > 0.  So
+      D(m, e + 1) > 0 at the end e of row m - 1, and row m's end is the
+      first n from e down with D <= 0; on the axis m = 0, D = n^2 (n^2 +
+      k^2)(n^4 - k^4) and e = k.
+    * The staircase lemma holds for all 0 <= m < m', past m = k too (no
+      code path uses this yet).  Fix N > 0 and read D as a quartic in M.
+      It is monic, and its roots M > 0 are simple (dD/dM != 0 there), so as
+      N moves, a root M > 0 can neither leave through infinity nor meet
+      another; the number of them changes only where a root crosses M = 0,
+      where D(0, N) = N (N + 1)(N^2 - 1) vanishes, at N = 1.  At N = 4 every
+      coefficient of D(M, 4) is positive, so there is no root, and D > 0 on
+      M >= 0 for every N > 1.  At N = 1/4 there is one root (a Sturm
+      count), so for 0 < N < 1, D < 0 below one root and D > 0 above it.
+      And D(M, 1) = M^2 (M^2 + M + 6).  So D(M, N) > 0 implies D(M', N) > 0
+      for all M' > M: the run of row m' lies inside the run of row m, and
+      past m = k the upper arc of the zero curve falls and the lower rises.
     * Rows k < m: D(0) > 0 and the row is convex.  D falls and then rises
       in s, and s grows with n, so the sign of D(n+1) - D(n) changes once,
       from - to +, at the first integer minimum nv (the differences

@@ -8,13 +8,14 @@ cubic phase at a point, the fourth-order operator I2 of a cubic-phase line
 and its pairing int <I2 V, V> (the Hessian before integrating by parts, in
 Q[pi]), the series of the nullity-direction energy E(t) from Wallis
 integrals and that of pi t - pi J1(4t)/2 (the package proves the closed form
-of E and the Bessel identity), and float values of bump sections for scipy's
-quadrature.
+of E and the Bessel identity), float values of bump sections for scipy's
+quadrature, and a report's JSON as the json module writes it.
 ``diagonal`` builds test matrices with a known spectrum, ``poly_product``
 multiplies integer polynomials, and ``random_polynomial_bump`` draws
 sections with rational data.
 """
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -226,3 +227,18 @@ def bump_values(bump, u: np.ndarray, deriv: int) -> np.ndarray:
     y = x / h
     return np.where(np.abs(y) < 1.0, np.polynomial.polynomial.polyval(y, c) / h**deriv, 0.0)
 
+
+def stdlib_json(report) -> str:
+    """The report as json.dumps writes it, keys sorted and indented by 2, after
+    a copy rounds each float to 12 significant digits: the bytes the
+    one-pass writer behind cli.render_json must reproduce."""
+    def rounded(obj):
+        if isinstance(obj, float):
+            return float(f"{obj:.12g}")
+        if isinstance(obj, dict):
+            return {k: rounded(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [rounded(v) for v in obj]
+        return obj
+
+    return json.dumps(rounded(report), sort_keys=True, indent=2) + "\n"

@@ -8,7 +8,9 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from typing import Any, NamedTuple
 
 import pytest
 
@@ -31,6 +33,7 @@ from bihindex.cli import (
 )
 from bihindex.legendre import CharpolyMismatchError
 from bihindex.torus import interior_sign_scan
+from oracles import stdlib_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -354,6 +357,76 @@ def test_every_command_has_a_table(monkeypatch, tmp_path, name, argv):
     header, rows = results["csv_header"], results["csv_rows"]
     assert header and all(isinstance(h, str) for h in header), name
     assert rows and all(len(row) == len(header) for row in rows), name
+    # _table rounds one cell at a time, so a cell holds no container of floats
+    assert all(type(x) in (int, float, str, bool) for row in rows for x in row), name
+
+
+@pytest.fixture
+def rendered(monkeypatch):
+    """The reports main hands to a renderer, in order."""
+    reports = []
+    for fmt, fn in list(cli.RENDERERS.items()):
+        monkeypatch.setitem(cli.RENDERERS, fmt, lambda r, fn=fn: (reports.append(r), fn(r))[1])
+    return reports
+
+
+def test_render_json_is_the_stdlib_on_every_golden(capsys, monkeypatch, tmp_path, rendered):
+    monkeypatch.chdir(tmp_path)
+    assert main(["torus", "index", "--k", "2", "--output", "report.json"]) == EXIT_OK
+    for _, argv in GOLDENS:
+        assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert len(rendered) == 1 + len(GOLDENS)
+    for report in rendered:
+        assert cli.render_json(report) == stdlib_json(report), report["command"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["torus", "index", "--k", "10000"],
+    ["torus", "spectrum", "--k", "2", "--lambda-max", "30000"],  # 47,464 floats
+])
+def test_render_json_is_the_stdlib_on_large_reports(tmp_path, rendered, argv):
+    target = tmp_path / "report.json"
+    assert main([*argv, "--output", str(target)]) == EXIT_OK
+    (report,) = rendered
+    got = target.read_text(encoding="utf-8").splitlines(keepends=True)
+    want = stdlib_json(report).splitlines(keepends=True)
+    # the first differing line, not pytest's diff of megabytes, on a failure
+    first = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
+    assert first is None and len(got) == len(want), (first, len(got), len(want))
+
+
+class _Pair(NamedTuple):
+    left: Any
+    right: Any
+
+
+HAND_MADE_TREES = {
+    "empty": [{}, [], (), {"a": []}, [[{}]], {"z": {}, "y": [[], ()]}],
+    "tuples": [(1, (2, 3)), _Pair(1, _Pair("x", None)), [_Pair((), {})]],
+    "constants": [True, 1, False, 0, None, {"t": True, "one": 1, "f": False, "zero": 0}],
+    "ints": [-1, -(10**3999), 10**3999 + 7, 2**63, -(2**63) - 1],
+    "floats": [0.1 + 0.2, 1e-300, -0.0, 2.0, 1 / 3, -2 / 3, 123456789012345.67, 1e16, 5e-324,
+               1.7976931348623157e308, float("nan"), float("inf"), -float("inf")],
+    "strings": ['say "hi"', "back\\slash\\", "\x00\x01\x1f\x7f\n\t\r\b\f", "é ü ∑ 漢",
+                "\U0001F600 \U00010348", ""],
+    "keys": {"b": 1, "a": 2, "é": 3, "\U0001F600": 4, "": 5, "A": 6, '"q"': 7, "a\\b": 8, "\n": 9},
+}
+
+
+@pytest.mark.parametrize("tree", [*HAND_MADE_TREES.values(), HAND_MADE_TREES],
+                         ids=[*HAND_MADE_TREES, "all"])
+def test_render_json_is_the_stdlib_on_hand_made_trees(tree):
+    assert cli.render_json(tree) == stdlib_json(tree)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, Fraction(1, 3), b"bytes", {1: "x"}, {None: 1},
+                                   {"a": 1, 2: 3}, [{"ok": [{(1, 2): 0}]}]],
+                         ids=["set", "fraction", "bytes", "int-key", "none-key", "mixed-keys",
+                              "nested-tuple-key"])
+def test_render_json_refuses_what_json_cannot_hold(value):
+    with pytest.raises(TypeError):
+        cli.render_json({"results": value})
 
 
 def _subcommands(parser: argparse.ArgumentParser) -> dict:

@@ -233,6 +233,14 @@ def _in_n(p, big_m, big_k):
     return out
 
 
+def _in_m(p, big_n, big_k):
+    """Coefficients in M, lowest first, of p at the given N and K."""
+    out = [0] * (1 + max(i for i, _, _ in p))
+    for (i, j, l), c in p.items():
+        out[i] += c * big_n**j * big_k**l
+    return out
+
+
 def _det(rows):
     """Exact determinant by Gaussian elimination over the rationals."""
     a = [[Fraction(x) for x in row] for row in rows]
@@ -259,7 +267,7 @@ def _sylvester(f, g):
 
 def test_staircase_lemma():
     # sign_runs' staircase lemma, with integer tools: D(k, m, n) > 0 implies
-    # D(k, m', n) > 0 for 0 <= m < m' <= k
+    # D(k, m', n) > 0 for 0 <= m < m' <= k, and for every m < m' past k
     d = _staircase_d()
     # the polynomial is the code's D: degree <= 4 in each of K, M and N, so
     # the 5 x 5 x 5 grid of the distinct squares of 0..4 proves it; and it is
@@ -292,14 +300,9 @@ def test_staircase_lemma():
         resultant = _det(_sylvester(f, g))
         assert resultant == -32 * big_m * IntPolynomial(q)(big_m), big_m
 
-    # q has no root in (0, 1]: with M = 1/(1 + t), which maps t >= 0 onto
-    # (0, 1], (1 + t)^4 q(M) has no root t >= 0
-    t_poly = [0] * 5
-    for i, c in enumerate(q):
-        for j in range(5 - i):
-            t_poly[j] += c * math.comb(4 - i, j)
-    assert t_poly[0] == IntPolynomial(q)(1) != 0
-    assert count_roots(IntPolynomial(t_poly), "positive") == 0
+    # q has no real root: none on either side of 0, and q(0) != 0
+    assert q[0] == 72
+    assert count_roots(IntPolynomial(q), "negative") == count_roots(IntPolynomial(q), "positive") == 0
 
     # the sign of dD/dM where D = 0 is +, checked at 2M = K; K = 2, M = 1
     # keeps it integral (the docstring's K = 1 case scaled by 2).  There
@@ -315,12 +318,24 @@ def test_staircase_lemma():
         r[-2] += 9 * top
     assert r == [-52, 52]
 
-    # and the lemma's consequence, by brute force on small k: D > 0 in row m
-    # stays positive in row m + 1 <= k, from the axis m = 0 on
-    for k in range(1, 31):
-        for m in range(k):
-            for n in range(1, 3 * k + 1):
-                assert discriminant(k, m, n) <= 0 or discriminant(k, m + 1, n) > 0, (k, m, n)
+    # the lemma for every m < m', past m = k: D as a quartic in M at K = 1 is
+    # monic, has no root M > 0 at N = 4, and is M^2 (M^2 + M + 6) at N = 1;
+    # at N = 1/4 (K = 4, N = 1) it has one root M > 0, below which D < 0
+    assert _in_m(d, 4, 1) == [300, 237, 81, 13, 1]
+    assert _in_m(d, 1, 1) == [0, 0, 6, 1, 1]
+    quarter = _in_m(d, 1, 4)
+    assert quarter[0] < 0 and quarter[-1] == 1
+    assert count_roots(IntPolynomial(quarter), "positive") == 1
+
+    # and the lemma's consequence, by brute force on small k: the set of n
+    # with D <= 0 in row m + 1 lies inside row m's, over every row up to the
+    # first one past the cut, from the axis m = 0 on
+    for k in range(1, 61):
+        rows = [{n for n in range(1, 3 * k + 1) if discriminant(k, m, n) <= 0}
+                for m in range(last_row(k) + 2)]
+        assert not rows[-1], k
+        for m in range(last_row(k) + 1):
+            assert rows[m + 1] <= rows[m], (k, m)
 
 
 def test_last_row_is_the_cut():
