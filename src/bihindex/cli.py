@@ -64,8 +64,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 
-# torus index walks the rows 14m^2 < 15k^2 with about 1.5 exact evaluations
-# each, O(k): 0.28 s, 5.9 MB of JSON and 51 MB peak at k = 10^5 on one core
+# torus index walks the rows 14m^2 < 15k^2 with about 2.0 exact evaluations
+# each, O(k): 0.28 s, 5.9 MB of JSON and 57 MB peak at k = 10^5 on one core
 # of an x86-64 Xeon, Python 3.11
 INDEX_K_LIMIT = 10**5
 

@@ -3,15 +3,9 @@
 For each k the interior lattice pairs (m, n) with m^2 + n^2 < 9k^2 are
 classified by the exact sign of the integer discriminant D.  The rows with
 14m^2 > 15k^2 need no search: a polynomial identity proves D > 0 on all of
-them (torus.last_row).  torus.sign_runs searches the other rows, one row m
-at a time: the pairs with D <= 0 form one run of n per row, D vanishes only
-at its ends, and each end is walked from where the previous rows put it.
-On a row m <= k the run starts at n = 1 and its upper end does not rise
-with m, so that end steps down from the previous row's.  The sign of D is
-monotone along the row on each side of a point in the run, and on a convex
-row the sign of D(n+1) - D(n) changes once, so the walk's answer is exact
-wherever it starts; it costs about 1.65 exact evaluations per row, so O(k)
-per k.  The certificate is in the sign_runs and last_row docstrings.
+them (torus.last_row).  torus.sign_runs searches the other rows with about
+2.0 exact evaluations of D per row, so O(k) per k; the walk and its
+certificate are in the sign_runs and last_row docstrings.
 
 The process pool is imported only for workers > 1: loading
 concurrent.futures.process pulls in multiprocessing, about a fifth of a

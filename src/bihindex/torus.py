@@ -36,9 +36,9 @@ interior pairs (m, n >= 1) with lambda^- negative / zero,
 
 and D > 0 is proved for s >= 9 k^2 (see enumeration_bound) and on every row
 with 14m^2 > 15k^2 (see last_row), so the lattice scan visits only the rows
-m <= last_row(k) and, in each, the n below the enumeration bound.  On a row
-m <= k the negative pairs start at n = 1 and end at an n that does not rise
-with m (see sign_runs), so the scan steps that one end down from row to row.
+m <= last_row(k) and, in each, the n below the enumeration bound.  Each row's
+pairs with D <= 0 form one run of n inside the previous row's run (see
+sign_runs), so the scan steps the two ends of one run from row to row.
 """
 
 from __future__ import annotations
@@ -198,104 +198,6 @@ def last_row(k: int) -> int:
     return isqrt(15 * k * k // 14)
 
 
-def _run_end(
-    q: tuple[int, int, int, int, int], a: int, da: int, b: int, guess: int
-) -> tuple[int, int]:
-    """(e, D(e)) for e, the last n from a towards b with D(n) <= 0.
-
-    q = (c3, c2, c1, c0, m2) is the row: D(n) = P(m2 + n^2) with
-    P(s) = s^4 + c3 s^3 + c2 s^2 + c1 s + c0 (see sign_runs).  D(a) = da <= 0,
-    and b is a point with D(b) > 0 or the sentinel just outside the row; the
-    sign of D must be monotone from a to b.  The probes go out from guess
-    (moved next to a or b if it is not between them) to offsets 1, 2, 4, ...
-    until they bracket e, then bisect: 2 evaluations of D when guess is e or
-    e's outer neighbour, O(log |guess - e|) in all, and the answer never
-    depends on guess.
-    """
-    c3, c2, c1, c0, m2 = q
-    out = 1 if b > a else -1
-    x = guess
-    if (x - a) * (x - b) >= 0:
-        x = guess = a + out if (x - a) * out <= 0 else b - out
-    off = 0
-    while (b - a) * out > 1:
-        s = m2 + x * x
-        v = (((s + c3) * s + c2) * s + c1) * s + c0
-        off = 2 * off or 1
-        if v <= 0:
-            a, da, x = x, v, guess + off * out
-        else:
-            b, x = x, guess - off * out
-        if (x - a) * (x - b) >= 0:
-            x = (a + b) // 2
-    return a, da
-
-
-def _step_down(q: tuple[int, int, int, int, int], e: int) -> tuple[int, list[int], int]:
-    """(n_hi, zeros, e') for a row m <= k with D(e + 1) > 0, q as in _run_end.
-
-    The row's run {n >= 1 : D <= 0} is 1..e', e' the first n from e down with
-    D(n) <= 0, or 0; one evaluation of D per n tried.  D < 0 exactly on
-    1..n_hi and D = 0 exactly at zeros, which is [e'] or [].
-    """
-    c3, c2, c1, c0, m2 = q
-    while e:
-        s = m2 + e * e
-        v = (((s + c3) * s + c2) * s + c1) * s + c0
-        if v <= 0:
-            return (e - 1, [e], e) if v == 0 else (e, [], e)
-        e -= 1
-    return 0, [], 0
-
-
-def _convex_run(
-    q: tuple[int, int, int, int, int], n_max: int, g_lo: int, g_hi: int
-) -> tuple[int, int, list[int], int | None]:
-    """Split the run {1 <= n <= n_max : D(n) <= 0} of a convex row by sign.
-
-    q = (c3, c2, c1, c0, m2) as in _run_end, with D''(m2) > 0 (the convexity
-    lemma in sign_runs); AssertionError otherwise.  Returns (n_lo, n_hi,
-    zeros, nv): D < 0 exactly on n_lo..n_hi (empty if n_lo > n_hi), D = 0
-    exactly at the ends in zeros, and nv, the first integer minimum, when the
-    row was proved empty by it, else None.
-
-    The row is entered at g_hi, and its ends are walked from g_lo and g_hi.
-    The guesses change the number of evaluations, not the answer.
-    """
-    c3, c2, c1, c0, m2 = q
-    if (6 * m2 + 3 * c3) * m2 + c2 <= 0:  # P''(m2) / 2
-        raise AssertionError(f"D is not convex on the row s >= {m2}")
-
-    def d(n: int) -> int:
-        s = m2 + n * n
-        return (((s + c3) * s + c2) * s + c1) * s + c0
-
-    x = min(max(g_hi, 1), n_max)
-    v, side = d(x), 0
-    if v > 0:  # walk downhill to the first n with D <= 0, or to the minimum
-        u = d(x + 1) if x < n_max else v
-        if u < v:  # the run, if any, starts right of x: its first n is n_lo
-            side, x, v = 1, x + 1, u
-            while v > 0 and x < n_max and (u := d(x + 1)) < v:
-                x, v = x + 1, u
-        else:  # the minimum is at x or left of it: the first n is n_hi
-            side = -1
-            while v > 0 and x > 1 and (u := d(x - 1)) <= v:
-                x, v = x - 1, u
-        if v > 0:  # D(x - 1) > D(x) <= D(x + 1): the row is empty
-            return 1, 0, [], x
-    n_lo, v_lo = (x, v) if side > 0 else _run_end(q, x, v, 0, g_lo)
-    n_hi, v_hi = (x, v) if side < 0 else _run_end(q, x, v, n_max + 1, g_hi)
-    zeros = []
-    if v_lo == 0:
-        zeros.append(n_lo)
-        n_lo += 1
-    if v_hi == 0 and n_hi >= n_lo:
-        zeros.append(n_hi)
-        n_hi -= 1
-    return n_lo, n_hi, zeros, None
-
-
 def sign_runs(
     k: int,
 ) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]], list[tuple[int, int]]]:
@@ -308,11 +210,12 @@ def sign_runs(
     (below), so that check_runs can confirm the row without a search.  All
     three are in (m, n) order.  Only the rows m <= last_row(k), those with
     14m^2 < 15k^2, are searched: past them D > 0 for every n (the cut lemma
-    in last_row).  A row m <= k steps its one run end down from the previous
-    row's end (the staircase lemma): about 1.4 exact evaluations of D a row.
-    The rows k < m <= last_row(k), about 3 % of them, are entered at a guess
-    and walked at both ends.  That is 1.65 evaluations per row over all
-    k <= 300 and 1.54 at k = 10^4, so O(k) per k.
+    in last_row).  One loop (_walk) steps through them from the axis run
+    1..k, each row from the run of the row before it, which contains it
+    (the nesting lemma).  The first empty row ends the search, since every
+    later row is empty too; each empty row past m = k gets its witness.
+    That is about 2.0 exact evaluations of D a row, over k <= 300 and at
+    k = 10^4 or 10^5, so O(k) per k.
 
     Proof.  Fix k and m and put s = m^2 + n^2.  Then
 
@@ -349,72 +252,104 @@ def sign_runs(
       sign is +: at 2M = 1, dD/dM = 13 (s - 1) at the root s = (sqrt 13 -
       1)/2 > 1.  Now fix N > 0 with D(M, N) > 0, and let M0 be the least M'
       in (M, 1] with D(M', N) <= 0, if one exists.  Then M0 > 0,
-      D(M0, N) = 0 and D > 0 on [M, M0), against dD/dM(M0, N) > 0.  So
-      D(m, e + 1) > 0 at the end e of row m - 1, and row m's end is the
-      first n from e down with D <= 0; on the axis m = 0, D = n^2 (n^2 +
-      k^2)(n^4 - k^4) and e = k.
-    * The staircase lemma holds for all 0 <= m < m', past m = k too (no
-      code path uses this yet).  Fix N > 0 and read D as a quartic in M.
-      It is monic, and its roots M > 0 are simple (dD/dM != 0 there), so as
-      N moves, a root M > 0 can neither leave through infinity nor meet
-      another; the number of them changes only where a root crosses M = 0,
-      where D(0, N) = N (N + 1)(N^2 - 1) vanishes, at N = 1.  At N = 4 every
-      coefficient of D(M, 4) is positive, so there is no root, and D > 0 on
-      M >= 0 for every N > 1.  At N = 1/4 there is one root (a Sturm
-      count), so for 0 < N < 1, D < 0 below one root and D > 0 above it.
-      And D(M, 1) = M^2 (M^2 + M + 6).  So D(M, N) > 0 implies D(M', N) > 0
-      for all M' > M: the run of row m' lies inside the run of row m, and
-      past m = k the upper arc of the zero curve falls and the lower rises.
+      D(M0, N) = 0 and D > 0 on [M, M0), against dD/dM(M0, N) > 0.  On the
+      axis m = 0, D = n^2 (n^2 + k^2)(n^4 - k^4), whose run is 1..k.
+    * Nesting lemma: the staircase lemma holds for all 0 <= m < m', past
+      m = k too.  Fix N > 0 and read D as a quartic in M.  It is monic, and
+      its roots M > 0 are simple (dD/dM != 0 there), so as N moves, a root
+      M > 0 can neither leave through infinity nor meet another; the number
+      of them changes only where a root crosses M = 0, where D(0, N) =
+      N (N + 1)(N^2 - 1) vanishes, at N = 1.  At N = 4 every coefficient of
+      D(M, 4) is positive, so there is no root, and D > 0 on M >= 0 for
+      every N > 1.  At N = 1/4 there is one root (a Sturm count), so for
+      0 < N < 1, D < 0 below one root and D > 0 above it.  And D(M, 1) =
+      M^2 (M^2 + M + 6).  So D(M, N) > 0 implies D(M', N) > 0 for all
+      M' > M: the run of row m' lies inside the run of row m, and past
+      m = k the upper arc of the zero curve falls and the lower rises.
+      Once a row is empty, so is every later row.
     * Rows k < m: D(0) > 0 and the row is convex.  D falls and then rises
       in s, and s grows with n, so the sign of D(n+1) - D(n) changes once,
       from - to +, at the first integer minimum nv (the differences
       themselves need not increase in n).  The row is empty iff D(nv) > 0,
       and then nv is its witness.
-
-    Why a walk is exact: the sign of D is monotone along the row on each
-    side of a point in the run (D <= 0 up to an end, D > 0 past it), so one
-    probe on each side of an end proves it, wherever the probes started.  A
-    convex row is entered at a guess; if D > 0 there, one more evaluation
-    tells the downhill side, and the walk goes downhill one n at a time until
-    D <= 0, which is the first point of the run on that side, or until
-    D(n+1) - D(n) turns nonnegative, which is nv.  Every sign is an exact
-    integer comparison, and the D values found at the ends are the ones the
-    zero test and the witness use.
     """
-    bound = enumeration_bound(k)
+    k2 = k * k
+    c1 = k2 * k2 * (2 - k2)  # row 1: m^2 = 1 in the quartic above
+    return _walk(k, 1, (k2, -k2 * (k2 + 4), c1, 2 * c1, 1), 1, k)
+
+
+def _walk(
+    k: int, m: int, q: tuple[int, int, int, int, int], lo: int, hi: int
+) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]], list[tuple[int, int]]]:
+    """sign_runs' (runs, zeros, witnesses) for the rows m..last_row(k).
+
+    q = (c3, c2, c1, c0, m2) is row m: D(n) = P(m2 + n^2) with P(s) = s^4 +
+    c3 s^3 + c2 s^2 + c1 s + c0, and lo..hi must contain its run {n >= 1 :
+    D <= 0}, with lo = 1 if m <= k; the later rows are the torus rows of k.
+    Each row is walked from the run of the row before it, which contains it
+    (the nesting lemma in sign_runs): hi steps down while D(hi) > 0 and, on
+    a row m > k, lo steps up while D(lo) > 0; on a row m <= k the run
+    starts at n = 1 and D(1) < 0 unless hi = 1 (the one-end lemma).  One
+    evaluation of D per n tried, and D can vanish only at lo or hi.  Each
+    empty row k < m gets its witness, the first integer minimum of D, by a
+    downhill walk from the previous witness (the first from the last run's
+    lo).  These are torus rows, few of them, so the witness walk evaluates
+    D as A*B - C^2 (discriminant).  It relies on the row being convex, and
+    so does check_runs: AssertionError for an empty row with P''(m2) <= 0.
+    """
+    c3, c2, c1, c0, m2 = q
     k2 = k * k
     k4 = k2 * k2
+    m_last = last_row(k)
     runs: list[tuple[int, int, int]] = []
     zeros: list[tuple[int, int]] = []
     witnesses: list[tuple[int, int]] = []
-    e = k  # the axis m = 0: D(k, 0, n) > 0 exactly for n > k
-    for m in range(1, k + 1):
-        m2 = m * m
-        c1 = k4 * (2 * m2 - k2)
-        n_hi, zero_ns, e = _step_down((k2, -(k4 + 4 * k2 * m2), c1, 2 * m2 * c1, m2), e)
-        if n_hi:
-            runs.append((m, 1, n_hi))
-        if zero_ns:
-            zeros.append((m, e))
-    # the rows past the axis zero m = k, guessed from the last row: lo..hi is
-    # the last run, or lo = hi its witness when the row had none
-    lo, hi, dlo, dhi = 1, e, 0, 0
-    for m in range(k + 1, last_row(k) + 1):
-        m2 = m * m
-        c1 = k4 * (2 * m2 - k2)
-        q = (k2, -(k4 + 4 * k2 * m2), c1, 2 * m2 * c1, m2)
-        n_lo, n_hi, zero_ns, nv = _convex_run(q, isqrt(bound - m2 - 1), lo + dlo, hi + dhi)
-        if n_lo <= n_hi:
-            runs.append((m, n_lo, n_hi))
-            lo, hi, dlo, dhi = n_lo, n_hi, n_lo - lo, n_hi - hi
-        else:
-            lo = hi = nv or hi
-            dlo = dhi = 0
-        if zero_ns:
-            zeros.extend((m, n) for n in zero_ns)
-        if nv is not None:
+    nv = 0
+    while True:
+        while lo <= hi:
+            s = m2 + hi * hi
+            v_hi = (((s + c3) * s + c2) * s + c1) * s + c0
+            if v_hi <= 0:
+                break
+            hi -= 1
+        if lo <= hi:
+            v_lo = v_hi
+            if m > k:
+                while lo < hi:
+                    s = m2 + lo * lo
+                    v = (((s + c3) * s + c2) * s + c1) * s + c0
+                    if v <= 0:
+                        v_lo = v
+                        break
+                    lo += 1
+            elif hi > 1:
+                v_lo = -1  # D(1) < 0
+            if v_lo and v_hi:
+                runs.append((m, lo, hi))
+            else:  # D = 0 at lo, at hi or at both; no k <= 10^4 has such a row
+                if not v_lo:
+                    zeros.append((m, lo))
+                if not v_hi and hi > lo:
+                    zeros.append((m, hi))
+                if lo + (not v_lo) <= hi - (not v_hi):
+                    runs.append((m, lo + (not v_lo), hi - (not v_hi)))
+        elif m > k:  # the row is empty, and so is every later one
+            if (6 * m2 + 3 * c3) * m2 + c2 <= 0:  # P''(m2) / 2
+                raise AssertionError(f"D is not convex on the row s >= {m2}")
+            nv = nv or lo  # the first witness walks from the last run
+            v = discriminant(k, m, nv)
+            while nv > 1 and (u := discriminant(k, m, nv - 1)) <= v:
+                nv, v = nv - 1, u
+            while (u := discriminant(k, m, nv + 1)) < v:
+                nv, v = nv + 1, u
             witnesses.append((m, nv))
-    return runs, zeros, witnesses
+        if m >= m_last:
+            return runs, zeros, witnesses
+        m += 1
+        m2 = m * m
+        c2 = -(k4 + 4 * k2 * m2)
+        c1 = k4 * (2 * m2 - k2)
+        c0 = 2 * m2 * c1
 
 
 def run_pairs(runs: list[tuple[int, int, int]]):

@@ -238,27 +238,21 @@ def test_dropped_zero_fails(monkeypatch, report176):
         assert failures_of(report176), f"the zero at {zero} was not listed"
 
 
-@pytest.mark.parametrize("name", ["_step_down", "_convex_run"])
-def test_a_zero_found_by_the_walk_is_listed_and_refused(monkeypatch, report176, name):
-    # no interior zero of D occurs for k <= 10^4, so sign_runs' zero branches
-    # are driven by a walk that reports the upper end of one run as a zero:
-    # in row 10 (m <= k) for _step_down, in row k + 1 for _convex_run
-    m0 = 10 if name == "_step_down" else K + 1
-    real = getattr(torus, name)
+@pytest.mark.parametrize("m0", [10, K + 1], ids=["one-end", "two-end"])
+def test_a_zero_found_by_the_walk_is_listed_and_refused(monkeypatch, report176, m0):
+    # no interior zero of D occurs for k <= 10^4, so a zero is injected into
+    # the walk's answer: the upper end of one run reported as a zero, in row
+    # 10 (m <= k, a run from n = 1) and in row k + 1 (past the axis zero)
+    real = torus._walk
 
-    def walk(q, *args):
-        out = real(q, *args)
-        if q[4] != m0 * m0:  # q[4] is the row's m^2
-            return out
-        if name == "_step_down":
-            n_hi, zeros, e = out
-            assert zeros == [] and n_hi == e >= 2
-            return e - 1, [e], e
-        n_lo, n_hi, zeros, nv = out
+    def walk(k, *entry):
+        runs, zeros, witnesses = real(k, *entry)
+        ((i, (_, n_lo, n_hi)),) = [(i, run) for i, run in enumerate(runs) if run[0] == m0]
         assert zeros == [] and n_lo < n_hi
-        return n_lo, n_hi - 1, [n_hi], nv
+        runs[i] = (m0, n_lo, n_hi - 1)
+        return runs, [(m0, n_hi)], witnesses
 
-    monkeypatch.setattr(torus, name, walk)
+    monkeypatch.setattr(torus, "_walk", walk)
     r = index_nullity(K)
     ((_, _, n_hi),) = [run for run in report176["runs"] if run[0] == m0]
     assert r.zero_pairs == ((m0, n_hi),)
@@ -397,7 +391,7 @@ def test_check_cost_is_linear_in_k(monkeypatch):
         raise AssertionError("check_runs searched")
 
     monkeypatch.setattr(torus, "discriminant", counting)
-    for name in ("sign_runs", "_run_end", "_step_down", "_convex_run"):
+    for name in ("sign_runs", "_walk"):
         monkeypatch.setattr(torus, name, forbidden)
     assert check_runs(k, runs, zeros, witnesses) == []
     rows = last_row(k)

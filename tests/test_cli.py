@@ -3,6 +3,7 @@
 import argparse
 import ast
 import csv
+import hashlib
 import io
 import json
 import os
@@ -343,6 +344,20 @@ def test_golden_reports_byte_exact(capsys, monkeypatch, tmp_path, name, argv):
 
 def test_every_command_has_a_golden():
     assert {tuple(argv[:2]) for _, argv in GOLDENS} == set(COMMANDS)
+
+
+def test_largest_index_report_is_pinned(capsys):
+    # torus index --k 2, the golden, has no row past the axis zero m = k; the
+    # report at INDEX_K_LIMIT has 3509 of them, with runs starting past n = 1
+    # and 114 witnesses, and it must not change byte for byte
+    code, out = run_cli(capsys, "torus", "index", "--k", "100000", "--format", "json")
+    assert code == EXIT_OK
+    results = json.loads(out)["results"]
+    assert len(results["empty_row_witnesses"]) == 114
+    assert len(out.encode()) == 5_904_812
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "74c0c13b85245c3c64d4fe88979f7d9166b5c8f7a49f63e9533120dedab2437b"
+    )
 
 
 @pytest.mark.parametrize("name,argv", GOLDENS)

@@ -1,12 +1,12 @@
-"""The row walk's guesses change its cost, never its answer.
+"""The bracket a row is walked from changes the walk's cost, never its answer.
 
-sign_runs walks each row from where the previous rows left it: a row m <= k
-through _step_down, which steps the one end of a run that starts at n = 1
-down from any e with D(e + 1) > 0, and a row k < m <= last_row(k) through
-_convex_run, from guesses.  Here both run on real torus rows, _step_down from
-every start the staircase lemma allows and _convex_run from arbitrary
-guesses, and the run, zero pairs and witness must equal a brute-force pass of
-D = A*B - C^2 over the whole row.
+sign_runs walks each row from the run of the row before it (torus._walk): the
+nesting lemma puts the row's run {n >= 1 : D <= 0} inside that bracket, hi
+steps down to the run's upper end, lo steps up to its lower end on a row past
+the axis zero m = k, and an empty row past it is walked downhill to its first
+integer minimum.  Here the walk enters real torus rows from every bracket
+that contains the run, and the run, zero pairs and witness of the row must
+equal a brute-force pass of D = A*B - C^2 over the whole row.
 """
 
 from math import isqrt
@@ -17,13 +17,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from bihindex.torus import (  # noqa: E402
-    _convex_run,
-    _step_down,
-    discriminant,
-    enumeration_bound,
-    last_row,
-)
+from bihindex.torus import _walk, discriminant, enumeration_bound, last_row  # noqa: E402
 
 SEARCH = settings(
     max_examples=300,
@@ -44,32 +38,19 @@ def torus_rows(draw):
     return k, draw(st.integers(1, k))
 
 
-# guesses near the row's n range, and far outside it on either side
-guess = st.one_of(st.integers(-3, 3 * 200), st.integers(-(10**9), 10**9))
-
-
 def row_quartic(k, m):
-    """(c3, c2, c1, c0, m2) of the row, as sign_runs builds it."""
+    """(c3, c2, c1, c0, m2) of the row, the quartic in s that _walk evaluates."""
     k2, m2 = k * k, m * m
     k4 = k2 * k2
     c1 = k4 * (2 * m2 - k2)
     return k2, -(k4 + 4 * k2 * m2), c1, 2 * m2 * c1, m2
 
 
-def walk_row(k, m, n_max, guesses):
-    """(negative n, zero n, witness or None) of the row, walked from the guesses.
-
-    A row m <= k steps down from the first n >= the guess with D(n + 1) > 0,
-    any start the staircase allows, up to n_max (D > 0 past the bound)."""
-    q = row_quartic(k, m)
-    if m <= k:
-        e = min(max(guesses[1], 0), n_max)
-        while e < n_max and discriminant(k, m, e + 1) <= 0:
-            e += 1
-        n_hi, zeros, _ = _step_down(q, e)
-        return list(range(1, n_hi + 1)), zeros, None
-    n_lo, n_hi, zeros, nv = _convex_run(q, n_max, *guesses)
-    return list(range(n_lo, n_hi + 1)), zeros, nv
+def walk_row(k, m, lo, hi):
+    """(negative n, zero n, witness or None) of row m, walked from lo..hi."""
+    runs, zeros, witnesses = _walk(k, m, row_quartic(k, m), lo, hi)
+    neg = [n for row, n_lo, n_hi in runs if row == m for n in range(n_lo, n_hi + 1)]
+    return neg, [n for row, n in zeros if row == m], dict(witnesses).get(m)
 
 
 def _brute_force(k, m, n_max):
@@ -82,8 +63,18 @@ def _brute_force(k, m, n_max):
 
 
 @SEARCH
-@given(torus_rows(), st.lists(guess, min_size=2, max_size=2))
-def test_seeds_change_only_the_cost(row, guesses):
+@given(torus_rows(), st.data())
+def test_seeds_change_only_the_cost(row, data):
+    # the bracket lo..hi is any one that contains the run: lo = 1 on a row
+    # m <= k (the one-end lemma), and any lo <= hi + 1 on an empty row, whose
+    # witness walk starts from lo
     k, m = row
     n_max = isqrt(enumeration_bound(k) - m * m - 1)
-    assert walk_row(k, m, n_max, guesses) == _brute_force(k, m, n_max)
+    expected = _brute_force(k, m, n_max)
+    run = sorted(expected[0] + expected[1])
+    if m <= k:
+        lo = 1
+    else:
+        lo = data.draw(st.integers(1, run[0] if run else n_max), label="lo")
+    hi = data.draw(st.integers(run[-1] if run else lo - 1, n_max), label="hi")
+    assert walk_row(k, m, lo, hi) == expected

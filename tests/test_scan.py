@@ -15,8 +15,7 @@ from bihindex.scan import (
     scan_row,
 )
 from bihindex.torus import (
-    _convex_run,
-    _step_down,
+    _walk,
     discriminant,
     enumeration_bound,
     interior_sign_scan,
@@ -78,10 +77,9 @@ PAST_THE_AXIS_ZERO = [k for k in ORACLE_KS if k >= 30]
 
 
 def test_a_lower_row_cut_fails_the_oracle(monkeypatch):
-    # the cut m < k drops the runs with k < m <= 1.034k, which every k >= 30
-    # here has; the rows m <= k are walked whatever the cut (their runs start
-    # at n = 1 up to the axis zero m = k)
-    monkeypatch.setattr(torus, "last_row", lambda k: k - 1)
+    # the cut at the axis zero, m <= k, drops the runs with k < m <= 1.034k,
+    # which every k >= 30 here has
+    monkeypatch.setattr(torus, "last_row", lambda k: k)
     assert _oracle_mismatches(ORACLE_KS) == PAST_THE_AXIS_ZERO
 
 
@@ -97,16 +95,16 @@ def test_runs_start_at_one_up_to_the_axis_zero(monkeypatch):
     for k in ORACLE_KS:
         runs, _, _ = sign_runs(k)
         assert all(n_lo == 1 for m, n_lo, _ in runs if m <= k), k
-    # and it stops at m = k: a run forced to start at n = 1 in row k + 1
-    # fails the oracle wherever that row has a run
-    real = torus._convex_run
+    # and it stops at m = k: a walk that kept lo = 1 in row k + 1, as the
+    # one-end rows do, fails the oracle wherever that row has a run
+    real = torus._walk
 
-    def start_at_one_past_the_axis(q, *guesses):
-        n_lo, n_hi, zeros, nv = real(q, *guesses)
-        first_row_past_k = q[4] == (isqrt(q[0]) + 1) ** 2  # q = (k^2, ..., m^2)
-        return (1 if first_row_past_k else n_lo), n_hi, zeros, nv
+    def start_at_one_past_the_axis(k, *entry):
+        runs, zeros, witnesses = real(k, *entry)
+        runs = [(m, 1 if m == k + 1 else n_lo, n_hi) for m, n_lo, n_hi in runs]
+        return runs, zeros, witnesses
 
-    monkeypatch.setattr(torus, "_convex_run", start_at_one_past_the_axis)
+    monkeypatch.setattr(torus, "_walk", start_at_one_past_the_axis)
     assert _oracle_mismatches(ORACLE_KS) == PAST_THE_AXIS_ZERO
 
 
@@ -178,49 +176,55 @@ def _quartic(factors, m2):
     ],
 )
 def test_quartic_run_zero_at_run_end(factors, m2, expected):
-    # no interior zero of D occurs in the torus family, so the zero branch is
-    # driven by synthetic quartics with the same sign pattern + + - e e
+    # no interior zero of D occurs in the torus family, so the walk's zero
+    # branches are driven by synthetic rows with the same sign pattern
+    # + + - e e, entered through _walk as the last row of their k: a row
+    # m <= k as row 1 of k = 1, a row past the axis zero as row 11 of k = 10
     q, d = _quartic(factors, m2)
     c3, c2, _, c0, _ = q
     n_max = 20
     signs = {n: d(n) for n in range(1, n_max + 1)}
+    assert last_row(1) == 1 and last_row(10) == 10
     if expected is None:
         assert min(signs.values()) > 0
     else:
         n_lo, n_hi, zeros = expected
         assert [n for n, v in signs.items() if v < 0] == list(range(n_lo, n_hi + 1))
         assert [n for n, v in signs.items() if v == 0] == zeros
+        m = 1 if c0 < 0 else 11
+        run = [(m, n_lo, n_hi)] if n_lo <= n_hi else []
     if c0 < 0:  # D(0) < 0 and one positive root: the run is 1..e
         assert d(0) < 0
         end = max(expected[1], *expected[2])
-        # any start e0 >= end has D(e0 + 1) > 0, as the staircase lemma gives
-        for start in (end, end + 1, 9, n_max):
-            n_hi, zeros, e = _step_down(q, start)
-            assert (1, n_hi, zeros) == expected and e == end, start
+        # any bracket 1..hi with hi >= e contains the run
+        for hi in (end, end + 1, 9, n_max):
+            assert _walk(1, 1, q, 1, hi) == (run, [(m, z) for z in zeros], []), hi
         return
     assert (6 * m2 + 3 * c3) * m2 + c2 > 0  # the convexity lemma's premise
-    for guess in (1, 4, 9, n_max):
-        # entered at the guess as the last run's single pair or the witness of
-        # a last row that was empty, and as the end of a run from n = 1
-        for guesses in ((guess, guess), (1, guess)):
-            n_lo, n_hi, zeros, nv = _convex_run(q, n_max, *guesses)
-            if expected is not None:
-                assert (n_lo, n_hi, zeros, nv) == (*expected, None), guesses
-                continue
-            # an empty row comes with nv, the minimum of the convex row, walked
-            # to from the guess
-            assert n_lo > n_hi and zeros == [], guesses
-            assert nv == min(range(1, n_max + 1), key=d) == 3, guesses
+    if expected is None:
+        # the torus row k = 10, m = 11: empty, so it must come with nv, the
+        # minimum of the convex row, walked to from lo on either side of it
+        assert min(range(1, n_max + 1), key=d) == 3
+        for lo in (1, 4, 9, n_max):
+            for hi in (lo - 1, lo, n_max):
+                assert _walk(10, 11, q, lo, hi) == ([], [], [(11, 3)]), (lo, hi)
+        return
+    first, last = min(n_lo, *zeros), max(n_hi, *zeros)
+    for lo in range(1, first + 1):
+        for hi in (last, last + 1, 9, n_max):
+            assert _walk(10, 11, q, lo, hi) == (run, [(m, z) for z in zeros], []), (lo, hi)
 
 
 def test_quartic_run_rejects_a_concave_row():
     # roots s = 4, 8 with D''(0) < 0: the only pair with D <= 0 is the zero
-    # n = 2, which a search for the convex minimum would miss, so a row that
-    # is not convex must raise rather than answer
-    q, _ = _quartic(([1, -4], [1, -8], [1, 23, 1]), 0)
-    for guess in (1, 4, 9, 20):
+    # n = 2, which a search for the convex minimum would miss, so an empty
+    # row past the axis zero that is not convex must raise rather than
+    # answer with a witness
+    q, d = _quartic(([1, -4], [1, -8], [1, 23, 1]), 0)
+    for n in (1, 4, 9, 20):
+        assert d(n) > 0
         with pytest.raises(AssertionError, match="not convex"):
-            _convex_run(q, 20, guess, guess)
+            _walk(10, 11, q, n, n)
 
 
 def test_witnesses_are_first_minima_of_every_empty_convex_row():
