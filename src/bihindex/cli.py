@@ -78,7 +78,7 @@ SCAN_K_LIMIT = 10**4
 # (--k 2, csv) on the same core
 LAMBDA_MAX_LIMIT = 10**5
 
-# legendre descartes takes about 0.057 ms per (m, n) pair (5.0-5.2 s at
+# legendre descartes takes about 0.028 ms per (m, n) pair (2.3-2.6 s at
 # 300 x 300 on one core of an x86-64 Xeon, Python 3.11); larger ranges are
 # refused
 DESCARTES_RANGE_LIMIT = 300

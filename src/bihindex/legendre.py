@@ -28,7 +28,8 @@ degree <= 4 in each label, so each charpoly coefficient has a known degree):
 P5_TABLE holds a0..a5 as integer tables in M = m^2 and N = n^2, so each a_i
 is even in m and in n, and of degree <= 20 in each, by construction.
 p5_row(m) folds M in once and leaves six polynomials in N; p5_coefficients
-and the window of descartes_lemma_check evaluate them at n^2.  Evenness of
+evaluates them at n^2, and the window of descartes_lemma_check runs Horner's
+rule inline over their integer coefficient rows.  Evenness of
 the block charpolys themselves, which would let the quintic lemma sample
 distinct squares only, is not proved.
 """
@@ -254,22 +255,29 @@ class DescartesReport(NamedTuple):
 def descartes_lemma_check(m_max: int, n_max: int) -> DescartesReport:
     """Verify the six sign conditions for every hypothesis pair in the range,
     and independently confirm by Sturm counting that the quintic has no root
-    <= 0 there.  Each m folds P5_TABLE once (p5_row); each n then costs six
-    Horner evaluations at n^2.  The window is an oracle; the Descartes lemma
-    is the proof."""
+    <= 0 there.  Each m folds P5_TABLE once (p5_row); each n then evaluates
+    the six folded integer rows at n^2 by Horner's rule, inline, and makes
+    two Sturm counts.  The window is an oracle; the Descartes lemma is the
+    proof."""
     if m_max < 3 or n_max < 3:
         raise ValueError("range must reach at least (3, 3)")
     violations = []
     checked = 0
     sturm_ok = True
     for m in range(1, m_max + 1):
-        row = p5_row(m)
+        rows = [a.coeffs[::-1] for a in p5_row(m)]  # highest power of N first
         for n in range(1, n_max + 1):
             if not satisfies_lemma_hypothesis(m, n):
                 continue
             checked += 1
             nn = n * n
-            p5 = IntPolynomial([a(nn) for a in row])  # a5 = -1, so p5.coeffs keeps all six
+            coeffs = []
+            for row in rows:
+                acc = 0
+                for c in row:
+                    acc = acc * nn + c
+                coeffs.append(acc)
+            p5 = IntPolynomial(coeffs)  # a5 = -1, so p5.coeffs keeps all six
             if not all(_sign_conditions(p5.coeffs)):
                 violations.append((m, n))
             if count_roots(p5, "negative") != 0 or count_roots(p5, "zero") != 0:

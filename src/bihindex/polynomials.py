@@ -2,10 +2,12 @@
 
 Root counting is done with Sturm sequences of primitive integer polynomials:
 each member is a positive multiple of the classical one, found by integer
-pseudo-division and content removal.  The count of distinct roots in
-(-inf, 0) / (0, +inf) comes from sign variations of the chain at -inf, 0,
-+inf, which are read off each member's leading coefficient, degree and
-constant term; the multiplicity of the root 0 is read off the
+pseudo-division and content removal; a step whose degree drops by one (the
+first step always, and every step of a normal chain) is one closed-form
+comprehension.  The count of distinct roots in (-inf, 0) / (0, +inf) is the
+difference of the chain's sign variations at 0 and at that region's
+infinity, both read in one pass off each member's constant term, leading
+coefficient and degree; the multiplicity of the root 0 is read off the
 trailing-coefficient valuation.  Counts with multiplicity are only needed
 for symmetric matrices, whose real-rooted characteristic polynomials
 ``matrices.eigenvalue_signs`` counts by Descartes' rule of signs.
@@ -79,26 +81,39 @@ class IntPolynomial:
 # -- Sturm machinery ---------------------------------------------------------
 # A root count reads only the signs of the chain members, so each member may
 # be any positive multiple of the classical one.  The chain is kept in
-# primitive integer coefficient lists, lowest degree first.
+# primitive integer coefficient lists, lowest degree first.  A step whose
+# degree drops by one, which is the first step p -> p' always and every step
+# of a normal chain, is the closed form of its one division round: with
+# lb = lc(b), c1 = lb a_top and c0 = lb a_top-1 - a_top b_top-1,
+# lb^2 a - (c1 x + c0) b is lb^2 times the remainder; its two top terms
+# vanish and are not formed.  A larger drop takes one pseudo-division round
+# per degree.
 
 def _sturm_chain(p: list[int]) -> list[list[int]]:
-    chain = [p, [i * c for i, c in enumerate(p)][1:]]
-    while len(chain[-1]) > 1:
-        b = chain[-1]
-        scale, lead = abs(b[-1]), 1 if b[-1] > 0 else -1
-        r = chain[-2]
-        for shift in range(len(r) - len(b), -1, -1):
-            # r <- |lc(b)| r - sign(lc(b)) lc(r) x^shift b cancels the top term,
-            # which is dropped
-            top = lead * r[-1]
-            r = [scale * c for c in r[:shift]] + [
-                scale * c - top * d for c, d in zip(r[shift:-1], b)]
+    a, b = p, [i * c for i, c in enumerate(p)][1:]
+    chain = [a, b]
+    while len(b) > 1:
+        lb = b[-1]
+        if len(a) == len(b) + 1:
+            # r_i from a_i, b_i-1 (b_-1 = 0) and b_i
+            lb2, c1, c0 = lb * lb, lb * a[-1], lb * a[-2] - a[-1] * b[-2]
+            r = [lb2 * x - c1 * y - c0 * z for x, y, z in zip(a, (0, *b), b[:-1])]
+        else:
+            scale, lead = abs(lb), 1 if lb > 0 else -1
+            r = a
+            for shift in range(len(r) - len(b), -1, -1):
+                # r <- |lb| r - sign(lb) lc(r) x^shift b cancels the top term,
+                # which is dropped
+                top = lead * r[-1]
+                r = [scale * c for c in r[:shift]] + [
+                    scale * c - top * d for c, d in zip(r[shift:-1], b)]
         while r and r[-1] == 0:
             r.pop()
         if not r:
             break
         g = gcd(*r)  # positive, since r is not zero
-        chain.append([-c // g for c in r])
+        a, b = b, [-c // g for c in r]
+        chain.append(b)
     return chain
 
 
@@ -122,13 +137,20 @@ def _count_distinct(p: IntPolynomial, region: Region) -> int:
     q = list(p.coeffs[zero_root_multiplicity(p):])
     if len(q) <= 1:
         return 0
-    chain = _sturm_chain(q)
-    v_at_zero = _variations(c[0] for c in chain)
-    if region == "negative":
-        v_lo = _variations(c[-1] if len(c) % 2 else -c[-1] for c in chain)
-        return v_lo - v_at_zero
-    v_hi = _variations(c[-1] for c in chain)
-    return v_at_zero - v_hi
+    # one pass reads the sign variations at 0 (constant terms, zeros skipped;
+    # q[0] != 0) and at the region's infinity (leading coefficients, times
+    # (-1)^degree at -inf), starting from the signs of q, the first member
+    minus = region == "negative"
+    at_zero, at_inf = q[0] < 0, (q[-1] < 0) != (minus and len(q) % 2 == 0)
+    v_zero = v_inf = 0
+    for c in _sturm_chain(q):
+        if c[0] and (c[0] < 0) != at_zero:
+            at_zero = not at_zero
+            v_zero += 1
+        if ((c[-1] < 0) != (minus and len(c) % 2 == 0)) != at_inf:
+            at_inf = not at_inf
+            v_inf += 1
+    return v_inf - v_zero if minus else v_zero - v_inf
 
 
 def count_roots(p: IntPolynomial, region: Region) -> int:

@@ -387,6 +387,25 @@ def test_a_sturm_count_that_disagrees_is_a_violation(capsys, monkeypatch):
     assert results["violations"] == [[3, 2]] and results["sturm_confirmed"] is False
 
 
+def test_a_root_at_zero_counted_by_sturm_is_a_violation(capsys, monkeypatch):
+    """The window reads the zero count as well as the negative one: a root at
+    0 counted at (4, 1) makes that label a violation, sturm_confirmed false
+    and legendre descartes exit 2, while its negative count stays 0."""
+    at_41 = p5_coefficients(4, 1)
+    real = legendre.count_roots
+
+    def count(p, kind):
+        return 1 if (kind, tuple(p.coeffs)) == ("zero", at_41) else real(p, kind)
+
+    monkeypatch.setattr(legendre, "count_roots", count)
+    assert count(IntPolynomial(at_41), "negative") == 0
+    rep = descartes_lemma_check(4, 3)
+    assert rep.violations == ((4, 1),) and rep.sturm_confirmed is False
+    assert main(["legendre", "descartes", "--m", "4", "--n", "3"]) == EXIT_VERIFICATION
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["violations"] == [[4, 1]] and results["sturm_confirmed"] is False
+
+
 def test_index_nullity_ledger():
     led = legendre_index_nullity()
     assert (led.index, led.nullity) == (11, 18)

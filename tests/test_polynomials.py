@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from bihindex.legendre import p5_polynomial
 from bihindex.polynomials import IntPolynomial, _sturm_chain, count_roots
 
 from oracles import poly_product
@@ -93,15 +94,26 @@ def _classical_sturm_chain(coeffs):
 
 def test_sturm_chain_is_a_positive_multiple_of_the_classical_chain():
     # the integer chain may scale each member by a positive constant and by
-    # nothing else; a negative leading coefficient anywhere in the chain
-    # exercises the sign(lc) factor of the pseudo-division
+    # nothing else.  The inputs make every kind of step: degree drops of 1
+    # (the closed-form step), 2 and at least 3 (one pseudo-division round per
+    # degree), each also with a negative leading coefficient of the divisor,
+    # which exercises the sign(lc) factor; the quintics P5(m, n) up to
+    # (50, 50) bring coefficients of more than 100 bits
     rng = random.Random(31)
+    inputs = []
     for trial in range(300):
         if trial % 2:
             roots = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(1, 5))]
-            p = _poly_from_linear_factors(roots)
+            inputs.append(_poly_from_linear_factors(roots))
         else:
-            p = IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(1, 8))] + [1])
+            inputs.append(IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(1, 8))] + [1]))
+    for _ in range(100):  # gaps in the degrees make the larger drops
+        sparse = [rng.choice((0, 0, 0, rng.randint(-9, 9))) for _ in range(rng.randint(1, 9))]
+        inputs.append(IntPolynomial(sparse + [1]))
+    quintics = [p5_polynomial(m, n) for m, n in ((1, 1), (2, 1), (3, 2), (17, 40), (50, 50))]
+    assert max(abs(c).bit_length() for c in quintics[-1].coeffs) > 100
+    steps = set()
+    for p in inputs + quintics:
         for q in (p, _negated(p)):
             chain = _sturm_chain(list(q.coeffs))
             classical = _classical_sturm_chain(q.coeffs)
@@ -109,6 +121,9 @@ def test_sturm_chain_is_a_positive_multiple_of_the_classical_chain():
             for member, ref in zip(chain, classical):
                 ratio = Fraction(member[-1]) / ref[-1]
                 assert ratio > 0 and member == [ratio * c for c in ref], q
+            # (degree drop, capped at 3; lc < 0) of each step a -> b -> r
+            steps.update((min(len(a) - len(b), 3), b[-1] < 0) for a, b in zip(chain, chain[1:-1]))
+    assert steps == {(drop, neg) for drop in (1, 2, 3) for neg in (False, True)}
 
 
 def _bisection_root_count(p: IntPolynomial, lo: float, hi: float, depth: int = 60) -> int:
