@@ -15,13 +15,14 @@ D(k, m, 0) gives lambda^-_m < 0 iff m < k, = 0 iff m = k.  Hence
 
 which circle_index_nullity returns in closed form.
 circle_index_nullity_by_matrices recounts both from the blocks themselves,
-with the exact eigenvalue sign counts of matrices.eigenvalue_signs.
+with the exact eigenvalue sign counts of matrices.eigenvalue_signs, up to
+the cut m <= torus.last_row(k), about 1.035k.
 """
 
 from __future__ import annotations
 
 from .matrices import eigenvalue_signs
-from .torus import block_matrix, check_label
+from .torus import block_matrix, check_label, last_row
 
 
 def circle_index_nullity(k: int) -> tuple[int, int]:
@@ -36,10 +37,13 @@ def circle_index_nullity(k: int) -> tuple[int, int]:
 
 
 def circle_index_nullity_by_matrices(k: int) -> tuple[int, int]:
-    """Same counts, but from exact eigenvalue sign counts of the blocks."""
+    """Same counts, from the exact eigenvalue signs of the blocks m <= last_row(k).
+    Past that row D(k, m, 0) = AB - C^2 > 0 (the cut lemma of torus.last_row,
+    at n = 0 too: q(0) > 0) and A = 3k^2 m^2 + m^4 > 0, so both 2 x 2
+    components [[A, C], [C, B]] of a later block are positive definite."""
     check_label(k, 0, 0)  # checks k >= 1
     index = nullity = 0
-    for m in range(0, 3 * k + 1):
+    for m in range(last_row(k) + 1):
         neg, zero = eigenvalue_signs(block_matrix(k, m, 0))
         index += neg
         nullity += zero

@@ -74,7 +74,7 @@ INDEX_K_LIMIT = 10**5
 SCAN_K_LIMIT = 10**4
 
 # torus spectrum builds and sorts the branches of the about (pi/4) lambda_max
-# labels with m^2 + n^2 <= lambda_max: 9-11 s and 165 MB peak at 10^5
+# labels with m^2 + n^2 <= lambda_max: 4.5-5.1 s and 161 MB peak at 10^5
 # (--k 2, csv) on the same core
 LAMBDA_MAX_LIMIT = 10**5
 
@@ -83,9 +83,9 @@ LAMBDA_MAX_LIMIT = 10**5
 # refused
 DESCARTES_RANGE_LIMIT = 300
 
-# circle index --check-matrices counts 3k + 1 blocks, about 0.45 ms per unit
-# of k (4.5 s at k = 10^4 on one core of an x86-64 Xeon, Python 3.11); a
-# larger k is refused with the check, answered without it
+# circle index --check-matrices counts the blocks m <= last_row(k) ~ 1.035k,
+# about 0.11 ms per unit of k (1.1-1.2 s at k = 10^4 on one core of an x86-64
+# Xeon, Python 3.11); a larger k is refused with the check, answered without it
 CHECK_MATRICES_K_LIMIT = 10**4
 
 # torus check reads at most this many bytes (a k = 10^4 report is about 0.64 MB)

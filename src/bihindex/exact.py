@@ -210,6 +210,11 @@ class Surd:
 
     __hash__ = None  # type: ignore[assignment]  # no canonical form
 
+    def __floor__(self) -> int:
+        # sqrt(s) lies in [r, r + 1) for r = isqrt(s), and strictly inside unless s = r^2
+        r = math.isqrt(self.s)
+        return (self.p + self.branch * r - (self.branch < 0 and r * r != self.s)) // self.q
+
     def __float__(self) -> float:
         # sqrt(s) to 64 bits past the point, with no float of s; opposite signs take
         # the conjugate form (p^2 - s)/(q (p - branch sqrt(s))), so no digit cancels

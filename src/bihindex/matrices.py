@@ -7,7 +7,8 @@ component is a permutation similarity P^T M P: it keeps a symmetric matrix
 symmetric and keeps its characteristic polynomial, and the permuted matrix is
 block-diagonal, so det(xI - M) is the product of the components'
 characteristic polynomials.  Each factor comes from Berkowitz's algorithm,
-which needs no division and so runs on Z[sqrt(2)] entries directly.  Every
+which needs no division and so runs in Z[sqrt(2)] directly, on the integer
+pairs (a, b) of the entries a + b sqrt(2).  Every
 matrix built by this package has a rational characteristic polynomial; a
 sqrt(2) part surviving in the product signals a wrongly assembled matrix and
 raises.  Because the matrices are symmetric their characteristic
@@ -21,6 +22,7 @@ subspace; the torus, circle and Legendre blocks differ only in their tables.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Callable, Sequence
 
 from .exact import QUAD_ONE, QUAD_ZERO, QuadExt
@@ -86,10 +88,6 @@ class ExactMatrix:
         return f"ExactMatrix(order={self.order})"
 
 
-def _dot(u: Sequence[QuadExt], v: Sequence[QuadExt]) -> QuadExt:
-    return sum((x * y for x, y in zip(u, v)), QUAD_ZERO)
-
-
 def components(m: ExactMatrix) -> list[list[int]]:
     """Connected components of the graph on 0..n-1 with an edge i -- j for
     each nonzero entry M[i][j]: sorted index lists, ordered by least index."""
@@ -112,30 +110,42 @@ def components(m: ExactMatrix) -> list[list[int]]:
     return comps
 
 
-def _berkowitz(rows: Sequence[Sequence[QuadExt]]) -> list[QuadExt]:
-    """det(xI - A) over Z[sqrt(2)], highest degree first.
+PairPolynomial = tuple[list[int], list[int]]  # (p, q) for p + sqrt(2) q, highest degree first
 
-    With A the leading k x k block, c the entries rows[k][:k] (row and
-    column, by symmetry) and a = rows[k][k], the charpoly of the leading
-    (k+1) x (k+1) block is the Toeplitz product (1, -a, -c.c, -c.Ac, ...,
-    -c.A^(k-1)c) * det(xI - A), truncated to degree k+1.  Only ring
-    operations occur, so everything stays in Z[sqrt(2)].
+
+def _times(pa: list[int], pb: list[int], qa: list[int], qb: list[int], size: int) -> PairPolynomial:
+    """The first size >= len(pa) coefficients of (pa + sqrt(2) pb)(qa + sqrt(2) qb)."""
+    ra, rb = [0] * size, [0] * size
+    for i, (x, y) in enumerate(zip(pa, pb)):
+        for s, (u, w) in enumerate(zip(qa[:size - i], qb[:size - i]), i):
+            ra[s] += x * u + 2 * y * w
+            rb[s] += x * w + y * u
+    return ra, rb
+
+
+def _berkowitz(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> PairPolynomial:
+    """det(xI - M) for M = A + sqrt(2) B, with A and B integer matrices.
+
+    With M_k the leading k x k block, c the entries M[k][:k] (row and
+    column, by symmetry) and d = M[k][k], the charpoly of the leading
+    (k+1) x (k+1) block is the Toeplitz product (1, -d, -c.c, -c.M_k c, ...,
+    -c.M_k^(k-1) c) * det(xI - M_k), truncated to degree k+1.  Only ring
+    operations occur, so every value is a pair of integers.
     """
-    p = [QUAD_ONE]  # charpoly of the leading k x k block
-    for k in range(len(rows)):
-        a = [row[:k] for row in rows[:k]]
-        c = rows[k][:k]
-        t = [QUAD_ONE, -rows[k][k]]
-        v = c
+    pa, pb = [1], [0]  # charpoly of the leading k x k block
+    for k in range(len(a)):
+        ma, mb = a[:k], b[:k]  # rows of the leading block; zip stops at column k
+        ca, cb = a[k][:k], b[k][:k]
+        ta, tb = [1, -a[k][k]], [0, -b[k][k]]
+        va, vb = ca, cb
         for j in range(k):
             if j:
-                v = [_dot(r, v) for r in a]
-            t.append(-_dot(c, v))
-        p = [
-            sum((t[i] * p[s - i] for i in range(max(0, s - k), s + 1)), QUAD_ZERO)
-            for s in range(k + 2)
-        ]
-    return p
+                va, vb = ([sum(map(mul, x, va)) + 2 * sum(map(mul, y, vb)) for x, y in zip(ma, mb)],
+                          [sum(map(mul, x, vb)) + sum(map(mul, y, va)) for x, y in zip(ma, mb)])
+            ta.append(-sum(map(mul, ca, va)) - 2 * sum(map(mul, cb, vb)))
+            tb.append(-sum(map(mul, ca, vb)) - sum(map(mul, cb, va)))
+        pa, pb = _times(ta, tb, pa, pb, k + 2)
+    return pa, pb
 
 
 def charpoly_exact(m: ExactMatrix) -> IntPolynomial:
@@ -146,30 +156,25 @@ def charpoly_exact(m: ExactMatrix) -> IntPolynomial:
     block-diagonal, so det(xI - M) is the product over the components c of
     the Berkowitz charpolys of the principal submatrices M[c][c].  Berkowitz
     costs O(n^4) ring operations, so a 20 x 20 block made of four 5 x 5
-    components costs about 1/64 of the whole.  Raises
-    IrrationalCoefficientError if a coefficient of the product keeps a
-    nonzero sqrt(2) part (all blocks assembled by this package must cancel
-    it).  The check runs on the product only: conjugate components such as
-    diag(sqrt2, -sqrt2) have irrational factors but a rational product.
+    components costs about 1/64 of the whole; it and the product run on
+    integer pairs.  Raises IrrationalCoefficientError if a coefficient of the
+    product keeps a nonzero sqrt(2) part (all blocks assembled by this package
+    must cancel it).  The check runs on the product only: conjugate components
+    such as diag(sqrt2, -sqrt2) have irrational factors but a rational product.
     """
     rows = m.entries
-    p = [QUAD_ONE]  # highest degree first
+    pa, pb = [1], [0]  # highest degree first
     for comp in components(m):
-        q = _berkowitz([[rows[i][j] for j in comp] for i in comp])
-        prod = [QUAD_ZERO] * (len(p) + len(q) - 1)
-        for i, x in enumerate(p):
-            for j, y in enumerate(q):
-                prod[i + j] = prod[i + j] + x * y
-        p = prod
+        qa, qb = _berkowitz([[rows[i][j].a for j in comp] for i in comp],
+                            [[rows[i][j].b for j in comp] for i in comp])
+        pa, pb = _times(pa, pb, qa, qb, len(pa) + len(qa) - 1)
 
-    coeffs = []
-    for c in reversed(p):
-        if not c.is_rational():
+    for x, y in zip(reversed(pa), reversed(pb)):
+        if y:
             raise IrrationalCoefficientError(
-                f"characteristic polynomial coefficient {c} has a sqrt(2) part"
+                f"characteristic polynomial coefficient {QuadExt(x, y)} has a sqrt(2) part"
             )
-        coeffs.append(c.a)
-    return IntPolynomial(coeffs)
+    return IntPolynomial(pa[::-1])
 
 
 def eigenvalue_signs(m: ExactMatrix) -> tuple[int, int]:

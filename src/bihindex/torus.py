@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import groupby
-from math import isqrt
+from math import floor, isqrt
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -573,10 +573,10 @@ def spectrum(k: int, lambda_max: int) -> list[MergedEigenvalue]:
     """Spectrum up to Laplace level lambda_max, ties merged, ascending.
 
     Every label (m, n) with m^2 + n^2 <= lambda_max contributes its branches,
-    tagged "branch[m,n]"; the stable exact sort keeps tied tags in label
-    order.  Branch multiplicity and spectral multiplicity differ where
-    branches collide (for instance 0 = mu0 = lambda^-_{k,0} = lambda^-_{0,k}
-    whenever lambda_max >= k^2).
+    tagged "branch[m,n]"; the stable sort by (floor, exact value) keeps tied
+    tags in label order.  Branch multiplicity and spectral multiplicity differ
+    where branches collide (for instance 0 = mu0 = lambda^-_{k,0} =
+    lambda^-_{0,k} whenever lambda_max >= k^2).
     """
     entries = [(eigenvalue(k, 0, 0, b), 1, f"{b}[0,0]") for b in ("mu0", "mu1")]
     for m in range(isqrt(lambda_max) + 1):
@@ -585,12 +585,13 @@ def spectrum(k: int, lambda_max: int) -> list[MergedEigenvalue]:
                 mult = branch_multiplicity(m, n)
                 for b in ("plus", "minus"):
                     entries.append((eigenvalue(k, m, n, b), mult, f"{b}[{m},{n}]"))
-    entries.sort(key=itemgetter(0))
+    # the integer floor orders almost every pair: few exact Surd comparisons remain
+    entries = sorted(((floor(e[0]), *e) for e in entries), key=itemgetter(0, 1))
     merged = []
-    for value, group in groupby(entries, key=itemgetter(0)):
+    for (_, value), group in groupby(entries, key=itemgetter(0, 1)):
         group = list(group)
         merged.append(
-            MergedEigenvalue(value, sum(e[1] for e in group), tuple(e[2] for e in group))
+            MergedEigenvalue(value, sum(e[2] for e in group), tuple(e[3] for e in group))
         )
     return merged
 

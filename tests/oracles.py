@@ -1,7 +1,8 @@
 """Independent oracles and helpers that only the tests use.
 
 Each oracle reproduces a quantity the package certifies along a different
-route: floating-point matrices for numpy's eigensolvers, the circle blocks
+route: floating-point matrices for numpy's eigensolvers, Berkowitz's
+characteristic polynomial on QuadExt entries, the circle blocks
 and the interior torus blocks written out from their own operator rules, an
 explicit sign count over the reduced spectrum, the curvature integrand of a
 cubic phase at a point, the fourth-order operator I2 of a cubic-phase line
@@ -23,8 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from bihindex.bumps import CosPowerBump, PolynomialBump, TrigPoly
-from bihindex.exact import QUAD_SQRT2, QPi, QuadExt
-from bihindex.matrices import ExactMatrix
+from bihindex.exact import QUAD_ONE, QUAD_SQRT2, QUAD_ZERO, QPi, QuadExt
+from bihindex.matrices import ExactMatrix, components
 from bihindex.noncompact import CubicPhase, SectionPair
 from bihindex.polynomials import IntPolynomial
 from bihindex.reduced import ReducedProblem, _integer_fourth_root_floor
@@ -48,6 +49,47 @@ def poly_product(*factors: IntPolynomial) -> IntPolynomial:
                 prod[i + j] += a * b
         out = prod
     return IntPolynomial(out)
+
+
+def _quad_dot(u, v) -> QuadExt:
+    return sum((x * y for x, y in zip(u, v)), QUAD_ZERO)
+
+
+def berkowitz_quadext(rows) -> list[QuadExt]:
+    """det(xI - M) by Berkowitz's algorithm on the QuadExt entries of M,
+    highest degree first: the leading (k+1) x (k+1) block's charpoly is the
+    Toeplitz product (1, -d, -c.c, -c.M_k c, ..., -c.M_k^(k-1) c) times that
+    of the leading k x k block M_k, truncated to degree k+1."""
+    p = [QUAD_ONE]
+    for k in range(len(rows)):
+        a = [row[:k] for row in rows[:k]]
+        c = rows[k][:k]
+        t = [QUAD_ONE, -rows[k][k]]
+        v = c
+        for j in range(k):
+            if j:
+                v = [_quad_dot(r, v) for r in a]
+            t.append(-_quad_dot(c, v))
+        p = [
+            sum((t[i] * p[s - i] for i in range(max(0, s - k), s + 1)), QUAD_ZERO)
+            for s in range(k + 2)
+        ]
+    return p
+
+
+def charpoly_quadext(m: ExactMatrix) -> list[QuadExt]:
+    """det(xI - M) in Z[sqrt(2)][x], lowest degree first: the product of
+    berkowitz_quadext over the principal submatrices of components(M),
+    every operation on QuadExt objects, with no rationality check."""
+    p = [QUAD_ONE]
+    for comp in components(m):
+        q = berkowitz_quadext([[m[i, j] for j in comp] for i in comp])
+        prod = [QUAD_ZERO] * (len(p) + len(q) - 1)
+        for i, x in enumerate(p):
+            for j, y in enumerate(q):
+                prod[i + j] = prod[i + j] + x * y
+        p = prod
+    return p[::-1]
 
 
 def to_numpy(m: ExactMatrix) -> np.ndarray:

@@ -9,7 +9,8 @@ from bihindex.circle import (
     circle_index_nullity,
     circle_index_nullity_by_matrices,
 )
-from bihindex.torus import InvalidLabelError, block_matrix, eigenvalue
+from bihindex.matrices import eigenvalue_signs
+from bihindex.torus import InvalidLabelError, block_matrix, eigenvalue, last_row
 
 from oracles import circle_block, to_numpy
 
@@ -47,8 +48,16 @@ def test_index_nullity_formula():
 
 
 def test_matrix_counting_path_agrees():
-    for k in range(1, 13):
-        assert circle_index_nullity_by_matrices(k) == circle_index_nullity(k)
+    for k in range(1, 201):
+        assert circle_index_nullity_by_matrices(k) == circle_index_nullity(k), k
+
+
+def test_the_blocks_past_the_cut_are_positive_definite():
+    # the recount stops at last_row(k): each block past it, up to the old
+    # enumeration bound 3k, has no negative or zero eigenvalue
+    for k in range(1, 61):
+        for m in range(last_row(k) + 1, 3 * k + 1):
+            assert eigenvalue_signs(block_matrix(k, m, 0)) == (0, 0), (k, m)
 
 
 def test_block_eigenvalues_numeric():

@@ -90,6 +90,20 @@ def test_surd_ordering_against_floats():
             assert (a > b) == (fa > fb)
 
 
+def test_surd_floor_is_exact():
+    # every radicand up to 400, squares among them, on both branches: the
+    # floor n is the integer with n <= value < n + 1, by exact comparisons
+    for s in range(401):
+        for p in range(-25, 26, 3):
+            for q in (1, 2, 5, 7):
+                for branch in (1, -1):
+                    v = Surd(p, s, q, branch)
+                    n = math.floor(v)
+                    assert isinstance(n, int) and not v < n and v < n + 1, v
+    big = Surd(-(10**40), 10**80 + 1, 3, -1)  # (-10^40 - sqrt(10^80 + 1)) / 3
+    assert math.floor(big) == (-2 * 10**40 - 1) // 3
+
+
 def test_sign_primitives_brute_force():
     rng = random.Random(3)
     for _ in range(2000):

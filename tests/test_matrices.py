@@ -21,7 +21,7 @@ from bihindex.matrices import (
 from bihindex.polynomials import IntPolynomial
 from bihindex.torus import block_matrix
 
-from oracles import diagonal, to_numpy
+from oracles import charpoly_quadext, diagonal, to_numpy
 
 
 def test_operator_block_derivatives_and_rejections():
@@ -278,3 +278,34 @@ def test_hidden_blocks_match_numpy():
         assert eigenvalue_signs(m) == expected
         zeros_seen += expected[1]
     assert split > 100 and zeros_seen > 0
+
+
+def _agrees_with_the_quadext_berkowitz(m: ExactMatrix) -> bool:
+    """charpoly_exact(m) equals the oracle's product when that is rational,
+    and raises IrrationalCoefficientError when it is not."""
+    q = charpoly_quadext(m)
+    if any(not c.is_rational() for c in q):
+        with pytest.raises(IrrationalCoefficientError, match="has a sqrt\\(2\\) part"):
+            charpoly_exact(m)
+        return False
+    assert charpoly_exact(m) == IntPolynomial([c.a for c in q])
+    return True
+
+
+def test_charpoly_equals_the_quadext_berkowitz():
+    blocks = [block_matrix(k, m, 0) for k in range(1, 21) for m in range(3 * k + 1)]
+    blocks += [build_legendre_block(m, n) for m in range(9) for n in range(9)]
+    blocks += [block_matrix(k, m, n) for k in range(1, 6) for m in range(6) for n in range(6)]
+    rng = random.Random(11)
+    blocks += [_random_coupled(rng, rng.randint(1, 5), rng.randint(0, 3)) for _ in range(150)]
+    rng = random.Random(17)
+    blocks += [_hidden_blocks(rng)[0] for _ in range(150)]
+    # ungraded: sqrt(2) on the diagonal, cancelling only in the whole product
+    blocks += [diagonal([R2, -R2]), ExactMatrix([[R2, 1], [1, -R2]])]
+    assert all(_agrees_with_the_quadext_berkowitz(m) for m in blocks)
+    assert charpoly_exact(blocks[-1]) == IntPolynomial([-3, 0, 1])
+    for irrational in (diagonal([R2, 1]), ExactMatrix([[R2, 1], [1, 3]])):
+        assert not _agrees_with_the_quadext_berkowitz(irrational)
+    # x^2 - (1 + sqrt2) x + sqrt2: the message names the lowest-degree culprit
+    with pytest.raises(IrrationalCoefficientError, match=r"coefficient 1\*sqrt2 has"):
+        charpoly_exact(diagonal([R2, 1]))

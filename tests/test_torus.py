@@ -3,6 +3,8 @@
 import math
 import random
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -559,6 +561,25 @@ def test_spectrum_merges_coincidences():
     for e in merged:
         labels = [branch_tag(tag)[1:] for tag in e.branches]
         assert e.multiplicity == sum(branch_multiplicity(m, n) for m, n in labels)
+
+
+def test_spectrum_is_the_plain_exact_sort():
+    # sorting by (floor, value) gives the order, the merged groups and the
+    # tag order of the stable sort on the exact value alone
+    for k, lam_max in ((1, 40), (2, 60), (3, 80), (7, 100)):
+        entries = [(eigenvalue(k, 0, 0, b), 1, f"{b}[0,0]") for b in ("mu0", "mu1")]
+        entries += [
+            (eigenvalue(k, m, n, b), branch_multiplicity(m, n), f"{b}[{m},{n}]")
+            for m in range(11) for n in range(11) if 0 < m * m + n * n <= lam_max
+            for b in ("plus", "minus")
+        ]
+        entries.sort(key=itemgetter(0))
+        expected = []
+        for value, group in groupby(entries, key=itemgetter(0)):
+            group = list(group)
+            expected.append((repr(value), sum(e[1] for e in group), tuple(e[2] for e in group)))
+        got = [(repr(e.eigenvalue), e.multiplicity, e.branches) for e in spectrum(k, lam_max)]
+        assert got == expected, k
 
 
 def branch_tag(tag):
