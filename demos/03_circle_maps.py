@@ -25,7 +25,8 @@ for k in (1, 2, 3, 5, 10, 25, 50):
 
 def annihilates(block, vector) -> bool:
     return all(
-        sum((x * v for x, v in zip(row, vector)), QUAD_ZERO).is_zero() for row in block.entries
+        sum((block[i, j] * v for j, v in enumerate(vector)), QUAD_ZERO).is_zero()
+        for i in range(block.order)
     )
 
 

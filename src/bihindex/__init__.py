@@ -3,9 +3,10 @@
 Submodules:
   exact       -- big integers, Z[sqrt(2)], quadratic surds, Q[pi]; exact signs
   polynomials -- integer polynomials, Sturm-based exact root counting
-  matrices    -- symmetric Z[sqrt(2)] matrices, Berkowitz charpoly on integer
-                 pairs, exact eigenvalue sign counts, and operator_block (every
-                 torus, circle and Legendre block from a rule table)
+  matrices    -- symmetric Z[sqrt(2)] matrices held as integer pairs (A, B),
+                 their Berkowitz charpolys, exact eigenvalue sign counts, and
+                 operator_block (every torus, circle and Legendre block from a
+                 rule table)
   torus       -- the degree-k equivariant maps T^2 -> S^2, and the checker
                  of their sign-run evidence
   scan        -- the fast exact nullity-conjecture scan over k

@@ -3,7 +3,9 @@
 Every number that decides a result here lives in one of four exact domains:
 
   * plain Python ``int`` (arbitrary precision) -- lattice labels, discriminants;
-  * ``QuadExt`` -- elements a + b*sqrt(2), the entries of the block matrices;
+  * ``QuadExt`` -- elements a + b*sqrt(2), the theta frequencies and rule
+    coefficients of the blocks (a block itself is the integer pair A, B of
+    A + sqrt(2) B);
   * ``Surd`` -- reals of the shape (p + sign*sqrt(s)) / q, the closed-form
     eigenvalues of the fourth-order second-variation operator;
   * ``QPi`` -- polynomials in pi over Q, the values of the quadratic forms.
@@ -20,8 +22,6 @@ import functools
 import math
 from fractions import Fraction
 from numbers import Rational
-
-SQRT2 = math.sqrt(2.0)
 
 
 def int_sign(x: int) -> int:
@@ -96,9 +96,6 @@ class QuadExt:
             return cls(x, 0)
         return NotImplemented  # type: ignore[return-value]
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
@@ -127,9 +124,6 @@ class QuadExt:
         if isinstance(other, QuadExt):
             return self.a == other.a and self.b == other.b
         return NotImplemented
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * SQRT2
 
     def __repr__(self) -> str:
         return f"QuadExt({self.a}, {self.b})"

@@ -221,9 +221,9 @@ def verify_p5_factorization(m: int, n: int) -> FactorizationReport:
     block = build_legendre_block(m, n)
     p5 = p5_polynomial(m, n)
     want = [-c for c in p5.coeffs]
-    rows = block.entries
     for comp in components(block):
-        part = ExactMatrix([[rows[i][j] for j in comp] for i in comp])
+        part = ExactMatrix(*([[rows[i][j] for j in comp] for i in comp]
+                             for rows in (block.a, block.b)))
         got = charpoly_exact(part).coeffs
         for power, (g, w) in enumerate(zip_longest(got, want, fillvalue=0)):
             if g != w:

@@ -1,19 +1,20 @@
 """Symmetric matrices over Z[sqrt(2)], their characteristic polynomials and
 exact eigenvalue sign counts.
 
-The characteristic polynomial det(xI - M) is computed per connected
-component of the nonzero pattern of M.  Listing the basis component by
-component is a permutation similarity P^T M P: it keeps a symmetric matrix
-symmetric and keeps its characteristic polynomial, and the permuted matrix is
-block-diagonal, so det(xI - M) is the product of the components'
-characteristic polynomials.  Each factor comes from Berkowitz's algorithm,
-which needs no division and so runs in Z[sqrt(2)] directly, on the integer
-pairs (a, b) of the entries a + b sqrt(2).  Every
-matrix built by this package has a rational characteristic polynomial; a
-sqrt(2) part surviving in the product signals a wrongly assembled matrix and
-raises.  Because the matrices are symmetric their characteristic
-polynomials are real-rooted, and Descartes' rule of signs then counts the
-negative and zero eigenvalues exactly, with multiplicity.
+A matrix M is held as the two integer matrices A and B of M = A + sqrt(2) B,
+from its assembly to its characteristic polynomial.  The characteristic
+polynomial det(xI - M) is computed per connected component of the nonzero
+pattern of M.  Listing the basis component by component is a permutation
+similarity P^T M P: it keeps a symmetric matrix symmetric and keeps its
+characteristic polynomial, and the permuted matrix is block-diagonal, so
+det(xI - M) is the product of the components' characteristic polynomials.
+Each factor comes from Berkowitz's algorithm, which needs no division and so
+runs in Z[sqrt(2)] directly, on the integer pairs of A and B.  Every matrix
+built by this package has a rational characteristic polynomial; a sqrt(2)
+part surviving in the product signals a wrongly assembled matrix and raises.
+Because the matrices are symmetric their characteristic polynomials are
+real-rooted, and Descartes' rule of signs then counts the negative and zero
+eigenvalues exactly, with multiplicity.
 
 Every block comes from operator_block, which applies a table of operator
 rules to a frame of sections times the cos/sin Fourier basis of one (m, n)
@@ -22,10 +23,10 @@ subspace; the torus, circle and Legendre blocks differ only in their tables.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import index, mul
 from typing import Callable, Sequence
 
-from .exact import QUAD_ONE, QUAD_ZERO, QuadExt
+from .exact import QUAD_ONE, QuadExt
 from .polynomials import IntPolynomial, _variations, zero_root_multiplicity
 
 
@@ -37,52 +38,42 @@ class IrrationalCoefficientError(ValueError):
     """Raised when a characteristic polynomial keeps a sqrt(2) part."""
 
 
-def _coerce_entry(x: int | QuadExt) -> QuadExt:
-    if isinstance(x, QuadExt):
-        return x
-    if isinstance(x, int):
-        return QuadExt(x, 0)
-    raise TypeError(f"matrix entry must be int or QuadExt, got {type(x).__name__}")
-
-
 class ExactMatrix:
-    """Square symmetric matrix with entries in Z[sqrt(2))."""
+    """Square symmetric matrix M = A + sqrt(2) B over Z[sqrt(2)], held as
+    its two integer matrices A and B (tuples of rows); m[i, j] is the entry
+    as a QuadExt."""
 
-    __slots__ = ("order", "entries")
+    __slots__ = ("order", "a", "b")
 
-    def __init__(self, rows: Sequence[Sequence[int | QuadExt]]) -> None:
-        entries = tuple(tuple(_coerce_entry(x) for x in row) for row in rows)
-        n = len(entries)
-        if any(len(row) != n for row in entries):
-            raise ValueError("matrix must be square")
+    def __init__(self, a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> None:
+        # operator.index raises TypeError on a float or Fraction entry
+        a, b = (tuple(tuple(map(index, row)) for row in rows) for rows in (a, b))
+        n = len(a)
         if n == 0:
             raise ValueError("matrix must be nonempty")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if entries[i][j] != entries[j][i]:
-                    raise AsymmetricMatrixError(
-                        f"entry ({i},{j})={entries[i][j]} != ({j},{i})={entries[j][i]}"
-                    )
+        if len(b) != n:
+            raise ValueError("A and B must have the same order")
+        if any(len(row) != n for row in a + b):
+            raise ValueError("matrix must be square")
         object.__setattr__(self, "order", n)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        if a != tuple(zip(*a)) or b != tuple(zip(*b)):
+            i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
+                        if self[i, j] != self[j, i])
+            raise AsymmetricMatrixError(f"entry ({i},{j})={self[i, j]} != ({j},{i})={self[j, i]}")
 
     def __setattr__(self, *_args) -> None:
         raise AttributeError("ExactMatrix is immutable")
 
     def __getitem__(self, ij: tuple[int, int]) -> QuadExt:
         i, j = ij
-        return self.entries[i][j]
+        return QuadExt(self.a[i][j], self.b[i][j])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.entries == other.entries
-
-    def trace(self) -> QuadExt:
-        t = QUAD_ZERO
-        for i in range(self.order):
-            t = t + self.entries[i][i]
-        return t
+        return self.a == other.a and self.b == other.b
 
     def __repr__(self) -> str:
         return f"ExactMatrix(order={self.order})"
@@ -91,7 +82,6 @@ class ExactMatrix:
 def components(m: ExactMatrix) -> list[list[int]]:
     """Connected components of the graph on 0..n-1 with an edge i -- j for
     each nonzero entry M[i][j]: sorted index lists, ordered by least index."""
-    rows = m.entries
     seen = [False] * m.order
     comps = []
     for start in range(m.order):
@@ -102,8 +92,8 @@ def components(m: ExactMatrix) -> list[list[int]]:
         while stack:
             i = stack.pop()
             comp.append(i)
-            for j, x in enumerate(rows[i]):
-                if not seen[j] and not x.is_zero():
+            for j, (x, y) in enumerate(zip(m.a[i], m.b[i])):
+                if not seen[j] and (x or y):
                     seen[j] = True
                     stack.append(j)
         comps.append(sorted(comp))
@@ -162,11 +152,9 @@ def charpoly_exact(m: ExactMatrix) -> IntPolynomial:
     must cancel it).  The check runs on the product only: conjugate components
     such as diag(sqrt2, -sqrt2) have irrational factors but a rational product.
     """
-    rows = m.entries
     pa, pb = [1], [0]  # highest degree first
     for comp in components(m):
-        qa, qb = _berkowitz([[rows[i][j].a for j in comp] for i in comp],
-                            [[rows[i][j].b for j in comp] for i in comp])
+        qa, qb = _berkowitz(*([[rows[i][j] for j in comp] for i in comp] for rows in (m.a, m.b)))
         pa, pb = _times(pa, pb, qa, qb, len(pa) + len(qa) - 1)
 
     for x, y in zip(reversed(pa), reversed(pb)):
@@ -237,33 +225,30 @@ def operator_block(table: OperatorTable, m: int, n: int, w: QuadExt, *params: in
 
     Rows and columns list the frames in table order, and inside each frame
     the functions of trig_basis(m, n); w is the theta frequency, in
-    Z[sqrt(2)], and each rule's coefficient is evaluated once, at *params.
-    A term with a zero coefficient (X1 at m = 0, X2 at n = 0) is dropped.
-    Raises AsymmetricMatrixError, the sign of a mistranscribed table, if
-    the block is not symmetric.
+    Z[sqrt(2)], and each rule's coefficient, an int or a QuadExt, is
+    evaluated once, at *params.  Each term adds its integer parts straight
+    into the A and B of the block A + sqrt(2) B.  A term with a zero
+    coefficient (X1 at m = 0, X2 at n = 0) is dropped.  Raises
+    AsymmetricMatrixError, the sign of a mistranscribed table, if the block
+    is not symmetric.
     """
     basis = trig_basis(m, n)
     dim = len(basis)
     place = {p: i for i, p in enumerate(basis)}
     offset = {frame: i * dim for i, frame in enumerate(table)}
-    images: dict[str, list[tuple[int, int, QuadExt]]] = {}  # kind -> (column, row, coefficient)
-    # each entry a + b sqrt(2) accumulates as the integers [a, b], so that a
-    # block costs one QuadExt per entry, not one per term
-    entries: dict[tuple[int, int], list[int]] = {}
+    images: dict[str, list[tuple[int, int, int, int]]] = {}  # kind -> (column, row, a, b)
+    size = dim * len(table)
+    a, b = [[0] * size for _ in range(size)], [[0] * size for _ in range(size)]
     for frame, rules in table.items():
         for out_frame, kind, coefficient in rules:
             if kind not in images:
                 terms = (_derivative(kind, m, w, pg, pt) for pg, pt in basis)
-                images[kind] = [
-                    (j, place[qg, qt], d) for j, (d, qg, qt) in enumerate(terms) if not d.is_zero()
-                ]
-            c = _coerce_entry(coefficient(*params))
-            for j, i, d in images[kind]:
-                e = entries.setdefault((offset[out_frame] + i, offset[frame] + j), [0, 0])
-                e[0] += d.a * c.a + 2 * d.b * c.b
-                e[1] += d.a * c.b + d.b * c.a
-    size = dim * len(table)
-    rows = [[QUAD_ZERO] * size for _ in range(size)]
-    for (i, j), (a, b) in entries.items():
-        rows[i][j] = QuadExt(a, b)
-    return ExactMatrix(rows)
+                images[kind] = [(j, place[qg, qt], d.a, d.b)
+                                for j, (d, qg, qt) in enumerate(terms) if not d.is_zero()]
+            c = coefficient(*params)
+            ca, cb = (c.a, c.b) if isinstance(c, QuadExt) else (c, 0)
+            for j, i, da, db in images[kind]:
+                row, col = offset[out_frame] + i, offset[frame] + j
+                a[row][col] += da * ca + 2 * db * cb
+                b[row][col] += da * cb + db * ca
+    return ExactMatrix(a, b)

@@ -11,7 +11,8 @@ Q[pi]), the series of the nullity-direction energy E(t) from Wallis
 integrals and that of pi t - pi J1(4t)/2 (the package proves the closed form
 of E and the Bessel identity), float values of bump sections for scipy's
 quadrature, and a report's JSON as the json module writes it.
-``diagonal`` builds test matrices with a known spectrum, ``poly_product``
+``matrix`` builds an ExactMatrix from rows of int or QuadExt entries,
+``diagonal`` one with a known spectrum, ``poly_product``
 multiplies integer polynomials, and ``random_polynomial_bump`` draws
 sections with rational data.
 """
@@ -31,12 +32,16 @@ from bihindex.polynomials import IntPolynomial
 from bihindex.reduced import ReducedProblem, _integer_fourth_root_floor
 
 
+def matrix(rows) -> ExactMatrix:
+    """ExactMatrix(A, B) of the matrix A + sqrt(2) B with rows of int or QuadExt entries."""
+    pairs = [[(x.a, x.b) if isinstance(x, QuadExt) else (x, 0) for x in row] for row in rows]
+    return ExactMatrix(*([[x[part] for x in row] for row in pairs] for part in (0, 1)))
+
+
 def diagonal(values) -> ExactMatrix:
     """diag(values), for int or QuadExt values."""
     vals = list(values)
-    return ExactMatrix(
-        [[v if i == j else 0 for j in range(len(vals))] for i, v in enumerate(vals)]
-    )
+    return matrix([[v if i == j else 0 for j in range(len(vals))] for i, v in enumerate(vals)])
 
 
 def poly_product(*factors: IntPolynomial) -> IntPolynomial:
@@ -94,7 +99,7 @@ def charpoly_quadext(m: ExactMatrix) -> list[QuadExt]:
 
 def to_numpy(m: ExactMatrix) -> np.ndarray:
     """The matrix as floats, for numpy's eigensolvers."""
-    return np.array([[float(x) for x in row] for row in m.entries], dtype=float)
+    return np.array(m.a, dtype=float) + math.sqrt(2) * np.array(m.b, dtype=float)
 
 
 def circle_block(k: int, m: int) -> ExactMatrix:
@@ -106,13 +111,13 @@ def circle_block(k: int, m: int) -> ExactMatrix:
     Basis V cos, V sin, N cos, N sin (V, N for m = 0).
     """
     if m == 0:
-        return ExactMatrix([[0, 0], [0, -(k**4)]])
+        return matrix([[0, 0], [0, -(k**4)]])
     lam = m * m
     diag_t = lam * (lam + 3 * k * k)
     diag_n = lam * lam - k**4 + 2 * k * k * lam
     c = QUAD_SQRT2 * (2 * k * lam * m)  # from f' = -m sin / +m cos
     z = QuadExt(0)
-    return ExactMatrix(
+    return matrix(
         [
             [QuadExt(diag_t), z, z, -c],
             [z, QuadExt(diag_t), c, z],
@@ -138,7 +143,7 @@ def torus_block(k: int, m: int, n: int) -> ExactMatrix:
     b = QuadExt(lam * lam - k**4 + 2 * k * k * m * m)
     c = QUAD_SQRT2 * (2 * k * m * lam)  # from f' = -m sin / +m cos
     z = QuadExt(0)
-    return ExactMatrix(
+    return matrix(
         [
             [a, z, z, z, z, z, -c, z],
             [z, a, z, z, z, z, z, -c],

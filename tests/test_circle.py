@@ -1,7 +1,5 @@
 """Circle family: blocks, eigenvalue identification with the torus axis, counts."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -9,6 +7,7 @@ from bihindex.circle import (
     circle_index_nullity,
     circle_index_nullity_by_matrices,
 )
+from bihindex.exact import QuadExt
 from bihindex.matrices import eigenvalue_signs
 from bihindex.torus import InvalidLabelError, block_matrix, eigenvalue, last_row
 
@@ -24,10 +23,10 @@ def test_zero_mode_block():
 def test_block_entries():
     b = block_matrix(3, 2, 0)
     # off-diagonal +-2 sqrt(2) k m^3 with k = 3, m = 2
-    assert float(b[0, 3]) == pytest.approx(-2 * math.sqrt(2) * 3 * 8)
-    assert float(b[2, 1]) == pytest.approx(2 * math.sqrt(2) * 3 * 8)
-    assert float(b[0, 0]) == 4 * (4 + 27)
-    assert float(b[2, 2]) == 16 + 2 * 9 * 4 - 81
+    assert b[0, 3] == QuadExt(0, -2 * 3 * 8)
+    assert b[2, 1] == QuadExt(0, 2 * 3 * 8)
+    assert b[0, 0] == 4 * (4 + 27)
+    assert b[2, 2] == 16 + 2 * 9 * 4 - 81
 
 
 def test_block_equals_torus_axis_block():

@@ -36,13 +36,6 @@ def test_quadext_ring_axioms_random():
         assert x * (y + z) == x * y + x * z
 
 
-def test_quadext_is_rational():
-    assert QuadExt(5, 0).is_rational()
-    assert not QuadExt(5, 1).is_rational()
-    assert (QuadExt(0, 1) * QuadExt(0, 1)).is_rational()      # sqrt(2)^2 = 2
-    assert not (QuadExt(1, 1) * QuadExt(1, 1)).is_rational()  # 3 + 2 sqrt(2)
-
-
 def test_quadext_huge_magnitudes():
     big = 10**40
     x = QuadExt(big, big - 1)

@@ -24,10 +24,10 @@ from bihindex.legendre import (
     satisfies_lemma_hypothesis,
     verify_p5_factorization,
 )
-from bihindex.matrices import ExactMatrix, charpoly_exact, components, trig_basis
+from bihindex.matrices import charpoly_exact, components, trig_basis
 from bihindex.polynomials import IntPolynomial, count_roots
 
-from oracles import poly_product, to_numpy
+from oracles import matrix, poly_product, to_numpy
 
 REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs.json"
 
@@ -210,7 +210,7 @@ def test_each_interior_component_has_charpoly_minus_p5():
             ), (m, n)
             p5 = p5_polynomial(m, n)
             for c in sets:
-                part = ExactMatrix([[block[i, j] for j in c] for i in c])
+                part = matrix([[block[i, j] for j in c] for i in c])
                 assert charpoly_exact(part) == IntPolynomial([-a for a in p5.coeffs]), (m, n, c)
 
 
@@ -284,9 +284,9 @@ def test_p5_mismatch_on_a_block_split_otherwise(monkeypatch):
     # first three components still have charpoly -P5, the 1 x 1 ones do not
     block = build_legendre_block(3, 2)
     last = set(components(block)[-1])
-    split = ExactMatrix([
-        [x if i == j or not {i, j} <= last else 0 for j, x in enumerate(row)]
-        for i, row in enumerate(block.entries)
+    split = matrix([
+        [block[i, j] if i == j or not {i, j} <= last else 0 for j in range(block.order)]
+        for i in range(block.order)
     ])
     assert [len(c) for c in components(split)] == [5, 5, 5, 1, 1, 1, 1, 1]
     monkeypatch.setattr(legendre, "build_legendre_block", lambda m, n: split)

@@ -3,6 +3,7 @@ characteristic polynomials over Z[sqrt(2)] and exact eigenvalue sign
 counts, against constructed spectra and numpy's eigensolvers."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from bihindex.matrices import (
 from bihindex.polynomials import IntPolynomial
 from bihindex.torus import block_matrix
 
-from oracles import charpoly_quadext, diagonal, to_numpy
+from oracles import charpoly_quadext, diagonal, matrix, to_numpy
+
+R2 = QuadExt(0, 1)
 
 
 def test_operator_block_derivatives_and_rejections():
@@ -50,12 +53,44 @@ def test_operator_block_derivatives_and_rejections():
         operator_block({"a": [("a", "x3", lambda: 1)]}, 1, 1, w)
 
 
+def test_operator_block_irrational_coefficient_at_irrational_frequency():
+    # the coupled rules X2 with sqrt(2) and -sqrt(2) at theta frequency
+    # sqrt(2): each term is (+-sqrt2)(+-sqrt2) = +-2, so the block is rational
+    w = QuadExt(0, 1)
+    table = {"a": [("b", "x2", lambda: w)], "b": [("a", "x2", lambda: -w)]}
+    blk = operator_block(table, 1, 1, w)
+    # X2 maps cc -> -w cs, cs -> w cc, sc -> -w ss, ss -> w sc (basis cc, cs, sc, ss)
+    expected = [[0] * 8 for _ in range(8)]
+    for i, j, v in ((5, 0, -2), (4, 1, 2), (7, 2, -2), (6, 3, 2)):
+        expected[i][j] = expected[j][i] = v
+    assert blk == ExactMatrix(expected, [[0] * 8 for _ in range(8)])
+
+
 def test_symmetry_enforced():
     with pytest.raises(AsymmetricMatrixError):
-        ExactMatrix([[1, 2], [3, 4]])
-    m = ExactMatrix([[1, 2], [2, 4]])
+        matrix([[1, 2], [3, 4]])
+    # asymmetric in the sqrt(2) part only, then in the integer part only
+    with pytest.raises(AsymmetricMatrixError, match=r"entry \(0,1\)=1\*sqrt2 != \(1,0\)=0"):
+        matrix([[1, R2], [0, 4]])
+    with pytest.raises(AsymmetricMatrixError):
+        matrix([[1, QuadExt(1, 1)], [R2, 4]])
+    m = matrix([[1, 2], [2, 4]])
     assert m.order == 2
     assert m[0, 1] == QuadExt(2)
+    assert matrix([[1, R2], [R2, 4]]) == ExactMatrix([[1, 0], [0, 4]], [[0, 1], [1, 0]])
+
+
+def test_malformed_matrices_are_rejected():
+    with pytest.raises(ValueError, match="same order"):
+        ExactMatrix([[1]], [[0, 0], [0, 0]])
+    with pytest.raises(ValueError, match="square"):
+        ExactMatrix([[1, 2]], [[0, 0]])
+    with pytest.raises(ValueError, match="nonempty"):
+        ExactMatrix([], [])
+    with pytest.raises(TypeError):
+        ExactMatrix([[1.0]], [[0]])
+    with pytest.raises(TypeError):
+        ExactMatrix([[1]], [[Fraction(1, 2)]])
 
 
 def test_charpoly_small_cases():
@@ -68,13 +103,13 @@ def test_charpoly_small_cases():
 def test_charpoly_sqrt2_entries_cancel():
     # [[0, sqrt2], [sqrt2, 0]] has charpoly x^2 - 2
     r2 = QuadExt(0, 1)
-    m = ExactMatrix([[QuadExt(0), r2], [r2, QuadExt(0)]])
+    m = matrix([[QuadExt(0), r2], [r2, QuadExt(0)]])
     assert charpoly_exact(m) == IntPolynomial([-2, 0, 1])
 
 
 def test_charpoly_irrational_coefficient_detected():
     r2 = QuadExt(0, 1)
-    m = ExactMatrix([[r2, QuadExt(0)], [QuadExt(0), QuadExt(1)]])
+    m = matrix([[r2, QuadExt(0)], [QuadExt(0), QuadExt(1)]])
     with pytest.raises(IrrationalCoefficientError):
         charpoly_exact(m)
 
@@ -89,7 +124,7 @@ def _random_symmetric(rng: random.Random, order: int) -> ExactMatrix:
             v = rng.randint(-9, 9)
             rows[i][j] = v
             rows[j][i] = v
-    return ExactMatrix(rows)
+    return matrix(rows)
 
 
 def test_charpoly_matches_numpy_eigenvalues():
@@ -128,8 +163,6 @@ def test_charpoly_exact_root_evaluation():
         assert p(lam) == 0
 
 
-R2 = QuadExt(0, 1)
-
 
 def test_eigenvalue_signs_with_multiplicity():
     # charpoly (x - 1)^2 (x + 2)^3 x
@@ -146,9 +179,9 @@ def test_eigenvalue_signs_with_multiplicity():
 
 def test_eigenvalue_signs_sqrt2_entries():
     # eigenvalues +-sqrt(2)
-    assert eigenvalue_signs(ExactMatrix([[0, R2], [R2, 0]])) == (1, 0)
+    assert eigenvalue_signs(matrix([[0, R2], [R2, 0]])) == (1, 0)
     # charpoly x^2 - 3x: eigenvalues 0 and 3
-    assert eigenvalue_signs(ExactMatrix([[1, R2], [R2, 2]])) == (0, 1)
+    assert eigenvalue_signs(matrix([[1, R2], [R2, 2]])) == (0, 1)
 
 
 def test_eigenvalue_signs_against_constructed_roots():
@@ -180,7 +213,7 @@ def _random_coupled(rng: random.Random, p: int, q: int) -> ExactMatrix:
         for i in range(n):
             rows[i][dst] = rows[dst][i]
         rows[dst][dst] = rows[src][src]
-    return ExactMatrix(rows)
+    return matrix(rows)
 
 
 def test_eigenvalue_signs_match_numpy_on_random_symmetric_matrices():
@@ -259,7 +292,7 @@ def _hidden_blocks(rng: random.Random) -> tuple[ExactMatrix, list[list[int]]]:
     rng.shuffle(perm)  # new index i holds old basis vector perm[i]
     shuffled = [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
     where = {old: new for new, old in enumerate(perm)}
-    return ExactMatrix(shuffled), [sorted(where[i] for i in s) for s in spans]
+    return matrix(shuffled), [sorted(where[i] for i in s) for s in spans]
 
 
 def test_hidden_blocks_match_numpy():
@@ -284,7 +317,7 @@ def _agrees_with_the_quadext_berkowitz(m: ExactMatrix) -> bool:
     """charpoly_exact(m) equals the oracle's product when that is rational,
     and raises IrrationalCoefficientError when it is not."""
     q = charpoly_quadext(m)
-    if any(not c.is_rational() for c in q):
+    if any(c.b for c in q):
         with pytest.raises(IrrationalCoefficientError, match="has a sqrt\\(2\\) part"):
             charpoly_exact(m)
         return False
@@ -301,10 +334,10 @@ def test_charpoly_equals_the_quadext_berkowitz():
     rng = random.Random(17)
     blocks += [_hidden_blocks(rng)[0] for _ in range(150)]
     # ungraded: sqrt(2) on the diagonal, cancelling only in the whole product
-    blocks += [diagonal([R2, -R2]), ExactMatrix([[R2, 1], [1, -R2]])]
+    blocks += [diagonal([R2, -R2]), matrix([[R2, 1], [1, -R2]])]
     assert all(_agrees_with_the_quadext_berkowitz(m) for m in blocks)
     assert charpoly_exact(blocks[-1]) == IntPolynomial([-3, 0, 1])
-    for irrational in (diagonal([R2, 1]), ExactMatrix([[R2, 1], [1, 3]])):
+    for irrational in (diagonal([R2, 1]), matrix([[R2, 1], [1, 3]])):
         assert not _agrees_with_the_quadext_berkowitz(irrational)
     # x^2 - (1 + sqrt2) x + sqrt2: the message names the lowest-degree culprit
     with pytest.raises(IrrationalCoefficientError, match=r"coefficient 1\*sqrt2 has"):
