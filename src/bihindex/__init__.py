@@ -4,9 +4,9 @@ Submodules:
   exact       -- big integers, Z[sqrt(2)], quadratic surds, Q[pi]; exact signs
   polynomials -- integer polynomials, Sturm-based exact root counting
   matrices    -- symmetric Z[sqrt(2)] matrices held as integer pairs (A, B),
-                 their Berkowitz charpolys, exact eigenvalue sign counts, and
-                 operator_block (every torus, circle and Legendre block from a
-                 rule table)
+                 their Berkowitz charpolys over Z after a sqrt(2) grading,
+                 exact eigenvalue sign counts, and operator_block (every
+                 torus, circle and Legendre block from a rule table)
   torus       -- the degree-k equivariant maps T^2 -> S^2, and the checker
                  of their sign-run evidence
   scan        -- the fast exact nullity-conjecture scan over k

@@ -221,7 +221,7 @@ def verify_p5_factorization(m: int, n: int) -> FactorizationReport:
     block = build_legendre_block(m, n)
     p5 = p5_polynomial(m, n)
     want = [-c for c in p5.coeffs]
-    for comp in components(block):
+    for comp, _ in components(block):
         part = ExactMatrix(*([[rows[i][j] for j in comp] for i in comp]
                              for rows in (block.a, block.b)))
         got = charpoly_exact(part).coeffs

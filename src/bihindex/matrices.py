@@ -1,20 +1,15 @@
 """Symmetric matrices over Z[sqrt(2)], their characteristic polynomials and
 exact eigenvalue sign counts.
 
-A matrix M is held as the two integer matrices A and B of M = A + sqrt(2) B,
-from its assembly to its characteristic polynomial.  The characteristic
-polynomial det(xI - M) is computed per connected component of the nonzero
-pattern of M.  Listing the basis component by component is a permutation
-similarity P^T M P: it keeps a symmetric matrix symmetric and keeps its
-characteristic polynomial, and the permuted matrix is block-diagonal, so
-det(xI - M) is the product of the components' characteristic polynomials.
-Each factor comes from Berkowitz's algorithm, which needs no division and so
-runs in Z[sqrt(2)] directly, on the integer pairs of A and B.  Every matrix
-built by this package has a rational characteristic polynomial; a sqrt(2)
-part surviving in the product signals a wrongly assembled matrix and raises.
-Because the matrices are symmetric their characteristic polynomials are
-real-rooted, and Descartes' rule of signs then counts the negative and zero
-eigenvalues exactly, with multiplicity.
+A matrix M is held as the two integer matrices A and B of M = A + sqrt(2) B.
+Listing the basis by the connected components of its nonzero pattern makes M
+block-diagonal, and in every matrix built by this package sqrt(2) is a
+grading: each component is similar, by a diagonal matrix of powers of
+sqrt(2), to an integer matrix G.  So det(xI - M) is the product of the
+division-free Berkowitz charpolys of the G, computed over Z; a matrix that is
+not graded signals a wrongly assembled block and raises.  Symmetric matrices
+have real-rooted characteristic polynomials, and Descartes' rule of signs
+then counts the negative and zero eigenvalues exactly, with multiplicity.
 
 Every block comes from operator_block, which applies a table of operator
 rules to a frame of sections times the cos/sin Fourier basis of one (m, n)
@@ -35,7 +30,8 @@ class AsymmetricMatrixError(ValueError):
 
 
 class IrrationalCoefficientError(ValueError):
-    """Raised when a characteristic polynomial keeps a sqrt(2) part."""
+    """Raised when a matrix is not graded by sqrt(2), so that its
+    characteristic polynomial is not known to be rational (see components)."""
 
 
 class ExactMatrix:
@@ -79,90 +75,93 @@ class ExactMatrix:
         return f"ExactMatrix(order={self.order})"
 
 
-def components(m: ExactMatrix) -> list[list[int]]:
+def components(m: ExactMatrix) -> list[tuple[list[int], list[list[int]]]]:
     """Connected components of the graph on 0..n-1 with an edge i -- j for
-    each nonzero entry M[i][j]: sorted index lists, ordered by least index."""
-    seen = [False] * m.order
+    each nonzero M[i][j], ordered by least index: each is its sorted index
+    list c and the integer matrix G = D^-1 M[c][c] D, D = diag(sqrt(2)^e).
+
+    The weights e in {0, 1} follow the edges: e[j] = e[i] across an entry of
+    A, e[j] = 1 - e[i] across one of B.  So G[i][j] is A[i][j] or
+    sqrt(2)^(1 + e[j] - e[i]) B[i][j] = 2^e[j] B[i][j].  An entry with A and B
+    both nonzero, or against the weights, raises IrrationalCoefficientError.
+
+    Every block of this package is graded, term by term at every label.
+    Torus and circle: w = n is an integer and the only sqrt(2) coefficients
+    are the X1 rules between y and eta, so e = [frame is eta].  Legendre:
+    every coefficient is an integer and w = sqrt(2) n, so a term's power of
+    sqrt(2) is its number of X2 factors, each of which flips the theta
+    parity pt: e = pt.
+    """
+    e: list[int | None] = [None] * m.order
     comps = []
     for start in range(m.order):
-        if seen[start]:
+        if e[start] is not None:
             continue
-        seen[start] = True
+        e[start] = 0
         stack, comp = [start], []
         while stack:
             i = stack.pop()
             comp.append(i)
             for j, (x, y) in enumerate(zip(m.a[i], m.b[i])):
-                if not seen[j] and (x or y):
-                    seen[j] = True
-                    stack.append(j)
-        comps.append(sorted(comp))
+                if x or y:
+                    ej = e[i] ^ (y != 0)
+                    if x and y or e[j] not in (None, ej):
+                        raise IrrationalCoefficientError(
+                            f"entry ({i},{j})={m[i, j]} breaks the sqrt(2) grading")
+                    if e[j] is None:
+                        e[j] = ej
+                        stack.append(j)
+        comp.sort()
+        comps.append((comp, [[m.a[i][j] or m.b[i][j] << e[j] for j in comp] for i in comp]))
     return comps
 
 
-PairPolynomial = tuple[list[int], list[int]]  # (p, q) for p + sqrt(2) q, highest degree first
+def _times(p: list[int], q: list[int], size: int) -> list[int]:
+    """The first size >= len(p) coefficients of p q, highest degree first."""
+    r = [0] * size
+    for i, x in enumerate(p):
+        for s, u in enumerate(q[:size - i], i):
+            r[s] += x * u
+    return r
 
 
-def _times(pa: list[int], pb: list[int], qa: list[int], qb: list[int], size: int) -> PairPolynomial:
-    """The first size >= len(pa) coefficients of (pa + sqrt(2) pb)(qa + sqrt(2) qb)."""
-    ra, rb = [0] * size, [0] * size
-    for i, (x, y) in enumerate(zip(pa, pb)):
-        for s, (u, w) in enumerate(zip(qa[:size - i], qb[:size - i]), i):
-            ra[s] += x * u + 2 * y * w
-            rb[s] += x * w + y * u
-    return ra, rb
+def _berkowitz(g: Sequence[Sequence[int]]) -> list[int]:
+    """det(xI - G) for a square integer matrix G, highest degree first.
 
-
-def _berkowitz(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> PairPolynomial:
-    """det(xI - M) for M = A + sqrt(2) B, with A and B integer matrices.
-
-    With M_k the leading k x k block, c the entries M[k][:k] (row and
-    column, by symmetry) and d = M[k][k], the charpoly of the leading
-    (k+1) x (k+1) block is the Toeplitz product (1, -d, -c.c, -c.M_k c, ...,
-    -c.M_k^(k-1) c) * det(xI - M_k), truncated to degree k+1.  Only ring
-    operations occur, so every value is a pair of integers.
+    With G_k the leading k x k block, r = G[k][:k] its new row, c its new
+    column G[:k][k] and d = G[k][k], the charpoly of the leading
+    (k+1) x (k+1) block is the Toeplitz product (1, -d, -r.c, -r.G_k c, ...,
+    -r.G_k^(k-1) c) * det(xI - G_k), truncated to degree k+1.  Only ring
+    operations occur, so every value is an integer.
     """
-    pa, pb = [1], [0]  # charpoly of the leading k x k block
-    for k in range(len(a)):
-        ma, mb = a[:k], b[:k]  # rows of the leading block; zip stops at column k
-        ca, cb = a[k][:k], b[k][:k]
-        ta, tb = [1, -a[k][k]], [0, -b[k][k]]
-        va, vb = ca, cb
+    p = [1]  # charpoly of the leading k x k block
+    for k in range(len(g)):
+        lead = g[:k]  # rows of the leading block; zip stops at column k
+        r, c = g[k][:k], [row[k] for row in lead]
+        t, v = [1, -g[k][k]], c
         for j in range(k):
             if j:
-                va, vb = ([sum(map(mul, x, va)) + 2 * sum(map(mul, y, vb)) for x, y in zip(ma, mb)],
-                          [sum(map(mul, x, vb)) + sum(map(mul, y, va)) for x, y in zip(ma, mb)])
-            ta.append(-sum(map(mul, ca, va)) - 2 * sum(map(mul, cb, vb)))
-            tb.append(-sum(map(mul, ca, vb)) - sum(map(mul, cb, va)))
-        pa, pb = _times(ta, tb, pa, pb, k + 2)
-    return pa, pb
+                v = [sum(map(mul, row, v)) for row in lead]
+            t.append(-sum(map(mul, r, v)))
+        p = _times(t, p, k + 2)
+    return p
 
 
 def charpoly_exact(m: ExactMatrix) -> IntPolynomial:
     """Monic characteristic polynomial det(xI - M), coefficients in Z.
 
-    Reordering the basis by components(M) is a permutation similarity, so
-    it keeps M symmetric and keeps det(xI - M); the reordered matrix is
-    block-diagonal, so det(xI - M) is the product over the components c of
-    the Berkowitz charpolys of the principal submatrices M[c][c].  Berkowitz
-    costs O(n^4) ring operations, so a 20 x 20 block made of four 5 x 5
-    components costs about 1/64 of the whole; it and the product run on
-    integer pairs.  Raises IrrationalCoefficientError if a coefficient of the
-    product keeps a nonzero sqrt(2) part (all blocks assembled by this package
-    must cancel it).  The check runs on the product only: conjugate components
-    such as diag(sqrt2, -sqrt2) have irrational factors but a rational product.
+    Reordering the basis by components(M) is a permutation similarity that
+    makes M block-diagonal, so det(xI - M) is the product of the Berkowitz
+    charpolys of the components' integer matrices G.  Berkowitz costs O(n^4)
+    ring operations, so a 20 x 20 block made of four 5 x 5 components costs
+    about 1/64 of the whole.  Raises IrrationalCoefficientError if M is not
+    graded by sqrt(2) (see components).
     """
-    pa, pb = [1], [0]  # highest degree first
-    for comp in components(m):
-        qa, qb = _berkowitz(*([[rows[i][j] for j in comp] for i in comp] for rows in (m.a, m.b)))
-        pa, pb = _times(pa, pb, qa, qb, len(pa) + len(qa) - 1)
-
-    for x, y in zip(reversed(pa), reversed(pb)):
-        if y:
-            raise IrrationalCoefficientError(
-                f"characteristic polynomial coefficient {QuadExt(x, y)} has a sqrt(2) part"
-            )
-    return IntPolynomial(pa[::-1])
+    p = [1]  # highest degree first
+    for _, g in components(m):
+        q = _berkowitz(g)
+        p = _times(p, q, len(p) + len(q) - 1)
+    return IntPolynomial(p[::-1])
 
 
 def eigenvalue_signs(m: ExactMatrix) -> tuple[int, int]:

@@ -87,7 +87,7 @@ def charpoly_quadext(m: ExactMatrix) -> list[QuadExt]:
     berkowitz_quadext over the principal submatrices of components(M),
     every operation on QuadExt objects, with no rationality check."""
     p = [QUAD_ONE]
-    for comp in components(m):
+    for comp, _ in components(m):
         q = berkowitz_quadext([[m[i, j] for j in comp] for i in comp])
         prod = [QUAD_ZERO] * (len(p) + len(q) - 1)
         for i, x in enumerate(p):
@@ -95,6 +95,20 @@ def charpoly_quadext(m: ExactMatrix) -> list[QuadExt]:
                 prod[i + j] = prod[i + j] + x * y
         p = prod
     return p[::-1]
+
+
+def grading_weights(m: ExactMatrix, comp: list[int]) -> dict[int, int]:
+    """Weights e on a connected index set, e = 0 at its least index, that
+    flip across each nonzero entry with a zero rational part: on a graded
+    matrix, D = diag(sqrt(2)^e) makes D^-1 M[c][c] D an integer matrix."""
+    e, todo = {comp[0]: 0}, [comp[0]]
+    while todo:
+        i = todo.pop()
+        for j in comp:
+            if j not in e and not m[i, j].is_zero():
+                e[j] = e[i] ^ (m[i, j].a == 0)
+                todo.append(j)
+    return e
 
 
 def to_numpy(m: ExactMatrix) -> np.ndarray:

@@ -221,7 +221,7 @@ def test_criterion_4_circle_both_paths_and_block_equality():
 def test_criterion_5i_charpoly_is_quintic_fourth_power():
     for m in range(1, 7):
         for n in range(1, 7):
-            rep = verify_p5_factorization(m, n)  # symmetry + rationality + equality
+            rep = verify_p5_factorization(m, n)  # symmetry + grading + equality
             assert rep.block_order == 20
     _report("5(i)", "36 blocks: each 5x5 component symmetric, charpoly == -quintic exactly")
 

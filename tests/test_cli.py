@@ -517,6 +517,25 @@ def test_phase_flag_parsing(capsys):
     capsys.readouterr()
 
 
+def test_module_entry_point_in_a_fresh_process(tmp_path):
+    # python -m bihindex runs __main__.py: a report exits 0 with the golden's
+    # bytes, a usage error exits 1 with one diagnostic line and no traceback
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def run(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "bihindex", *argv], env=env, cwd=tmp_path,
+                              capture_output=True, timeout=60)
+
+    proc = run("legendre", "verify", "--m", "3", "--n", "2")
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+    assert proc.stdout == (GOLDEN / "legendre_verify_m3_n2.json").read_bytes()
+    proc = run("legendre", "verify", "--m", "0", "--n", "2")
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, b"")
+    assert proc.stderr.decode().splitlines() == ["bihindex: error: argument --m: must be >= 1, got 0"]
+
+
 def test_cli_import_loads_no_numpy():
     # nor what no command needs at start-up: the process pool, which only
     # torus scan --workers > 1 imports, and dataclasses with its inspect.

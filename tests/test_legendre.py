@@ -193,10 +193,10 @@ def test_each_interior_component_has_charpoly_minus_p5():
     <= 4 (5 - i) <= 20 in each of m and n, as have a0..a5 of P5.  Two such
     polynomials that agree on the grid are equal.  Hence the four index sets
     that components finds at (3, 2) split every interior block, and each
-    has charpoly det(xI - A) = -P5 (P5 leads with -x^5), with no sqrt(2) part
-    (charpoly_exact raises on one).
+    has charpoly det(xI - A) = -P5 (P5 leads with -x^5), an integer
+    polynomial (charpoly_exact runs on the component's sqrt(2)-graded form).
     """
-    sets = components(build_legendre_block(3, 2))
+    sets = [c for c, _ in components(build_legendre_block(3, 2))]
     assert [len(c) for c in sets] == [5, 5, 5, 5]
     part_of = {i: k for k, c in enumerate(sets) for i in c}
     for m in range(1, 22):
@@ -283,12 +283,12 @@ def test_p5_mismatch_on_a_block_split_otherwise(monkeypatch):
     # drop the couplings inside the last component of the (3, 2) block: the
     # first three components still have charpoly -P5, the 1 x 1 ones do not
     block = build_legendre_block(3, 2)
-    last = set(components(block)[-1])
+    last = set(components(block)[-1][0])
     split = matrix([
         [block[i, j] if i == j or not {i, j} <= last else 0 for j in range(block.order)]
         for i in range(block.order)
     ])
-    assert [len(c) for c in components(split)] == [5, 5, 5, 1, 1, 1, 1, 1]
+    assert [len(c) for c, _ in components(split)] == [5, 5, 5, 1, 1, 1, 1, 1]
     monkeypatch.setattr(legendre, "build_legendre_block", lambda m, n: split)
     with pytest.raises(CharpolyMismatchError) as err:
         verify_p5_factorization(3, 2)

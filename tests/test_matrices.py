@@ -22,7 +22,7 @@ from bihindex.matrices import (
 from bihindex.polynomials import IntPolynomial
 from bihindex.torus import block_matrix
 
-from oracles import charpoly_quadext, diagonal, matrix, to_numpy
+from oracles import charpoly_quadext, diagonal, grading_weights, matrix, to_numpy
 
 R2 = QuadExt(0, 1)
 
@@ -234,7 +234,7 @@ def test_eigenvalue_signs_match_numpy_on_random_symmetric_matrices():
 
 
 def _sizes(m: ExactMatrix) -> list[int]:
-    return sorted((len(c) for c in components(m)), reverse=True)
+    return sorted((len(c) for c, _ in components(m)), reverse=True)
 
 
 def test_components_of_the_package_blocks():
@@ -252,7 +252,7 @@ def test_components_of_the_package_blocks():
 
 
 def test_components_partition_the_index_set():
-    comps = components(build_legendre_block(3, 2))
+    comps = [c for c, _ in components(build_legendre_block(3, 2))]
     assert all(c == sorted(c) for c in comps)
     assert [c[0] for c in comps] == sorted(c[0] for c in comps)
     assert sorted(i for c in comps for i in c) == list(range(20))
@@ -264,12 +264,22 @@ def test_components_partition_the_index_set():
                 assert all(m[i, j].is_zero() for i in a for j in b)
 
 
-def test_rationality_is_checked_on_the_product():
-    # each 1 x 1 factor keeps a sqrt(2) part; their product x^2 - 2 does not
-    assert components(diagonal([R2, -R2])) == [[0], [1]]
-    assert charpoly_exact(diagonal([R2, -R2])) == IntPolynomial([-2, 0, 1])
-    with pytest.raises(IrrationalCoefficientError):
-        charpoly_exact(diagonal([R2, 1]))
+def test_ungraded_matrices_are_refused():
+    # sqrt(2) on a diagonal entry asks e = 1 - e, so no weights grade these,
+    # though the first two have the rational charpolys x^2 - 2 and x^2 - 3
+    for m in (diagonal([R2, -R2]), matrix([[R2, 1], [1, -R2]]),
+              diagonal([R2, 1]), matrix([[R2, 1], [1, 3]])):
+        with pytest.raises(IrrationalCoefficientError, match=r"^entry \(0,0\)=1\*sqrt2 breaks"):
+            charpoly_exact(m)
+    # a cycle 0 - 1 - 2 - 0 with one sqrt(2) edge: the walk weighs 1 and 2
+    # from row 0, then row 2 finds (2,1) against them
+    odd = matrix([[0, 1, R2], [1, 0, 1], [R2, 1, 0]])
+    with pytest.raises(IrrationalCoefficientError, match=r"^entry \(2,1\)=1 breaks"):
+        charpoly_exact(odd)
+    # an entry with both parts nonzero is refused, whatever the weights
+    mixed = matrix([[0, QuadExt(1, 1)], [QuadExt(1, 1), 0]])
+    with pytest.raises(IrrationalCoefficientError, match=r"^entry \(0,1\)=\(1\+1\*sqrt2\) breaks"):
+        components(mixed)
 
 
 def _hidden_blocks(rng: random.Random) -> tuple[ExactMatrix, list[list[int]]]:
@@ -300,7 +310,7 @@ def test_hidden_blocks_match_numpy():
     split = zeros_seen = 0
     for _ in range(150):
         m, hidden = _hidden_blocks(rng)
-        comps = components(m)
+        comps = [c for c, _ in components(m)]
         # every component lies inside one hidden block
         assert all(any(set(c) <= set(h) for h in hidden) for c in comps)
         split += len(comps) > 1
@@ -314,15 +324,17 @@ def test_hidden_blocks_match_numpy():
 
 
 def _agrees_with_the_quadext_berkowitz(m: ExactMatrix) -> bool:
-    """charpoly_exact(m) equals the oracle's product when that is rational,
-    and raises IrrationalCoefficientError when it is not."""
+    """Each component's G is D^-1 M[c][c] D, checked as D G = M[c][c] D on
+    the QuadExt entries, and charpoly_exact(m) equals the oracle's product,
+    which is rational."""
+    for c, g in components(m):
+        e = grading_weights(m, c)
+        scale = [R2 if e[i] else QuadExt(1) for i in c]
+        assert all(scale[i] * g[i][j] == m[ci, cj] * scale[j]
+                   for i, ci in enumerate(c) for j, cj in enumerate(c))
     q = charpoly_quadext(m)
-    if any(c.b for c in q):
-        with pytest.raises(IrrationalCoefficientError, match="has a sqrt\\(2\\) part"):
-            charpoly_exact(m)
-        return False
-    assert charpoly_exact(m) == IntPolynomial([c.a for c in q])
-    return True
+    assert not any(c.b for c in q)
+    return charpoly_exact(m) == IntPolynomial([c.a for c in q])
 
 
 def test_charpoly_equals_the_quadext_berkowitz():
@@ -333,12 +345,4 @@ def test_charpoly_equals_the_quadext_berkowitz():
     blocks += [_random_coupled(rng, rng.randint(1, 5), rng.randint(0, 3)) for _ in range(150)]
     rng = random.Random(17)
     blocks += [_hidden_blocks(rng)[0] for _ in range(150)]
-    # ungraded: sqrt(2) on the diagonal, cancelling only in the whole product
-    blocks += [diagonal([R2, -R2]), matrix([[R2, 1], [1, -R2]])]
     assert all(_agrees_with_the_quadext_berkowitz(m) for m in blocks)
-    assert charpoly_exact(blocks[-1]) == IntPolynomial([-3, 0, 1])
-    for irrational in (diagonal([R2, 1]), matrix([[R2, 1], [1, 3]])):
-        assert not _agrees_with_the_quadext_berkowitz(irrational)
-    # x^2 - (1 + sqrt2) x + sqrt2: the message names the lowest-degree culprit
-    with pytest.raises(IrrationalCoefficientError, match=r"coefficient 1\*sqrt2 has"):
-        charpoly_exact(diagonal([R2, 1]))
