@@ -29,8 +29,9 @@ print("   truncating at m, n <= k would give the smaller figure 88433)")
 
 print("\n=== the negative space of the k = 2 map ===")
 r2 = index_nullity(2)
-print(f"  interior negative pairs: {list(r2.negative_pairs)}")
-for (m, n) in [(1, 0)] + list(r2.negative_pairs):
+pairs = [(m, n) for m, n_lo, n_hi in r2.negative_runs for n in range(n_lo, n_hi + 1)]
+print(f"  interior negative pairs: {pairs}")
+for (m, n) in [(1, 0)] + pairs:
     c = negative_eigenvector_coefficient(2, m, n)
     lam = eigenvalue(2, m, n, "minus")
     print(f"  (m,n)=({m},{n}): lambda^- = {lam} ~ {float(lam):+.4f}, "

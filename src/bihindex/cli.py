@@ -55,8 +55,8 @@ from .reduced import (
     reduced_index_nullity,
     reduced_index_torus,
 )
-from .scan import ScanRow, conjecture_scan
-from .torus import check_runs, index_nullity, run_totals, spectrum
+from .scan import conjecture_scan
+from .torus import ScanRow, check_runs, index_nullity, run_totals, spectrum
 
 SCHEMA_VERSION = 2
 
@@ -428,7 +428,7 @@ def _cmd_torus_check(args) -> tuple[dict, dict, bool]:
     if not failures:  # every entry lies in 1 <= n < 3k, so the totals are small
         failures = [
             f"{name} = {res[name]}, but the runs and zero pairs give {want}"
-            for name, want in zip(ScanRow._fields[1:], run_totals(k, runs, zeros))
+            for name, want in run_totals(k, runs, zeros)._asdict().items()
             if res[name] != want
         ]
     results = {

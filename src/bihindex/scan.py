@@ -5,37 +5,21 @@ classified by the exact sign of the integer discriminant D.  The rows with
 14m^2 > 15k^2 need no search: a polynomial identity proves D > 0 on all of
 them (torus.last_row).  torus.sign_runs searches the other rows with about
 2.0 exact evaluations of D per row, so O(k) per k; the walk and its
-certificate are in the sign_runs and last_row docstrings.
+certificate are in the sign_runs and last_row docstrings.  Each k gives
+torus.run_totals' ScanRow (k, f, g, index, nullity).
 
 The process pool is imported only for workers > 1: loading
 concurrent.futures.process pulls in multiprocessing, about a fifth of a
 fresh CLI start, and one process needs none of it.
 """
 
-from __future__ import annotations
-
-from typing import NamedTuple
-
-from .torus import run_totals, sign_runs
-
-
-class ScanRow(NamedTuple):
-    k: int
-    f: int
-    g: int
-    index: int
-    nullity: int
-
-    @property
-    def flagged(self) -> bool:
-        """True when the nullity exceeds 5, i.e. g(k) != 0."""
-        return self.g != 0
+from .torus import ScanRow, run_totals, sign_runs
 
 
 def scan_row(k: int) -> ScanRow:
-    """Exact (f, g, index, nullity) for one k, counted from the sign runs."""
+    """Exact (f, g, index, nullity) for one k: run_totals of the sign runs."""
     runs, zeros, _ = sign_runs(k)
-    return ScanRow(k, *run_totals(k, runs, zeros))
+    return run_totals(k, runs, zeros)
 
 
 def conjecture_scan(k_max: int, workers: int = 1, k_min: int = 1) -> list[ScanRow]:

@@ -36,9 +36,10 @@ interior pairs (m, n >= 1) with lambda^- negative / zero,
 
 and D > 0 is proved for s >= 9 k^2 (see enumeration_bound) and on every row
 with 14m^2 > 15k^2 (see last_row), so the lattice scan visits only the rows
-m <= last_row(k) and, in each, the n below the enumeration bound.  Each row's
-pairs with D <= 0 form one run of n inside the previous row's run (see
-sign_runs), so the scan steps the two ends of one run from row to row.
+m <= last_row(k).  Each row's pairs with D <= 0 form one run of n inside the
+previous row's run, and row 1's inside the axis run 1..k (see sign_runs), so
+the scan steps the two ends of one run from row to row and never passes
+n = k; only check_runs and the O(k^2) oracle use the enumeration bound.
 """
 
 from __future__ import annotations
@@ -79,10 +80,26 @@ class MergedEigenvalue(NamedTuple):
     branches: tuple[str, ...]
 
 
+class ScanRow(NamedTuple):
+    """The totals of the degree-k map (see run_totals)."""
+
+    k: int
+    f: int
+    g: int
+    index: int
+    nullity: int
+
+    @property
+    def flagged(self) -> bool:
+        """True when the nullity exceeds 5, i.e. g(k) != 0."""
+        return self.g != 0
+
+
 class IndexReport(NamedTuple):
     """Index and nullity of the degree-k map with its lattice evidence.
 
-    The evidence is sign_runs' output, O(k) entries: D < 0 exactly on the
+    The totals are run_totals' ScanRow, by name.  The evidence is sign_runs'
+    output, O(k) entries, not the f = O(k^2) pairs: D < 0 exactly on the
     pairs (m, n_lo..n_hi) of negative_runs and D = 0 exactly at zero_pairs;
     empty_row_witnesses holds the (m, nv) of the rows m > k proved empty by
     their convex minimum nv.  check_runs verifies all three.
@@ -100,11 +117,6 @@ class IndexReport(NamedTuple):
     def __repr__(self) -> str:  # the totals only: the evidence is O(k)
         totals = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields[:5], self))
         return f"IndexReport({totals})"
-
-    @property
-    def negative_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Every interior pair with lambda^- < 0, in (m, n) order (f of them)."""
-        return tuple(run_pairs(self.negative_runs))
 
 
 # -- closed forms -------------------------------------------------------------
@@ -293,9 +305,10 @@ def _walk(
     evaluation of D per n tried, and D can vanish only at lo or hi.  Each
     empty row k < m gets its witness, the first integer minimum of D, by a
     downhill walk from the previous witness (the first from the last run's
-    lo).  These are torus rows, few of them, so the witness walk evaluates
-    D as A*B - C^2 (discriminant).  It relies on the row being convex, and
-    so does check_runs: AssertionError for an empty row with P''(m2) <= 0.
+    lo).  That walk evaluates P (_row_value), not discriminant: check_runs
+    verifies the witness through discriminant, so one slip in
+    block_coefficients cannot pass both.  It relies on the row being convex,
+    and so does check_runs: AssertionError for an empty row with P''(m2) <= 0.
     """
     c3, c2, c1, c0, m2 = q
     k2 = k * k
@@ -336,11 +349,12 @@ def _walk(
         elif m > k:  # the row is empty, and so is every later one
             if (6 * m2 + 3 * c3) * m2 + c2 <= 0:  # P''(m2) / 2
                 raise AssertionError(f"D is not convex on the row s >= {m2}")
+            q = (c3, c2, c1, c0, m2)
             nv = nv or lo  # the first witness walks from the last run
-            v = discriminant(k, m, nv)
-            while nv > 1 and (u := discriminant(k, m, nv - 1)) <= v:
+            v = _row_value(q, nv)
+            while nv > 1 and (u := _row_value(q, nv - 1)) <= v:
                 nv, v = nv - 1, u
-            while (u := discriminant(k, m, nv + 1)) < v:
+            while (u := _row_value(q, nv + 1)) < v:
                 nv, v = nv + 1, u
             witnesses.append((m, nv))
         if m >= m_last:
@@ -352,9 +366,11 @@ def _walk(
         c0 = 2 * m2 * c1
 
 
-def run_pairs(runs: list[tuple[int, int, int]]):
-    """The pairs (m, n) of sign_runs' runs, in (m, n) order."""
-    return ((m, n) for m, n_lo, n_hi in runs for n in range(n_lo, n_hi + 1))
+def _row_value(q: tuple[int, int, int, int, int], n: int) -> int:
+    """D(n) = P(m2 + n^2) on the row q = (c3, c2, c1, c0, m2) of _walk."""
+    c3, c2, c1, c0, m2 = q
+    s = m2 + n * n
+    return (((s + c3) * s + c2) * s + c1) * s + c0
 
 
 def interior_sign_scan(k: int) -> tuple[int, int, list[tuple[int, int]], list[tuple[int, int]]]:
@@ -377,10 +393,8 @@ def interior_sign_scan(k: int) -> tuple[int, int, list[tuple[int, int]], list[tu
     return len(neg), len(zero), neg, zero
 
 
-def run_totals(
-    k: int, runs: Sequence[Sequence[int]], zeros: Sequence[Sequence[int]]
-) -> tuple[int, int, int, int]:
-    """(f, g, index, nullity) of the degree-k map from sign_runs' runs and zeros.
+def run_totals(k: int, runs: Sequence[Sequence[int]], zeros: Sequence[Sequence[int]]) -> ScanRow:
+    """The ScanRow of the degree-k map from sign_runs' runs and zeros.
 
     f sums the run lengths and g counts the zero pairs.  The axes and (0, 0)
     give the rest: D(k, m, 0) = m^2 (m^2 - k^2)((m^2 - k^2)^2 + 2k^4) and
@@ -390,14 +404,14 @@ def run_totals(
     """
     f = sum(n_hi - n_lo + 1 for _, n_lo, n_hi in runs)
     g = len(zeros)
-    return f, g, 1 + 4 * (k - 1) + 4 * f, 5 + 4 * g
+    return ScanRow(k, f, g, 1 + 4 * (k - 1) + 4 * f, 5 + 4 * g)
 
 
 def index_nullity(k: int) -> IndexReport:
     """Exact index and nullity of the degree-k map, with the lattice evidence."""
     runs, zeros, witnesses = sign_runs(k)
-    f, g, index, nullity = run_totals(k, runs, zeros)
-    return IndexReport(k, index, nullity, f, g, tuple(runs), tuple(zeros), tuple(witnesses))
+    return IndexReport(**run_totals(k, runs, zeros)._asdict(), negative_runs=tuple(runs),
+                       zero_pairs=tuple(zeros), empty_row_witnesses=tuple(witnesses))
 
 
 # checks stop at the first row after this many failures, so that a report

@@ -13,8 +13,9 @@ of E and the Bessel identity), float values of bump sections for scipy's
 quadrature, and a report's JSON as the json module writes it.
 ``matrix`` builds an ExactMatrix from rows of int or QuadExt entries,
 ``diagonal`` one with a known spectrum, ``poly_product``
-multiplies integer polynomials, and ``random_polynomial_bump`` draws
-sections with rational data.
+multiplies integer polynomials, ``run_pairs`` expands sign runs into their
+lattice pairs, and ``random_polynomial_bump`` draws sections with rational
+data.
 """
 
 import json
@@ -54,6 +55,11 @@ def poly_product(*factors: IntPolynomial) -> IntPolynomial:
                 prod[i + j] += a * b
         out = prod
     return IntPolynomial(out)
+
+
+def run_pairs(runs) -> list[tuple[int, int]]:
+    """The pairs (m, n) of torus.sign_runs' runs (m, n_lo, n_hi), in (m, n) order."""
+    return [(m, n) for m, n_lo, n_hi in runs for n in range(n_lo, n_hi + 1)]
 
 
 def _quad_dot(u, v) -> QuadExt:

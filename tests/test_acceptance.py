@@ -57,6 +57,7 @@ from oracles import (
     i2_pairing,
     random_polynomial_bump,
     reduced_index_nullity_by_counting,
+    run_pairs,
     scaled,
     to_numpy,
 )
@@ -110,8 +111,9 @@ def test_criterion_1_torus_index_table_k155_row():
     r = index_nullity(k)
     assert (r.index, r.nullity) == TABLE_K155
 
-    boxed = [(m, n) for (m, n) in r.negative_pairs if m <= k and n <= k]
-    beyond = [(m, n) for (m, n) in r.negative_pairs if m > k or n > k]
+    pairs = run_pairs(r.negative_runs)
+    boxed = [(m, n) for (m, n) in pairs if m <= k and n <= k]
+    beyond = [(m, n) for (m, n) in pairs if m > k or n > k]
     assert PRINTED_K155_INDEX == 1 + 4 * (k - 1) + 4 * len(boxed)
     assert all(m * m + n * n < 9 * k * k for m, n in beyond)
     assert all(_lambda_minus_sign(k, m, n) < 0 for m, n in beyond)
@@ -138,10 +140,11 @@ def test_criterion_1_exact_value_at_k155():
     # route 2: the fast scan lane
     assert scan_row(155).f == 22176
     # the discrepancy with the reference row is exactly the m > k pairs
-    beyond = [(m, n) for (m, n) in r.negative_pairs if m > 155 or n > 155]
+    pairs = run_pairs(r.negative_runs)
+    beyond = [(m, n) for (m, n) in pairs if m > 155 or n > 155]
     assert len(beyond) == 222
     assert all(156 <= m <= 160 and n <= 155 for m, n in beyond)
-    boxed = [(m, n) for (m, n) in r.negative_pairs if m <= 155 and n <= 155]
+    boxed = [(m, n) for (m, n) in pairs if m <= 155 and n <= 155]
     assert len(boxed) == 21954  # the count behind the reference value 88433
     # route 3: block-matrix eigenvalues at an m > k witness
     for (m, n) in beyond[:2]:

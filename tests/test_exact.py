@@ -122,6 +122,10 @@ def test_surd_validation():
         Surd(1, -1, 1)
     with pytest.raises(ZeroDivisionError):
         Surd(1, 1, 0)
+    with pytest.raises(ValueError, match="branch must be"):
+        Surd(1, 2, 1, 0)
+    with pytest.raises(ValueError, match="negative radicand"):
+        sign_p_plus_q_sqrt(1, 1, -1)
     # negative denominators are normalised away
     v = Surd(1, 2, -3, 1)
     assert v.q == 3 and v.p == -1 and v.branch == -1

@@ -39,6 +39,11 @@ def test_block_orders():
     assert build_legendre_block(1, 1).order == 20
 
 
+def test_negative_fourier_index_rejected():
+    with pytest.raises(ValueError, match="nonnegative"):
+        build_legendre_block(-1, 0)
+
+
 def test_constant_block_is_diagonal():
     arr = to_numpy(build_legendre_block(0, 0))
     assert np.allclose(arr, np.diag([0.0, 0.0, -4.0, 0.0, 0.0]))

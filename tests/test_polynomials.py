@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from bihindex.legendre import p5_polynomial
-from bihindex.polynomials import IntPolynomial, _sturm_chain, count_roots
+from bihindex.polynomials import IntPolynomial, _sturm_chain, count_roots, zero_root_multiplicity
 
 from oracles import poly_product
 
@@ -167,6 +167,8 @@ def test_sturm_against_bisection_oracle():
 def test_zero_polynomial_rejected():
     with pytest.raises(ValueError):
         count_roots(IntPolynomial([]), "negative")
+    with pytest.raises(ValueError):
+        zero_root_multiplicity(IntPolynomial([]))
 
 
 def test_unknown_region_rejected():

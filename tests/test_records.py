@@ -1,13 +1,16 @@
-"""The package's records: every one is immutable, and the four that take user
-data refuse a bad value when they are built."""
+"""The package's records and exact values: every one is immutable, and the
+ones that validate their data refuse a bad value when they are built."""
 
 from fractions import Fraction as F
 
 import pytest
 
 from bihindex.bumps import CosPowerBump, PolynomialBump
+from bihindex.exact import QuadExt, Surd
 from bihindex.legendre import descartes_lemma_check, legendre_index_nullity, verify_p5_factorization
+from bihindex.matrices import ExactMatrix
 from bihindex.noncompact import CubicPhase, NotProperError, SectionPair
+from bihindex.polynomials import IntPolynomial
 from bihindex.reduced import ReducedProblem, bessel_nullity_check
 from bihindex.scan import scan_row
 from bihindex.torus import index_nullity, spectrum
@@ -25,6 +28,10 @@ RECORDS = {
     "ReducedProblem": lambda: ReducedProblem(2, 1, b=2),
     "PolynomialBump": lambda: PolynomialBump.make(0, 1),
     "CosPowerBump": lambda: CosPowerBump(0, 6),
+    "QuadExt": lambda: QuadExt(1, 2),
+    "Surd": lambda: Surd(1, 2),
+    "ExactMatrix": lambda: ExactMatrix([[1]], [[0]]),
+    "IntPolynomial": lambda: IntPolynomial([1, 2]),
 }
 
 
@@ -32,7 +39,7 @@ RECORDS = {
 def test_records_are_immutable(name):
     record = RECORDS[name]()
     assert type(record).__name__ == name
-    field = record._fields[0]
+    field = getattr(record, "_fields", type(record).__slots__)[0]
     with pytest.raises(AttributeError):
         setattr(record, field, getattr(record, field))
     with pytest.raises(AttributeError):
@@ -52,6 +59,7 @@ REFUSED = [
     ("bump-halfwidth-negative", PolynomialBump, (0, F(-1, 3), (1,)), ValueError),
     ("cos-power-odd", CosPowerBump, (0, 7), ValueError),
     ("cos-power-4", CosPowerBump, (0, 4), ValueError),
+    ("polynomial-float", IntPolynomial, ([1, 1.5],), TypeError),
 ]
 
 

@@ -32,7 +32,7 @@ from bihindex.torus import (
     spectrum,
 )
 
-from oracles import poly_product, to_numpy, torus_block
+from oracles import poly_product, run_pairs, to_numpy, torus_block
 
 PUBLISHED_ROWS = {
     1: (1, 5), 2: (13, 5), 3: (29, 5), 4: (57, 5), 5: (89, 5), 6: (129, 5),
@@ -126,6 +126,8 @@ def test_sign_test_agrees_with_surd_sign():
 def test_enumeration_bound():
     assert enumeration_bound(1) == 9
     assert enumeration_bound(2) == 36
+    with pytest.raises(InvalidLabelError):
+        enumeration_bound(0)
     # exhaustive check beyond the bound at k = 1
     for m in range(1, 11):
         for n in range(1, 11):
@@ -364,7 +366,7 @@ def test_index_nullity_published_rows():
 
 def test_index_nullity_k2_negative_pairs():
     r = index_nullity(2)
-    assert set(r.negative_pairs) == {(1, 1), (2, 1)}
+    assert run_pairs(r.negative_runs) == [(1, 1), (2, 1)]
     assert r.zero_pairs == ()
 
 
