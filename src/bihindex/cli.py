@@ -251,7 +251,9 @@ def build_parser() -> _Parser:
     Every call returns the same parser: it holds no per-call state (each
     parse_args returns a fresh Namespace, and the type= callables are pure),
     so main pays for building it once, not on every call.  The CPU count that
-    bounds --workers is read when it is built.
+    bounds --workers is read when it is built.  Each subcommand is declared
+    once, by command(), which sets its handler and paper anchor as the
+    defaults run and anchor of the Namespace that main reads.
     """
     p = _Parser(prog="bihindex", description=__doc__)
     p.add_argument("--version", action="version", version=f"bihindex {__version__}")
@@ -265,32 +267,38 @@ def build_parser() -> _Parser:
     def digits(lo: int, most: int):
         return _int_in(lo, 10**most - 1, f"must have at most {most} digits")
 
+    def command(group, name: str, run, anchor: str, **kw) -> _Parser:
+        sub = group.add_parser(name, parents=[common], **kw)
+        sub.set_defaults(run=run, anchor=anchor)
+        return sub
+
     torus = groups.add_parser("torus").add_subparsers(dest="command", required=True)
-    t_index = torus.add_parser("index", help="exact index/nullity for one k", parents=[common])
+    t_index = command(torus, "index", _cmd_torus_index, "torus-index-table",
+                      help="exact index/nullity for one k")
     t_index.add_argument("--k", type=_int_in(1, INDEX_K_LIMIT), required=True,
                          help=f"winding number, at most {INDEX_K_LIMIT}")
     t_index.add_argument("--workers", type=workers, default=1,
                          help="accepted and unused (torus index runs in one process), so that "
                               "callers such as perfbench's index workload may pass --workers 1")
-    t_spec = torus.add_parser("spectrum", help="merged spectrum up to a Laplace level",
-                              parents=[common])
+    t_spec = command(torus, "spectrum", _cmd_torus_spectrum, "torus-eigenvalue-catalog",
+                     help="merged spectrum up to a Laplace level")
     t_spec.add_argument("--k", type=digits(1, SPECTRUM_K_DIGITS), required=True,
                         help=f"winding number, at most {SPECTRUM_K_DIGITS} digits")
     t_spec.add_argument("--lambda-max", type=_int_in(0, LAMBDA_MAX_LIMIT), default=None,
                         help="Laplace level cap (default 4*k^2, covering all nonpositive "
                              f"branches; at most {LAMBDA_MAX_LIMIT})")
-    t_scan = torus.add_parser("scan", help="nullity-conjecture scan for k=1..k-max",
-                              parents=[common])
+    t_scan = command(torus, "scan", _cmd_torus_scan, "torus-nullity-conjecture",
+                     help="nullity-conjecture scan for k=1..k-max")
     t_scan.add_argument("--k-max", type=_int_in(1, SCAN_K_LIMIT), required=True,
                         help=f"last winding number, at most {SCAN_K_LIMIT}")
     t_scan.add_argument("--workers", type=workers, default=1,
                         help="worker processes, at most the CPU count")
-    t_check = torus.add_parser("check", help="verify the evidence of a torus index JSON report",
-                               parents=[common])
+    t_check = command(torus, "check", _cmd_torus_check, "torus-index-table",
+                      help="verify the evidence of a torus index JSON report")
     t_check.add_argument("file", help="a report written by torus index --format json")
 
     circle = groups.add_parser("circle").add_subparsers(dest="command", required=True)
-    c_index = circle.add_parser("index", parents=[common])
+    c_index = command(circle, "index", _cmd_circle_index, "circle-index-formula")
     c_index.add_argument("--k", type=digits(1, EXACT_INPUT_DIGITS), required=True,
                          help=f"winding number, at most {EXACT_INPUT_DIGITS} digits")
     c_index.add_argument("--check-matrices", action="store_true",
@@ -298,47 +306,50 @@ def build_parser() -> _Parser:
                               f"(k <= {CHECK_MATRICES_K_LIMIT})")
 
     leg = groups.add_parser("legendre").add_subparsers(dest="command", required=True)
-    l_verify = leg.add_parser("verify", help="each 5x5 component: charpoly == -quintic",
-                              parents=[common])
+    l_verify = command(leg, "verify", _cmd_legendre_verify, "legendre-charpoly-quintic-power",
+                       help="each 5x5 component: charpoly == -quintic")
     for label in ("--m", "--n"):
         l_verify.add_argument(label, type=digits(1, EXACT_INPUT_DIGITS), required=True,
                               help=f"Fourier label, at most {EXACT_INPUT_DIGITS} digits")
-    leg.add_parser("index", help="index 11 / nullity 18 ledger", parents=[common])
-    l_desc = leg.add_parser("descartes", help="six-sign certificate over a range",
-                            parents=[common])
+    command(leg, "index", _cmd_legendre_index, "legendre-index-11-nullity-18",
+            help="index 11 / nullity 18 ledger")
+    l_desc = command(leg, "descartes", _cmd_legendre_descartes, "legendre-descartes-certificate",
+                     help="six-sign certificate over a range")
     for label in ("--m", "--n"):
         l_desc.add_argument(label, type=_int_in(3, DESCARTES_RANGE_LIMIT), default=50,
                             help=f"range bound for {label[2:]}, 3..{DESCARTES_RANGE_LIMIT}")
 
     red = groups.add_parser("reduced").add_subparsers(dest="command", required=True)
     n_dim = digits(2, EXACT_INPUT_DIGITS)
-    r_sphere = red.add_parser("sphere", parents=[common])
+    r_sphere = command(red, "sphere", _cmd_reduced, "reduced-index-floor-formula")
     r_sphere.add_argument("--n-dim", type=n_dim, required=True)
     r_sphere.add_argument("--radius", type=str, required=True)
-    r_ell = red.add_parser("ellipsoid", parents=[common])
+    r_ell = command(red, "ellipsoid", _cmd_reduced, "reduced-ellipsoid-floor-formula")
     r_ell.add_argument("--n-dim", type=n_dim, required=True)
     r_ell.add_argument("--radius", type=str, required=True)
     r_ell.add_argument("--b", type=str, required=True)
-    r_torus = red.add_parser("torus", parents=[common])
+    r_torus = command(red, "torus", _cmd_reduced_torus, "reduced-torus-index")
     r_torus.add_argument("--k", type=digits(1, EXACT_INPUT_DIGITS), required=True,
                          help=f"winding number, at most {EXACT_INPUT_DIGITS} digits")
-    red.add_parser("bessel", parents=[common])
-    red.add_parser("conformal", parents=[common])
+    command(red, "bessel", _cmd_reduced_bessel, "bessel-nullity-direction")
+    command(red, "conformal", _cmd_reduced_conformal, "conformal-diffeo-stability")
 
     non = groups.add_parser("noncompact").add_subparsers(dest="command", required=True)
-    n_stable = non.add_parser("stable", parents=[common])
+    n_stable = command(non, "stable", _cmd_noncompact_stable, "noncompact-stability-certificate")
     n_stable.add_argument("--phase", type=str, default=None,
                           help="cubic coefficients a,b,c,d as exact rationals")
-    n_hess = non.add_parser("hessian", parents=[common])
+    n_hess = command(non, "hessian", _cmd_noncompact_hessian, "noncompact-hessian-form")
     n_hess.add_argument("--phase", type=str, default=None)
-    non.add_parser("counterexample", parents=[common])
+    command(non, "counterexample", _cmd_noncompact_counterexample,
+            "noncompact-counterexample-value")
     return p
 
 
 # -- command implementations ---------------------------------------------------------
 #
-# Each returns (inputs, results, ok); main wraps the first two in the report
-# envelope and exits EXIT_VERIFICATION when ok is false.
+# build_parser declares each subcommand with its handler and paper anchor.
+# Each handler returns (inputs, results, ok); main wraps the first two in the
+# report envelope and exits EXIT_VERIFICATION when ok is false.
 
 def _cmd_torus_index(args) -> tuple[dict, dict, bool]:
     results = index_nullity(args.k)._asdict()  # the evidence renders as lists, like every tuple
@@ -585,23 +596,16 @@ _CANONICAL_PHASES = ("0,1,0,0", "1,0,1,0", "1,0,-2,0")
 
 
 def _cmd_noncompact_stable(args) -> tuple[dict, dict, bool]:
-    texts = [args.phase] if args.phase is not None else list(_CANONICAL_PHASES)
+    texts = (args.phase,) if args.phase is not None else _CANONICAL_PHASES
+    header = ["a", "b", "c", "d", "stability", "integrand_min"]
     rows = []
     for text in texts:
         phase = _parse_phase(text)
-        verdict = is_strictly_stable(phase)
-        wmin = integrand_min(phase)
-        rows.append(
-            [str(phase.a), str(phase.b), str(phase.c), str(phase.d),
-             verdict.value, str(wmin)]
-        )
+        rows.append([str(phase.a), str(phase.b), str(phase.c), str(phase.d),
+                     is_strictly_stable(phase).value, str(integrand_min(phase))])
     results = {
-        "phases": [
-            {"a": r[0], "b": r[1], "c": r[2], "d": r[3],
-             "stability": r[4], "integrand_min": r[5]}
-            for r in rows
-        ],
-        "csv_header": ["a", "b", "c", "d", "stability", "integrand_min"],
+        "phases": [dict(zip(header, row)) for row in rows],
+        "csv_header": header,
         "csv_rows": rows,
     }
     return {"phase": args.phase}, results, True
@@ -641,41 +645,18 @@ def _cmd_noncompact_counterexample(args) -> tuple[dict, dict, bool]:
     return {}, results, ok
 
 
-# (group, command) -> (handler, paper_anchor)
-COMMANDS = {
-    ("torus", "index"): (_cmd_torus_index, "torus-index-table"),
-    ("torus", "spectrum"): (_cmd_torus_spectrum, "torus-eigenvalue-catalog"),
-    ("torus", "scan"): (_cmd_torus_scan, "torus-nullity-conjecture"),
-    ("torus", "check"): (_cmd_torus_check, "torus-index-table"),
-    ("circle", "index"): (_cmd_circle_index, "circle-index-formula"),
-    ("legendre", "verify"): (_cmd_legendre_verify, "legendre-charpoly-quintic-power"),
-    ("legendre", "index"): (_cmd_legendre_index, "legendre-index-11-nullity-18"),
-    ("legendre", "descartes"): (_cmd_legendre_descartes, "legendre-descartes-certificate"),
-    ("reduced", "sphere"): (_cmd_reduced, "reduced-index-floor-formula"),
-    ("reduced", "ellipsoid"): (_cmd_reduced, "reduced-ellipsoid-floor-formula"),
-    ("reduced", "torus"): (_cmd_reduced_torus, "reduced-torus-index"),
-    ("reduced", "bessel"): (_cmd_reduced_bessel, "bessel-nullity-direction"),
-    ("reduced", "conformal"): (_cmd_reduced_conformal, "conformal-diffeo-stability"),
-    ("noncompact", "stable"): (_cmd_noncompact_stable, "noncompact-stability-certificate"),
-    ("noncompact", "hessian"): (_cmd_noncompact_hessian, "noncompact-hessian-form"),
-    ("noncompact", "counterexample"): (_cmd_noncompact_counterexample,
-                                       "noncompact-counterexample-value"),
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        handler, anchor = COMMANDS[(args.group, args.command)]
-        inputs, results, ok = handler(args)
+        inputs, results, ok = args.run(args)
         report = {
             "schema": SCHEMA_VERSION,
             "version": __version__,
             "command": f"{args.group} {args.command}",
             "inputs": inputs,
             "results": results,
-            "paper_anchor": anchor,
+            "paper_anchor": args.anchor,
         }
         text = RENDERERS[args.format](report)
     except UsageError as exc:

@@ -238,6 +238,27 @@ def test_dropped_zero_fails(monkeypatch, report176):
         assert failures_of(report176), f"the zero at {zero} was not listed"
 
 
+def test_a_witness_at_either_end_of_a_tied_minimum_is_accepted(monkeypatch):
+    # no row with a witness has D(n) = D(n + 1) at its minimum in the tested
+    # ranges, so the tie is made: on the empty row k = 29, m = 30 (witness 11)
+    # check_runs' D, torus.discriminant, becomes a convex row with equal minima
+    # at n = 11 and 12.  Each is a local minimum; one step further is not
+    k, m = 29, 30
+    runs, zeros, witnesses = sign_runs(k)
+    assert witnesses == [(m, 11)]
+    real = torus.discriminant
+
+    def tied(k_, m_, n):
+        return (2 * n - 23) ** 2 + 1 if (k_, m_) == (k, m) else real(k_, m_, n)
+
+    monkeypatch.setattr(torus, "discriminant", tied)
+    for nv in (11, 12):
+        assert check_runs(k, runs, zeros, [(m, nv)]) == [], nv
+    for nv in (10, 13):
+        assert check_runs(k, runs, zeros, [(m, nv)]) == [
+            f"row m = {m}: D has no local minimum at nv = {nv}"]
+
+
 @pytest.mark.parametrize("m0", [10, K + 1], ids=["one-end", "two-end"])
 def test_a_zero_found_by_the_walk_is_listed_and_refused(monkeypatch, report176, m0):
     # no interior zero of D occurs for k <= 10^4, so a zero is injected into

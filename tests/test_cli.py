@@ -18,7 +18,6 @@ import pytest
 from bihindex import cli, reduced
 from bihindex.cli import (
     CHECK_MATRICES_K_LIMIT,
-    COMMANDS,
     SPECTRUM_K_DIGITS,
     DESCARTES_RANGE_LIMIT,
     EXACT_INPUT_DIGITS,
@@ -238,6 +237,24 @@ def test_boundary_inputs_give_one_line_diagnostics(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("word", ["x", "\u00e9"])
+def test_an_argument_of_echo_bytes_is_echoed_whole(capsys, word):
+    # one byte more and it is cut, between characters
+    fits = word * (cli.ECHO_BYTES // len(word.encode()))
+    for arg, shown in ((fits, fits), (fits + word, fits + "...")):
+        assert main(["torus", "index", "--k", "3", arg]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"bihindex: error: unrecognized arguments: {shown}\n"
+
+
+@pytest.mark.parametrize("sign,refusal", [
+    ("", f"must be <= {INDEX_K_LIMIT}, got a 5000-digit integer"),
+    ("-", "must be >= 1, got a 5000-digit negative integer"),
+])
+def test_an_integer_past_the_digit_limit_is_refused_by_its_sign(capsys, sign, refusal):
+    assert main(["torus", "index", "--k", sign + "9" * 5000]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"bihindex: error: argument --k: {refusal}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -342,8 +359,22 @@ def test_golden_reports_byte_exact(capsys, monkeypatch, tmp_path, name, argv):
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+# (group, command) of every subcommand the parser declares
+COMMAND_NAMES = [
+    (group, command)
+    for group, sub in _subcommands(build_parser()).items()
+    for command in _subcommands(sub)
+]
+
+
 def test_every_command_has_a_golden():
-    assert {tuple(argv[:2]) for _, argv in GOLDENS} == set(COMMANDS)
+    assert len(COMMAND_NAMES) == 16
+    assert {tuple(argv[:2]) for _, argv in GOLDENS} == set(COMMAND_NAMES)
 
 
 def test_largest_index_report_is_pinned(capsys):
@@ -367,8 +398,7 @@ def test_every_command_has_a_table(monkeypatch, tmp_path, name, argv):
     monkeypatch.chdir(tmp_path)
     assert main(["torus", "index", "--k", "2", "--output", "report.json"]) == EXIT_OK
     args = build_parser().parse_args(argv)
-    handler, _ = COMMANDS[(args.group, args.command)]
-    _, results, _ = handler(args)
+    _, results, _ = args.run(args)
     header, rows = results["csv_header"], results["csv_rows"]
     assert header and all(isinstance(h, str) for h in header), name
     assert rows and all(len(row) == len(header) for row in rows), name
@@ -444,18 +474,20 @@ def test_render_json_refuses_what_json_cannot_hold(value):
         cli.render_json({"results": value})
 
 
-def _subcommands(parser: argparse.ArgumentParser) -> dict:
-    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return action.choices
+# the top level, the 5 groups and the 16 commands: argparse %-formats a help
+# string only when --help asks for it, so one with a stray % fails only here
+HELP_ARGVS = [[], *([group] for group in _subcommands(build_parser())),
+              *map(list, COMMAND_NAMES)]
 
 
-def test_parser_subcommands_are_the_command_table():
-    parsed = {
-        (group, command)
-        for group, sub in _subcommands(build_parser()).items()
-        for command in _subcommands(sub)
-    }
-    assert parsed == set(COMMANDS)
+@pytest.mark.parametrize("argv", HELP_ARGVS, ids=lambda argv: " ".join(argv) or "bihindex")
+def test_help_of_every_parser(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        main([*argv, "--help"])
+    assert stop.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith(" ".join(["usage: bihindex", *argv, "[-h]"]))
 
 
 @pytest.mark.parametrize(
@@ -577,6 +609,26 @@ def test_src_imports_no_random_numpy_or_scipy():
             found += [(path.name, n) for n in names if n.partition(".")[0] in banned]
     assert len(list(src.glob("*.py"))) > 10
     assert found == []
+
+
+def test_src_module_imports_are_used():
+    # each name a module imports at its top level is read in that module, so
+    # a deletion leaves no import behind; a stdlib stand-in for pyflakes
+    imported, unused = 0, []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = [
+            alias.asname or alias.name.partition(".")[0]
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        ]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        imported += len(names)
+        unused += [(path.name, name) for name in names if name not in read]
+    assert imported > 50
+    assert unused == []
 
 
 def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):

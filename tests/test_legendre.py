@@ -395,7 +395,8 @@ def test_a_sturm_count_that_disagrees_is_a_violation(capsys, monkeypatch):
 def test_a_root_at_zero_counted_by_sturm_is_a_violation(capsys, monkeypatch):
     """The window reads the zero count as well as the negative one: a root at
     0 counted at (4, 1) makes that label a violation, sturm_confirmed false
-    and legendre descartes exit 2, while its negative count stays 0."""
+    and legendre descartes exit 2, while its negative count stays 0.  A label
+    that fails the six signs as well is listed once."""
     at_41 = p5_coefficients(4, 1)
     real = legendre.count_roots
 
@@ -409,6 +410,12 @@ def test_a_root_at_zero_counted_by_sturm_is_a_violation(capsys, monkeypatch):
     assert main(["legendre", "descartes", "--m", "4", "--n", "3"]) == EXIT_VERIFICATION
     results = json.loads(capsys.readouterr().out)["results"]
     assert results["violations"] == [[4, 1]] and results["sturm_confirmed"] is False
+    signs = legendre._sign_conditions
+    monkeypatch.setattr(legendre, "_sign_conditions",
+                        lambda cs: (False,) * 6 if tuple(cs) == at_41 else signs(cs))
+    assert descartes_lemma_check(4, 3).violations == ((4, 1),)
+    monkeypatch.setattr(legendre, "count_roots", real)  # the sign test alone lists it too
+    assert descartes_lemma_check(4, 3)[3:] == (((4, 1),), True)
 
 
 def test_index_nullity_ledger():

@@ -22,6 +22,12 @@ def test_basic_algebra():
     assert poly_product(q, q, q).coeffs == (0, 0, 0, 1)
     assert poly_product() == IntPolynomial([1])
     assert IntPolynomial([0, 0]).is_zero()
+    # str lists the nonzero terms, lowest degree first
+    assert str(IntPolynomial([])) == str(IntPolynomial([0, 0])) == "0"
+    assert str(IntPolynomial([5])) == "5"
+    assert str(IntPolynomial([-1, 0, 2, 0, -3])) == "-1 + 2*x^2 - 3*x^4"
+    assert str(IntPolynomial([0, -1, 0, 1])) == "-1*x + 1*x^3"
+    assert str(IntPolynomial([0, 0, 0, 7])) == "7*x^3"
 
 
 def test_count_roots_examples():

@@ -1,6 +1,8 @@
-"""The package's records and exact values: every one is immutable, and the
-ones that validate their data refuse a bad value when they are built."""
+"""The package's records and exact values: every one is immutable, the
+ones that validate their data refuse a bad value when they are built, and
+the exact values refuse an operand of a foreign type."""
 
+import operator
 from fractions import Fraction as F
 
 import pytest
@@ -44,6 +46,26 @@ def test_records_are_immutable(name):
         setattr(record, field, getattr(record, field))
     with pytest.raises(AttributeError):
         record.extra = 0
+
+
+# each exact value with the binary operators it defines beside ==
+OPERATORS = {
+    "QuadExt": (operator.add, operator.mul),
+    "Surd": (),
+    "ExactMatrix": (),
+    "IntPolynomial": (),
+}
+
+
+@pytest.mark.parametrize("foreign", ["1", 1.5, None], ids=["str", "float", "none"])
+@pytest.mark.parametrize("name", OPERATORS)
+def test_exact_values_refuse_a_foreign_operand(name, foreign):
+    # the methods return NotImplemented: == falls back to identity, + and * raise
+    value = RECORDS[name]()
+    assert (value == foreign) is False and (value != foreign) is True
+    for op in OPERATORS[name]:
+        with pytest.raises(TypeError):
+            op(value, foreign)
 
 
 REFUSED = [

@@ -248,17 +248,17 @@ def test_witnesses_are_first_minima_of_every_empty_convex_row():
 def test_the_witness_is_the_first_of_two_tied_minima(monkeypatch):
     # no row with a witness has D(n) = D(n + 1) at its minimum in the tested
     # ranges, so the tie is made: on the empty row k = 29, m = 30 (witness 11)
-    # the witness walk's D, torus.discriminant, becomes a convex row with
+    # the witness walk's D, torus._row_value, becomes a convex row with
     # equal minima at n = 11 and 12.  Entered below the tie, the right step
     # must stop on it; entered at or above n = 12, the left step must cross it
     k, m = 29, 30
     assert last_row(k) == m and sign_runs(k)[2] == [(m, 11)]
-    real = torus.discriminant
+    real = torus._row_value
 
-    def tied(k_, m_, n):
-        return (2 * n - 23) ** 2 + 1 if (k_, m_) == (k, m) else real(k_, m_, n)
+    def tied(q_, n):
+        return (2 * n - 23) ** 2 + 1 if q_[4] == m * m else real(q_, n)
 
-    monkeypatch.setattr(torus, "discriminant", tied)
+    monkeypatch.setattr(torus, "_row_value", tied)
     k2, m2 = k * k, m * m
     c1 = k2 * k2 * (2 * m2 - k2)
     q = (k2, -(k2 * k2 + 4 * k2 * m2), c1, 2 * m2 * c1, m2)  # the real row m
