@@ -13,6 +13,7 @@ d/dx, and integrated exactly over a rational interval when no term oscillates
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -163,7 +164,7 @@ class CosPowerBump(NamedTuple("CosPowerBump", [("center", Fraction), ("power", i
 
     def __new__(cls, center, power: int) -> CosPowerBump:  # _make and _replace skip it
         center = exact_rational(center, "center")
-        if power < 6 or power % 2:
+        if (power := operator.index(power)) < 6 or power % 2:
             raise ValueError("power must be even and >= 6")
         return super().__new__(cls, center, power)
 

@@ -530,7 +530,8 @@ def _cmd_legendre_descartes(args) -> tuple[dict, dict, bool]:
 def _cmd_reduced(args) -> tuple[dict, dict, bool]:
     """reduced sphere, and reduced ellipsoid, which adds --b."""
     radius = _parse_rational(args.radius, "--radius")
-    b = _parse_rational(args.b, "--b") if args.command == "ellipsoid" else None
+    ellipsoid = args.command == "ellipsoid"
+    b = _parse_rational(args.b, "--b") if ellipsoid else 1  # b = 1 is the round sphere
     try:
         problem = ReducedProblem(n=args.n_dim, radius=radius, b=b)
         idx, nul = reduced_index_nullity(problem)
@@ -538,7 +539,7 @@ def _cmd_reduced(args) -> tuple[dict, dict, bool]:
         raise UsageError(str(exc))
     inputs = {"n_dim": args.n_dim, "radius": str(radius)}
     results = {"index": idx, "nullity": nul, "threshold_fourth_power": str(problem.quartic_constant())}
-    if b is not None:
+    if ellipsoid:
         inputs["b"] = str(b)
         results["critical_cos_2alpha"] = str(problem.critical_cos_2alpha())
         results["critical_latitude"] = problem.critical_latitude()

@@ -29,14 +29,11 @@ def int_sign(x: int) -> int:
 
 
 def exact_rational(x, name: str) -> Fraction:
-    """x as a Fraction: TypeError unless x is a rational number (not a bool) or a
-    string, ValueError if Fraction cannot parse the string (zero denominator too)."""
-    if isinstance(x, bool) or not isinstance(x, (Rational, str)):
+    """x as a Fraction: TypeError unless x is a rational number and not a bool.
+    Text is not parsed here; the CLI turns each rational option into a Fraction."""
+    if isinstance(x, bool) or not isinstance(x, Rational):
         raise TypeError(f"{name} must be an exact rational, got {type(x).__name__}")
-    try:
-        return Fraction(x)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse {name}={x!r} as a rational") from exc
+    return Fraction(x)
 
 
 def sign_p_plus_q_sqrt(p: int, q: int, s: int) -> int:
@@ -55,8 +52,6 @@ def sign_p_plus_q_sqrt(p: int, q: int, s: int) -> int:
 
 def sign_two_radicals(a: int, b: int, s: int, c: int, t: int) -> int:
     """Exact sign of a + b*sqrt(s) + c*sqrt(t) (s, t >= 0)."""
-    if s == 0:
-        b = 0
     if t == 0:
         c = 0
     if c == 0:
@@ -67,7 +62,7 @@ def sign_two_radicals(a: int, b: int, s: int, c: int, t: int) -> int:
     right = int_sign(c)                  # sign of c*sqrt(t)
     if left == 0:
         return right
-    if right == 0 or left == right:
+    if left == right:
         return left
     # opposite signs: compare (a + b sqrt(s))^2 against c^2 t
     d = sign_p_plus_q_sqrt(a * a + b * b * s - c * c * t, 2 * a * b, s)

@@ -4,17 +4,17 @@ For the equivariant family S^{n-1}(R) x S^1 -> target, the restriction of
 the second-variation operator to equivariant sections v(theta) d/d(alpha)
 is v'''' - c4 * v with a single constant
 
-    c4 = (n-1)^2 / R^4                    (round sphere target)
     c4 = 4 (n-1)^2 / (b (b+1)^2 R^4)      (rotationally symmetric ellipsoid)
 
-so the reduced eigenvalues are m^4 - c4 with multiplicity 1 (m = 0) and 2
+where b = 1 is the round sphere target, with c4 = (n-1)^2 / R^4.  So the
+reduced eigenvalues are m^4 - c4 with multiplicity 1 (m = 0) and 2
 (m >= 1).  Writing t = c4^(1/4):
 
     reduced index   = 1 + 2 floor(t)   and reduced nullity = 0   if t not in N*
     reduced index   = 1 + 2 (t - 1)    and reduced nullity = 2   if t in N*
 
 The boundary decision is made in exact rational arithmetic, so R and b must
-be exact rationals; the ellipsoid at b = 1 reduces to the sphere constant.
+be exact rationals.
 
 Two further stability checks live here, both exact: the quadratic form
 integral of (v'')^2 + 4 (v')^2 for the conformal log-radial diffeomorphism
@@ -33,6 +33,7 @@ E'(t) = pi t - pi J1(4t)/2 at every order (proved in bessel_nullity_check).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -41,26 +42,24 @@ from .exact import QPi, exact_rational
 
 
 class ReducedProblem(NamedTuple("ReducedProblem", [("n", int), ("radius", Fraction),
-                                                   ("b", Fraction | None)])):
-    """Equivariant problem data; b None means the round sphere target."""
+                                                   ("b", Fraction)])):
+    """Equivariant problem data; the default b = 1 is the round sphere target."""
 
     __slots__ = ()
 
-    def __new__(cls, n: int, radius, b=None) -> ReducedProblem:  # _make and _replace skip it
-        if n < 2:
+    def __new__(cls, n: int, radius, b=1) -> ReducedProblem:  # _make and _replace skip it
+        if (n := operator.index(n)) < 2:
             raise ValueError("need n >= 2")
         radius = exact_rational(radius, "radius")
         if radius <= 0:
             raise ValueError("radius must be positive")
-        if b is not None and (b := exact_rational(b, "b")) <= 0:
+        if (b := exact_rational(b, "b")) <= 0:
             raise ValueError("b must be positive")
         return super().__new__(cls, n, radius, b)
 
     def critical_cos_2alpha(self) -> Fraction:
         """cos 2 alpha = (b - 1)/(b + 1) at the critical latitude alpha, exactly;
-        0 for the round sphere."""
-        if self.b is None:
-            return Fraction(0)
+        0 for the round sphere b = 1."""
         return (self.b - 1) / (self.b + 1)
 
     def critical_latitude(self) -> float:
@@ -70,8 +69,6 @@ class ReducedProblem(NamedTuple("ReducedProblem", [("n", int), ("radius", Fracti
     def quartic_constant(self) -> Fraction:
         """c4 with reduced eigenvalues m^4 - c4."""
         nm1 = self.n - 1
-        if self.b is None:
-            return Fraction(nm1 * nm1, 1) / self.radius**4
         return Fraction(4 * nm1 * nm1, 1) / (self.b * (self.b + 1) ** 2 * self.radius**4)
 
 

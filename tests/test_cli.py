@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,7 +16,7 @@ from typing import Any, NamedTuple
 
 import pytest
 
-from bihindex import cli, reduced
+from bihindex import __version__, cli, reduced
 from bihindex.cli import (
     CHECK_MATRICES_K_LIMIT,
     SPECTRUM_K_DIGITS,
@@ -377,6 +378,39 @@ def test_every_command_has_a_golden():
     assert {tuple(argv[:2]) for _, argv in GOLDENS} == set(COMMAND_NAMES)
 
 
+# a small run of each command, and the paper anchor its report names; the csv
+# and md goldens print no anchor, so this table is what pins theirs
+ANCHORS = [
+    (["torus", "index", "--k", "2"], "torus-index-table"),
+    (["torus", "spectrum", "--k", "1", "--lambda-max", "1"], "torus-eigenvalue-catalog"),
+    (["torus", "scan", "--k-max", "2"], "torus-nullity-conjecture"),
+    (["torus", "check", "report.json"], "torus-index-table"),
+    (["circle", "index", "--k", "2"], "circle-index-formula"),
+    (["legendre", "verify", "--m", "1", "--n", "1"], "legendre-charpoly-quintic-power"),
+    (["legendre", "index"], "legendre-index-11-nullity-18"),
+    (["legendre", "descartes", "--m", "3", "--n", "3"], "legendre-descartes-certificate"),
+    (["reduced", "sphere", "--n-dim", "2", "--radius", "1"], "reduced-index-floor-formula"),
+    (["reduced", "ellipsoid", "--n-dim", "2", "--radius", "1", "--b", "2"],
+     "reduced-ellipsoid-floor-formula"),
+    (["reduced", "torus", "--k", "1"], "reduced-torus-index"),
+    (["reduced", "bessel"], "bessel-nullity-direction"),
+    (["reduced", "conformal"], "conformal-diffeo-stability"),
+    (["noncompact", "stable"], "noncompact-stability-certificate"),
+    (["noncompact", "hessian"], "noncompact-hessian-form"),
+    (["noncompact", "counterexample"], "noncompact-counterexample-value"),
+]
+
+
+def test_every_command_reports_its_paper_anchor(capsys, monkeypatch, tmp_path):
+    assert {tuple(argv[:2]) for argv, _ in ANCHORS} == set(COMMAND_NAMES)
+    monkeypatch.chdir(tmp_path)
+    assert main(["torus", "index", "--k", "2", "--output", "report.json"]) == EXIT_OK
+    for argv, anchor in ANCHORS:
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        assert code == EXIT_OK, argv
+        assert json.loads(out)["paper_anchor"] == anchor, argv
+
+
 def test_largest_index_report_is_pinned(capsys):
     # torus index --k 2, the golden, has no row past the axis zero m = k; the
     # report at INDEX_K_LIMIT has 3509 of them, with runs starting past n = 1
@@ -629,6 +663,13 @@ def test_src_module_imports_are_used():
         unused += [(path.name, name) for name in names if name not in read]
     assert imported > 50
     assert unused == []
+
+
+def test_distribution_version_is_the_package_version():
+    # every report prints __version__; a regex, because Python 3.10 has no tomllib
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    (version,) = re.findall(r'^version = "([^"]+)"$', text, flags=re.MULTILINE)
+    assert version == __version__
 
 
 def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):

@@ -108,13 +108,32 @@ def test_sign_primitives_brute_force():
             assert got == (1 if val > 0 else -1)
         else:
             assert got == 0 or abs(val) < 1e-9
-    for _ in range(2000):
-        a, b, c = rng.randint(-20, 20), rng.randint(-9, 9), rng.randint(-9, 9)
-        s, t = rng.randint(0, 120), rng.randint(0, 120)
+    # s = 0, t = 0 and radicands sharing a squarefree part are drawn often,
+    # and a cancels the rational part half the time, so exact zeros occur.
+    # 1 and sqrt(r) for distinct squarefree r > 1 are linearly independent
+    # over Q, so the value is 0 exactly when each r's coefficient is 0.
+    zeros = 0
+    for _ in range(3000):
+        shared = rng.choice((1, 2, 3))
+        s, t = (rng.choice((0, 0, shared * rng.randint(1, 4) ** 2, rng.randint(0, 120)))
+                for _ in "st")
+        b, c = rng.randint(-9, 9), rng.randint(-9, 9)
+        parts: dict[int, int] = {}  # squarefree radicand -> its coefficient
+        for coeff, radicand in ((b, s), (c, t)):
+            if radicand:  # radicand = u^2 r, r squarefree, as radicand <= 120 < 11^2
+                u = max(d for d in range(1, 11) if radicand % (d * d) == 0)
+                r = radicand // (u * u)
+                parts[r] = parts.get(r, 0) + coeff * u
+        a = -parts.get(1, 0) if rng.random() < 0.5 else rng.randint(-20, 20)
+        parts[1] = parts.get(1, 0) + a
         got = sign_two_radicals(a, b, s, c, t)
         val = a + b * math.sqrt(s) + c * math.sqrt(t)
-        if abs(val) > 1e-9:
-            assert got == (1 if val > 0 else -1), (a, b, s, c, t)
+        if not any(parts.values()):
+            assert got == 0, (a, b, s, c, t)
+            zeros += 1
+        else:
+            assert abs(val) > 1e-9 and got == (1 if val > 0 else -1), (a, b, s, c, t)
+    assert zeros > 300
 
 
 def test_surd_validation():

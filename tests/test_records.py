@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from bihindex.bumps import CosPowerBump, PolynomialBump
-from bihindex.exact import QuadExt, Surd
+from bihindex.exact import QPi, QuadExt, Surd
 from bihindex.legendre import descartes_lemma_check, legendre_index_nullity, verify_p5_factorization
 from bihindex.matrices import ExactMatrix
 from bihindex.noncompact import CubicPhase, NotProperError, SectionPair
@@ -71,8 +71,13 @@ def test_exact_values_refuse_a_foreign_operand(name, foreign):
 REFUSED = [
     ("phase-a-b-zero", CubicPhase, (0, 0, 1, 5), NotProperError),
     ("phase-float", CubicPhase, (1, 0.5, 1), TypeError),
-    ("phase-text", CubicPhase, (1, 0, "sqrt(2)"), ValueError),
+    # text is parsed by the CLI only, so a record refuses it like a float
+    ("phase-text", CubicPhase, (1, 0, "sqrt(2)"), TypeError),
+    ("phase-bool", CubicPhase, (1, True, 0), TypeError),
     ("reduced-n-1", ReducedProblem, (1, 1), ValueError),
+    ("reduced-n-float", ReducedProblem, (3.0, 1), TypeError),
+    ("reduced-radius-bool", ReducedProblem, (2, True), TypeError),
+    ("reduced-radius-text", ReducedProblem, (2, "1/2"), TypeError),
     ("reduced-radius-0", ReducedProblem, (2, 0), ValueError),
     ("reduced-radius-negative", ReducedProblem, (2, F(-1, 2)), ValueError),
     ("reduced-b-0", ReducedProblem, (2, 1, 0), ValueError),
@@ -81,6 +86,9 @@ REFUSED = [
     ("bump-halfwidth-negative", PolynomialBump, (0, F(-1, 3), (1,)), ValueError),
     ("cos-power-odd", CosPowerBump, (0, 7), ValueError),
     ("cos-power-4", CosPowerBump, (0, 4), ValueError),
+    ("cos-power-float", CosPowerBump, (0, 6.0), TypeError),
+    ("cos-center-text", CosPowerBump, ("0", 6), TypeError),
+    ("bump-halfwidth-text", PolynomialBump, (0, "1/2", (1,)), TypeError),
     ("polynomial-float", IntPolynomial, ([1, 1.5],), TypeError),
 ]
 
@@ -92,14 +100,30 @@ def test_validated_records_refuse_bad_input(cls, args, error):
 
 
 def test_validated_records_store_exact_values():
-    assert CubicPhase(1, "1/2", 0) == (1, F(1, 2), 0, 0)
+    assert CubicPhase(1, F(1, 2), 0) == (1, F(1, 2), 0, 0)
     assert all(type(x) is F for x in CubicPhase(1, 0, 0))
-    problem = ReducedProblem(n=3, radius="2/3", b=1)
-    assert (problem.radius, problem.b) == (F(2, 3), F(1)) and type(problem.b) is F
-    assert ReducedProblem(2, 1).b is None
-    bump = PolynomialBump(center=1, halfwidth="1/2", ycoeffs=[1, 0, -1])
+    problem = ReducedProblem(n=3, radius=F(2, 3), b=2)
+    assert (problem.radius, problem.b) == (F(2, 3), F(2)) and type(problem.b) is F
+    sphere = ReducedProblem(2, 1)  # the round sphere is the default b = 1
+    assert sphere.b == 1 and type(sphere.b) is F
+    bump = PolynomialBump(center=1, halfwidth=F(1, 2), ycoeffs=[1, 0, -1])
     assert bump.ycoeffs == (F(1), F(0), F(-1)) and type(bump.center) is F
     assert type(CosPowerBump(1, 6).center) is F
+
+
+REPRS = {
+    "QuadExt(1, 2)": lambda: QuadExt(1, 2),
+    "Surd(p=1, s=2, q=1, branch=+1)": lambda: Surd(1, 2),
+    "QPi(3*pi^2 - 1/2)": lambda: QPi((F(-1, 2), 0, 3)),
+    "QPi(0)": QPi,
+    "ExactMatrix(order=2)": lambda: ExactMatrix([[1, 2], [2, 0]], [[0, 1], [1, 0]]),
+    "IntPolynomial([1, 0, -2])": lambda: IntPolynomial([1, 0, -2]),
+}
+
+
+@pytest.mark.parametrize("text", REPRS)
+def test_exact_value_reprs(text):
+    assert repr(REPRS[text]()) == text
 
 
 def test_index_report_repr_leaves_out_the_evidence():

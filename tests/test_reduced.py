@@ -41,14 +41,16 @@ def test_sphere_examples():
 
 
 def test_ellipsoid_b1_reduces_to_sphere():
+    # the default b = 1 is the round sphere: c4 = (n-1)^2 / R^4, the critical
+    # latitude is pi/4 and cos 2 alpha = 0 there
     rng = random.Random(4)
     for _ in range(60):
         n = rng.randint(2, 12)
         radius = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         sphere = ReducedProblem(n, radius)
-        ellips = ReducedProblem(n, radius, b=Fraction(1))
-        assert sphere.quartic_constant() == ellips.quartic_constant()
-        assert reduced_index_nullity(sphere) == reduced_index_nullity(ellips)
+        assert sphere.quartic_constant() == Fraction((n - 1) ** 2) / radius**4
+        assert sphere.critical_cos_2alpha() == 0
+        assert sphere.critical_latitude() == math.pi / 4
 
 
 def test_floor_formula_against_counting():
@@ -96,8 +98,8 @@ def test_irrational_inputs_rejected():
         ReducedProblem(2, 0.5)  # floats refused: the decision must be exact
     with pytest.raises(TypeError):
         ReducedProblem(2, 1, b=1.25)
-    with pytest.raises(ValueError):
-        ReducedProblem(2, "sqrt(2)")
+    with pytest.raises(TypeError):
+        ReducedProblem(2, "sqrt(2)")  # text too: only the CLI parses it
 
 
 def test_reduced_spectrum_structure():
