@@ -10,6 +10,11 @@ Every number that decides a result here lives in one of four exact domains:
     eigenvalues of the fourth-order second-variation operator;
   * ``QPi`` -- polynomials in pi over Q, the values of the quadratic forms.
 
+Each value type derives from ``Exact`` and is immutable.  Integer parts pass
+through ``operator.index``, rational parts through ``exact_rational``, and an
+operator takes only its own type, an int or (for Surd and QPi) a Fraction, never
+a bool, float or text: any other operand gets NotImplemented, so ``==`` is False.
+
 Sign and comparison decisions are made without floating point: a single
 radical is handled by case analysis on p and p^2 - s, a difference of two
 surds by repeated squaring with sign bookkeeping, and an element of Q[pi] by
@@ -19,21 +24,29 @@ a rational enclosure of pi, refined until it decides.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from numbers import Rational
+from operator import index
 
 
 def int_sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
+def _rational(x) -> Fraction | None:
+    """x as a Fraction if it is a rational number and not a bool, else None."""
+    return None if isinstance(x, bool) or not isinstance(x, Rational) else Fraction(x)
+
+
 def exact_rational(x, name: str) -> Fraction:
     """x as a Fraction: TypeError unless x is a rational number and not a bool.
     Text is not parsed here; the CLI turns each rational option into a Fraction."""
-    if isinstance(x, bool) or not isinstance(x, Rational):
+    f = _rational(x)
+    if f is None:
         raise TypeError(f"{name} must be an exact rational, got {type(x).__name__}")
-    return Fraction(x)
+    return f
 
 
 def sign_p_plus_q_sqrt(p: int, q: int, s: int) -> int:
@@ -71,34 +84,36 @@ def sign_two_radicals(a: int, b: int, s: int, c: int, t: int) -> int:
     return left if d > 0 else right
 
 
-class QuadExt:
+class Exact:
+    """Base of the exact values: __init__ sets the slots, nothing sets them later."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *_args) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class QuadExt(Exact):
     """Element a + b*sqrt(2) of the ring Z[sqrt(2)]."""
 
     __slots__ = ("a", "b")
 
     def __init__(self, a: int, b: int = 0) -> None:
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __setattr__(self, *_args) -> None:
-        raise AttributeError("QuadExt is immutable")
+        object.__setattr__(self, "a", index(a))
+        object.__setattr__(self, "b", index(b))
 
     @classmethod
     def _coerce(cls, x: int | QuadExt) -> QuadExt:
         if isinstance(x, QuadExt):
             return x
-        if isinstance(x, int):
-            return cls(x, 0)
-        return NotImplemented  # type: ignore[return-value]
+        return cls(x) if isinstance(x, int) and not isinstance(x, bool) else NotImplemented
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
     def __add__(self, other: int | QuadExt) -> QuadExt:
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadExt(self.a + o.a, self.b + o.b)
+        return NotImplemented if o is NotImplemented else QuadExt(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
@@ -107,18 +122,14 @@ class QuadExt:
 
     def __mul__(self, other: int | QuadExt) -> QuadExt:
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadExt(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+        return NotImplemented if o is NotImplemented else QuadExt(
+            self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self.a == other and self.b == 0
-        if isinstance(other, QuadExt):
-            return self.a == other.a and self.b == other.b
-        return NotImplemented
+        o = self._coerce(other)
+        return NotImplemented if o is NotImplemented else self.a == o.a and self.b == o.b
 
     def __repr__(self) -> str:
         return f"QuadExt({self.a}, {self.b})"
@@ -136,7 +147,7 @@ QUAD_ONE = QuadExt(1, 0)
 QUAD_SQRT2 = QuadExt(0, 1)
 
 
-class Surd:
+class Surd(Exact):
     """Exact real (p + branch*sqrt(s)) / q with integers p, s >= 0, q > 0.
 
     Equality and ordering are decided exactly; no canonical form is imposed,
@@ -147,6 +158,7 @@ class Surd:
     __slots__ = ("p", "s", "q", "branch")
 
     def __init__(self, p: int, s: int, q: int = 1, branch: int = 1) -> None:
+        p, s, q, branch = index(p), index(s), index(q), index(branch)
         if s < 0:
             raise ValueError("radicand must be nonnegative")
         if q == 0:
@@ -156,20 +168,17 @@ class Surd:
         if q < 0:
             p, q = -p, -q
             branch = -branch
-        if s == 0:
-            branch = 1
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "branch", branch)
 
-    def __setattr__(self, *_args) -> None:
-        raise AttributeError("Surd is immutable")
-
     @classmethod
-    def from_rational(cls, x: int | Fraction) -> Surd:
-        f = Fraction(x)
-        return cls(f.numerator, 0, f.denominator)
+    def _coerce(cls, x: Surd | int | Fraction) -> Surd:
+        if isinstance(x, Surd):
+            return x
+        f = _rational(x)
+        return NotImplemented if f is None else cls(f.numerator, 0, f.denominator)
 
     def sign(self) -> int:
         return sign_p_plus_q_sqrt(self.p, self.branch, self.s)
@@ -182,20 +191,12 @@ class Surd:
         return sign_two_radicals(a, b, self.s, c, other.s)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Surd.from_rational(other)
-        if not isinstance(other, Surd):
-            return NotImplemented
-        return self._cmp(other) == 0
+        o = self._coerce(other)
+        return NotImplemented if o is NotImplemented else self._cmp(o) == 0
 
-    def __lt__(self, other: Surd) -> bool:
-        return self._cmp(self._as_surd(other)) < 0
-
-    @staticmethod
-    def _as_surd(x: Surd | int | Fraction) -> Surd:
-        if isinstance(x, Surd):
-            return x
-        return Surd.from_rational(x)
+    def __lt__(self, other: Surd | int | Fraction) -> bool:
+        o = self._coerce(other)
+        return NotImplemented if o is NotImplemented else self._cmp(o) < 0
 
     __hash__ = None  # type: ignore[assignment]  # no canonical form
 
@@ -237,11 +238,14 @@ def pi_enclosure(n: int) -> tuple[Fraction, Fraction]:
 
 
 def _qpi(x: QPi | int | Fraction) -> QPi:
-    return x if isinstance(x, QPi) else QPi((x,))
+    if isinstance(x, QPi):
+        return x
+    f = _rational(x)
+    return NotImplemented if f is None else QPi((f,))
 
 
 @functools.total_ordering
-class QPi:
+class QPi(Exact):
     """Element c0 + c1 pi + ... + cn pi^n of Q[pi], coefficients lowest first.
 
     pi is transcendental, so two elements are equal exactly when their
@@ -252,33 +256,35 @@ class QPi:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()) -> None:
-        c = [Fraction(x) for x in coeffs]
+        c = [exact_rational(x, "coefficient") for x in coeffs]
         while c and not c[-1]:
             c.pop()
-        self.coeffs = tuple(c)
+        object.__setattr__(self, "coeffs", tuple(c))
 
     def __add__(self, other: QPi | int | Fraction) -> QPi:
-        a, b = self.coeffs, _qpi(other).coeffs
-        a, b = a + (0,) * (len(b) - len(a)), b + (0,) * (len(a) - len(b))
-        return QPi(x + y for x, y in zip(a, b))
+        o = _qpi(other)
+        return NotImplemented if o is NotImplemented else QPi(
+            x + y for x, y in itertools.zip_longest(self.coeffs, o.coeffs, fillvalue=0))
 
     __radd__ = __add__
 
     def __sub__(self, other: QPi | int | Fraction) -> QPi:
-        return self + _qpi(other) * -1
+        o = _qpi(other)
+        return NotImplemented if o is NotImplemented else self + o * -1
 
     def __mul__(self, scalar: int | Fraction) -> QPi:
-        return QPi(c * scalar for c in self.coeffs)
+        f = _rational(scalar)
+        return NotImplemented if f is None else QPi(c * f for c in self.coeffs)
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (QPi, int, Fraction)):
-            return NotImplemented
-        return self.coeffs == _qpi(other).coeffs
+        o = _qpi(other)
+        return NotImplemented if o is NotImplemented else self.coeffs == o.coeffs
 
     def __lt__(self, other: QPi | int | Fraction) -> bool:
-        return (self - other).sign() < 0
+        o = _qpi(other)
+        return NotImplemented if o is NotImplemented else (self - o).sign() < 0
 
     def _refine(self, decided) -> Fraction:
         """lo of the first enclosure lo <= self <= hi (n = 16, 32, ... terms) that decides."""

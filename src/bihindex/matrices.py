@@ -21,7 +21,7 @@ from __future__ import annotations
 from operator import index, mul
 from typing import Callable, Sequence
 
-from .exact import QUAD_ONE, QuadExt
+from .exact import QUAD_ONE, Exact, QuadExt
 from .polynomials import IntPolynomial, _variations, zero_root_multiplicity
 
 
@@ -34,7 +34,7 @@ class IrrationalCoefficientError(ValueError):
     characteristic polynomial is not known to be rational (see components)."""
 
 
-class ExactMatrix:
+class ExactMatrix(Exact):
     """Square symmetric matrix M = A + sqrt(2) B over Z[sqrt(2)], held as
     its two integer matrices A and B (tuples of rows); m[i, j] is the entry
     as a QuadExt."""
@@ -42,7 +42,6 @@ class ExactMatrix:
     __slots__ = ("order", "a", "b")
 
     def __init__(self, a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> None:
-        # operator.index raises TypeError on a float or Fraction entry
         a, b = (tuple(tuple(map(index, row)) for row in rows) for rows in (a, b))
         n = len(a)
         if n == 0:
@@ -58,9 +57,6 @@ class ExactMatrix:
             i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
                         if self[i, j] != self[j, i])
             raise AsymmetricMatrixError(f"entry ({i},{j})={self[i, j]} != ({j},{i})={self[j, i]}")
-
-    def __setattr__(self, *_args) -> None:
-        raise AttributeError("ExactMatrix is immutable")
 
     def __getitem__(self, ij: tuple[int, int]) -> QuadExt:
         i, j = ij

@@ -17,27 +17,24 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import index
 from typing import Iterable, Literal
+
+from .exact import Exact
 
 Region = Literal["negative", "zero", "positive"]
 
 
-class IntPolynomial:
+class IntPolynomial(Exact):
     """Univariate polynomial with integer coefficients, lowest degree first."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int]) -> None:
-        cs = list(coeffs)
+        cs = list(map(index, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
-        for c in cs:
-            if not isinstance(c, int):
-                raise TypeError(f"integer coefficient expected, got {type(c).__name__}")
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *_args) -> None:
-        raise AttributeError("IntPolynomial is immutable")
 
     # -- basic structure ----------------------------------------------------
     def is_zero(self) -> bool:

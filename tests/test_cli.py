@@ -411,6 +411,27 @@ def test_every_command_reports_its_paper_anchor(capsys, monkeypatch, tmp_path):
         assert json.loads(out)["paper_anchor"] == anchor, argv
 
 
+def test_readme_examples_run_as_written(capsys, monkeypatch, tmp_path):
+    # the bihindex lines of README's example block, in order: torus check reads
+    # the r.json the line before it writes; each comment's claim is checked
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Examples:\n\n```bash\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    assert len(lines) == 7 and all(argv[0] == "bihindex" for argv in lines)
+    monkeypatch.chdir(tmp_path)
+    outs = []
+    for argv in lines:
+        code, out = run_cli(capsys, *argv[1:])
+        assert code == EXIT_OK, argv
+        outs.append(out)
+    k2 = json.loads(outs[0])["results"]
+    assert (k2["index"], k2["nullity"]) == (13, 5) and k2["negative_runs"]
+    assert json.loads(outs[2])["results"]["verified"] is True
+    assert outs[3].splitlines()[0] == "k,f,g,index,nullity"
+    assert json.loads(outs[4])["results"]["matched"] is True
+    assert json.loads(outs[6])["results"]["within_window"] is True
+
+
 def test_largest_index_report_is_pinned(capsys):
     # torus index --k 2, the golden, has no row past the axis zero m = k; the
     # report at INDEX_K_LIMIT has 3509 of them, with runs starting past n = 1

@@ -202,6 +202,15 @@ def test_qpi_signs_and_order():
     assert float(pi - near) == float(PI_100 - near)
 
 
+def test_qpi_sign_sees_a_minimum_inside_the_enclosure():
+    # (pi - q)^2 - delta, with q within 16^-64 of pi and delta far above that
+    # square, is negative; its minimum lies at q, inside the first enclosure of
+    # pi, so evaluating only at the enclosure's ends would give +1
+    q = pi_enclosure(64)[0]
+    delta = (pi_enclosure(16)[0] - q) ** 2 / 2
+    assert QPi((q * q - delta, -2 * q, 1)).sign() == -1
+
+
 def test_qpi_floats_are_correctly_rounded():
     pi = QPi((0, 1))
     assert float(pi) == math.pi

@@ -32,6 +32,7 @@ RECORDS = {
     "CosPowerBump": lambda: CosPowerBump(0, 6),
     "QuadExt": lambda: QuadExt(1, 2),
     "Surd": lambda: Surd(1, 2),
+    "QPi": lambda: QPi((F(-1, 2), 0, 3)),
     "ExactMatrix": lambda: ExactMatrix([[1]], [[0]]),
     "IntPolynomial": lambda: IntPolynomial([1, 2]),
 }
@@ -51,21 +52,28 @@ def test_records_are_immutable(name):
 # each exact value with the binary operators it defines beside ==
 OPERATORS = {
     "QuadExt": (operator.add, operator.mul),
-    "Surd": (),
+    "Surd": (operator.lt,),
+    "QPi": (operator.add, operator.sub, operator.mul, operator.lt),
     "ExactMatrix": (),
     "IntPolynomial": (),
 }
 
 
-@pytest.mark.parametrize("foreign", ["1", 1.5, None], ids=["str", "float", "none"])
+@pytest.mark.parametrize("foreign", ["1", 1.5, None, True], ids=["str", "float", "none", "bool"])
 @pytest.mark.parametrize("name", OPERATORS)
 def test_exact_values_refuse_a_foreign_operand(name, foreign):
-    # the methods return NotImplemented: == falls back to identity, + and * raise
+    # the methods return NotImplemented: == falls back to identity, the others raise
     value = RECORDS[name]()
     assert (value == foreign) is False and (value != foreign) is True
     for op in OPERATORS[name]:
         with pytest.raises(TypeError):
             op(value, foreign)
+
+
+def test_exact_values_take_int_and_fraction_operands():
+    assert QPi((0, 1)) < F(22, 7) and not QPi((0, 1)) < 3
+    assert Surd(0, 2) < F(3, 2) and not Surd(0, 2) < 1
+    assert QuadExt(3) == 3 and QuadExt(3) != 4
 
 
 REFUSED = [
@@ -90,6 +98,11 @@ REFUSED = [
     ("cos-center-text", CosPowerBump, ("0", 6), TypeError),
     ("bump-halfwidth-text", PolynomialBump, (0, "1/2", (1,)), TypeError),
     ("polynomial-float", IntPolynomial, ([1, 1.5],), TypeError),
+    ("quadext-float", QuadExt, (0.5,), TypeError),
+    ("surd-float", Surd, (1.5, 2), TypeError),
+    ("qpi-text", QPi, (("0.1",),), TypeError),
+    ("qpi-float", QPi, ((0.1,),), TypeError),
+    ("qpi-bool", QPi, ((True,),), TypeError),
 ]
 
 
@@ -124,6 +137,14 @@ REPRS = {
 @pytest.mark.parametrize("text", REPRS)
 def test_exact_value_reprs(text):
     assert repr(REPRS[text]()) == text
+
+
+def test_quadext_str():
+    # the form demos 01 and 04 print block entries in
+    assert str(QuadExt(3, -2)) == "(3-2*sqrt2)"
+    assert str(QuadExt(-1, 5)) == "(-1+5*sqrt2)"
+    assert str(QuadExt(0, -4)) == "-4*sqrt2"
+    assert str(QuadExt(17)) == "17"
 
 
 def test_index_report_repr_leaves_out_the_evidence():
