@@ -129,8 +129,9 @@ class PolynomialBump(NamedTuple("PolynomialBump", [("center", Fraction), ("halfw
     ycoeffs holds P, lowest degree first."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
 
-    def __new__(cls, center, halfwidth, ycoeffs) -> PolynomialBump:  # _make and _replace skip it
+    def __new__(cls, center, halfwidth, ycoeffs) -> PolynomialBump:
         center = exact_rational(center, "center")
         halfwidth = exact_rational(halfwidth, "halfwidth")
         ycoeffs = tuple(exact_rational(c, "ycoeff") for c in ycoeffs)
@@ -161,8 +162,9 @@ class CosPowerBump(NamedTuple("CosPowerBump", [("center", Fraction), ("power", i
     """cos^power(u - center) for |u - center| <= pi/2, zero outside."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
 
-    def __new__(cls, center, power: int) -> CosPowerBump:  # _make and _replace skip it
+    def __new__(cls, center, power: int) -> CosPowerBump:
         center = exact_rational(center, "center")
         if (power := operator.index(power)) < 6 or power % 2:
             raise ValueError("power must be even and >= 6")

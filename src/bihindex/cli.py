@@ -348,17 +348,17 @@ def build_parser() -> _Parser:
 # -- command implementations ---------------------------------------------------------
 #
 # build_parser declares each subcommand with its handler and paper anchor.
-# Each handler returns (inputs, results, ok); main wraps the first two in the
-# report envelope and exits EXIT_VERIFICATION when ok is false.
+# Each handler returns (inputs, results, table, ok), table a non-empty list of
+# rows: dicts from column name to cell, each with the first row's keys in order.
+# main writes the table into results as csv_header and csv_rows, wraps inputs
+# and results in the report envelope, and exits EXIT_VERIFICATION if not ok.
 
-def _cmd_torus_index(args) -> tuple[dict, dict, bool]:
+def _cmd_torus_index(args) -> tuple[dict, dict, list[dict], bool]:
     results = index_nullity(args.k)._asdict()  # the evidence renders as lists, like every tuple
-    results["csv_header"] = list(ScanRow._fields)
-    results["csv_rows"] = [[results[name] for name in ScanRow._fields]]
-    return {"k": args.k}, results, True
+    return {"k": args.k}, results, [{name: results[name] for name in ScanRow._fields}], True
 
 
-def _cmd_torus_spectrum(args) -> tuple[dict, dict, bool]:
+def _cmd_torus_spectrum(args) -> tuple[dict, dict, list[dict], bool]:
     lam_max = args.lambda_max if args.lambda_max is not None else 4 * args.k * args.k
     if lam_max > LAMBDA_MAX_LIMIT:  # only the default: the parser checks a given one
         raise UsageError(f"--lambda-max defaults to 4*k^2 = {_echo(str(lam_max))}, which "
@@ -375,26 +375,21 @@ def _cmd_torus_spectrum(args) -> tuple[dict, dict, bool]:
     results = {
         "lambda_max": lam_max,
         "entries": entries,
-        "csv_header": ["value_exact", "value_float", "multiplicity", "branches"],
-        "csv_rows": [
-            [e["value_exact"], e["value_float"], e["multiplicity"], ";".join(e["branches"])]
-            for e in entries
-        ],
     }
-    return {"k": args.k, "lambda_max": lam_max}, results, True
+    table = [{**e, "branches": ";".join(e["branches"])} for e in entries]
+    return {"k": args.k, "lambda_max": lam_max}, results, table, True
 
 
-def _cmd_torus_scan(args) -> tuple[dict, dict, bool]:
+def _cmd_torus_scan(args) -> tuple[dict, dict, list[dict], bool]:
     ordered = conjecture_scan(args.k_max, workers=args.workers)
     flagged = [r.k for r in ordered if r.flagged]
     results = {
         "k_max": args.k_max,
         "all_nullity_five": not flagged,
         "flagged_k": flagged,
-        "csv_header": list(ScanRow._fields),
-        "csv_rows": [list(r) for r in ordered],
     }
-    return {"k_max": args.k_max, "workers": args.workers}, results, not flagged
+    table = [r._asdict() for r in ordered]
+    return {"k_max": args.k_max, "workers": args.workers}, results, table, not flagged
 
 
 def _read_index_report(path: str) -> dict:
@@ -432,7 +427,7 @@ def _read_index_report(path: str) -> dict:
     return results
 
 
-def _cmd_torus_check(args) -> tuple[dict, dict, bool]:
+def _cmd_torus_check(args) -> tuple[dict, dict, list[dict], bool]:
     res = _read_index_report(args.file)
     k, runs, zeros = res["k"], res["negative_runs"], res["zero_pairs"]
     failures = check_runs(k, runs, zeros, res["empty_row_witnesses"])
@@ -446,33 +441,28 @@ def _cmd_torus_check(args) -> tuple[dict, dict, bool]:
         "k": k,
         "verified": not failures,
         "failures": failures,
-        "csv_header": ["k", "runs", "zero_pairs", "witnesses", "failures", "verified"],
-        "csv_rows": [[k, len(runs), len(zeros), len(res["empty_row_witnesses"]), len(failures),
-                      not failures]],
     }
-    return {"file": args.file}, results, not failures
+    row = {"k": k, "runs": len(runs), "zero_pairs": len(zeros),
+           "witnesses": len(res["empty_row_witnesses"]), "failures": len(failures),
+           "verified": not failures}
+    return {"file": args.file}, results, [row], not failures
 
 
-def _cmd_circle_index(args) -> tuple[dict, dict, bool]:
+def _cmd_circle_index(args) -> tuple[dict, dict, list[dict], bool]:
     if args.check_matrices and args.k > CHECK_MATRICES_K_LIMIT:
         raise UsageError(f"--check-matrices needs --k <= {CHECK_MATRICES_K_LIMIT}")
     idx, nul = circle_index_nullity(args.k)
-    results = {
-        "k": args.k,
-        "index": idx,
-        "nullity": nul,
-        "csv_header": ["k", "index", "nullity"],
-        "csv_rows": [[args.k, idx, nul]],
-    }
+    row = {"k": args.k, "index": idx, "nullity": nul}
+    results = dict(row)
     ok = True
     if args.check_matrices:
         idx2, nul2 = circle_index_nullity_by_matrices(args.k)
         results["matrix_counts"] = {"index": idx2, "nullity": nul2}
         ok = (idx2, nul2) == (idx, nul)
-    return {"k": args.k}, results, ok
+    return {"k": args.k}, results, [row], ok
 
 
-def _cmd_legendre_verify(args) -> tuple[dict, dict, bool]:
+def _cmd_legendre_verify(args) -> tuple[dict, dict, list[dict], bool]:
     inputs = {"m": args.m, "n": args.n}
     try:
         rep = verify_p5_factorization(args.m, args.n)
@@ -480,27 +470,23 @@ def _cmd_legendre_verify(args) -> tuple[dict, dict, bool]:
         results = {
             "matched": False,
             "detail": str(exc),
-            "csv_header": ["m", "n", "matched", "detail"],
-            "csv_rows": [[args.m, args.n, False, str(exc)]],
         }
-        return inputs, results, False
+        return inputs, results, [{**inputs, **results}], False
     results = {
         "matched": True,
         "block_order": rep.block_order,
         "quintic_coefficients": list(rep.quintic.coeffs),
-        "csv_header": ["m", "n", "block_order", "matched"],
-        "csv_rows": [[args.m, args.n, rep.block_order, True]],
     }
-    return inputs, results, True
+    return inputs, results, [{**inputs, "block_order": rep.block_order, "matched": True}], True
 
 
-def _cmd_legendre_index(args) -> tuple[dict, dict, bool]:
+def _cmd_legendre_index(args) -> tuple[dict, dict, list[dict], bool]:
     led = legendre_index_nullity()
-    rows = [
-        [fam, i, nu]
+    table = [
+        {"family": fam, "index": i, "nullity": nu}
         for (fam, _), i, nu in zip(LEDGER_FAMILIES, led.index_split, led.nullity_split)
     ]
-    rows.append(["total", led.index, led.nullity])
+    table.append({"family": "total", "index": led.index, "nullity": led.nullity})
     results = {
         "index": led.index,
         "nullity": led.nullity,
@@ -508,26 +494,23 @@ def _cmd_legendre_index(args) -> tuple[dict, dict, bool]:
         "nullity_split": list(led.nullity_split),
         "split_matches_cited": led.split_matches_cited,
         "axis_scans": {"m": led.axis_m_scanned_to, "n": led.axis_n_scanned_to},
-        "csv_header": ["family", "index", "nullity"],
-        "csv_rows": rows,
     }
-    return {}, results, (led.index, led.nullity) == (11, 18)
+    return {}, results, table, (led.index, led.nullity) == (11, 18)
 
 
-def _cmd_legendre_descartes(args) -> tuple[dict, dict, bool]:
+def _cmd_legendre_descartes(args) -> tuple[dict, dict, list[dict], bool]:
     rep = descartes_lemma_check(args.m, args.n)
     results = {
         "checked": rep.checked,
         "violations": [list(v) for v in rep.violations],
         "sturm_confirmed": rep.sturm_confirmed,
-        "csv_header": ["m_max", "n_max", "checked", "violations", "sturm_confirmed"],
-        "csv_rows": [[rep.m_max, rep.n_max, rep.checked, len(rep.violations), rep.sturm_confirmed]],
     }
+    table = [{**rep._asdict(), "violations": len(rep.violations)}]
     ok = not rep.violations and rep.sturm_confirmed
-    return {"m_max": args.m, "n_max": args.n}, results, ok
+    return {"m_max": args.m, "n_max": args.n}, results, table, ok
 
 
-def _cmd_reduced(args) -> tuple[dict, dict, bool]:
+def _cmd_reduced(args) -> tuple[dict, dict, list[dict], bool]:
     """reduced sphere, and reduced ellipsoid, which adds --b."""
     radius = _parse_rational(args.radius, "--radius")
     ellipsoid = args.command == "ellipsoid"
@@ -537,49 +520,42 @@ def _cmd_reduced(args) -> tuple[dict, dict, bool]:
         idx, nul = reduced_index_nullity(problem)
     except ValueError as exc:
         raise UsageError(str(exc))
-    inputs = {"n_dim": args.n_dim, "radius": str(radius)}
+    shape = {"radius": str(radius), "b": str(b)} if ellipsoid else {"radius": str(radius)}
     results = {"index": idx, "nullity": nul, "threshold_fourth_power": str(problem.quartic_constant())}
     if ellipsoid:
-        inputs["b"] = str(b)
         results["critical_cos_2alpha"] = str(problem.critical_cos_2alpha())
         results["critical_latitude"] = problem.critical_latitude()
-    results["csv_header"] = ["n", *list(inputs)[1:], "index", "nullity"]
-    results["csv_rows"] = [[*inputs.values(), idx, nul]]
-    return inputs, results, True
+    table = [{"n": args.n_dim, **shape, "index": idx, "nullity": nul}]
+    return {"n_dim": args.n_dim, **shape}, results, table, True
 
 
-def _cmd_reduced_torus(args) -> tuple[dict, dict, bool]:
+def _cmd_reduced_torus(args) -> tuple[dict, dict, list[dict], bool]:
     idx, nul = reduced_index_torus(args.k)
     results = {
         "index_reduced": idx,
         "nullity_reduced": nul,
-        "csv_header": ["k", "index_reduced", "nullity_reduced"],
-        "csv_rows": [[args.k, idx, nul]],
     }
-    return {"k": args.k}, results, True
+    return {"k": args.k}, results, [{"k": args.k, **results}], True
 
 
-def _cmd_reduced_bessel(args) -> tuple[dict, dict, bool]:
+def _cmd_reduced_bessel(args) -> tuple[dict, dict, list[dict], bool]:
     rep = bessel_nullity_check()
-    names = ["d1_at_0", "d2_at_0", "d3_at_0", "ratio", "ratio_proved", "term_ratio",
-             "d4_normalized", "d4_target"]
-    values = [*map(float, rep.derivatives_at_zero), str(rep.ratio), rep.ratio_proved, TERM_RATIO,
-              float(rep.fourth_derivative_normalized), float(rep.fourth_derivative_target)]
-    results = {
-        "derivatives_at_zero": values[:3],
-        "ratio": values[3],
-        "ratio_proved": values[4],
-        "term_ratio": values[5],
-        "fourth_derivative_normalized": values[6],
-        "fourth_derivative_target": values[7],
-        "all_ok": rep.all_ok,
-        "csv_header": ["quantity", "value"],
-        "csv_rows": [list(row) for row in zip(names, values)],
+    derivatives = [float(d) for d in rep.derivatives_at_zero]
+    proof = {  # the quantities after the derivatives; the table names fourth_derivative d4
+        "ratio": str(rep.ratio),
+        "ratio_proved": rep.ratio_proved,
+        "term_ratio": TERM_RATIO,
+        "fourth_derivative_normalized": float(rep.fourth_derivative_normalized),
+        "fourth_derivative_target": float(rep.fourth_derivative_target),
     }
-    return {}, results, rep.all_ok
+    quantities = {**{f"d{i}_at_0": d for i, d in enumerate(derivatives, 1)},
+                  **{name.replace("fourth_derivative", "d4"): v for name, v in proof.items()}}
+    table = [{"quantity": name, "value": value} for name, value in quantities.items()]
+    results = {"derivatives_at_zero": derivatives, **proof, "all_ok": rep.all_ok}
+    return {}, results, table, rep.all_ok
 
 
-def _cmd_reduced_conformal(args) -> tuple[dict, dict, bool]:
+def _cmd_reduced_conformal(args) -> tuple[dict, dict, list[dict], bool]:
     exact = conformal_hessian(PolynomialBump.make(center=0, halfwidth=1, power=6))
     value, positive = float(exact), exact > 0
     results = {
@@ -587,32 +563,25 @@ def _cmd_reduced_conformal(args) -> tuple[dict, dict, bool]:
         "hessian": value,
         "hessian_exact": str(exact),
         "positive": positive,
-        "csv_header": ["test_function", "hessian", "positive"],
-        "csv_rows": [["(1-u^2)^6", value, positive]],
     }
-    return {}, results, positive
+    row = {"test_function": "(1-u^2)^6", "hessian": value, "positive": positive}
+    return {}, results, [row], positive
 
 
 _CANONICAL_PHASES = ("0,1,0,0", "1,0,1,0", "1,0,-2,0")
 
 
-def _cmd_noncompact_stable(args) -> tuple[dict, dict, bool]:
+def _cmd_noncompact_stable(args) -> tuple[dict, dict, list[dict], bool]:
     texts = (args.phase,) if args.phase is not None else _CANONICAL_PHASES
-    header = ["a", "b", "c", "d", "stability", "integrand_min"]
-    rows = []
-    for text in texts:
-        phase = _parse_phase(text)
-        rows.append([str(phase.a), str(phase.b), str(phase.c), str(phase.d),
-                     is_strictly_stable(phase).value, str(integrand_min(phase))])
-    results = {
-        "phases": [dict(zip(header, row)) for row in rows],
-        "csv_header": header,
-        "csv_rows": rows,
-    }
-    return {"phase": args.phase}, results, True
+    phases = [
+        {**dict(zip(phase._fields, map(str, phase))), "stability": is_strictly_stable(phase).value,
+         "integrand_min": str(integrand_min(phase))}
+        for phase in map(_parse_phase, texts)
+    ]
+    return {"phase": args.phase}, {"phases": phases}, phases, True
 
 
-def _cmd_noncompact_hessian(args) -> tuple[dict, dict, bool]:
+def _cmd_noncompact_hessian(args) -> tuple[dict, dict, list[dict], bool]:
     phase = _parse_phase(args.phase) if args.phase is not None else COUNTEREXAMPLE_PHASE
     exact = hessian_form(phase, COUNTEREXAMPLE_SECTION)
     try:
@@ -624,13 +593,12 @@ def _cmd_noncompact_hessian(args) -> tuple[dict, dict, bool]:
         "section": "normal cos^6 bump on a half-period",
         "hessian": value,
         "hessian_exact": str(exact),
-        "csv_header": ["a", "b", "c", "d", "hessian"],
-        "csv_rows": [[str(phase.a), str(phase.b), str(phase.c), str(phase.d), value]],
     }
-    return {"phase": args.phase}, results, True
+    row = {**dict(zip(phase._fields, map(str, phase))), "hessian": value}
+    return {"phase": args.phase}, results, [row], True
 
 
-def _cmd_noncompact_counterexample(args) -> tuple[dict, dict, bool]:
+def _cmd_noncompact_counterexample(args) -> tuple[dict, dict, list[dict], bool]:
     exact = counterexample_value()
     lo, hi = Fraction(-3547, 1000), Fraction(-3527, 1000)  # around the cited -3.537
     ok = lo <= exact <= hi
@@ -640,17 +608,18 @@ def _cmd_noncompact_counterexample(args) -> tuple[dict, dict, bool]:
         "value_exact": str(exact),
         "window": window,
         "within_window": ok,
-        "csv_header": ["value", "window_lo", "window_hi", "within_window"],
-        "csv_rows": [[value, *window, ok]],
     }
-    return {}, results, ok
+    row = {"value": value, "window_lo": window[0], "window_hi": window[1], "within_window": ok}
+    return {}, results, [row], ok
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        inputs, results, ok = args.run(args)
+        inputs, results, table, ok = args.run(args)
+        results["csv_header"] = list(table[0])
+        results["csv_rows"] = [list(row.values()) for row in table]
         report = {
             "schema": SCHEMA_VERSION,
             "version": __version__,

@@ -92,6 +92,8 @@ class Exact:
     def __setattr__(self, *_args) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    __delattr__ = __setattr__
+
 
 class QuadExt(Exact):
     """Element a + b*sqrt(2) of the ring Z[sqrt(2)]."""

@@ -48,8 +48,9 @@ class CubicPhase(NamedTuple("CubicPhase", [(x, Fraction) for x in "abcd"])):
     """A = a g^3 + b g^2 + c g + d with exact rational coefficients."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
 
-    def __new__(cls, a, b, c, d=0) -> CubicPhase:  # _make and _replace skip it
+    def __new__(cls, a, b, c, d=0) -> CubicPhase:
         a, b, c, d = (exact_rational(x, name) for x, name in zip((a, b, c, d), "abcd"))
         if a == 0 and b == 0:
             raise NotProperError("a = b = 0 gives a harmonic (not proper) map")

@@ -46,8 +46,9 @@ class ReducedProblem(NamedTuple("ReducedProblem", [("n", int), ("radius", Fracti
     """Equivariant problem data; the default b = 1 is the round sphere target."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
 
-    def __new__(cls, n: int, radius, b=1) -> ReducedProblem:  # _make and _replace skip it
+    def __new__(cls, n: int, radius, b=1) -> ReducedProblem:
         if (n := operator.index(n)) < 2:
             raise ValueError("need n >= 2")
         radius = exact_rational(radius, "radius")

@@ -448,17 +448,18 @@ def test_largest_index_report_is_pinned(capsys):
 
 @pytest.mark.parametrize("name,argv", GOLDENS)
 def test_every_command_has_a_table(monkeypatch, tmp_path, name, argv):
-    # csv and md render results' csv_header and csv_rows, which every handler
-    # sets; the goldens reach each entry of the command table
+    # csv and md render the table every handler returns, which main writes as
+    # csv_header (the first row's keys) and csv_rows (each row's values); the
+    # goldens reach each entry of the command table
     monkeypatch.chdir(tmp_path)
     assert main(["torus", "index", "--k", "2", "--output", "report.json"]) == EXIT_OK
     args = build_parser().parse_args(argv)
-    _, results, _ = args.run(args)
-    header, rows = results["csv_header"], results["csv_rows"]
+    _, _, table, _ = args.run(args)
+    header = list(table[0])
     assert header and all(isinstance(h, str) for h in header), name
-    assert rows and all(len(row) == len(header) for row in rows), name
+    assert all(list(row) == header for row in table), name
     # _table rounds one cell at a time, so a cell holds no container of floats
-    assert all(type(x) in (int, float, str, bool) for row in rows for x in row), name
+    assert all(type(x) in (int, float, str, bool) for row in table for x in row.values()), name
 
 
 @pytest.fixture

@@ -47,6 +47,8 @@ def test_records_are_immutable(name):
         setattr(record, field, getattr(record, field))
     with pytest.raises(AttributeError):
         record.extra = 0
+    with pytest.raises(AttributeError):
+        delattr(record, field)
 
 
 # each exact value with the binary operators it defines beside ==
@@ -110,6 +112,27 @@ REFUSED = [
 def test_validated_records_refuse_bad_input(cls, args, error):
     with pytest.raises(error):
         cls(*args)
+
+
+VALIDATED = (CubicPhase, ReducedProblem, PolynomialBump, CosPowerBump)
+
+
+@pytest.mark.parametrize("cls,args,error", [r[1:] for r in REFUSED if r[1] in VALIDATED],
+                         ids=[r[0] for r in REFUSED if r[1] in VALIDATED])
+def test_validated_records_refuse_bad_input_through_make_and_replace(cls, args, error):
+    # namedtuple's own _make skips __new__, and _replace calls _make
+    with pytest.raises(error):
+        cls._make(args)
+    valid = RECORDS[cls.__name__]()
+    with pytest.raises(error):
+        valid._replace(**dict(zip(cls._fields, args)))
+
+
+def test_make_and_replace_build_valid_records():
+    assert CubicPhase(1, 0, -2)._replace(c=F(1, 2)) == CubicPhase(1, 0, F(1, 2))
+    assert ReducedProblem._make([3, 1]) == ReducedProblem(3, 1)
+    assert type(PolynomialBump.make(0, 1)._replace(center=2).center) is F
+    assert CosPowerBump(0, 6)._replace(power=8) == CosPowerBump(0, 8)
 
 
 def test_validated_records_store_exact_values():
