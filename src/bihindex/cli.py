@@ -407,7 +407,8 @@ def _read_index_report(path: str) -> dict:
         raise UsageError(f"{path} is not JSON: {exc}")
     if not isinstance(report, dict) or report.get("command") != "torus index":
         raise UsageError(f"{path} is not a torus index report")
-    if report.get("schema") != SCHEMA_VERSION:
+    schema = report.get("schema")
+    if type(schema) is not int or schema != SCHEMA_VERSION:  # 2.0 == 2 in Python
         raise UsageError(f"{path} is not a schema {SCHEMA_VERSION} report; rerun torus index")
     results = report.get("results")
     if not isinstance(results, dict):

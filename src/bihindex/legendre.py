@@ -43,7 +43,7 @@ from .exact import QuadExt
 from .matrices import (
     ExactMatrix, OperatorTable, charpoly_exact, components, eigenvalue_signs, operator_block,
 )
-from .polynomials import IntPolynomial, count_roots
+from .polynomials import IntPolynomial, count_roots, zero_root_multiplicity
 
 
 class CharpolyMismatchError(ValueError):
@@ -257,7 +257,9 @@ def descartes_lemma_check(m_max: int, n_max: int) -> DescartesReport:
     and independently confirm by Sturm counting that the quintic has no root
     <= 0 there.  Each m folds P5_TABLE once (p5_row); each n then evaluates
     the six folded integer rows at n^2 by Horner's rule, inline, and makes
-    two Sturm counts.  The window is an oracle; the Descartes lemma is the
+    one Sturm count of the negative roots and reads the multiplicity of the
+    root 0 off the trailing coefficients.  A label that fails either check
+    is listed once.  The window is an oracle; the Descartes lemma is the
     proof."""
     if m_max < 3 or n_max < 3:
         raise ValueError("range must reach at least (3, 3)")
@@ -278,16 +280,15 @@ def descartes_lemma_check(m_max: int, n_max: int) -> DescartesReport:
                     acc = acc * nn + c
                 coeffs.append(acc)
             p5 = IntPolynomial(coeffs)  # a5 = -1, so p5.coeffs keeps all six
-            if not all(_sign_conditions(p5.coeffs)):
-                violations.append((m, n))
-            if count_roots(p5, "negative") != 0 or count_roots(p5, "zero") != 0:
-                sturm_ok = False
+            sturm = count_roots(p5, "negative") == 0 and zero_root_multiplicity(p5) == 0
+            sturm_ok &= sturm
+            if not (sturm and all(_sign_conditions(p5.coeffs))):
                 violations.append((m, n))
     return DescartesReport(
         m_max=m_max,
         n_max=n_max,
         checked=checked,
-        violations=tuple(dict.fromkeys(violations)),
+        violations=tuple(violations),
         sturm_confirmed=sturm_ok,
     )
 

@@ -22,7 +22,7 @@ from operator import index, mul
 from typing import Callable, Sequence
 
 from .exact import QUAD_ONE, Exact, QuadExt
-from .polynomials import IntPolynomial, _variations, zero_root_multiplicity
+from .polynomials import IntPolynomial, zero_root_multiplicity
 
 
 class AsymmetricMatrixError(ValueError):
@@ -175,8 +175,9 @@ def eigenvalue_signs(m: ExactMatrix) -> tuple[int, int]:
     Descartes bounds are equalities.
     """
     p = charpoly_exact(m)
-    negative = _variations(-c if i % 2 else c for i, c in enumerate(p.coeffs))
-    return negative, zero_root_multiplicity(p)
+    # signs of the nonzero coefficients of p(-x), lowest degree first
+    minus = [(c < 0) != (i % 2 == 1) for i, c in enumerate(p.coeffs) if c]
+    return sum(a != b for a, b in zip(minus, minus[1:])), zero_root_multiplicity(p)
 
 
 # -- operator blocks on Fourier subspaces ----------------------------------------

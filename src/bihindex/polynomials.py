@@ -4,13 +4,14 @@ Root counting is done with Sturm sequences of primitive integer polynomials:
 each member is a positive multiple of the classical one, found by integer
 pseudo-division and content removal; a step whose degree drops by one (the
 first step always, and every step of a normal chain) is one closed-form
-comprehension.  The count of distinct roots in (-inf, 0) / (0, +inf) is the
-difference of the chain's sign variations at 0 and at that region's
-infinity, both read in one pass off each member's constant term, leading
-coefficient and degree; the multiplicity of the root 0 is read off the
-trailing-coefficient valuation.  Counts with multiplicity are only needed
-for symmetric matrices, whose real-rooted characteristic polynomials
-``matrices.eigenvalue_signs`` counts by Descartes' rule of signs.
+comprehension.  ``count_roots`` gives the number of distinct roots in
+(-inf, 0) or (0, +inf): the difference of the chain's sign variations at 0
+and at that region's infinity, both read in one pass off each member's
+constant term, leading coefficient and degree.  ``zero_root_multiplicity``
+gives the multiplicity of the root 0, the trailing-coefficient valuation.
+Counts with multiplicity are only needed for symmetric matrices, whose
+real-rooted characteristic polynomials ``matrices.eigenvalue_signs`` counts
+by Descartes' rule of signs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable, Literal
 
 from .exact import Exact
 
-Region = Literal["negative", "zero", "positive"]
+Region = Literal["negative", "positive"]
 
 
 class IntPolynomial(Exact):
@@ -40,11 +41,6 @@ class IntPolynomial(Exact):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
     def __call__(self, x: int | Fraction):
         out: int | Fraction = 0
         for c in reversed(self.coeffs):
@@ -58,21 +54,6 @@ class IntPolynomial(Exact):
 
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self.coeffs)})"
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*x")
-            else:
-                parts.append(f"{c}*x^{i}")
-        return " + ".join(parts).replace("+ -", "- ")
 
 
 # -- Sturm machinery ---------------------------------------------------------
@@ -114,12 +95,6 @@ def _sturm_chain(p: list[int]) -> list[list[int]]:
     return chain
 
 
-def _variations(values: Iterable[int]) -> int:
-    """Sign changes along the nonzero entries of ``values``."""
-    neg = [v < 0 for v in values if v]
-    return sum(1 for a, b in zip(neg, neg[1:]) if a != b)
-
-
 def zero_root_multiplicity(p: IntPolynomial) -> int:
     """Multiplicity of the root 0, i.e. the trailing-coefficient valuation."""
     if p.is_zero():
@@ -130,7 +105,12 @@ def zero_root_multiplicity(p: IntPolynomial) -> int:
     return v
 
 
-def _count_distinct(p: IntPolynomial, region: Region) -> int:
+def count_roots(p: IntPolynomial, region: Region) -> int:
+    """Number of distinct real roots of ``p`` in (-inf, 0) for ``negative``
+    or in (0, +inf) for ``positive``, by one Sturm chain of p with its roots
+    at 0 divided out; ``zero_root_multiplicity`` counts the root 0."""
+    if region not in ("negative", "positive"):
+        raise ValueError(f"unknown region {region!r}")
     q = list(p.coeffs[zero_root_multiplicity(p):])
     if len(q) <= 1:
         return 0
@@ -148,18 +128,3 @@ def _count_distinct(p: IntPolynomial, region: Region) -> int:
             at_inf = not at_inf
             v_inf += 1
     return v_inf - v_zero if minus else v_zero - v_inf
-
-
-def count_roots(p: IntPolynomial, region: Region) -> int:
-    """Exact real-root count of ``p`` in the given sign region.
-
-    ``zero`` counts the root 0 with multiplicity; ``negative``/``positive``
-    count distinct roots.
-    """
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    if region == "zero":
-        return zero_root_multiplicity(p)
-    if region not in ("negative", "positive"):
-        raise ValueError(f"unknown region {region!r}")
-    return _count_distinct(p, region)

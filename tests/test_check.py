@@ -329,6 +329,7 @@ def test_report_totals_are_checked(capsys, tmp_path):
         "a directory",
         "circle index",
         "schema 1",
+        "schema as a float",
         "runs as pairs",
         "k as bool",
         "not utf-8",
@@ -348,6 +349,8 @@ def test_torus_check_malformed_input_gives_one_line(capsys, monkeypatch, tmp_pat
         assert main(["circle", "index", "--k", "3", "--output", str(path)]) == EXIT_OK
     elif content == "schema 1":
         path.write_text(good.replace('"schema": 2', '"schema": 1'))
+    elif content == "schema as a float":
+        path.write_text(good.replace('"schema": 2', '"schema": 2.0'))
     elif content == "runs as pairs":
         report = json.loads(good)
         report["results"]["negative_runs"] = [[1, 1], [2, 1]]
@@ -371,7 +374,8 @@ def test_torus_check_malformed_input_gives_one_line(capsys, monkeypatch, tmp_pat
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("bihindex: error: ")
     reason = {"results as a list": "results is not an object",
-              "above the size limit": f"is larger than {len(good) - 1} bytes"}
+              "above the size limit": f"is larger than {len(good) - 1} bytes",
+              "schema as a float": "is not a schema 2 report"}
     assert reason.get(content, "") in captured.err
 
 

@@ -25,7 +25,7 @@ from bihindex.legendre import (
     verify_p5_factorization,
 )
 from bihindex.matrices import charpoly_exact, components, trig_basis
-from bihindex.polynomials import IntPolynomial, count_roots
+from bihindex.polynomials import IntPolynomial, count_roots, zero_root_multiplicity
 
 from oracles import matrix, poly_product, to_numpy
 
@@ -305,10 +305,10 @@ def test_p5_mismatch_on_a_block_split_otherwise(monkeypatch):
 def test_p5_root_counts_drive_the_two_small_blocks():
     p11 = p5_polynomial(1, 1)
     assert count_roots(p11, "negative") == 1
-    assert count_roots(p11, "zero") == 0
+    assert zero_root_multiplicity(p11) == 0
     p21 = p5_polynomial(2, 1)
     assert count_roots(p21, "negative") == 0
-    assert count_roots(p21, "zero") == 1
+    assert zero_root_multiplicity(p21) == 1
 
 
 def test_lemma_hypothesis_set():
@@ -374,6 +374,24 @@ def test_descartes_window_reads_the_table(monkeypatch):
     assert descartes_lemma_check(10, 10).violations != ()
 
 
+def test_descartes_window_counts_the_quintic_of_each_label(monkeypatch):
+    """The window hands count_roots P5(m, n) itself, once per hypothesis
+    label in (m, n) order: the quintic evaluated at N = n^2, not at some
+    other argument."""
+    seen = []
+    real = legendre.count_roots
+
+    def count(p, region):
+        seen.append(p)
+        return real(p, region)
+
+    monkeypatch.setattr(legendre, "count_roots", count)
+    rep = descartes_lemma_check(6, 5)
+    labels = [(m, n) for m in range(1, 7) for n in range(1, 6) if satisfies_lemma_hypothesis(m, n)]
+    assert rep.checked == len(labels) == 28
+    assert seen == [p5_polynomial(m, n) for m, n in labels]
+
+
 def test_a_sturm_count_that_disagrees_is_a_violation(capsys, monkeypatch):
     """The window's Sturm confirmation is read: one negative root counted at
     (3, 2) makes that label a violation, sturm_confirmed false and legendre
@@ -398,13 +416,13 @@ def test_a_root_at_zero_counted_by_sturm_is_a_violation(capsys, monkeypatch):
     and legendre descartes exit 2, while its negative count stays 0.  A label
     that fails the six signs as well is listed once."""
     at_41 = p5_coefficients(4, 1)
-    real = legendre.count_roots
+    real = legendre.zero_root_multiplicity
 
-    def count(p, kind):
-        return 1 if (kind, tuple(p.coeffs)) == ("zero", at_41) else real(p, kind)
+    def multiplicity(p):
+        return 1 if tuple(p.coeffs) == at_41 else real(p)
 
-    monkeypatch.setattr(legendre, "count_roots", count)
-    assert count(IntPolynomial(at_41), "negative") == 0
+    monkeypatch.setattr(legendre, "zero_root_multiplicity", multiplicity)
+    assert legendre.count_roots(IntPolynomial(at_41), "negative") == 0
     rep = descartes_lemma_check(4, 3)
     assert rep.violations == ((4, 1),) and rep.sturm_confirmed is False
     assert main(["legendre", "descartes", "--m", "4", "--n", "3"]) == EXIT_VERIFICATION
@@ -414,7 +432,7 @@ def test_a_root_at_zero_counted_by_sturm_is_a_violation(capsys, monkeypatch):
     monkeypatch.setattr(legendre, "_sign_conditions",
                         lambda cs: (False,) * 6 if tuple(cs) == at_41 else signs(cs))
     assert descartes_lemma_check(4, 3).violations == ((4, 1),)
-    monkeypatch.setattr(legendre, "count_roots", real)  # the sign test alone lists it too
+    monkeypatch.setattr(legendre, "zero_root_multiplicity", real)  # the sign test alone lists it too
     assert descartes_lemma_check(4, 3)[3:] == (((4, 1),), True)
 
 
@@ -432,7 +450,7 @@ def test_axis_blocks_have_rational_charpoly():
     for t in range(1, 5):
         for (m, n) in [(t, 0), (0, t)]:
             p = charpoly_exact(build_legendre_block(m, n))
-            assert p.degree == 10
+            assert len(p.coeffs) == 11
             assert p.coeffs[-1] == 1
 
 

@@ -133,7 +133,7 @@ def test_charpoly_matches_numpy_eigenvalues():
         for _ in range(10):
             m = _random_symmetric(rng, order)
             p = charpoly_exact(m)
-            assert p.degree == order
+            assert len(p.coeffs) == order + 1
             assert p.coeffs[-1] == 1
             ev = np.linalg.eigvalsh(to_numpy(m))
             # det(xI - M) vanishes at each numerical eigenvalue
