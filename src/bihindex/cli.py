@@ -418,7 +418,7 @@ def _read_index_report(path: str) -> dict:
             raise UsageError(f"{path}: results.{name} is not an integer")
     if not 1 <= results["k"] <= INDEX_K_LIMIT:  # torus index writes no other k
         raise UsageError(f"{path}: results.k must be >= 1 and <= {INDEX_K_LIMIT}")
-    for name, width in (("negative_runs", 3), ("zero_pairs", 2), ("empty_row_witnesses", 2)):
+    for name, width in (("negative_runs", 3), ("zero_pairs", 2)):
         rows = results.get(name)
         if not isinstance(rows, list) or not all(
             isinstance(r, list) and len(r) == width and all(type(x) is int for x in r)
@@ -431,7 +431,7 @@ def _read_index_report(path: str) -> dict:
 def _cmd_torus_check(args) -> tuple[dict, dict, list[dict], bool]:
     res = _read_index_report(args.file)
     k, runs, zeros = res["k"], res["negative_runs"], res["zero_pairs"]
-    failures = check_runs(k, runs, zeros, res["empty_row_witnesses"])
+    failures = check_runs(k, runs, zeros)
     if not failures:  # every entry lies in 1 <= n < 3k, so the totals are small
         failures = [
             f"{name} = {res[name]}, but the runs and zero pairs give {want}"
@@ -443,8 +443,7 @@ def _cmd_torus_check(args) -> tuple[dict, dict, list[dict], bool]:
         "verified": not failures,
         "failures": failures,
     }
-    row = {"k": k, "runs": len(runs), "zero_pairs": len(zeros),
-           "witnesses": len(res["empty_row_witnesses"]), "failures": len(failures),
+    row = {"k": k, "runs": len(runs), "zero_pairs": len(zeros), "failures": len(failures),
            "verified": not failures}
     return {"file": args.file}, results, [row], not failures
 

@@ -18,8 +18,7 @@ from .torus import ScanRow, run_totals, sign_runs
 
 def scan_row(k: int) -> ScanRow:
     """Exact (f, g, index, nullity) for one k: run_totals of the sign runs."""
-    runs, zeros, _ = sign_runs(k)
-    return run_totals(k, runs, zeros)
+    return run_totals(k, *sign_runs(k))
 
 
 def conjecture_scan(k_max: int, workers: int = 1, k_min: int = 1) -> list[ScanRow]:

@@ -38,8 +38,9 @@ and D > 0 is proved for s >= 9 k^2 (see enumeration_bound) and on every row
 with 14m^2 > 15k^2 (see last_row), so the lattice scan visits only the rows
 m <= last_row(k).  Each row's pairs with D <= 0 form one run of n inside the
 previous row's run, and row 1's inside the axis run 1..k (see sign_runs), so
-the scan steps the two ends of one run from row to row and never passes
-n = k; only check_runs and the O(k^2) oracle use the enumeration bound.
+the scan steps the two ends of one run from row to row, never passes n = k
+and stops at its first empty row, past which every row is empty too; only
+check_runs and the O(k^2) oracle use the enumeration bound.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from itertools import groupby
 from math import floor, isqrt
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import NamedTuple
 
 from .exact import QUAD_SQRT2, QuadExt, Surd
@@ -65,10 +66,11 @@ class NotNegativeError(ValueError):
 
 
 def check_label(k: int, m: int, n: int) -> None:
-    """Raise InvalidLabelError unless k >= 1 and m, n >= 0."""
-    if k < 1:
+    """Raise InvalidLabelError unless k >= 1 and m, n >= 0; TypeError unless
+    all three are integers (operator.index)."""
+    if index(k) < 1:
         raise InvalidLabelError("winding number k must be >= 1")
-    if m < 0 or n < 0:
+    if index(m) < 0 or index(n) < 0:
         raise InvalidLabelError("Fourier indices must be nonnegative")
 
 
@@ -100,9 +102,8 @@ class IndexReport(NamedTuple):
 
     The totals are run_totals' ScanRow, by name.  The evidence is sign_runs'
     output, O(k) entries, not the f = O(k^2) pairs: D < 0 exactly on the
-    pairs (m, n_lo..n_hi) of negative_runs and D = 0 exactly at zero_pairs;
-    empty_row_witnesses holds the (m, nv) of the rows m > k proved empty by
-    their convex minimum nv.  check_runs verifies all three.
+    pairs (m, n_lo..n_hi) of negative_runs and D = 0 exactly at zero_pairs,
+    which check_runs verifies.
     """
 
     k: int
@@ -112,7 +113,6 @@ class IndexReport(NamedTuple):
     g: int
     negative_runs: tuple[tuple[int, int, int], ...]
     zero_pairs: tuple[tuple[int, int], ...]
-    empty_row_witnesses: tuple[tuple[int, int], ...]
 
     def __repr__(self) -> str:  # the totals only: the evidence is O(k)
         totals = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields[:5], self))
@@ -178,8 +178,7 @@ def enumeration_bound(k: int) -> int:
     while m^2 < s gives C^2 < 8 k^2 s^3; hence D > s^2 (s^2 - 8 k^2 s - k^4),
     and s^2 - 8 k^2 s - k^4 >= 9k^2*k^2 - k^4 = 8 k^4 > 0 once s >= 9 k^2.
     """
-    if k < 1:
-        raise InvalidLabelError("k must be >= 1")
+    check_label(k, 0, 0)
     return 9 * k * k
 
 
@@ -205,29 +204,23 @@ def last_row(k: int) -> int:
     for every k checked.  15/14 is the smallest ratio (j + 1)/j above that
     1.068; the next one, 16/15, cuts off rows with negative pairs.
     """
-    if k < 1:
-        raise InvalidLabelError("k must be >= 1")
+    check_label(k, 0, 0)
     return isqrt(15 * k * k // 14)
 
 
-def sign_runs(
-    k: int,
-) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]], list[tuple[int, int]]]:
+def sign_runs(k: int) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]]:
     """Exact signs of lambda^- over the interior pairs, as per-m runs.
 
-    Returns (runs, zeros, witnesses): D(k, m, n) < 0 exactly for
-    n_lo <= n <= n_hi for each (m, n_lo, n_hi) in runs, D = 0 exactly at the
-    pairs in zeros, and D > 0 at every other interior pair.  witnesses holds
-    (m, nv) for each row k < m proved empty through its integer minimum
-    (below), so that check_runs can confirm the row without a search.  All
-    three are in (m, n) order.  Only the rows m <= last_row(k), those with
-    14m^2 < 15k^2, are searched: past them D > 0 for every n (the cut lemma
-    in last_row).  One loop (_walk) steps through them from the axis run
-    1..k, each row from the run of the row before it, which contains it
-    (the nesting lemma).  The first empty row ends the search, since every
-    later row is empty too; each empty row past m = k gets its witness.
-    That is about 2.0 exact evaluations of D a row, over k <= 300 and at
-    k = 10^4 or 10^5, so O(k) per k.
+    Returns (runs, zeros): D(k, m, n) < 0 exactly for n_lo <= n <= n_hi for
+    each (m, n_lo, n_hi) in runs, D = 0 exactly at the pairs in zeros, and
+    D > 0 at every other interior pair.  Both are in (m, n) order.  Only the
+    rows m <= last_row(k), those with 14m^2 < 15k^2, are searched: past them
+    D > 0 for every n (the cut lemma in last_row).  One loop (_walk) steps
+    through them from the axis run 1..k, each row from the run of the row
+    before it, which contains it (the nesting lemma).  The first empty row
+    ends the walk, since every later row is empty too.  That is about 2.0
+    exact evaluations of D a row, over k <= 300 and at k = 10^4 or 10^5, so
+    O(k) per k.
 
     Proof.  Fix k and m and put s = m^2 + n^2.  Then
 
@@ -279,11 +272,6 @@ def sign_runs(
       M' > M: the run of row m' lies inside the run of row m, and past
       m = k the upper arc of the zero curve falls and the lower rises.
       Once a row is empty, so is every later row.
-    * Rows k < m: D(0) > 0 and the row is convex.  D falls and then rises
-      in s, and s grows with n, so the sign of D(n+1) - D(n) changes once,
-      from - to +, at the first integer minimum nv (the differences
-      themselves need not increase in n).  The row is empty iff D(nv) > 0,
-      and then nv is its witness.
     """
     k2 = k * k
     c1 = k2 * k2 * (2 - k2)  # row 1: m^2 = 1 in the quartic above
@@ -292,8 +280,8 @@ def sign_runs(
 
 def _walk(
     k: int, m: int, q: tuple[int, int, int, int, int], lo: int, hi: int
-) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]], list[tuple[int, int]]]:
-    """sign_runs' (runs, zeros, witnesses) for the rows m..last_row(k).
+) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]]:
+    """sign_runs' (runs, zeros) for the rows m..last_row(k).
 
     q = (c3, c2, c1, c0, m2) is row m: D(n) = P(m2 + n^2) with P(s) = s^4 +
     c3 s^3 + c2 s^2 + c1 s + c0, and lo..hi must contain its run {n >= 1 :
@@ -302,13 +290,9 @@ def _walk(
     (the nesting lemma in sign_runs): hi steps down while D(hi) > 0 and, on
     a row m > k, lo steps up while D(lo) > 0; on a row m <= k the run
     starts at n = 1 and D(1) < 0 unless hi = 1 (the one-end lemma).  One
-    evaluation of D per n tried, and D can vanish only at lo or hi.  Each
-    empty row k < m gets its witness, the first integer minimum of D, by a
-    downhill walk from the previous witness (the first from the last run's
-    lo).  That walk evaluates P (_row_value), not discriminant: check_runs
-    verifies the witness through discriminant, so one slip in
-    block_coefficients cannot pass both.  It relies on the row being convex,
-    and so does check_runs: AssertionError for an empty row with P''(m2) <= 0.
+    evaluation of D per n tried, and D can vanish only at lo or hi.  The
+    first empty row ends the walk: every later row is empty too (the
+    nesting lemma).
     """
     c3, c2, c1, c0, m2 = q
     k2 = k * k
@@ -316,8 +300,6 @@ def _walk(
     m_last = last_row(k)
     runs: list[tuple[int, int, int]] = []
     zeros: list[tuple[int, int]] = []
-    witnesses: list[tuple[int, int]] = []
-    nv = 0
     while True:
         while lo <= hi:
             s = m2 + hi * hi
@@ -325,52 +307,35 @@ def _walk(
             if v_hi <= 0:
                 break
             hi -= 1
-        if lo <= hi:
-            v_lo = v_hi
-            if m > k:
-                while lo < hi:
-                    s = m2 + lo * lo
-                    v = (((s + c3) * s + c2) * s + c1) * s + c0
-                    if v <= 0:
-                        v_lo = v
-                        break
-                    lo += 1
-            elif hi > 1:
-                v_lo = -1  # D(1) < 0
-            if v_lo and v_hi:
-                runs.append((m, lo, hi))
-            else:  # D = 0 at lo, at hi or at both; no k <= 10^4 has such a row
-                if not v_lo:
-                    zeros.append((m, lo))
-                if not v_hi and hi > lo:
-                    zeros.append((m, hi))
-                if lo + (not v_lo) <= hi - (not v_hi):
-                    runs.append((m, lo + (not v_lo), hi - (not v_hi)))
-        elif m > k:  # the row is empty, and so is every later one
-            if (6 * m2 + 3 * c3) * m2 + c2 <= 0:  # P''(m2) / 2
-                raise AssertionError(f"D is not convex on the row s >= {m2}")
-            q = (c3, c2, c1, c0, m2)
-            nv = nv or lo  # the first witness walks from the last run
-            v = _row_value(q, nv)
-            while nv > 1 and (u := _row_value(q, nv - 1)) <= v:
-                nv, v = nv - 1, u
-            while (u := _row_value(q, nv + 1)) < v:
-                nv, v = nv + 1, u
-            witnesses.append((m, nv))
+        if lo > hi:  # the row is empty, and so is every later one
+            return runs, zeros
+        v_lo = v_hi
+        if m > k:
+            while lo < hi:
+                s = m2 + lo * lo
+                v = (((s + c3) * s + c2) * s + c1) * s + c0
+                if v <= 0:
+                    v_lo = v
+                    break
+                lo += 1
+        elif hi > 1:
+            v_lo = -1  # D(1) < 0
+        if v_lo and v_hi:
+            runs.append((m, lo, hi))
+        else:  # D = 0 at lo, at hi or at both; no k <= 10^4 has such a row
+            if not v_lo:
+                zeros.append((m, lo))
+            if not v_hi and hi > lo:
+                zeros.append((m, hi))
+            if lo + (not v_lo) <= hi - (not v_hi):
+                runs.append((m, lo + (not v_lo), hi - (not v_hi)))
         if m >= m_last:
-            return runs, zeros, witnesses
+            return runs, zeros
         m += 1
         m2 = m * m
         c2 = -(k4 + 4 * k2 * m2)
         c1 = k4 * (2 * m2 - k2)
         c0 = 2 * m2 * c1
-
-
-def _row_value(q: tuple[int, int, int, int, int], n: int) -> int:
-    """D(n) = P(m2 + n^2) on the row q = (c3, c2, c1, c0, m2) of _walk."""
-    c3, c2, c1, c0, m2 = q
-    s = m2 + n * n
-    return (((s + c3) * s + c2) * s + c1) * s + c0
 
 
 def interior_sign_scan(k: int) -> tuple[int, int, list[tuple[int, int]], list[tuple[int, int]]]:
@@ -409,13 +374,13 @@ def run_totals(k: int, runs: Sequence[Sequence[int]], zeros: Sequence[Sequence[i
 
 def index_nullity(k: int) -> IndexReport:
     """Exact index and nullity of the degree-k map, with the lattice evidence."""
-    runs, zeros, witnesses = sign_runs(k)
+    runs, zeros = sign_runs(k)
     return IndexReport(**run_totals(k, runs, zeros)._asdict(), negative_runs=tuple(runs),
-                       zero_pairs=tuple(zeros), empty_row_witnesses=tuple(witnesses))
+                       zero_pairs=tuple(zeros))
 
 
 # checks stop at the first row after this many failures, so that a report
-# for a huge k with no evidence fails fast instead of scanning all its rows
+# with many bad rows fails in a few lines instead of one line per row
 CHECK_FAILURE_LIMIT = 20
 
 
@@ -423,17 +388,17 @@ def check_runs(
     k: int,
     runs: Sequence[tuple[int, int, int]],
     zeros: Sequence[tuple[int, int]],
-    witnesses: Sequence[tuple[int, int]],
 ) -> list[str]:
     """Verify sign_runs' evidence for k without searching; [] when it holds.
 
     Checks that D(k, m, n) < 0 exactly on the runs (m, n_lo, n_hi), D = 0
     exactly at the zero pairs and D > 0 at every other interior pair, with
-    O(1) exact evaluations of D per row m <= last_row(k), so O(k) in all.
-    The rows past last_row(k) need no evaluation: D > 0 on each of them (the
-    cut lemma in last_row), so an entry there is a failure.  It calls no
-    search: sign_runs walks to the ends, this function only tests them, and
-    it evaluates D as A*B - C^2 (discriminant), not through the quartic in s.
+    O(1) exact evaluations of D per row with entries and one pass over the
+    last run, so O(k) in all.  The rows past last_row(k) need no evaluation:
+    D > 0 on each of them (the cut lemma in last_row), so an entry there is
+    a failure.  It calls no search: sign_runs walks to the ends, this
+    function only tests them, and it evaluates D as A*B - C^2
+    (discriminant), not through the quartic in s.
 
     Proof that the end tests suffice: by the one-run lemma in sign_runs
     (Descartes on the coefficient signs + + - e e of D in s = m^2 + n^2),
@@ -447,25 +412,27 @@ def check_runs(
       enumeration bound (where D > 0 is proved);
     * H lies below the enumeration bound.
 
-    A row with no entries must be proved empty:
+    The rows without entries rest on the nesting lemma in sign_runs: once a
+    row is empty, so is every later row.  With m* the first row without
+    entries, the check
 
-    * m <= k: a run of the row starts at n = 1 (the one-end lemma in
-      sign_runs), so D(1) > 0 suffices, and the row has no witness;
-    * m > k: the row needs a witness (m, nv), and nothing else has one.
-      By the convexity lemma in sign_runs, D is convex on the whole row.  Then
-      D(nv - 1) >= D(nv) <= D(nv + 1), a side exempt at n = 1 or at the
-      enumeration bound, makes D(nv) the row's minimum, and D(nv) > 0
-      proves the row empty.
+    * requires the rows with entries to be 1..m* - 1;
+    * refuses any entry past m*;
+    * proves row m* empty once, if m* <= last_row(k): by D(1) > 0 if
+      m* <= k, since a run of the row would start at n = 1 (the one-end
+      lemma in sign_runs), and by D > 0 on the verified L..H of row m* - 1
+      if m* > k, since that run holds row m*'s (the nesting lemma);
+    * evaluates nothing after m*.
 
-    Runs, zeros and witnesses must be in (m, n) order, with one run and one
-    witness per row at most.
+    The pass over L..H runs only when no earlier row has failed, so it
+    covers a verified run, of at most k values.  Runs and zeros must be in
+    (m, n) order, with one run per row at most.
     """
     m_max = last_row(k)
     failures: list[str] = []
     for name, keys in (
         ("negative runs", [(m,) for m, _, _ in runs]),
         ("zero pairs", [tuple(z) for z in zeros]),
-        ("witnesses", [(m,) for m, _ in witnesses]),
     ):
         if any(a >= b for a, b in zip(keys, keys[1:])):
             failures.append(f"{name} are not in strictly increasing (m, n) order")
@@ -476,53 +443,44 @@ def check_runs(
                 f"{name} reach past the cut 14m^2 < 15k^2 (rows m <= {m_max}), where "
                 "D > 0 is proved and no evidence is kept; rerun torus index"
             )
-        elif name == "witnesses" and keys and keys[0][0] <= k:
-            failures.append(
-                f"witnesses in the rows m <= k = {k}, where D(1) > 0 proves a row "
-                "empty and no witness is kept; rerun torus index"
-            )
     if failures:
         return failures
 
     run_at = {m: (n_lo, n_hi) for m, n_lo, n_hi in runs}
-    witness_at = dict(witnesses)
     zeros_at: dict[int, list[int]] = {}
     for m, n in zeros:
         zeros_at.setdefault(m, []).append(n)
-    for m in range(1, m_max + 1):
+    m = 1
+    while m in run_at or m in zeros_at:
         if len(failures) == CHECK_FAILURE_LIMIT:
             return failures + [f"stopped at row m = {m} after {CHECK_FAILURE_LIMIT} failures"]
-        why = _check_row(k, m, run_at.get(m), zeros_at.get(m, []), witness_at.get(m))
+        why = _check_row(k, m, run_at.get(m), zeros_at.get(m, []))
         if why is not None:
             failures.append(f"row m = {m}: {why}")
-    return failures
+        m += 1
+    if max((*run_at, *zeros_at), default=0) > m:
+        return failures + [f"entries past the row m = {m}, which has none; once a row "
+                           "is empty, so is every later row"]
+    if failures or m > m_max:
+        return failures
+    if m <= k:  # a run of the row would start at n = 1
+        lo = hi = 1
+    else:  # the run of the row lies inside L..H of the row before it
+        span = [*run_at.get(m - 1, ()), *zeros_at.get(m - 1, [])]
+        lo, hi = min(span), max(span)
+    for n in range(lo, hi + 1):
+        if discriminant(k, m, n) <= 0:
+            return [f"row m = {m}: D({n}) <= 0 but the row has no run"]
+    return []
 
 
-def _check_row(
-    k: int, m: int, run: tuple[int, int] | None, zs: list[int], nv: int | None
-) -> str | None:
+def _check_row(k: int, m: int, run: tuple[int, int] | None, zs: list[int]) -> str | None:
     """The first failure of one row of check_runs' evidence, or None."""
     n_max = isqrt(enumeration_bound(k) - m * m - 1)
 
     def d(n: int) -> int:
         return discriminant(k, m, n)
 
-    if run is None and not zs:
-        if d(1) <= 0:
-            return "D(1) <= 0 but the row has no run"
-        if m <= k:  # a run of the row would start at n = 1
-            return None
-        if nv is None:
-            return "no run, no zero pair and no witness"
-        if not 1 <= nv <= n_max:
-            return f"witness nv = {nv} not in 1 <= nv <= {n_max}"
-        dv = d(nv)
-        if (nv > 1 and d(nv - 1) < dv) or (nv < n_max and d(nv + 1) < dv):
-            return f"D has no local minimum at nv = {nv}"
-        return "the witness minimum is not positive" if dv <= 0 else None
-
-    if nv is not None:
-        return "a witness for a row with D <= 0 entries"
     if not all(1 <= n <= n_max for n in (*(run or ()), *zs)):
         return f"an entry lies outside 1 <= n <= {n_max} (the enumeration bound)"
     if run is None:

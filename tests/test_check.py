@@ -2,9 +2,11 @@
 
 Every report torus index writes must verify; every single mutation of the
 evidence (a run end moved, a run dropped or added, a zero pair dropped or
-injected, a witness corrupted) must fail it, even with f, g, index and
-nullity recomputed to match the mutated evidence; unreadable input ends in
-one exit-1 line.
+injected) must fail it, even with f, g, index and nullity recomputed to match
+the mutated evidence; unreadable input ends in one exit-1 line.  The rows
+after the last run carry no evidence: the check proves the first of them
+empty, once, and the nesting lemma gives the rest; the cases of that proof
+count the calls of D it makes.
 """
 
 import copy
@@ -32,8 +34,8 @@ def check_file(capsys, tmp_path, content):
     return code, captured
 
 
-# k = 176 has a row past its last run below the cut, so its report carries a
-# witness as well as runs
+# k = 176 has rows past its last run below the cut, and its last run lies past
+# the axis zero m = k, so the first empty row is proved by a pass over that run
 K = 176
 
 
@@ -44,7 +46,6 @@ def report176():
         "k": K,
         "runs": [list(run) for run in r.negative_runs],
         "zeros": [list(z) for z in r.zero_pairs],
-        "witnesses": [list(w) for w in r.empty_row_witnesses],
     }
 
 
@@ -54,7 +55,6 @@ def as_cli_report(capsys, evidence):
     res = report["results"]
     res["negative_runs"] = evidence["runs"]
     res["zero_pairs"] = evidence["zeros"]
-    res["empty_row_witnesses"] = evidence["witnesses"]
     res["f"] = sum(n_hi - n_lo + 1 for _, n_lo, n_hi in evidence["runs"])
     res["g"] = len(evidence["zeros"])
     res["index"] = 1 + 4 * (evidence["k"] - 1) + 4 * res["f"]
@@ -63,7 +63,7 @@ def as_cli_report(capsys, evidence):
 
 
 def failures_of(evidence):
-    return check_runs(evidence["k"], evidence["runs"], evidence["zeros"], evidence["witnesses"])
+    return check_runs(evidence["k"], evidence["runs"], evidence["zeros"])
 
 
 @pytest.mark.parametrize("k", [1, 2, 17, 155])
@@ -77,16 +77,11 @@ def test_torus_check_accepts_index_reports(capsys, tmp_path, k):
 def test_check_runs_accepts_every_small_k_and_580():
     for k in [*range(1, 121), 155, 580]:
         r = index_nullity(k)
-        assert check_runs(k, r.negative_runs, r.zero_pairs, r.empty_row_witnesses) == [], k
+        assert check_runs(k, r.negative_runs, r.zero_pairs) == [], k
 
 
 def _run_row(evidence, pred):
     return next(i for i, (_, n_lo, n_hi) in enumerate(evidence["runs"]) if pred(n_lo, n_hi))
-
-
-# index of the first witness at k = 176: row m = 182, nv = 68 well inside the
-# row, so moving nv either way breaks the local minimum
-W = 0
 
 
 def _shift(kind, delta):
@@ -101,20 +96,22 @@ def _drop_run(ev):
 
 
 def _drop_run_past_the_diagonal(ev):
-    # a row m > k (so 2m^2 > k^2), where emptiness would need a witness
+    # a row m > k, where the run starts past n = 1
     del ev["runs"][_run_row(ev, lambda lo, hi: lo > 1)]
 
 
 def _extra_run(ev):
-    # a run in a row proved empty by a witness, with the witness left in place
-    m = ev["witnesses"][W][0]
-    ev["runs"].append([m, 1, 1])
-    ev["runs"].sort()
+    # a run in the first row past the last run, which the check proves empty;
+    # at k = 176 that is m = 182, the row earlier reports gave a witness
+    ev["runs"].append([ev["runs"][-1][0] + 1, 1, 1])
 
 
 def _extra_run_for_a_witness(ev):
-    _extra_run(ev)
-    del ev["witnesses"][W]
+    # a one-entry run at that witness, the first minimum of D on the row, so
+    # that both ends sit where D is least
+    m = ev["runs"][-1][0] + 1
+    nv = _first_minimum(ev["k"], m)
+    ev["runs"].append([m, nv, nv])
 
 
 def _extra_run_far_past_the_cut(ev):
@@ -150,20 +147,6 @@ def _inject_zero_below_a_run(ev):
     ev["zeros"] = sorted(ev["zeros"] + [[m, n_lo - 1]])
 
 
-def _corrupt_witness(position, delta):
-    def mutate(ev):
-        ev["witnesses"][W][position] += delta
-    return mutate
-
-
-def _zero_witness(ev):
-    ev["witnesses"][W][1] = 0
-
-
-def _drop_witness(ev):
-    del ev["witnesses"][W]
-
-
 MUTATIONS = {
     "n_hi+1": _shift("hi", 1),
     "n_hi-1": _shift("hi", -1),
@@ -177,17 +160,10 @@ MUTATIONS = {
     "extra run far past the cut": _extra_run_far_past_the_cut,
     "extra run one row past the cut": _one_row_past_the_cut("runs", [1, 1]),
     "zero pair one row past the cut": _one_row_past_the_cut("zeros", [1]),
-    "witness one row past the cut": _one_row_past_the_cut("witnesses", [1]),
     "injected zero next to a run": _inject_zero_next_to_a_run,
     "injected zero inside a run": _inject_zero_inside_a_run,
     "injected zero below a run": _inject_zero_below_a_run,
     "empty run": _empty_run,
-    "witness nv+1": _corrupt_witness(1, 1),
-    "witness nv-1": _corrupt_witness(1, -1),
-    "witness nv=0": _zero_witness,
-    "dropped witness": _drop_witness,
-    "witness in a run row": lambda ev: ev["witnesses"].insert(0, [ev["runs"][-1][0], 1]),
-    "witness far past the cut": lambda ev: ev["witnesses"].append([3 * ev["k"] - 1, 1]),
     "runs out of order": lambda ev: ev["runs"].reverse(),
 }
 
@@ -217,46 +193,27 @@ def test_a_mutation_fails_at_its_own_check(report176, name, reason):
     assert reason in failure, failure
 
 
+def _first_minimum(k, m):
+    n_max = isqrt(torus.enumeration_bound(k) - m * m - 1)
+    return min(range(1, n_max + 1), key=lambda n: discriminant(k, m, n))
+
+
 def test_dropped_zero_fails(monkeypatch, report176):
     # no interior zero of D occurs for k <= 1500, so the zero branch is driven
     # by a D that vanishes at one extra pair: just past the end of a run, and
-    # at the minimum of a witness row (a double root, the row's only entry)
+    # at the minimum of the first empty row (a double root, the row's only
+    # entry), where the pass over the run above it must find it
     run_m, _, n_hi = report176["runs"][10]
-    witness_m, nv = report176["witnesses"][W]
+    first_empty = report176["runs"][-1][0] + 1
     real = torus.discriminant
-    for zero, edit in (
-        ((run_m, n_hi + 1), lambda ev: None),
-        ((witness_m, nv), lambda ev: ev["witnesses"].pop(W)),
-    ):
+    for zero in ((run_m, n_hi + 1), (first_empty, _first_minimum(K, first_empty))):
         monkeypatch.setattr(
             torus, "discriminant", lambda k, m, n: 0 if (m, n) == zero else real(k, m, n)
         )
         listed = copy.deepcopy(report176)
-        edit(listed)
         listed["zeros"] = [list(zero)]
         assert failures_of(listed) == [], zero
         assert failures_of(report176), f"the zero at {zero} was not listed"
-
-
-def test_a_witness_at_either_end_of_a_tied_minimum_is_accepted(monkeypatch):
-    # no row with a witness has D(n) = D(n + 1) at its minimum in the tested
-    # ranges, so the tie is made: on the empty row k = 29, m = 30 (witness 11)
-    # check_runs' D, torus.discriminant, becomes a convex row with equal minima
-    # at n = 11 and 12.  Each is a local minimum; one step further is not
-    k, m = 29, 30
-    runs, zeros, witnesses = sign_runs(k)
-    assert witnesses == [(m, 11)]
-    real = torus.discriminant
-
-    def tied(k_, m_, n):
-        return (2 * n - 23) ** 2 + 1 if (k_, m_) == (k, m) else real(k_, m_, n)
-
-    monkeypatch.setattr(torus, "discriminant", tied)
-    for nv in (11, 12):
-        assert check_runs(k, runs, zeros, [(m, nv)]) == [], nv
-    for nv in (10, 13):
-        assert check_runs(k, runs, zeros, [(m, nv)]) == [
-            f"row m = {m}: D has no local minimum at nv = {nv}"]
 
 
 @pytest.mark.parametrize("m0", [10, K + 1], ids=["one-end", "two-end"])
@@ -267,11 +224,11 @@ def test_a_zero_found_by_the_walk_is_listed_and_refused(monkeypatch, report176, 
     real = torus._walk
 
     def walk(k, *entry):
-        runs, zeros, witnesses = real(k, *entry)
+        runs, zeros = real(k, *entry)
         ((i, (_, n_lo, n_hi)),) = [(i, run) for i, run in enumerate(runs) if run[0] == m0]
         assert zeros == [] and n_lo < n_hi
         runs[i] = (m0, n_lo, n_hi - 1)
-        return runs, [(m0, n_hi)], witnesses
+        return runs, [(m0, n_hi)]
 
     monkeypatch.setattr(torus, "_walk", walk)
     r = index_nullity(K)
@@ -279,38 +236,103 @@ def test_a_zero_found_by_the_walk_is_listed_and_refused(monkeypatch, report176, 
     assert r.zero_pairs == ((m0, n_hi),)
     assert (r.g, r.nullity) == (1, 9)
     assert r.f == sum(hi - lo + 1 for _, lo, hi in report176["runs"]) - 1
-    assert check_runs(K, r.negative_runs, r.zero_pairs, r.empty_row_witnesses) == [
+    assert check_runs(K, r.negative_runs, r.zero_pairs) == [
         f"row m = {m0}: D != 0 at the zero pair n = {n_hi}"
     ]
 
 
-def _first_minimum(k, m):
-    n_max = isqrt(torus.enumeration_bound(k) - m * m - 1)
-    return min(range(1, n_max + 1), key=lambda n: discriminant(k, m, n))
+def test_a_report_with_witnesses_verifies_on_its_runs_and_zeros(capsys, tmp_path, report176):
+    # earlier reports carried empty_row_witnesses: the first minimum nv of D
+    # on each empty row k < m <= last_row(k).  Those written before the cut
+    # 14m^2 < 15k^2 also carried them for the rows up to 5m^2 < 7k^2, and for
+    # the empty rows with 2m^2 > k^2 and m <= k (only k = 1 has one, (1, 1)).
+    # torus check reads no witness, so each verifies on its runs and zero
+    # pairs, which are unchanged
+    last = report176["runs"][-1][0]
+    witnesses = [[m, _first_minimum(K, m)] for m in range(last + 1, last_row(K) + 1)]
+    assert witnesses == [[182, 68]]
+    r = index_nullity(155)
+    before_the_cut = [
+        [m, _first_minimum(155, m)] for m in range(last_row(155) + 1, isqrt(7 * 155**2 // 5) + 1)
+    ]
+    assert len(before_the_cut) == 23
+    for evidence, old_witnesses in (
+        (report176, witnesses),
+        ({"k": 155, "runs": [list(x) for x in r.negative_runs], "zeros": []}, before_the_cut),
+        ({"k": 1, "runs": [], "zeros": []}, [[1, 1]]),
+    ):
+        report = as_cli_report(capsys, evidence)
+        report["results"]["empty_row_witnesses"] = old_witnesses
+        code, captured = check_file(capsys, tmp_path, report)
+        assert code == EXIT_OK, captured.out
 
 
-def test_a_report_from_before_the_cut_fails_in_one_line(capsys, tmp_path):
-    # reports written before the cut 14m^2 < 15k^2 and the one-end walk kept
-    # witnesses for the rows up to 5m^2 < 7k^2, and for the empty rows with
-    # 2m^2 > k^2 and m <= k (only k = 1 has one, (1, 1)); those rows now carry
-    # no evidence, and one failure names the reason, not one per row.  The
-    # runs and zero pairs are unchanged.
-    k = 155
-    r = index_nullity(k)
-    old_witnesses = [
-        [m, _first_minimum(k, m)] for m in range(last_row(k) + 1, isqrt(7 * k * k // 5) + 1)
+def count_calls(monkeypatch, limit):
+    """The row m of each evaluation of D by check_runs (torus.discriminant);
+    past limit evaluations it raises, so a check that does not stop fails."""
+    rows = []
+    real = torus.discriminant
+
+    def counting(k, m, n):
+        rows.append(m)
+        if len(rows) > limit:
+            raise AssertionError(f"more than {limit} evaluations of D")
+        return real(k, m, n)
+
+    monkeypatch.setattr(torus, "discriminant", counting)
+    return rows
+
+
+def test_a_report_cut_short_below_the_axis_zero_fails_at_d1(monkeypatch, report176):
+    # the rows m >= 100 dropped: row 100 <= k is the first empty row, and
+    # D(1) alone proves it has a run (the one-end lemma)
+    m = 100
+    evidence = dict(report176, runs=[run for run in report176["runs"] if run[0] < m])
+    rows = count_calls(monkeypatch, 4 * (m - 1) + 1)
+    assert failures_of(evidence) == [f"row m = {m}: D(1) <= 0 but the row has no run"]
+    assert max(rows) == m and rows.count(m) == 1
+
+
+def test_an_entry_past_the_first_empty_row_is_refused(monkeypatch):
+    # k = 10^4 has 11 empty rows below the cut; a run in the second of them
+    # is refused without an evaluation of D at or past the first
+    k = 10_000
+    runs, zeros = sign_runs(k)
+    first_empty = runs[-1][0] + 1
+    assert last_row(k) - first_empty + 1 == 11
+    rows = count_calls(monkeypatch, 4 * len(runs))
+    assert check_runs(k, [*runs, (first_empty + 1, 1, 1)], zeros) == [
+        f"entries past the row m = {first_empty}, which has none; once a row is empty, "
+        "so is every later row"
     ]
-    assert r.empty_row_witnesses == () and len(old_witnesses) == 23
-    old_reports = [
-        ({"k": k, "runs": [list(x) for x in r.negative_runs], "zeros": [],
-          "witnesses": old_witnesses}, "past the cut 14m^2 < 15k^2"),
-        ({"k": 1, "runs": [], "zeros": [], "witnesses": [[1, 1]]}, "in the rows m <= k = 1"),
+    assert max(rows) < first_empty
+
+
+def test_a_dropped_last_run_fails_inside_the_run_above(monkeypatch, report176):
+    # the last run, in a row m > k, dropped: m is the first empty row, and the
+    # pass over the run of row m - 1 finds the lower end of row m's run
+    *kept, (m, n_lo, n_hi) = report176["runs"]
+    _, lo, hi = kept[-1]
+    assert m > K and lo <= n_lo <= n_hi <= hi
+    rows = count_calls(monkeypatch, 4 * len(kept) + hi - lo + 1)
+    assert failures_of(dict(report176, runs=kept)) == [
+        f"row m = {m}: D({n_lo}) <= 0 but the row has no run"
     ]
-    for evidence, reason in old_reports:
-        code, captured = check_file(capsys, tmp_path, as_cli_report(capsys, evidence))
-        assert code == EXIT_VERIFICATION
-        (failure,) = json.loads(captured.out)["results"]["failures"]
-        assert reason in failure and failure.endswith("rerun torus index"), failure
+    assert max(rows) == m
+
+
+def test_a_forged_run_end_fails_without_the_pass(monkeypatch, report176):
+    # a last run reaching n = 10^18 fails its own row; the pass over it at the
+    # first empty row would never end, so it runs only after every row verifies
+    evidence = copy.deepcopy(report176)
+    m = evidence["runs"][-1][0]
+    evidence["runs"][-1][2] = 10**18
+    rows = count_calls(monkeypatch, 4 * len(evidence["runs"]))
+    n_max = isqrt(torus.enumeration_bound(K) - m * m - 1)
+    assert failures_of(evidence) == [
+        f"row m = {m}: an entry lies outside 1 <= n <= {n_max} (the enumeration bound)"
+    ]
+    assert max(rows) < m
 
 
 def test_report_totals_are_checked(capsys, tmp_path):
@@ -398,33 +420,33 @@ def test_numbers_too_long_to_print_end_in_one_line_or_a_report(capsys, tmp_path)
 
 
 def test_check_cost_is_linear_in_k(monkeypatch):
-    # k = 10^4 has last_row(k) = 10350 rows below the cut 14m^2 < 15k^2, each
-    # with a run or a witness; the check makes at most four exact
-    # evaluations of D per row (at and next to the ends, or at and next to
-    # the witness and at n = 1) and never searches
+    # k = 10^4 has runs in the rows 1..m* - 1 and its first empty row m* below
+    # the cut 14m^2 < 15k^2; the check makes at most four exact evaluations
+    # of D per row with a run (at and next to its ends), one pass over the
+    # run of row m* - 1 at row m*, none past m*, and never searches
     k = 10_000
-    runs, zeros, witnesses = sign_runs(k)
-    calls = 0
-    real = torus.discriminant
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
+    runs, zeros = sign_runs(k)
+    first_empty = runs[-1][0] + 1
+    _, lo, hi = runs[-1]
 
     def forbidden(*_args, **_kwargs):
         raise AssertionError("check_runs searched")
 
-    monkeypatch.setattr(torus, "discriminant", counting)
     for name in ("sign_runs", "_walk"):
         monkeypatch.setattr(torus, name, forbidden)
-    assert check_runs(k, runs, zeros, witnesses) == []
-    rows = last_row(k)
-    assert len(runs) + len(witnesses) == rows
-    assert calls <= 4 * rows, calls
+    rows = count_calls(monkeypatch, 4 * len(runs) + hi - lo + 1)
+    assert check_runs(k, runs, zeros) == []
+    assert len(runs) == first_empty - 1 and first_empty <= last_row(k)
+    assert max(rows) == first_empty and rows.count(first_empty) == hi - lo + 1
 
 
-def test_huge_k_without_evidence_fails_fast():
-    failures = check_runs(10**30, [], [], [])
+def test_huge_k_without_evidence_fails_fast(monkeypatch):
+    # no evidence: row 1 is the first empty row, refused by D(1) at once
+    rows = count_calls(monkeypatch, 1)
+    assert check_runs(10**30, [], []) == ["row m = 1: D(1) <= 0 but the row has no run"]
+    assert rows == [1]
+    # forged runs in 30 rows fail row by row, up to CHECK_FAILURE_LIMIT
+    monkeypatch.undo()
+    failures = check_runs(10**30, [(m, 1, 1) for m in range(1, 31)], [])
     assert len(failures) == torus.CHECK_FAILURE_LIMIT + 1
     assert failures[-1].startswith("stopped at row m = 21")

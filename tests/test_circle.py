@@ -72,6 +72,8 @@ def test_block_eigenvalues_numeric():
 def test_label_validation():
     with pytest.raises(InvalidLabelError):
         circle_index_nullity(0)
+    with pytest.raises(TypeError):
+        circle_index_nullity(2.5)
     with pytest.raises(InvalidLabelError):
         circle_index_nullity_by_matrices(-1)
     with pytest.raises(InvalidLabelError):

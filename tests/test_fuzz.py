@@ -125,7 +125,6 @@ def near_reports(draw):
         "k": k, "f": r.f, "g": r.g, "index": r.index, "nullity": r.nullity,
         "negative_runs": [list(run) for run in r.negative_runs],
         "zero_pairs": [list(z) for z in r.zero_pairs],
-        "empty_row_witnesses": [list(w) for w in r.empty_row_witnesses],
     }
     for _ in range(draw(st.integers(0, 3))):
         name = draw(st.sampled_from(sorted(results)))

@@ -3,10 +3,10 @@
 sign_runs walks each row from the run of the row before it (torus._walk): the
 nesting lemma puts the row's run {n >= 1 : D <= 0} inside that bracket, hi
 steps down to the run's upper end, lo steps up to its lower end on a row past
-the axis zero m = k, and an empty row past it is walked downhill to its first
-integer minimum.  Here the walk enters real torus rows from every bracket
-that contains the run, and the run, zero pairs and witness of the row must
-equal a brute-force pass of D = A*B - C^2 over the whole row.
+the axis zero m = k, and an empty row ends the walk.  Here the walk enters
+real torus rows from every bracket that contains the run, and the run and
+zero pairs of the row must equal a brute-force pass of D = A*B - C^2 over the
+whole row.
 """
 
 from math import isqrt
@@ -47,27 +47,25 @@ def row_quartic(k, m):
 
 
 def walk_row(k, m, lo, hi):
-    """(negative n, zero n, witness or None) of row m, walked from lo..hi."""
-    runs, zeros, witnesses = _walk(k, m, row_quartic(k, m), lo, hi)
+    """(negative n, zero n) of row m, walked from lo..hi."""
+    runs, zeros = _walk(k, m, row_quartic(k, m), lo, hi)
     neg = [n for row, n_lo, n_hi in runs if row == m for n in range(n_lo, n_hi + 1)]
-    return neg, [n for row, n in zeros if row == m], dict(witnesses).get(m)
+    return neg, [n for row, n in zeros if row == m]
 
 
 def _brute_force(k, m, n_max):
-    """(negative n, zero n, first integer minimum of an empty row m > k or None)."""
+    """(negative n, zero n) of row m."""
     ds = [discriminant(k, m, n) for n in range(1, n_max + 1)]
     neg = [n for n, v in enumerate(ds, 1) if v < 0]
     zero = [n for n, v in enumerate(ds, 1) if v == 0]
-    empty_convex = not neg and not zero and m > k
-    return neg, zero, ds.index(min(ds)) + 1 if empty_convex else None
+    return neg, zero
 
 
 @SEARCH
 @given(torus_rows(), st.data())
 def test_seeds_change_only_the_cost(row, data):
     # the bracket lo..hi is any one that contains the run: lo = 1 on a row
-    # m <= k (the one-end lemma), and any lo <= hi + 1 on an empty row, whose
-    # witness walk starts from lo
+    # m <= k (the one-end lemma), and any lo <= hi + 1 on an empty row
     k, m = row
     n_max = isqrt(enumeration_bound(k) - m * m - 1)
     expected = _brute_force(k, m, n_max)

@@ -60,7 +60,7 @@ def _oracle_mismatches(ks):
     """The k whose sign runs differ from the O(k^2) oracle, pair for pair."""
     bad = []
     for k in ks:
-        runs, zeros, _ = sign_runs(k)
+        runs, zeros = sign_runs(k)
         neg, zero = _oracle_pairs(k)
         if run_pairs(runs) != neg or zeros != zero:
             bad.append(k)
@@ -94,16 +94,16 @@ def test_the_next_ratio_cut_fails_the_oracle(monkeypatch):
 def test_runs_start_at_one_up_to_the_axis_zero(monkeypatch):
     # the one-end lemma: every run in a row m <= k starts at n = 1
     for k in ORACLE_KS:
-        runs, _, _ = sign_runs(k)
+        runs, _ = sign_runs(k)
         assert all(n_lo == 1 for m, n_lo, _ in runs if m <= k), k
     # and it stops at m = k: a walk that kept lo = 1 in row k + 1, as the
     # one-end rows do, fails the oracle wherever that row has a run
     real = torus._walk
 
     def start_at_one_past_the_axis(k, *entry):
-        runs, zeros, witnesses = real(k, *entry)
+        runs, zeros = real(k, *entry)
         runs = [(m, 1 if m == k + 1 else n_lo, n_hi) for m, n_lo, n_hi in runs]
-        return runs, zeros, witnesses
+        return runs, zeros
 
     monkeypatch.setattr(torus, "_walk", start_at_one_past_the_axis)
     assert _oracle_mismatches(ORACLE_KS) == PAST_THE_AXIS_ZERO
@@ -113,7 +113,7 @@ def test_sign_runs_past_the_old_float_range():
     # at k = 10^4 the terms of D reach 10^35, far past float64's exact range;
     # the run ends must still be exact sign changes
     k = 10_000
-    runs, zeros, _ = sign_runs(k)
+    runs, zeros = sign_runs(k)
     assert zeros == []
     by_m = {m: (n_lo, n_hi) for m, n_lo, n_hi in runs}
     last = max(by_m)
@@ -168,8 +168,8 @@ def _quartic(factors, m2):
         # one positive root s = 29 = 4 + 5^2 and D(0) < 0: run 1..5, stepped
         # down at its one end as a row m <= k is
         (([1, -29], [1, 1], [1, 30, 1]), 4, (1, 4, [5])),
-        # the torus row k = 10, m = 11: no root, so the row must be proved
-        # empty, with the convex minimum nv = 3 as its witness
+        # the torus row k = 10, m = 11: no root, so the row is empty and
+        # ends the walk
         (([1, 100, -58400, 1420000, 343640000],), 121, None),
         # one positive root s = 5 = 4 + 1^2 and D(0) < 0: the run is the
         # single zero n = 1
@@ -199,72 +199,21 @@ def test_quartic_run_zero_at_run_end(factors, m2, expected):
         end = max(expected[1], *expected[2])
         # any bracket 1..hi with hi >= e contains the run
         for hi in (end, end + 1, 9, n_max):
-            assert _walk(1, 1, q, 1, hi) == (run, [(m, z) for z in zeros], []), hi
+            assert _walk(1, 1, q, 1, hi) == (run, [(m, z) for z in zeros]), hi
         return
     assert (6 * m2 + 3 * c3) * m2 + c2 > 0  # the convexity lemma's premise
     if expected is None:
-        # the torus row k = 10, m = 11: empty, so it must come with nv, the
-        # minimum of the convex row, walked to from lo on either side of it
+        # the torus row k = 10, m = 11: empty from any bracket, on either
+        # side of the row's minimum n = 3
         assert min(range(1, n_max + 1), key=d) == 3
         for lo in (1, 4, 9, n_max):
             for hi in (lo - 1, lo, n_max):
-                assert _walk(10, 11, q, lo, hi) == ([], [], [(11, 3)]), (lo, hi)
+                assert _walk(10, 11, q, lo, hi) == ([], []), (lo, hi)
         return
     first, last = min(n_lo, *zeros), max(n_hi, *zeros)
     for lo in range(1, first + 1):
         for hi in (last, last + 1, 9, n_max):
-            assert _walk(10, 11, q, lo, hi) == (run, [(m, z) for z in zeros], []), (lo, hi)
-
-
-def test_quartic_run_rejects_a_concave_row():
-    # roots s = 4, 8 with D''(0) < 0: the only pair with D <= 0 is the zero
-    # n = 2, which a search for the convex minimum would miss, so an empty
-    # row past the axis zero that is not convex must raise rather than
-    # answer with a witness
-    q, d = _quartic(([1, -4], [1, -8], [1, 23, 1]), 0)
-    for n in (1, 4, 9, 20):
-        assert d(n) > 0
-        with pytest.raises(AssertionError, match="not convex"):
-            _walk(10, 11, q, n, n)
-
-
-def test_witnesses_are_first_minima_of_every_empty_convex_row():
-    # torus index reports carry the witnesses, so they must not depend on how
-    # the row is searched: each is the first integer minimum of D on its row,
-    # every row k < m <= last_row(k) carries a run, a zero pair or a witness,
-    # and no row m <= k carries a witness (D(1) > 0 proves such a row empty)
-    for k in [*range(1, 61), 155, 176, 580]:
-        runs, zeros, witnesses = sign_runs(k)
-        bound = enumeration_bound(k)
-        for m, nv in witnesses:
-            assert k < m <= last_row(k), (k, m)
-            ds = [discriminant(k, m, n) for n in range(1, isqrt(bound - m * m - 1) + 1)]
-            assert nv == ds.index(min(ds)) + 1, (k, m)
-        carried = {m for m, _, _ in runs} | {m for m, _ in zeros} | {m for m, _ in witnesses}
-        past_the_axis_zero = set(range(k + 1, last_row(k) + 1))
-        assert past_the_axis_zero <= carried, (k, sorted(past_the_axis_zero - carried))
-
-
-def test_the_witness_is_the_first_of_two_tied_minima(monkeypatch):
-    # no row with a witness has D(n) = D(n + 1) at its minimum in the tested
-    # ranges, so the tie is made: on the empty row k = 29, m = 30 (witness 11)
-    # the witness walk's D, torus._row_value, becomes a convex row with
-    # equal minima at n = 11 and 12.  Entered below the tie, the right step
-    # must stop on it; entered at or above n = 12, the left step must cross it
-    k, m = 29, 30
-    assert last_row(k) == m and sign_runs(k)[2] == [(m, 11)]
-    real = torus._row_value
-
-    def tied(q_, n):
-        return (2 * n - 23) ** 2 + 1 if q_[4] == m * m else real(q_, n)
-
-    monkeypatch.setattr(torus, "_row_value", tied)
-    k2, m2 = k * k, m * m
-    c1 = k2 * k2 * (2 * m2 - k2)
-    q = (k2, -(k2 * k2 + 4 * k2 * m2), c1, 2 * m2 * c1, m2)  # the real row m
-    for lo in (1, 10, 11, 12, 13, 20):
-        assert _walk(k, m, q, lo, lo - 1) == ([], [], [(m, 11)]), lo
-    assert sign_runs(k)[2] == [(m, 11)]
+            assert _walk(10, 11, q, lo, hi) == (run, [(m, z) for z in zeros]), (lo, hi)
 
 
 def test_conjecture_scan_small_range():

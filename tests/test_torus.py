@@ -76,6 +76,15 @@ def test_invalid_labels():
     with pytest.raises(InvalidLabelError):
         check_label(0, 0, 0)
     check_label(1, 0, 0)
+    # labels are integers: 2.5 is no winding number, and 1.0 no Fourier index
+    for label in ((2.5, 0, 0), (1, 1.0, 0), (1, 0, 0.5)):
+        with pytest.raises(TypeError):
+            check_label(*label)
+    for fn in (enumeration_bound, last_row):
+        with pytest.raises(TypeError):
+            fn(2.5)
+        with pytest.raises(InvalidLabelError, match="winding number k must be >= 1"):
+            fn(0)
 
 
 def test_sign_lambda_minus_examples():
