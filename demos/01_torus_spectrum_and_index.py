@@ -3,7 +3,9 @@
 The second-variation operator of the bienergy restricts to a symmetric block
 on each Fourier label (m, n).  This demo prints the merged spectrum for a
 small winding, reproduces the index/nullity table with exact arithmetic, and
-shows the exact surd coefficients spanning the negative space at k = 2.
+shows the exact surd coefficients spanning the negative space at k = 2: its
+interior pairs are those of the closed runs of lambda^- <= 0 that
+index_nullity returns, all negative since g = 0 there.
 """
 
 from bihindex.torus import (
@@ -29,7 +31,7 @@ print("   truncating at m, n <= k would give the smaller figure 88433)")
 
 print("\n=== the negative space of the k = 2 map ===")
 r2 = index_nullity(2)
-pairs = [(m, n) for m, n_lo, n_hi in r2.negative_runs for n in range(n_lo, n_hi + 1)]
+pairs = [(m, n) for m, n_lo, n_hi in r2.runs for n in range(n_lo, n_hi + 1)]
 print(f"  interior negative pairs: {pairs}")
 for (m, n) in [(1, 0)] + pairs:
     c = negative_eigenvector_coefficient(2, m, n)

@@ -58,37 +58,38 @@ from .reduced import (
 from .scan import conjecture_scan
 from .torus import ScanRow, check_runs, index_nullity, run_totals, spectrum
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 
+# The timings below are wall times of one process on one core of a 2-core
+# AMD EPYC box, Python 3.11.7.
+
 # torus index walks the rows 14m^2 < 15k^2 with about 2.0 exact evaluations
-# each, O(k): 0.28 s, 5.9 MB of JSON and 57 MB peak at k = 10^5 on one core
-# of an x86-64 Xeon, Python 3.11
+# each, O(k): 0.19-0.22 s, 5.9 MB of JSON and 57 MB peak at k = 10^5
 INDEX_K_LIMIT = 10**5
 
-# torus scan costs about 8e-7 * k s per row k on the same core, so about
-# 40 s for all k <= 10^4 in one process
+# torus scan costs about 5e-7 * k s per row k, so about 23 s for all
+# k <= 10^4 in one process
 SCAN_K_LIMIT = 10**4
 
 # torus spectrum builds and sorts the branches of the about (pi/4) lambda_max
-# labels with m^2 + n^2 <= lambda_max: 4.5-5.1 s and 161 MB peak at 10^5
-# (--k 2, csv) on the same core
+# labels with m^2 + n^2 <= lambda_max: 2.0 s and 193 MB peak at 10^5
+# (--k 2, csv)
 LAMBDA_MAX_LIMIT = 10**5
 
-# legendre descartes takes about 0.028 ms per (m, n) pair (2.3-2.6 s at
-# 300 x 300 on one core of an x86-64 Xeon, Python 3.11); larger ranges are
-# refused
+# legendre descartes takes about 0.012 ms per (m, n) pair (1.0 s at
+# 300 x 300); larger ranges are refused
 DESCARTES_RANGE_LIMIT = 300
 
 # circle index --check-matrices counts the blocks m <= last_row(k) ~ 1.035k,
-# about 0.11 ms per unit of k (1.1-1.2 s at k = 10^4 on one core of an x86-64
-# Xeon, Python 3.11); a larger k is refused with the check, answered without it
+# about 0.04 ms per unit of k (0.38 s at k = 10^4); a larger k is refused
+# with the check, answered without it
 CHECK_MATRICES_K_LIMIT = 10**4
 
-# torus check reads at most this many bytes (a k = 10^4 report is about 0.64 MB)
+# torus check reads at most this many bytes (a k = 10^4 report is about 0.57 MB)
 CHECK_FILE_LIMIT = 2**26
 
 # digits of --n-dim, of legendre verify --m and --n, of circle index --k and
@@ -393,7 +394,7 @@ def _cmd_torus_scan(args) -> tuple[dict, dict, list[dict], bool]:
 
 
 def _read_index_report(path: str) -> dict:
-    """The results of a schema-2 torus index report, with their types checked."""
+    """The results of a schema-3 torus index report, with their types checked."""
     try:
         with open(path, "rb") as fh:
             data = fh.read(CHECK_FILE_LIMIT + 1)
@@ -408,7 +409,7 @@ def _read_index_report(path: str) -> dict:
     if not isinstance(report, dict) or report.get("command") != "torus index":
         raise UsageError(f"{path} is not a torus index report")
     schema = report.get("schema")
-    if type(schema) is not int or schema != SCHEMA_VERSION:  # 2.0 == 2 in Python
+    if type(schema) is not int or schema != SCHEMA_VERSION:  # 3.0 == 3 in Python
         raise UsageError(f"{path} is not a schema {SCHEMA_VERSION} report; rerun torus index")
     results = report.get("results")
     if not isinstance(results, dict):
@@ -418,24 +419,22 @@ def _read_index_report(path: str) -> dict:
             raise UsageError(f"{path}: results.{name} is not an integer")
     if not 1 <= results["k"] <= INDEX_K_LIMIT:  # torus index writes no other k
         raise UsageError(f"{path}: results.k must be >= 1 and <= {INDEX_K_LIMIT}")
-    for name, width in (("negative_runs", 3), ("zero_pairs", 2)):
-        rows = results.get(name)
-        if not isinstance(rows, list) or not all(
-            isinstance(r, list) and len(r) == width and all(type(x) is int for x in r)
-            for r in rows
-        ):
-            raise UsageError(f"{path}: results.{name} is not a list of {width}-integer lists")
+    runs = results.get("runs")
+    if not isinstance(runs, list) or not all(
+        isinstance(r, list) and len(r) == 3 and all(type(x) is int for x in r) for r in runs
+    ):
+        raise UsageError(f"{path}: results.runs is not a list of 3-integer lists")
     return results
 
 
 def _cmd_torus_check(args) -> tuple[dict, dict, list[dict], bool]:
     res = _read_index_report(args.file)
-    k, runs, zeros = res["k"], res["negative_runs"], res["zero_pairs"]
-    failures = check_runs(k, runs, zeros)
-    if not failures:  # every entry lies in 1 <= n < 3k, so the totals are small
+    k, runs, g = res["k"], res["runs"], res["g"]
+    failures = check_runs(k, runs, g)
+    if not failures:  # every run lies in 1 <= n <= k, so the totals are small
         failures = [
-            f"{name} = {res[name]}, but the runs and zero pairs give {want}"
-            for name, want in run_totals(k, runs, zeros)._asdict().items()
+            f"{name} = {res[name]}, but the runs give {want}"
+            for name, want in run_totals(k, runs, g)._asdict().items()
             if res[name] != want
         ]
     results = {
@@ -443,7 +442,7 @@ def _cmd_torus_check(args) -> tuple[dict, dict, list[dict], bool]:
         "verified": not failures,
         "failures": failures,
     }
-    row = {"k": k, "runs": len(runs), "zero_pairs": len(zeros), "failures": len(failures),
+    row = {"k": k, "runs": len(runs), "zero_pairs": g, "failures": len(failures),
            "verified": not failures}
     return {"file": args.file}, results, [row], not failures
 

@@ -44,6 +44,7 @@ from .matrices import (
     ExactMatrix, OperatorTable, charpoly_exact, components, eigenvalue_signs, operator_block,
 )
 from .polynomials import IntPolynomial, count_roots, zero_root_multiplicity
+from .torus import check_label
 
 
 class CharpolyMismatchError(ValueError):
@@ -110,8 +111,7 @@ def build_legendre_block(m: int, n: int) -> ExactMatrix:
     if the assembled matrix is not symmetric, which would signal a
     transcription error in the operator table.
     """
-    if m < 0 or n < 0:
-        raise ValueError("Fourier indices must be nonnegative")
+    check_label(1, m, n)  # the torus label rule; these blocks have no winding number
     return operator_block(OPERATOR_TABLE, m, n, QuadExt(0, n), m * m + 2 * n * n)
 
 

@@ -39,6 +39,7 @@ from typing import NamedTuple
 
 from .bumps import Bump
 from .exact import QPi, exact_rational
+from .torus import check_label
 
 
 class ReducedProblem(NamedTuple("ReducedProblem", [("n", int), ("radius", Fraction),
@@ -95,8 +96,7 @@ def reduced_index_torus(k: int) -> tuple[int, int]:
     The equivariant operator is v'''' - k^4 v, i.e. the sphere problem with
     n = 2, R = 1/k; the threshold k is an integer, so the nullity is 2.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_label(k, 0, 0)
     return reduced_index_nullity(ReducedProblem(n=2, radius=Fraction(1, k)))
 
 

@@ -39,8 +39,9 @@ with 14m^2 > 15k^2 (see last_row), so the lattice scan visits only the rows
 m <= last_row(k).  Each row's pairs with D <= 0 form one run of n inside the
 previous row's run, and row 1's inside the axis run 1..k (see sign_runs), so
 the scan steps the two ends of one run from row to row, never passes n = k
-and stops at its first empty row, past which every row is empty too; only
-check_runs and the O(k^2) oracle use the enumeration bound.
+and stops at its first empty row, past which every row is empty too.
+check_runs verifies each run inside the run of the row above it, so only the
+O(k^2) oracle interior_sign_scan uses the enumeration bound.
 """
 
 from __future__ import annotations
@@ -67,7 +68,9 @@ class NotNegativeError(ValueError):
 
 def check_label(k: int, m: int, n: int) -> None:
     """Raise InvalidLabelError unless k >= 1 and m, n >= 0; TypeError unless
-    all three are integers (operator.index)."""
+    all three are integers (operator.index) and none is a bool."""
+    if any(isinstance(x, bool) for x in (k, m, n)):
+        raise TypeError("a label is an integer, not a bool")
     if index(k) < 1:
         raise InvalidLabelError("winding number k must be >= 1")
     if index(m) < 0 or index(n) < 0:
@@ -101,9 +104,9 @@ class IndexReport(NamedTuple):
     """Index and nullity of the degree-k map with its lattice evidence.
 
     The totals are run_totals' ScanRow, by name.  The evidence is sign_runs'
-    output, O(k) entries, not the f = O(k^2) pairs: D < 0 exactly on the
-    pairs (m, n_lo..n_hi) of negative_runs and D = 0 exactly at zero_pairs,
-    which check_runs verifies.
+    runs, one a row, not the f = O(k^2) pairs: D <= 0 exactly on the pairs
+    (m, n_lo..n_hi), with D = 0 at g of the run ends, which check_runs
+    verifies.
     """
 
     k: int
@@ -111,8 +114,7 @@ class IndexReport(NamedTuple):
     nullity: int
     f: int
     g: int
-    negative_runs: tuple[tuple[int, int, int], ...]
-    zero_pairs: tuple[tuple[int, int], ...]
+    runs: tuple[tuple[int, int, int], ...]
 
     def __repr__(self) -> str:  # the totals only: the evidence is O(k)
         totals = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields[:5], self))
@@ -208,19 +210,20 @@ def last_row(k: int) -> int:
     return isqrt(15 * k * k // 14)
 
 
-def sign_runs(k: int) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]]:
+def sign_runs(k: int) -> tuple[list[tuple[int, int, int]], int]:
     """Exact signs of lambda^- over the interior pairs, as per-m runs.
 
-    Returns (runs, zeros): D(k, m, n) < 0 exactly for n_lo <= n <= n_hi for
-    each (m, n_lo, n_hi) in runs, D = 0 exactly at the pairs in zeros, and
-    D > 0 at every other interior pair.  Both are in (m, n) order.  Only the
-    rows m <= last_row(k), those with 14m^2 < 15k^2, are searched: past them
-    D > 0 for every n (the cut lemma in last_row).  One loop (_walk) steps
-    through them from the axis run 1..k, each row from the run of the row
-    before it, which contains it (the nesting lemma).  The first empty row
-    ends the walk, since every later row is empty too.  That is about 2.0
-    exact evaluations of D a row, over k <= 300 and at k = 10^4 or 10^5, so
-    O(k) per k.
+    Returns (runs, g): one closed run (m, n_lo, n_hi) for each row m = 1, 2,
+    ..., r, with D(k, m, n) <= 0 exactly for n_lo <= n <= n_hi, and D > 0 at
+    every other interior pair.  D < 0 inside each run (the one-run lemma
+    below), so the zero pairs are the run ends with D = 0, and g counts them
+    (n_hi only when n_hi > n_lo).  Only the rows m <= last_row(k), those
+    with 14m^2 < 15k^2, are searched: past them D > 0 for every n (the cut
+    lemma in last_row).  One loop (_walk) steps through them from the axis
+    run 1..k, each row from the run of the row before it, which contains it
+    (the nesting lemma).  The first empty row ends the walk, since every
+    later row is empty too.  That is about 2.0 exact evaluations of D a row,
+    over k <= 300 and at k = 10^4 or 10^5, so O(k) per k.
 
     Proof.  Fix k and m and put s = m^2 + n^2.  Then
 
@@ -280,8 +283,8 @@ def sign_runs(k: int) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]
 
 def _walk(
     k: int, m: int, q: tuple[int, int, int, int, int], lo: int, hi: int
-) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]]:
-    """sign_runs' (runs, zeros) for the rows m..last_row(k).
+) -> tuple[list[tuple[int, int, int]], int]:
+    """sign_runs' (runs, g) for the rows m..last_row(k).
 
     q = (c3, c2, c1, c0, m2) is row m: D(n) = P(m2 + n^2) with P(s) = s^4 +
     c3 s^3 + c2 s^2 + c1 s + c0, and lo..hi must contain its run {n >= 1 :
@@ -299,7 +302,7 @@ def _walk(
     k4 = k2 * k2
     m_last = last_row(k)
     runs: list[tuple[int, int, int]] = []
-    zeros: list[tuple[int, int]] = []
+    g = 0
     while True:
         while lo <= hi:
             s = m2 + hi * hi
@@ -308,7 +311,7 @@ def _walk(
                 break
             hi -= 1
         if lo > hi:  # the row is empty, and so is every later one
-            return runs, zeros
+            return runs, g
         v_lo = v_hi
         if m > k:
             while lo < hi:
@@ -320,17 +323,11 @@ def _walk(
                 lo += 1
         elif hi > 1:
             v_lo = -1  # D(1) < 0
-        if v_lo and v_hi:
-            runs.append((m, lo, hi))
-        else:  # D = 0 at lo, at hi or at both; no k <= 10^4 has such a row
-            if not v_lo:
-                zeros.append((m, lo))
-            if not v_hi and hi > lo:
-                zeros.append((m, hi))
-            if lo + (not v_lo) <= hi - (not v_hi):
-                runs.append((m, lo + (not v_lo), hi - (not v_hi)))
+        runs.append((m, lo, hi))
+        if not (v_lo and v_hi):  # D = 0 at lo, at hi or at both; no k <= 10^4 has such a row
+            g += (not v_lo) + (not v_hi and hi > lo)
         if m >= m_last:
-            return runs, zeros
+            return runs, g
         m += 1
         m2 = m * m
         c2 = -(k4 + 4 * k2 * m2)
@@ -358,25 +355,24 @@ def interior_sign_scan(k: int) -> tuple[int, int, list[tuple[int, int]], list[tu
     return len(neg), len(zero), neg, zero
 
 
-def run_totals(k: int, runs: Sequence[Sequence[int]], zeros: Sequence[Sequence[int]]) -> ScanRow:
-    """The ScanRow of the degree-k map from sign_runs' runs and zeros.
+def run_totals(k: int, runs: Sequence[Sequence[int]], g: int) -> ScanRow:
+    """The ScanRow of the degree-k map from sign_runs' runs and g.
 
-    f sums the run lengths and g counts the zero pairs.  The axes and (0, 0)
-    give the rest: D(k, m, 0) = m^2 (m^2 - k^2)((m^2 - k^2)^2 + 2k^4) and
-    lambda^-(0, n) = n^4 - k^4, so on each axis lambda^- is negative at the
-    k - 1 labels below k and zero at k, each label with multiplicity 2, and
-    (0, 0) adds the eigenvalues -k^4 and 0.
+    The runs hold the pairs with D <= 0, g of them zeros, so f is their
+    total length less g.  The axes and (0, 0) give the rest: D(k, m, 0) =
+    m^2 (m^2 - k^2)((m^2 - k^2)^2 + 2k^4) and lambda^-(0, n) = n^4 - k^4,
+    so on each axis lambda^- is negative at the k - 1 labels below k and
+    zero at k, each label with multiplicity 2, and (0, 0) adds the
+    eigenvalues -k^4 and 0.
     """
-    f = sum(n_hi - n_lo + 1 for _, n_lo, n_hi in runs)
-    g = len(zeros)
+    f = sum(n_hi - n_lo + 1 for _, n_lo, n_hi in runs) - g
     return ScanRow(k, f, g, 1 + 4 * (k - 1) + 4 * f, 5 + 4 * g)
 
 
 def index_nullity(k: int) -> IndexReport:
     """Exact index and nullity of the degree-k map, with the lattice evidence."""
-    runs, zeros = sign_runs(k)
-    return IndexReport(**run_totals(k, runs, zeros)._asdict(), negative_runs=tuple(runs),
-                       zero_pairs=tuple(zeros))
+    runs, g = sign_runs(k)
+    return IndexReport(**run_totals(k, runs, g)._asdict(), runs=tuple(runs))
 
 
 # checks stop at the first row after this many failures, so that a report
@@ -384,127 +380,88 @@ def index_nullity(k: int) -> IndexReport:
 CHECK_FAILURE_LIMIT = 20
 
 
-def check_runs(
-    k: int,
-    runs: Sequence[tuple[int, int, int]],
-    zeros: Sequence[tuple[int, int]],
-) -> list[str]:
-    """Verify sign_runs' evidence for k without searching; [] when it holds.
+def check_runs(k: int, runs: Sequence[Sequence[int]], g: int) -> list[str]:
+    """Verify sign_runs' evidence (runs, g) for k without searching; [] when
+    it holds.
 
-    Checks that D(k, m, n) < 0 exactly on the runs (m, n_lo, n_hi), D = 0
-    exactly at the zero pairs and D > 0 at every other interior pair, with
-    O(1) exact evaluations of D per row with entries and one pass over the
-    last run, so O(k) in all.  The rows past last_row(k) need no evaluation:
-    D > 0 on each of them (the cut lemma in last_row), so an entry there is
-    a failure.  It calls no search: sign_runs walks to the ends, this
+    Checks that D(k, m, n) <= 0 exactly on the runs (m, n_lo, n_hi), D = 0
+    at exactly g of the pairs, and D > 0 at every other interior pair, with
+    at most four exact evaluations of D per run and, at the first row after
+    the last run, D(1) or one pass over that last run, of at most k values:
+    O(k) in all.  It calls no search: sign_runs walks to the ends, this
     function only tests them, and it evaluates D as A*B - C^2
     (discriminant), not through the quartic in s.
 
-    Proof that the end tests suffice: by the one-run lemma in sign_runs
-    (Descartes on the coefficient signs + + - e e of D in s = m^2 + n^2),
-    {n >= 1 : D <= 0} is one run L..H, D < 0 inside it, and D can vanish
-    only at L or H.  So for a row with a run or zeros it is enough that
+    The check:
 
-    * D < 0 at n_lo and n_hi, and D = 0 at each zero pair;
-    * every zero sits at n_lo - 1 or n_hi + 1 (in a row with no run: the
-      zeros are consecutive), so the claimed entries fill L..H;
-    * D > 0 at L - 1 unless L = 1, and at H + 1 unless H + 1 reaches the
-      enumeration bound (where D > 0 is proved);
-    * H lies below the enumeration bound.
+    * the rows of the runs are exactly 1, 2, ..., r, with r <= last_row(k):
+      past that row D > 0 for every n (the cut lemma in last_row);
+    * the bracket starts at 1..k, the axis run of row 0; each run has
+      bracket_lo <= n_lo <= n_hi <= bracket_hi and D <= 0 at n_lo and at
+      n_hi;
+    * D > 0 at n_lo - 1 and at n_hi + 1, tested only where they lie inside
+      the bracket; a run that passes becomes the bracket of the next row;
+    * the ends with D = 0, n_hi counted only when n_hi > n_lo, number g;
+    * row r + 1, if r + 1 <= last_row(k), is proved empty, once and only
+      when no row failed: by D(1) > 0 if r + 1 <= k, and by D > 0 on the
+      whole bracket, the run of row r, if r + 1 > k.  Nothing is evaluated
+      after it.
 
-    The rows without entries rest on the nesting lemma in sign_runs: once a
-    row is empty, so is every later row.  With m* the first row without
-    entries, the check
+    Why it is sound:
 
-    * requires the rows with entries to be 1..m* - 1;
-    * refuses any entry past m*;
-    * proves row m* empty once, if m* <= last_row(k): by D(1) > 0 if
-      m* <= k, since a run of the row would start at n = 1 (the one-end
-      lemma in sign_runs), and by D > 0 on the verified L..H of row m* - 1
-      if m* > k, since that run holds row m*'s (the nesting lemma);
-    * evaluates nothing after m*.
+    * One-run lemma (sign_runs): {n >= 1 : D <= 0} is one run, with D < 0
+      strictly inside it.  So D <= 0 at both ends and D > 0 just outside
+      them pin the run exactly, and its zeros are exactly the ends with
+      D = 0.
+    * Nesting lemma (sign_runs): for all 0 <= m < m', D(m, n) > 0 implies
+      D(m', n) > 0, from the axis row m = 0, whose run is 1..k.  So each
+      run lies inside the verified run above it, and outside the bracket
+      D > 0 is already proved.  Once a row is empty, so is every later row.
+      A forged end such as 10^18 fails the bracket test before any
+      evaluation, and the final pass covers at most k values.
+    * One-end lemma (sign_runs): a run of a row m <= k starts at n = 1, so
+      D(1) > 0 proves such a row empty.
 
-    The pass over L..H runs only when no earlier row has failed, so it
-    covers a verified run, of at most k values.  Runs and zeros must be in
-    (m, n) order, with one run per row at most.
+    After a failed row the bracket stays the run above it, which still holds
+    the true runs of the later rows.
     """
     m_max = last_row(k)
+    if len(runs) > m_max or any(run[0] != m for m, run in enumerate(runs, 1)):
+        return [f"the runs must be one a row, in the rows 1, 2, ..., r with r <= {m_max} "
+                "(the cut 14m^2 < 15k^2, past which D > 0 is proved); rerun torus index"]
     failures: list[str] = []
-    for name, keys in (
-        ("negative runs", [(m,) for m, _, _ in runs]),
-        ("zero pairs", [tuple(z) for z in zeros]),
-    ):
-        if any(a >= b for a, b in zip(keys, keys[1:])):
-            failures.append(f"{name} are not in strictly increasing (m, n) order")
-        elif keys and keys[0][0] < 1:
-            failures.append(f"{name} start below the row m = 1")
-        elif keys and keys[-1][0] > m_max:
-            failures.append(
-                f"{name} reach past the cut 14m^2 < 15k^2 (rows m <= {m_max}), where "
-                "D > 0 is proved and no evidence is kept; rerun torus index"
-            )
-    if failures:
-        return failures
-
-    run_at = {m: (n_lo, n_hi) for m, n_lo, n_hi in runs}
-    zeros_at: dict[int, list[int]] = {}
-    for m, n in zeros:
-        zeros_at.setdefault(m, []).append(n)
-    m = 1
-    while m in run_at or m in zeros_at:
+    above, lo, hi = 0, 1, k  # the bracket: the axis run of row 0, then each verified run
+    zeros = 0
+    for m, n_lo, n_hi in runs:
         if len(failures) == CHECK_FAILURE_LIMIT:
             return failures + [f"stopped at row m = {m} after {CHECK_FAILURE_LIMIT} failures"]
-        why = _check_row(k, m, run_at.get(m), zeros_at.get(m, []))
-        if why is not None:
-            failures.append(f"row m = {m}: {why}")
-        m += 1
-    if max((*run_at, *zeros_at), default=0) > m:
-        return failures + [f"entries past the row m = {m}, which has none; once a row "
-                           "is empty, so is every later row"]
-    if failures or m > m_max:
+        if not lo <= n_lo <= n_hi <= hi:
+            failures.append(f"row m = {m}: the run is empty or not inside {lo}..{hi}, "
+                            f"the run of row {above}")
+            continue
+        d_lo, d_hi = discriminant(k, m, n_lo), discriminant(k, m, n_hi)
+        if d_lo > 0 or d_hi > 0:
+            failures.append(f"row m = {m}: D > 0 at an end of the run {n_lo}..{n_hi}")
+        elif n_lo > lo and discriminant(k, m, n_lo - 1) <= 0:
+            failures.append(f"row m = {m}: D <= 0 at n = {n_lo - 1}, below the run")
+        elif n_hi < hi and discriminant(k, m, n_hi + 1) <= 0:
+            failures.append(f"row m = {m}: D <= 0 at n = {n_hi + 1}, above the run")
+        else:
+            zeros += (d_lo == 0) + (d_hi == 0 and n_hi > n_lo)
+            above, lo, hi = m, n_lo, n_hi
+    if failures:
         return failures
+    if zeros != g:
+        return [f"g = {g}, but D = 0 at {zeros} run ends"]
+    m = len(runs) + 1
+    if m > m_max:
+        return []
     if m <= k:  # a run of the row would start at n = 1
         lo = hi = 1
-    else:  # the run of the row lies inside L..H of the row before it
-        span = [*run_at.get(m - 1, ()), *zeros_at.get(m - 1, [])]
-        lo, hi = min(span), max(span)
     for n in range(lo, hi + 1):
         if discriminant(k, m, n) <= 0:
             return [f"row m = {m}: D({n}) <= 0 but the row has no run"]
     return []
-
-
-def _check_row(k: int, m: int, run: tuple[int, int] | None, zs: list[int]) -> str | None:
-    """The first failure of one row of check_runs' evidence, or None."""
-    n_max = isqrt(enumeration_bound(k) - m * m - 1)
-
-    def d(n: int) -> int:
-        return discriminant(k, m, n)
-
-    if not all(1 <= n <= n_max for n in (*(run or ()), *zs)):
-        return f"an entry lies outside 1 <= n <= {n_max} (the enumeration bound)"
-    if run is None:
-        lo, hi = zs[0], zs[0] - 1  # an empty run that the zeros extend
-    else:
-        lo, hi = run
-        if lo > hi:
-            return f"run {lo}..{hi} is empty"
-        if d(lo) >= 0 or d(hi) >= 0:
-            return f"D >= 0 at an end of the run {lo}..{hi}"
-    for z in zs:
-        if z == lo - 1:
-            lo = z
-        elif z == hi + 1:
-            hi = z
-        else:
-            return f"zero pair n = {z} is not next to the run"
-        if d(z) != 0:
-            return f"D != 0 at the zero pair n = {z}"
-    if lo > 1 and d(lo - 1) <= 0:
-        return f"D <= 0 at n = {lo - 1}, below the run"
-    if hi < n_max and d(hi + 1) <= 0:
-        return f"D <= 0 at n = {hi + 1}, above the run"
-    return None
 
 
 # -- block matrices ------------------------------------------------------------

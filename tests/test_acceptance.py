@@ -111,7 +111,7 @@ def test_criterion_1_torus_index_table_k155_row():
     r = index_nullity(k)
     assert (r.index, r.nullity) == TABLE_K155
 
-    pairs = run_pairs(r.negative_runs)
+    pairs = run_pairs(r.runs)
     boxed = [(m, n) for (m, n) in pairs if m <= k and n <= k]
     beyond = [(m, n) for (m, n) in pairs if m > k or n > k]
     assert PRINTED_K155_INDEX == 1 + 4 * (k - 1) + 4 * len(boxed)
@@ -140,7 +140,7 @@ def test_criterion_1_exact_value_at_k155():
     # route 2: the fast scan lane
     assert scan_row(155).f == 22176
     # the discrepancy with the reference row is exactly the m > k pairs
-    pairs = run_pairs(r.negative_runs)
+    pairs = run_pairs(r.runs)
     beyond = [(m, n) for (m, n) in pairs if m > 155 or n > 155]
     assert len(beyond) == 222
     assert all(156 <= m <= 160 and n <= 155 for m, n in beyond)

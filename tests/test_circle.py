@@ -72,8 +72,11 @@ def test_block_eigenvalues_numeric():
 def test_label_validation():
     with pytest.raises(InvalidLabelError):
         circle_index_nullity(0)
-    with pytest.raises(TypeError):
-        circle_index_nullity(2.5)
+    for k in (2.5, True):
+        with pytest.raises(TypeError):
+            circle_index_nullity(k)
+        with pytest.raises(TypeError):
+            circle_index_nullity_by_matrices(k)
     with pytest.raises(InvalidLabelError):
         circle_index_nullity_by_matrices(-1)
     with pytest.raises(InvalidLabelError):

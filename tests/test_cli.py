@@ -49,24 +49,24 @@ def test_torus_index_report(capsys):
     code, out = run_cli(capsys, "torus", "index", "--k", "2", "--format", "json")
     assert code == EXIT_OK
     report = json.loads(out)
-    assert report["schema"] == 2
+    assert report["schema"] == 3
     assert set(report) >= {"schema", "command", "inputs", "results", "paper_anchor"}
     assert report["results"]["index"] == 13
     assert report["results"]["nullity"] == 5
-    assert report["results"]["negative_runs"] == [[1, 1, 1], [2, 1, 1]]
-    assert report["results"]["zero_pairs"] == []
-    assert "negative_pairs" not in report["results"]
+    assert report["results"]["runs"] == [[1, 1, 1], [2, 1, 1]]
+    assert report["results"]["g"] == 0
+    assert not {"negative_pairs", "negative_runs", "zero_pairs"} & set(report["results"])
 
 
 def test_torus_index_runs_expand_to_the_oracle_pairs(capsys):
     code, out = run_cli(capsys, "torus", "index", "--k", "155", "--format", "json")
     assert code == EXIT_OK
     results = json.loads(out)["results"]
-    runs = results["negative_runs"]
-    f, _, neg, zero = interior_sign_scan(155)
+    runs = results["runs"]
+    f, g, neg, zero = interior_sign_scan(155)
     assert [(m, n) for m, n_lo, n_hi in runs for n in range(n_lo, n_hi + 1)] == neg
     assert sum(n_hi - n_lo + 1 for _, n_lo, n_hi in runs) == f == results["f"] == 22176
-    assert results["zero_pairs"] == zero == []
+    assert results["g"] == g == len(zero) == 0
 
 
 def test_legendre_verify_exit_codes(capsys, monkeypatch):
@@ -425,7 +425,7 @@ def test_readme_examples_run_as_written(capsys, monkeypatch, tmp_path):
         assert code == EXIT_OK, argv
         outs.append(out)
     k2 = json.loads(outs[0])["results"]
-    assert (k2["index"], k2["nullity"]) == (13, 5) and k2["negative_runs"]
+    assert (k2["index"], k2["nullity"]) == (13, 5) and k2["runs"]
     assert json.loads(outs[2])["results"]["verified"] is True
     assert outs[3].splitlines()[0] == "k,f,g,index,nullity"
     assert json.loads(outs[4])["results"]["matched"] is True
@@ -438,9 +438,9 @@ def test_largest_index_report_is_pinned(capsys):
     # and it must not change byte for byte
     code, out = run_cli(capsys, "torus", "index", "--k", "100000", "--format", "json")
     assert code == EXIT_OK
-    assert len(out.encode()) == 5_899_419
+    assert len(out.encode()) == 5_899_388
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "4c838093139857d32bc818ebe6aa53681f29b75956f5d5c2c42a2f8d99466cf6"
+        "4868a6d8dc27fa422677a6269db4738803fd1b96feed5c9f31ed41801c94164a"
     )
 
 

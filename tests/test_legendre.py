@@ -42,6 +42,10 @@ def test_block_orders():
 def test_negative_fourier_index_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
         build_legendre_block(-1, 0)
+    # the torus label rule: an integer, not a float or a bool
+    for label in ((2.0, 1), (1, 0.5), (True, 1), (1, False)):
+        with pytest.raises(TypeError):
+            build_legendre_block(*label)
 
 
 def test_constant_block_is_diagonal():

@@ -172,5 +172,5 @@ def test_quadext_str():
 
 def test_index_report_repr_leaves_out_the_evidence():
     report = index_nullity(155)
-    assert len(report.negative_runs) > 100
+    assert len(report.runs) > 100
     assert repr(report) == "IndexReport(k=155, index=89321, nullity=5, f=22176, g=0)"

@@ -115,8 +115,11 @@ def test_reduced_torus():
     assert reduced_index_torus(4) == (7, 2)
     for k in range(1, 21):
         assert reduced_index_torus(k) == (1 + 2 * (k - 1), 2)
-    with pytest.raises(ValueError, match="k must be >= 1"):
+    with pytest.raises(ValueError, match="winding number k must be >= 1"):
         reduced_index_torus(0)
+    for k in (2.0, True):  # the torus label rule: an integer, not a bool
+        with pytest.raises(TypeError):
+            reduced_index_torus(k)
 
 
 def test_reduced_bounded_by_full():

@@ -4,8 +4,8 @@ sign_runs walks each row from the run of the row before it (torus._walk): the
 nesting lemma puts the row's run {n >= 1 : D <= 0} inside that bracket, hi
 steps down to the run's upper end, lo steps up to its lower end on a row past
 the axis zero m = k, and an empty row ends the walk.  Here the walk enters
-real torus rows from every bracket that contains the run, and the run and
-zero pairs of the row must equal a brute-force pass of D = A*B - C^2 over the
+real torus rows from every bracket that contains the run, and the closed run
+of D <= 0 of the row must equal a brute-force pass of D = A*B - C^2 over the
 whole row.
 """
 
@@ -47,18 +47,16 @@ def row_quartic(k, m):
 
 
 def walk_row(k, m, lo, hi):
-    """(negative n, zero n) of row m, walked from lo..hi."""
-    runs, zeros = _walk(k, m, row_quartic(k, m), lo, hi)
-    neg = [n for row, n_lo, n_hi in runs if row == m for n in range(n_lo, n_hi + 1)]
-    return neg, [n for row, n in zeros if row == m]
+    """(the n with D <= 0, g) of row m and the rows after it, walked from lo..hi."""
+    runs, g = _walk(k, m, row_quartic(k, m), lo, hi)
+    return [n for row, n_lo, n_hi in runs if row == m for n in range(n_lo, n_hi + 1)], g
 
 
 def _brute_force(k, m, n_max):
-    """(negative n, zero n) of row m."""
+    """(the n with D <= 0, the zero count) of row m; no torus row with k <= 10^4
+    has a zero, so the rows after it add none to the walk's g."""
     ds = [discriminant(k, m, n) for n in range(1, n_max + 1)]
-    neg = [n for n, v in enumerate(ds, 1) if v < 0]
-    zero = [n for n, v in enumerate(ds, 1) if v == 0]
-    return neg, zero
+    return [n for n, v in enumerate(ds, 1) if v <= 0], ds.count(0)
 
 
 @SEARCH
@@ -69,7 +67,7 @@ def test_seeds_change_only_the_cost(row, data):
     k, m = row
     n_max = isqrt(enumeration_bound(k) - m * m - 1)
     expected = _brute_force(k, m, n_max)
-    run = sorted(expected[0] + expected[1])
+    run = expected[0]
     if m <= k:
         lo = 1
     else:

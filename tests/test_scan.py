@@ -60,16 +60,16 @@ def _oracle_mismatches(ks):
     """The k whose sign runs differ from the O(k^2) oracle, pair for pair."""
     bad = []
     for k in ks:
-        runs, zeros = sign_runs(k)
+        runs, g = sign_runs(k)
         neg, zero = _oracle_pairs(k)
-        if run_pairs(runs) != neg or zeros != zero:
+        if run_pairs(runs) != sorted(neg + zero) or g != len(zero):
             bad.append(k)
         assert all(n_lo <= n_hi for _, n_lo, n_hi in runs), k
     return bad
 
 
 def test_sign_runs_match_oracle():
-    # negative pairs and zero pairs, in (m, n) order, pair for pair
+    # the pairs with D <= 0, in (m, n) order, pair for pair, and the zero count
     assert _oracle_mismatches(ORACLE_KS) == []
 
 
@@ -101,9 +101,9 @@ def test_runs_start_at_one_up_to_the_axis_zero(monkeypatch):
     real = torus._walk
 
     def start_at_one_past_the_axis(k, *entry):
-        runs, zeros = real(k, *entry)
+        runs, g = real(k, *entry)
         runs = [(m, 1 if m == k + 1 else n_lo, n_hi) for m, n_lo, n_hi in runs]
-        return runs, zeros
+        return runs, g
 
     monkeypatch.setattr(torus, "_walk", start_at_one_past_the_axis)
     assert _oracle_mismatches(ORACLE_KS) == PAST_THE_AXIS_ZERO
@@ -113,8 +113,8 @@ def test_sign_runs_past_the_old_float_range():
     # at k = 10^4 the terms of D reach 10^35, far past float64's exact range;
     # the run ends must still be exact sign changes
     k = 10_000
-    runs, zeros = sign_runs(k)
-    assert zeros == []
+    runs, g = sign_runs(k)
+    assert g == 0
     by_m = {m: (n_lo, n_hi) for m, n_lo, n_hi in runs}
     last = max(by_m)
     assert sorted(by_m) == list(range(1, last + 1))
@@ -192,14 +192,15 @@ def test_quartic_run_zero_at_run_end(factors, m2, expected):
         n_lo, n_hi, zeros = expected
         assert [n for n, v in signs.items() if v < 0] == list(range(n_lo, n_hi + 1))
         assert [n for n, v in signs.items() if v == 0] == zeros
-        m = 1 if c0 < 0 else 11
-        run = [(m, n_lo, n_hi)] if n_lo <= n_hi else []
+        # the closed run of D <= 0, with its zeros at its ends
+        first, last = min(n_lo, *zeros), max(n_hi, *zeros)
+        assert [n for n, v in signs.items() if v <= 0] == list(range(first, last + 1))
+        run = ([(1 if c0 < 0 else 11, first, last)], len(zeros))
     if c0 < 0:  # D(0) < 0 and one positive root: the run is 1..e
         assert d(0) < 0
-        end = max(expected[1], *expected[2])
         # any bracket 1..hi with hi >= e contains the run
-        for hi in (end, end + 1, 9, n_max):
-            assert _walk(1, 1, q, 1, hi) == (run, [(m, z) for z in zeros]), hi
+        for hi in (last, last + 1, 9, n_max):
+            assert _walk(1, 1, q, 1, hi) == run, hi
         return
     assert (6 * m2 + 3 * c3) * m2 + c2 > 0  # the convexity lemma's premise
     if expected is None:
@@ -208,12 +209,11 @@ def test_quartic_run_zero_at_run_end(factors, m2, expected):
         assert min(range(1, n_max + 1), key=d) == 3
         for lo in (1, 4, 9, n_max):
             for hi in (lo - 1, lo, n_max):
-                assert _walk(10, 11, q, lo, hi) == ([], []), (lo, hi)
+                assert _walk(10, 11, q, lo, hi) == ([], 0), (lo, hi)
         return
-    first, last = min(n_lo, *zeros), max(n_hi, *zeros)
     for lo in range(1, first + 1):
         for hi in (last, last + 1, 9, n_max):
-            assert _walk(10, 11, q, lo, hi) == (run, [(m, z) for z in zeros]), (lo, hi)
+            assert _walk(10, 11, q, lo, hi) == run, (lo, hi)
 
 
 def test_conjecture_scan_small_range():
@@ -270,7 +270,7 @@ F_SHA256_TO_10K = "1a7f32cb85dc2e5ffe6fe991c935935f802eae3871c14cde2c89a361c21e2
 @pytest.mark.slow
 @pytest.mark.skipif(
     not os.environ.get("BIHINDEX_FULL_SCAN"),
-    reason="full k<=10^4 scan: set BIHINDEX_FULL_SCAN=1 (about 40 s on one worker)",
+    reason="full k<=10^4 scan: set BIHINDEX_FULL_SCAN=1 (about 23 s on one worker)",
 )
 def test_full_conjecture_scan_to_10k_matches_the_checksum():
     # g = 0 for every k <= 10^4, i.e. no primitive interior zero of D there

@@ -76,13 +76,15 @@ def test_invalid_labels():
     with pytest.raises(InvalidLabelError):
         check_label(0, 0, 0)
     check_label(1, 0, 0)
-    # labels are integers: 2.5 is no winding number, and 1.0 no Fourier index
-    for label in ((2.5, 0, 0), (1, 1.0, 0), (1, 0, 0.5)):
+    # labels are integers: 2.5 is no winding number, and 1.0 no Fourier index;
+    # nor is a bool, though operator.index takes it
+    for label in ((2.5, 0, 0), (1, 1.0, 0), (1, 0, 0.5), (True, 0, 0), (1, False, 0), (1, 0, True)):
         with pytest.raises(TypeError):
             check_label(*label)
-    for fn in (enumeration_bound, last_row):
-        with pytest.raises(TypeError):
-            fn(2.5)
+    for fn in (enumeration_bound, last_row, index_nullity):
+        for k in (2.5, True):
+            with pytest.raises(TypeError):
+                fn(k)
         with pytest.raises(InvalidLabelError, match="winding number k must be >= 1"):
             fn(0)
 
@@ -375,8 +377,8 @@ def test_index_nullity_published_rows():
 
 def test_index_nullity_k2_negative_pairs():
     r = index_nullity(2)
-    assert run_pairs(r.negative_runs) == [(1, 1), (2, 1)]
-    assert r.zero_pairs == ()
+    assert run_pairs(r.runs) == [(1, 1), (2, 1)]
+    assert r.g == 0
 
 
 def test_f_bound_and_formula_consistency():
